@@ -8,7 +8,7 @@ integers with no floating point outside the one real-coefficient norm.
 """
 
 from .build import (
-    ProductResult,
+    PullbackResult,
     PushoutResult,
     QuotientResult,
     disjoint_union,

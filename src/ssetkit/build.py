@@ -7,6 +7,10 @@ witnesses.  The bound is exact: a product has no nondegenerate simplices
 above the sum of the factor dimensions, and a levelwise quotient of
 degenerate-only levels stays degenerate.
 
+A product is the pullback of the two maps to the point, so products and
+fiber products share one construction and one result type; product cells
+keep their own ``p`` name prefix.
+
 Each result keeps the element-to-simplex dictionary of the extraction so
 that structure maps and universally induced maps can be written down by
 cases on representatives.
@@ -15,7 +19,6 @@ cases on representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .delta import compose_monotone, degeneracy_map, word_of_epi
 from .errors import ValidationError
@@ -30,7 +33,6 @@ from .sset import (
 )
 
 __all__ = [
-    "ProductResult",
     "PushoutResult",
     "PullbackResult",
     "QuotientResult",
@@ -104,106 +106,6 @@ def _extract(system, top: int, basepoint_elem=None, prefix: str = "c") -> Extrac
         bp = to_simplex[(0, basepoint_elem)].base
     space = FiniteSSet(cells, faces, basepoint=bp)
     return Extraction(space, to_simplex, from_name)
-
-
-# -- products --------------------------------------------------------------
-
-
-class _ProductSystem:
-    def __init__(self, X: FiniteSSet, Y: FiniteSSet):
-        self.X = X
-        self.Y = Y
-
-    def elements(self, k: int):
-        return [
-            (sx, sy)
-            for sx in self.X.all_simplices(k)
-            for sy in self.Y.all_simplices(k)
-        ]
-
-    def face(self, k: int, e, i: int):
-        return (self.X.face(e[0], i), self.Y.face(e[1], i))
-
-    def degeneracy(self, k: int, e, i: int):
-        return (self.X.degeneracy(e[0], i), self.Y.degeneracy(e[1], i))
-
-
-def _joint_strip(X: FiniteSSet, Y: FiniteSSet, sx: Simplex, sy: Simplex):
-    """Strip common degeneracies off a pair; returns the core and the epi."""
-    if sx.dim != sy.dim:
-        raise ValidationError("pair components live in different dimensions")
-    strip_positions = []
-    while True:
-        ex, ey = sx.collapse(), sy.collapse()
-        common = [
-            i
-            for i in range(sx.dim)
-            if ex.values[i] == ex.values[i + 1] and ey.values[i] == ey.values[i + 1]
-        ]
-        if not common:
-            break
-        i = common[0]
-        strip_positions.append((sx.dim, i))
-        sx = X.face(sx, i)
-        sy = Y.face(sy, i)
-    eta = None
-    for dim, i in strip_positions:
-        step = degeneracy_map(dim - 1, i)
-        eta = step if eta is None else compose_monotone(eta, step)
-    return sx, sy, eta
-
-
-@dataclass
-class ProductResult:
-    space: FiniteSSet
-    left: FiniteSSet
-    right: FiniteSSet
-    proj_left: SSetMap
-    proj_right: SSetMap
-    _extraction: Extraction = field(repr=False)
-
-    def pair_simplex(self, sx: Simplex, sy: Simplex) -> Simplex:
-        """The simplex of the product corresponding to a pair."""
-        cx, cy, eta = _joint_strip(self.left, self.right, sx, sy)
-        core = self._extraction.simplex_of(cx.dim, (cx, cy))
-        if eta is None:
-            return core
-        return _push_epi(core, eta)
-
-    def components(self, name: str) -> tuple[Simplex, Simplex]:
-        return self._extraction.from_name[name]
-
-    def pair_map(self, f: SSetMap, g: SSetMap) -> SSetMap:
-        """The induced map into the product from ``(f, g)``."""
-        if f.source != g.source:
-            raise ValidationError("pairing needs a common source")
-        if f.target != self.left or g.target != self.right:
-            raise ValidationError("pairing legs do not land in the factors")
-        images = {
-            name: self.pair_simplex(f.images[name], g.images[name])
-            for name in f.source.names
-        }
-        return SSetMap(f.source, self.space, images)
-
-
-def product(X: FiniteSSet, Y: FiniteSSet) -> ProductResult:
-    """Levelwise product with its two projections."""
-    system = _ProductSystem(X, Y)
-    top = max(X.top_dim + Y.top_dim, -1)
-    ext = _extract(system, top, prefix="p")
-    proj_l = SSetMap(
-        ext.space,
-        X,
-        {name: ext.from_name[name][0] for name in ext.space.names},
-        check=False,
-    )
-    proj_r = SSetMap(
-        ext.space,
-        Y,
-        {name: ext.from_name[name][1] for name in ext.space.names},
-        check=False,
-    )
-    return ProductResult(ext.space, X, Y, proj_l, proj_r, ext)
 
 
 def interval() -> FiniteSSet:
@@ -409,15 +311,36 @@ class PullbackResult:
     _extraction: Extraction = field(repr=False)
 
     def pair_simplex(self, sa: Simplex, sb: Simplex) -> Simplex:
-        left = self.proj_left.target
-        right = self.proj_right.target
-        ca, cb, eta = _joint_strip(left, right, sa, sb)
-        core = self._extraction.simplex_of(ca.dim, (ca, cb))
+        """The simplex of the pullback corresponding to a compatible pair."""
+        if sa.dim != sb.dim:
+            raise ValidationError("pair components live in different dimensions")
+        A, B = self.leg_left.source, self.leg_right.source
+        # Strip the degeneracies the two components share, recording the
+        # epi that puts them back onto the nondegenerate core.
+        eta = None
+        while True:
+            ea, eb = sa.collapse(), sb.collapse()
+            common = [
+                i
+                for i in range(sa.dim)
+                if ea.values[i] == ea.values[i + 1] and eb.values[i] == eb.values[i + 1]
+            ]
+            if not common:
+                break
+            step = degeneracy_map(sa.dim - 1, common[0])
+            eta = step if eta is None else compose_monotone(eta, step)
+            sa = A.face(sa, common[0])
+            sb = B.face(sb, common[0])
+        core = self._extraction.simplex_of(sa.dim, (sa, sb))
         if eta is None:
             return core
         return _push_epi(core, eta)
 
+    def components(self, name: str) -> tuple[Simplex, Simplex]:
+        return self._extraction.from_name[name]
+
     def induced(self, to_a: SSetMap, to_b: SSetMap) -> SSetMap:
+        """The map into the pullback determined by a commuting cone."""
         if to_a.source != to_b.source:
             raise ValidationError("cone legs need a common source")
         if self.leg_left.compose(to_a) != self.leg_right.compose(to_b):
@@ -429,13 +352,10 @@ class PullbackResult:
         return SSetMap(to_a.source, self.space, images)
 
 
-def sset_pullback(p: SSetMap, q: SSetMap) -> PullbackResult:
-    """Levelwise fiber product of ``p`` and ``q`` over their shared target."""
-    if p.target != q.target:
-        raise ValidationError("pullback legs must share their target")
+def _pullback(p: SSetMap, q: SSetMap, prefix: str) -> PullbackResult:
     system = _PullbackSystem(p, q)
     top = max(p.source.top_dim + q.source.top_dim, -1)
-    ext = _extract(system, top, prefix="f")
+    ext = _extract(system, top, prefix=prefix)
     proj_l = SSetMap(
         ext.space,
         p.source,
@@ -449,3 +369,16 @@ def sset_pullback(p: SSetMap, q: SSetMap) -> PullbackResult:
         check=False,
     )
     return PullbackResult(ext.space, proj_l, proj_r, p, q, ext)
+
+
+def sset_pullback(p: SSetMap, q: SSetMap) -> PullbackResult:
+    """Levelwise fiber product of ``p`` and ``q`` over their shared target."""
+    if p.target != q.target:
+        raise ValidationError("pullback legs must share their target")
+    return _pullback(p, q, "f")
+
+
+def product(X: FiniteSSet, Y: FiniteSSet) -> PullbackResult:
+    """Product with its two projections: the pullback over the point."""
+    pt = standard_simplex(0)
+    return _pullback(constant_map(X, pt, "0"), constant_map(Y, pt, "0"), "p")

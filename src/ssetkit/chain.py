@@ -36,6 +36,7 @@ __all__ = [
     "total_complex_of_square",
     "is_homotopy_bicartesian",
     "check_exact_sequence",
+    "stabilization_index",
     "sequential_colimit",
     "quasi_iso",
     "zero_map",
@@ -86,10 +87,6 @@ class ChainComplex:
         if self.low + 1 <= n <= self.high:
             return self.boundaries[n - self.low - 1]
         return IntMat.zero(self.rank(n - 1), self.rank(n))
-
-    @property
-    def total_rank(self) -> int:
-        return sum(self.ranks)
 
     def degrees(self):
         return range(self.low, self.high + 1)
@@ -328,19 +325,6 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
     return ChainComplex(lo, hi, ranks, tuple(boundaries))
 
 
-def cone_inclusion(f: ChainMap) -> ChainMap:
-    """The canonical inclusion of the target into the cone."""
-    cone = mapping_cone(f)
-    t = f.target
-    blocks = {}
-    for n in cone.degrees():
-        m = IntMat.identity(t.rank(n)).vstack(
-            IntMat.zero(f.source.rank(n - 1), t.rank(n))
-        )
-        blocks[n] = m
-    return chain_map_from_blocks(t, cone, blocks)
-
-
 # -- squares ---------------------------------------------------------------
 
 
@@ -465,20 +449,24 @@ class Tower:
         return len(self.stages)
 
 
-def sequential_colimit(t: Tower, probe: int | None = None) -> ChainComplex:
-    """Value of a tower that stabilizes within the probed range.
+def stabilization_index(t: Tower) -> int | None:
+    """First stage from which every structure map is a degreewise
+    isomorphism, or ``None`` when the maps certify no such stage."""
+    iso = [f.is_degreewise_iso() for f in t.maps]
+    # Stabilization needs a nonempty certified tail; a bare final stage is
+    # no evidence, so the scan stops one short of the last stage.
+    return next((k for k in range(len(iso)) if all(iso[k:])), None)
 
-    Scans for the first stage from which every later structure map is a
-    degreewise isomorphism and returns that stage.  Raises
+
+def sequential_colimit(t: Tower) -> ChainComplex:
+    """Value of a tower that stabilizes within its stages.
+
+    Returns the stage found by :func:`stabilization_index`.  Raises
     :class:`StabilizationError` otherwise; no extrapolation is attempted.
     """
-    last = len(t.maps) if probe is None else min(probe, len(t.maps))
-    iso = [f.is_degreewise_iso() for f in t.maps[:last]]
-    # Stabilization needs a nonempty certified tail; a bare final stage is
-    # no evidence, so the scan stops one short of the probe horizon.
-    for k in range(last):
-        if all(iso[k:]):
-            return t.stages[k]
-    raise StabilizationError(
-        f"tower does not stabilize within {last} structure maps"
-    )
+    index = stabilization_index(t)
+    if index is None:
+        raise StabilizationError(
+            f"tower does not stabilize within {len(t.maps)} structure maps"
+        )
+    return t.stages[index]

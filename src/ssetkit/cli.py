@@ -6,8 +6,9 @@ compact builder tokens (``simplex2``, ``boundary3``, ``horn2_1``,
 the ``space`` subcommand additionally accepts the spaced builder grammar
 (``space product circle simplex1``).  Exit codes: 0 success, 1 a failed
 mathematical verdict requested with ``--assert``, 2 parse or validation
-errors.  All output is deterministic; machine records go through the
-canonical serializer.
+errors, malformed interchange records and manifests included; exit 2
+prints an ``error:`` line on stderr, never a traceback.  All output is
+deterministic; machine records go through the canonical serializer.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import re
 import sys
 
 from .build import product, quotient
-from .chain import homology, homology_table, quasi_iso
+from .chain import homology, homology_table, quasi_iso, stabilization_index
 from .errors import EnumerationLimit, StabilizationError, ValidationError
 from .excision import (
+    CoverData,
     SSetSquare,
     cover_from_names,
     excision_check,
@@ -190,11 +192,7 @@ def _square_from_record(data) -> SSetSquare:
     )
 
 
-def _cover(token: str, names=({}, {}, {})):
-    spaces, covers, _ = names
-    if token in covers:
-        return covers[token]
-    data = _load_json(token)
+def _cover_from_record(data, spaces) -> CoverData:
     if not isinstance(data, dict):
         raise ValidationError("cover record must be a JSON object")
     space_spec = data.get("space")
@@ -202,7 +200,25 @@ def _cover(token: str, names=({}, {}, {})):
         X = _atom_space(space_spec, spaces)
     else:
         X = sset_from_record(space_spec)
-    return cover_from_names(X, data.get("u", []), data.get("v", []))
+    pieces = (data.get("u", []), data.get("v", []))
+    for piece in pieces:
+        if not isinstance(piece, list) or not all(isinstance(n, str) for n in piece):
+            raise ValidationError("cover pieces 'u' and 'v' must be lists of names")
+    return cover_from_names(X, *pieces)
+
+
+def _cover(token: str, names=({}, {}, {})) -> CoverData:
+    spaces, covers, _ = names
+    if token in covers:
+        return covers[token]
+    return _cover_from_record(_load_json(token), spaces)
+
+
+def _manifest_section(data: dict, key: str) -> dict:
+    section = data.get(key, {})
+    if not isinstance(section, dict):
+        raise ValidationError(f"manifest {key!r} must be a JSON object")
+    return section
 
 
 def _emit(args, record: dict, human: list[str]) -> None:
@@ -211,14 +227,6 @@ def _emit(args, record: dict, human: list[str]) -> None:
     else:
         for line in human:
             print(line)
-
-
-def _group_str(g) -> str:
-    return str(g)
-
-
-def _homology_lines(c, low: int, high: int) -> list[str]:
-    return [f"H_{n} = {homology(c, n)}" for n in range(low, high + 1)]
 
 
 # -- subcommand bodies -----------------------------------------------------
@@ -309,9 +317,8 @@ def _cmd_tower(args) -> int:
         X = pointed(X, X.nondeg(0)[0])
         note = f"note: pointed at vertex {X.basepoint!r}"
     t = tower(F, X, args.N)
-    iso = [u.is_degreewise_iso() for u in t.maps]
     qis = [quasi_iso(u) for u in t.maps]
-    index = next((k for k in range(len(iso)) if all(iso[k:])), None)
+    index = stabilization_index(t)
     human = [] if note is None else [note]
     stage_tables = []
     for n, st in enumerate(t.stages):
@@ -368,24 +375,19 @@ def _cmd_run(args) -> int:
     if not isinstance(data, dict):
         raise ValidationError("manifest must be a JSON object")
     namespace: dict[str, FiniteSSet] = {}
-    for name, spec in data.get("spaces", {}).items():
+    for name, spec in _manifest_section(data, "spaces").items():
         if isinstance(spec, str):
             namespace[name] = _atom_space(spec)
-        elif isinstance(spec, list):
+        elif isinstance(spec, list) and all(isinstance(t, str) for t in spec):
             namespace[name] = _build_space(spec, None, namespace)
         else:
             namespace[name] = sset_from_record(spec)
-    covers = {}
-    for name, spec in data.get("covers", {}).items():
-        space_spec = spec.get("space")
-        X = (
-            _atom_space(space_spec, namespace)
-            if isinstance(space_spec, str)
-            else sset_from_record(space_spec)
-        )
-        covers[name] = cover_from_names(X, spec.get("u", []), spec.get("v", []))
+    covers = {
+        name: _cover_from_record(spec, namespace)
+        for name, spec in _manifest_section(data, "covers").items()
+    }
     squares = {}
-    for name, spec in data.get("squares", {}).items():
+    for name, spec in _manifest_section(data, "squares").items():
         squares[name] = (
             _square(spec, (namespace, {}, {}))
             if isinstance(spec, str)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .build import (
-    ProductResult,
+    PullbackResult,
     PushoutResult,
     QuotientResult,
     disjoint_union,
@@ -96,12 +96,12 @@ def _vertex_prism(j: str, k: int) -> Simplex:
     return Simplex(tuple(range(k - 1, -1, -1)), j, k)
 
 
-def cylinder(X: FiniteSSet) -> ProductResult:
+def cylinder(X: FiniteSSet) -> PullbackResult:
     return product(X, standard_simplex(1))
 
 
-def _end_inclusion(pr: ProductResult, j: str) -> SSetMap:
-    X = pr.left
+def _end_inclusion(pr: PullbackResult, j: str) -> SSetMap:
+    X = pr.proj_left.target
     images = {
         name: pr.pair_simplex(
             Simplex((), name, X.dim_of(name)), _vertex_prism(j, X.dim_of(name))
@@ -111,7 +111,7 @@ def _end_inclusion(pr: ProductResult, j: str) -> SSetMap:
     return SSetMap(X, pr.space, images)
 
 
-def _end_names(pr: ProductResult, j: str) -> set[str]:
+def _end_names(pr: PullbackResult, j: str) -> set[str]:
     return {
         name for name in pr.space.names if pr.components(name)[1].base == j
     }
@@ -148,7 +148,7 @@ class SuspensionData:
     """Reduced suspension together with its cylinder bookkeeping."""
 
     space: FiniteSSet  # pointed
-    cylinder: ProductResult
+    cylinder: PullbackResult
     collapse: QuotientResult
 
     def pair_class(self, sx: Simplex, t: Simplex) -> Simplex:
@@ -246,7 +246,7 @@ class DoubleMappingCylinder:
     space: FiniteSSet
     from_u: SSetMap
     from_v: SSetMap
-    cylinder: ProductResult
+    cylinder: PullbackResult
     coproduct: PushoutResult  # U disjoint-union V
     gluing: PushoutResult
     strict: PushoutResult

@@ -15,7 +15,15 @@ from __future__ import annotations
 from .build import _extract, product, sset_pullback
 from .delta import MonotoneMap, degeneracy_map, face_map, factor_maps, word_of_epi
 from .errors import EnumerationLimit, ValidationError
-from .sset import FiniteSSet, SSetMap, Simplex, simplex_as_map, standard_simplex, _push_epi
+from .sset import (
+    FiniteSSet,
+    SSetMap,
+    Simplex,
+    simplex_as_map,
+    standard_simplex,
+    _push_epi,
+    _subset_name,
+)
 
 __all__ = [
     "DEFAULT_MAX_CANDIDATES",
@@ -104,8 +112,7 @@ def enumerate_maps(
 def standard_map(alpha: MonotoneMap) -> SSetMap:
     """The map of standard simplices induced by a monotone map."""
     epi, mono = factor_maps(alpha)
-    base = "".join(str(v) for v in mono.values)
-    sx = Simplex(word_of_epi(epi), base, alpha.dom)
+    sx = Simplex(word_of_epi(epi), _subset_name(mono.values), alpha.dom)
     return simplex_as_map(standard_simplex(alpha.cod), sx)
 
 
@@ -129,7 +136,7 @@ class _HomSystem:
         if alpha not in self._cross:
             src = self.prism(alpha.dom)
             dst = self.prism(alpha.cod)
-            self._cross[alpha] = dst.pair_map(
+            self._cross[alpha] = dst.induced(
                 src.proj_left, standard_map(alpha).compose(src.proj_right)
             )
         return self._cross[alpha]
@@ -182,7 +189,7 @@ def mapping_space(
             k = edge_ext.space.dim_of(name)
             src = vert_sys.prism(k)
             dst = edge_sys.prism(k)
-            cross_incl = dst.pair_map(
+            cross_incl = dst.induced(
                 incl.compose(src.proj_left), src.proj_right
             )
             images[name] = vert_ext.to_simplex[(k, h.compose(cross_incl))]
@@ -191,7 +198,7 @@ def mapping_space(
     r0 = restriction(0)
     r1 = restriction(1)
     ends = product(vert_ext.space, vert_ext.space)
-    both = ends.pair_map(r0, r1)
+    both = ends.induced(r0, r1)
 
     def constant_vertex(v: str) -> Simplex:
         pt_prism = vert_sys.prism(0).space

@@ -74,9 +74,6 @@ class IntMat:
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
 
-    def columns(self):
-        return [self.col(j) for j in range(self.cols)]
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 
@@ -118,12 +115,6 @@ class IntMat:
             tuple(c * x for x in row) for row in self.entries
         ))
 
-    def transpose(self) -> "IntMat":
-        return IntMat(self.cols, self.rows, tuple(
-            tuple(self.entries[i][j] for i in range(self.rows))
-            for j in range(self.cols)
-        ))
-
     def hstack(self, other: "IntMat") -> "IntMat":
         if self.rows != other.rows:
             raise ValidationError("row mismatch in hstack")
@@ -150,19 +141,6 @@ class IntMat:
             r0 += b.rows
             c0 += b.cols
         return cls.from_rows(out) if rows else cls(0, cols, ())
-
-    @classmethod
-    def block(cls, grid) -> "IntMat":
-        """Assemble from a 2D grid of blocks with consistent shapes."""
-        out = None
-        for row in grid:
-            acc = None
-            for b in row:
-                acc = b if acc is None else acc.hstack(b)
-            out = acc if out is None else out.vstack(acc)
-        if out is None:
-            raise ValidationError("empty block grid")
-        return out
 
     # -- determinant (Bareiss, fraction-free) ------------------------------
 
@@ -336,14 +314,6 @@ def smith_normal_form(M: IntMat) -> SmithDecomposition:
                               IntMat.from_rows(v) if m else IntMat(0, 0, ()))
 
 
-def _snf_cached(M: IntMat) -> SmithDecomposition:
-    return smith_normal_form(M)
-
-
-def rank(M: IntMat) -> int:
-    return smith_normal_form(M).rank
-
-
 def kernel_basis(M: IntMat) -> IntMat:
     """A saturated basis of the integer kernel, as columns.
 
@@ -386,8 +356,3 @@ def solve(M: IntMat, B: IntMat) -> IntMat | None:
         return IntMat.zero(M.cols, 0)
     X = snf.V @ IntMat.from_columns(ys, rows=M.cols)
     return X
-
-
-def in_image(M: IntMat, b) -> bool:
-    col = b if isinstance(b, IntMat) else IntMat.column(b)
-    return solve(M, col) is not None

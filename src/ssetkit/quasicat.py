@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .function_complex import enumerate_maps
 from .nerve import nerve_category, square_category
-from .sset import FiniteSSet, SSetMap, Simplex, horn
+from .sset import FiniteSSet, SSetMap, Simplex, horn, _subset_name
 
 __all__ = [
     "HornMap",
@@ -49,21 +49,19 @@ class HornMap:
 
 def horn_fillers(h: HornMap) -> list[Simplex]:
     """All simplices of the target restricting to the given horn."""
-    wall_names = [name for name in h.assignment.source.names
-                  if h.assignment.source.dim_of(name) == h.n - 1]
-    fillers = []
-    for cand in h.target.all_simplices(h.n):
-        ok = True
-        for name in wall_names:
-            # Each outer wall is the face of the standard simplex missing
-            # one vertex; its name lists the kept vertices.
-            j = next(v for v in range(h.n + 1) if str(v) not in name)
-            if h.target.face(cand, j) != h.assignment.images[name]:
-                ok = False
-                break
-        if ok:
-            fillers.append(cand)
-    return fillers
+    # The horn's walls are the faces d_j, j != i, of the standard simplex;
+    # d_j is the cell on every vertex but j.
+    vertices = tuple(range(h.n + 1))
+    walls = [
+        (j, h.assignment.images[_subset_name(vertices[:j] + vertices[j + 1:])])
+        for j in reversed(vertices)
+        if j != h.i
+    ]
+    return [
+        cand
+        for cand in h.target.all_simplices(h.n)
+        if all(h.target.face(cand, j) == image for j, image in walls)
+    ]
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,9 @@ def _simplex_from_pair(pair, dim: int, what: str) -> Simplex:
     ):
         raise ValidationError(f"{what}: expected a [degeneracy-word, base] pair")
     word, base = pair
-    return Simplex(tuple(int(i) for i in word), base, dim)
+    if not isinstance(word, (list, tuple)) or not all(isinstance(i, int) for i in word):
+        raise ValidationError(f"{what}: degeneracy word must be a list of integers")
+    return Simplex(tuple(word), base, dim)
 
 
 # -- simplicial sets -------------------------------------------------------
@@ -79,6 +81,8 @@ def sset_from_record(data) -> FiniteSSet:
     cells = data.get("cells")
     if not isinstance(cells, list):
         raise ValidationError("simplicial set record needs a 'cells' list")
+    if not all(isinstance(level, (list, tuple)) for level in cells):
+        raise ValidationError("simplicial set cells must be lists of names")
     cells = tuple(tuple(level) for level in cells)
     dim_of = {}
     for k, level in enumerate(cells):
@@ -87,14 +91,19 @@ def sset_from_record(data) -> FiniteSSet:
                 raise ValidationError("simplex names must be strings")
             dim_of[name] = k
     faces = {}
-    for name, lst in data.get("faces", {}).items():
+    for name, lst in _as_record(data.get("faces", {}), "face table").items():
         if name not in dim_of:
             raise ValidationError(f"faces listed for unknown simplex {name!r}")
+        if not isinstance(lst, (list, tuple)):
+            raise ValidationError(f"faces of {name!r} must be a list")
         k = dim_of[name]
         faces[name] = tuple(
             _simplex_from_pair(p, k - 1, f"face of {name!r}") for p in lst
         )
-    return FiniteSSet(cells, faces, data.get("basepoint"))
+    basepoint = data.get("basepoint")
+    if basepoint is not None and not isinstance(basepoint, str):
+        raise ValidationError("basepoint must be a simplex name")
+    return FiniteSSet(cells, faces, basepoint)
 
 
 # -- simplicial maps -------------------------------------------------------

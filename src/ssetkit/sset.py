@@ -14,6 +14,7 @@ normal form and equality of ``Simplex`` values is equality of simplices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .delta import (
     MonotoneMap,
@@ -39,7 +40,6 @@ __all__ = [
     "subset_intersection",
     "subset_union",
     "pointed",
-    "without_basepoint",
     "constant_map",
     "simplex_as_map",
     "isomorphism",
@@ -173,16 +173,6 @@ class FiniteSSet:
         """The nondegenerate simplex with the given name."""
         return Simplex((), name, self._dim_of[name])
 
-    @property
-    def is_pointed(self) -> bool:
-        return self.basepoint is not None
-
-    def basepoint_simplex(self, k: int) -> Simplex:
-        """The k-fold degenerate simplex on the basepoint."""
-        if self.basepoint is None:
-            raise ValidationError("simplicial set has no basepoint")
-        return Simplex(tuple(range(k - 1, -1, -1)), self.basepoint, k)
-
     # -- operator action ---------------------------------------------------
 
     def face(self, sx: Simplex, i: int) -> Simplex:
@@ -245,9 +235,6 @@ class FiniteSSet:
                         out.append(Simplex(w, name, k))
             self._all_cache[k] = tuple(out)
         return self._all_cache[k]
-
-    def is_degenerate_value(self, sx: Simplex) -> bool:
-        return sx.is_degenerate
 
     # -- validation, equality ----------------------------------------------
 
@@ -338,8 +325,6 @@ def standard_simplex(n: int) -> FiniteSSet:
         raise ValidationError("dimension must be nonnegative")
     if n > 9:
         raise ValidationError("vertex-string naming supports n <= 9 only")
-    from itertools import combinations
-
     cells = [
         [_subset_name(c) for c in combinations(range(n + 1), k + 1)]
         for k in range(n + 1)
@@ -440,12 +425,6 @@ def pointed(X: FiniteSSet, vertex: str) -> FiniteSSet:
     if vertex not in X or X.dim_of(vertex) != 0:
         raise ValidationError(f"basepoint {vertex!r} is not a vertex")
     return FiniteSSet(X.cells, X.faces, basepoint=vertex, check=False)
-
-
-def without_basepoint(X: FiniteSSet) -> FiniteSSet:
-    if X.basepoint is None:
-        return X
-    return FiniteSSet(X.cells, X.faces, basepoint=None, check=False)
 
 
 # -- simplicial maps -------------------------------------------------------
@@ -564,13 +543,12 @@ def simplex_as_map(Y: FiniteSSet, sx: Simplex) -> SSetMap:
     ``dim(sx)``-simplex to the action of the corresponding injection.
     """
     n = sx.dim
-    X = standard_simplex(n)
-    images = {}
-    for name in X.names:
-        verts = tuple(int(ch) for ch in name)
-        alpha = MonotoneMap(len(verts) - 1, n, verts)
-        images[name] = Y.act(sx, alpha)
-    return SSetMap(X, Y, images, check=False)
+    images = {
+        _subset_name(verts): Y.act(sx, MonotoneMap(k, n, verts))
+        for k in range(n + 1)
+        for verts in combinations(range(n + 1), k + 1)
+    }
+    return SSetMap(standard_simplex(n), Y, images, check=False)
 
 
 def isomorphism(X: FiniteSSet, Y: FiniteSSet) -> SSetMap | None:

@@ -58,7 +58,7 @@ def test_product_universal_property_exhaustive():
     assert len(into_product) == len(pairs)
     seen = set()
     for f, g in pairs:
-        h = pr.pair_map(f, g)
+        h = pr.induced(f, g)
         assert pr.proj_left.compose(h) == f
         assert pr.proj_right.compose(h) == g
         seen.add(tuple(sorted(h.images.items())))

@@ -1,10 +1,15 @@
 """Command-line interface: exit codes, JSON stability, manifests."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from ssetkit import cli
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run_cli(*args, cwd=None):
@@ -149,3 +154,34 @@ def test_manifest_run(tmp_path):
     manifest["tasks"].append(["space", "simplex", "99"])
     f.write_text(json.dumps(manifest))
     assert run_cli("run", str(f)).returncode == 2
+
+
+def test_product_cell_names_are_stable(capsys):
+    # Bytes recorded before products became pullbacks over the point.
+    assert cli.main(["space", "product", "simplex1", "simplex2", "--json"]) == 0
+    want = (DATA / "product_simplex1_simplex2.json").read_text()
+    assert capsys.readouterr().out == want
+
+
+_EDGE = {"cells": [["a"], ["e"]]}
+
+
+@pytest.mark.parametrize(
+    "command, record",
+    [
+        ("homology", {**_EDGE, "faces": [1, 2]}),
+        ("homology", {**_EDGE, "faces": {"e": None}}),
+        ("homology", {"cells": [5]}),
+        ("homology", {**_EDGE, "faces": {"e": [[0, "a"], [[], "a"]]}}),
+        ("homology", {"cells": [["a"]], "basepoint": ["a"]}),
+        ("mv", {"space": "boundary2", "u": 5, "v": ["02"]}),
+        ("run", {"spaces": [1]}),
+        ("run", {"spaces": {"a": [1]}}),
+        ("run", {"covers": {"c": 7}}),
+    ],
+)
+def test_malformed_records_exit_two(tmp_path, capsys, command, record):
+    f = tmp_path / "record.json"
+    f.write_text(json.dumps(record))
+    assert cli.main([command, str(f)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
