@@ -2,9 +2,9 @@
 
 A ``ChainComplex`` stores a support window ``[low, high]``, one rank per
 degree and one boundary matrix per internal degree; composites of
-consecutive boundaries must vanish.  Homology is computed from a saturated
-cycle basis and a Smith normal form of the boundary relations, entirely
-over the integers.
+consecutive boundaries must vanish.  Homology is read off the Smith normal
+forms of the boundaries, entirely over the integers; cycle bases and
+relation matrices are built only where Mayer-Vietoris needs generators.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import StabilizationError, ValidationError
-from .groups import HomologyGroup, PresentedGroup, group_from_relations
+from .groups import HomologyGroup, PresentedGroup
 from .intmat import IntMat, kernel_basis, smith_normal_form, solve
 
 __all__ = [
@@ -208,32 +208,28 @@ def homology_presentation(c: ChainComplex, n: int) -> tuple[IntMat, PresentedGro
 
 def homology(c: ChainComplex, n: int) -> HomologyGroup:
     """Integral homology in degree ``n`` in invariant-factor normal form."""
-    _, pres = homology_presentation(c, n)
-    return pres.normal_form()
+    out = smith_normal_form(c.boundary(n)).rank
+    into = smith_normal_form(c.boundary(n + 1)).nonzero_diagonal
+    return HomologyGroup(c.rank(n) - out - len(into), tuple(d for d in into if d > 1))
 
 
 def homology_table(c: ChainComplex, low: int, high: int):
     return {n: homology(c, n) for n in range(low, high + 1)}
 
 
-def is_acyclic(c: ChainComplex, margin: int = 1) -> bool:
-    """All homology groups vanish across the support window."""
-    return all(
-        homology(c, n).is_zero
-        for n in range(c.low - margin, c.high + margin + 1)
-    )
+def is_acyclic(c: ChainComplex) -> bool:
+    """All homology groups vanish (outside the support window they must)."""
+    return all(homology(c, n).is_zero for n in c.degrees())
 
 
 def induced_map(
     f: ChainMap,
     n: int,
-    src: tuple[IntMat, PresentedGroup] | None = None,
-    tgt: tuple[IntMat, PresentedGroup] | None = None,
+    src: tuple[IntMat, PresentedGroup],
+    tgt: tuple[IntMat, PresentedGroup],
 ) -> IntMat:
-    """Matrix of ``H_n(f)`` between the chosen homology presentations."""
-    Zs, _ = src if src is not None else homology_presentation(f.source, n)
-    Zt, _ = tgt if tgt is not None else homology_presentation(f.target, n)
-    M = solve(Zt, f.block(n) @ Zs)
+    """Matrix of ``H_n(f)`` between the presentations ``src`` and ``tgt``."""
+    M = solve(tgt[0], f.block(n) @ src[0])
     if M is None:
         raise ValidationError("cycles do not map to cycles; not a chain map")
     return M
@@ -282,12 +278,6 @@ def loop_shift(c: ChainComplex, times: int = 1) -> ChainComplex:
     if times < 0:
         raise ValidationError("shift count must be nonnegative")
     return ChainComplex(c.low - times, c.high - times, c.ranks, c.boundaries)
-
-
-def loop_shift_map(f: ChainMap, times: int = 1) -> ChainMap:
-    return ChainMap(
-        loop_shift(f.source, times), loop_shift(f.target, times), f.blocks
-    )
 
 
 def _common_window(a: ChainComplex, b: ChainComplex) -> tuple[int, int]:
@@ -396,9 +386,9 @@ def total_complex_of_square(sq: ChainSquare) -> ChainComplex:
     return mapping_cone(collapse)
 
 
-def is_homotopy_bicartesian(sq: ChainSquare, margin: int = 1) -> bool:
+def is_homotopy_bicartesian(sq: ChainSquare) -> bool:
     """True when the total complex of the square is acyclic."""
-    return is_acyclic(total_complex_of_square(sq), margin=margin)
+    return is_acyclic(total_complex_of_square(sq))
 
 
 # -- exact sequences -------------------------------------------------------

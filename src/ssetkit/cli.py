@@ -314,32 +314,27 @@ def _cmd_tower(args) -> int:
     X = _atom_space(args.space, args.names[0])
     note = None
     if X.basepoint is None:
+        if not X.nondeg(0):
+            raise ValidationError("a tower needs a space with a vertex")
         X = pointed(X, X.nondeg(0)[0])
         note = f"note: pointed at vertex {X.basepoint!r}"
     t = tower(F, X, args.N)
     qis = [quasi_iso(u) for u in t.maps]
     index = stabilization_index(t)
     human = [] if note is None else [note]
-    stage_tables = []
+    stage_tables, shown = [], []
     for n, st in enumerate(t.stages):
         table = homology_table(st, st.low, st.high)
         stage_tables.append({str(k): group_to_record(g) for k, g in table.items()})
-        shown = ", ".join(f"H_{k}={g}" for k, g in table.items()) or "zero"
-        human.append(f"stage {n}: {shown}")
+        shown.append(", ".join(f"H_{k}={g}" for k, g in table.items()))
+        human.append(f"stage {n}: {shown[n]}")
     human.append(f"structure maps quasi-iso: {qis}")
     if index is None:
         human.append("stabilization: not certified within the probed stages")
     else:
         human.append(f"stabilization: stage {index}")
-        colimit = t.stages[index]
-        if colimit.is_zero_complex():
-            human.append("colimit: zero complex")
-        else:
-            shown = ", ".join(
-                f"H_{k}={g}"
-                for k, g in homology_table(colimit, colimit.low, colimit.high).items()
-            )
-            human.append(f"colimit: {shown}")
+        zero = t.stages[index].is_zero_complex()
+        human.append(f"colimit: {'zero complex' if zero else shown[index]}")
     rec = {
         "evaluator": args.evaluator,
         "stages": stage_tables,
@@ -398,6 +393,8 @@ def _cmd_run(args) -> int:
         isinstance(t, list) and all(isinstance(x, str) for x in t) for t in tasks
     ):
         raise ValidationError("manifest tasks must be lists of argument strings")
+    if any(t[:1] == ["run"] for t in tasks):
+        raise ValidationError("a manifest task cannot run another manifest")
     worst = 0
     for i, task in enumerate(tasks):
         print(f"== task {i}: {' '.join(task)}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain import ChainComplex, homology, homology_presentation
+from .chain import ChainComplex, homology
 from .delta import (
     MonotoneMap,
     compose_monotone,

@@ -32,6 +32,7 @@ from .chain import (
     direct_sum,
     homology,
     homology_presentation,
+    induced_map,
     is_homotopy_bicartesian,
     quasi_iso,
     zero_complex,
@@ -508,8 +509,6 @@ def _connecting(
 def mayer_vietoris(
     cd: CoverData, top_degree: int, reduced: bool = False
 ) -> LongExactSequence:
-    from .chain import induced_map
-
     ses = cover_short_exact_sequence(cd, reduced=reduced)
     alpha, beta = ses.left, ses.right
     cW, cUV, cX = alpha.source, beta.source, beta.target

@@ -186,11 +186,15 @@ def preorder_from_record(data) -> Preorder:
         isinstance(e, str) for e in elements
     ):
         raise ValidationError("preorder record needs a list of string elements")
-    pairs = {(a, b) for a, b in (tuple(p) for p in data.get("pairs", []))}
+    pairs = data.get("pairs", [])
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 for p in pairs
+    ):
+        raise ValidationError("preorder pairs must be [element, element] lists")
     for a, b in pairs:
         if a not in elements or b not in elements:
             raise ValidationError(f"pair ({a!r}, {b!r}) uses unknown elements")
-    rel = {(e, e) for e in elements} | pairs
+    rel = {(e, e) for e in elements} | {(a, b) for a, b in pairs}
     changed = True
     while changed:
         changed = False

@@ -11,7 +11,9 @@ The built-in ``reduced_chains_evaluator`` realizes the comparison
 (k+1)-chain sum of its degenerate lifts paired with the staircase simplices
 of the interval, with alternating signs and a degree twist that makes the
 assignment commute with the boundaries once both cylinder ends die in the
-suspension quotient.
+suspension quotient.  Each stage is built once per base space, and the
+comparison maps are written directly between the stages they join, so a
+tower's maps start and end at its own stage objects.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .chain import (
     chain_map_from_blocks,
     homology_table,
     loop_shift,
-    loop_shift_map,
     sequential_colimit,
     zero_complex,
     zero_map,
@@ -120,11 +121,12 @@ def _staircase(i: int, k: int) -> Simplex:
 
 
 class _ReducedChainsStages:
-    """Caches iterated suspensions and their reduced chains per base space."""
+    """Builds each stage once per base space (the reduced chains of the
+    n-fold suspension, shifted down n degrees) and the maps between them."""
 
     def __init__(self) -> None:
         self._susp: dict[FiniteSSet, SuspensionData] = {}
-        self._chains: dict[FiniteSSet, ChainComplex] = {}
+        self._stages: dict[tuple[FiniteSSet, int], ChainComplex] = {}
 
     def _suspension(self, Y: FiniteSSet) -> SuspensionData:
         if Y not in self._susp:
@@ -137,23 +139,23 @@ class _ReducedChainsStages:
             Y = self._suspension(Y).space
         return Y
 
-    def chains(self, Y: FiniteSSet) -> ChainComplex:
-        if Y not in self._chains:
-            self._chains[Y] = reduced_normalized_chains(Y)
-        return self._chains[Y]
-
     def eval(self, X: FiniteSSet, n: int) -> ChainComplex:
         _require_pointed(X)
-        return loop_shift(self.chains(self.space(X, n)), n)
+        if (X, n) not in self._stages:
+            self._stages[X, n] = loop_shift(
+                reduced_normalized_chains(self.space(X, n)), n
+            )
+        return self._stages[X, n]
 
-    def _prism_map(self, Y: FiniteSSet) -> ChainMap:
-        """The comparison from the chains of Y into the desuspended chains
-        of its suspension."""
+    def structure_map(self, X: FiniteSSet, n: int) -> ChainMap:
+        """The prism comparison from stage n into stage n + 1: a k-simplex
+        of Y = Σⁿ X, in stage degree k - n, goes to (k+1)-simplices of ΣY,
+        which sit in the same stage degree of stage n + 1."""
+        source, target = self.eval(X, n), self.eval(X, n + 1)
+        Y = self.space(X, n)
         sd = self._suspension(Y)
-        source = self.chains(Y)
-        target = loop_shift(self.chains(sd.space), 1)
         blocks: dict[int, IntMat] = {}
-        for k in range(source.low, source.high + 1):
+        for k in range(source.low + n, source.high + n + 1):
             basis = chain_basis(Y, k, reduced=True)
             out_basis = chain_basis(sd.space, k + 1, reduced=True)
             index = {name: r for r, name in enumerate(out_basis)}
@@ -166,12 +168,8 @@ class _ReducedChainsStages:
                         continue
                     sign = -1 if (k + i) % 2 else 1
                     m[index[img.base]][col] += sign
-            blocks[k] = IntMat(len(out_basis), len(basis), tuple(tuple(r) for r in m))
+            blocks[k - n] = IntMat(len(out_basis), len(basis), tuple(tuple(r) for r in m))
         return chain_map_from_blocks(source, target, blocks)
-
-    def structure_map(self, X: FiniteSSet, n: int) -> ChainMap:
-        _require_pointed(X)
-        return loop_shift_map(self._prism_map(self.space(X, n)), n)
 
 
 def reduced_chains_evaluator() -> StageEvaluator:

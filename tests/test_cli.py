@@ -164,6 +164,7 @@ def test_product_cell_names_are_stable(capsys):
 
 
 _EDGE = {"cells": [["a"], ["e"]]}
+_PREORDER = {"elements": ["a", "b"]}
 
 
 @pytest.mark.parametrize(
@@ -178,10 +179,38 @@ _EDGE = {"cells": [["a"], ["e"]]}
         ("run", {"spaces": [1]}),
         ("run", {"spaces": {"a": [1]}}),
         ("run", {"covers": {"c": 7}}),
+        ("space nerve", {**_PREORDER, "pairs": 3}),
+        ("space nerve", {**_PREORDER, "pairs": [3]}),
+        ("space nerve", {**_PREORDER, "pairs": [[["a"], "b"]]}),
+        ("tower reduced_chains", {"cells": []}),
     ],
 )
 def test_malformed_records_exit_two(tmp_path, capsys, command, record):
+    # ``command`` is the argv prefix, split on spaces, before the record file
     f = tmp_path / "record.json"
     f.write_text(json.dumps(record))
-    assert cli.main([command, str(f)]) == 2
+    assert cli.main([*command.split(), str(f)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_manifest_cannot_run_a_manifest(tmp_path, capsys):
+    f = tmp_path / "manifest.json"
+    f.write_text(json.dumps({"tasks": [["homology", "circle"], ["run", str(f)]]}))
+    assert cli.main(["run", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # rejected before the first task runs
+    assert err.startswith("error: ")
+
+
+def test_homology_of_projective_plane_has_torsion(tmp_path, capsys):
+    rp2 = {
+        "cells": [["v"], ["e"], ["t"]],
+        "faces": {
+            "e": [[[], "v"], [[], "v"]],
+            "t": [[[], "e"], [[0], "v"], [[], "e"]],
+        },
+    }
+    f = tmp_path / "rp2.json"
+    f.write_text(json.dumps(rp2))
+    assert cli.main(["homology", str(f)]) == 0
+    assert capsys.readouterr().out == "H_0 = Z\nH_1 = Z/2\nH_2 = 0\n"

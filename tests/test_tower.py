@@ -66,6 +66,13 @@ def test_tower_structure_maps_are_quasi_isos():
             assert quasi_iso(u), name
 
 
+def test_tower_maps_join_its_own_stages():
+    t = tower(reduced_chains_evaluator(), four_test_spaces()["S1"], 3)
+    for i, f in enumerate(t.maps):
+        assert f.source is t.stages[i]
+        assert f.target is t.stages[i + 1]
+
+
 def test_tower_needs_at_least_one_map():
     F = reduced_chains_evaluator()
     with pytest.raises(ValidationError):
