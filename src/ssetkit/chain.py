@@ -2,9 +2,10 @@
 
 A ``ChainComplex`` stores a support window ``[low, high]``, one rank per
 degree and one boundary matrix per internal degree; composites of
-consecutive boundaries must vanish.  Homology is read off the Smith normal
-forms of the boundaries, entirely over the integers; cycle bases and
-relation matrices are built only where Mayer-Vietoris needs generators.
+consecutive boundaries must vanish, which every construction checks.
+Homology is read off the ranks and the invariant factors of the boundaries,
+entirely over the integers; cycle bases and relation matrices are built
+only where Mayer-Vietoris needs generators.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import StabilizationError, ValidationError
 from .groups import HomologyGroup, PresentedGroup
-from .intmat import IntMat, kernel_basis, smith_normal_form, solve
+from .intmat import IntMat, kernel_basis, rank_and_torsion, solve
 
 __all__ = [
     "ChainComplex",
@@ -208,9 +209,9 @@ def homology_presentation(c: ChainComplex, n: int) -> tuple[IntMat, PresentedGro
 
 def homology(c: ChainComplex, n: int) -> HomologyGroup:
     """Integral homology in degree ``n`` in invariant-factor normal form."""
-    out = smith_normal_form(c.boundary(n)).rank
-    into = smith_normal_form(c.boundary(n + 1)).nonzero_diagonal
-    return HomologyGroup(c.rank(n) - out - len(into), tuple(d for d in into if d > 1))
+    out, _ = rank_and_torsion(c.boundary(n))
+    into, torsion = rank_and_torsion(c.boundary(n + 1))
+    return HomologyGroup(c.rank(n) - out - into, torsion)
 
 
 def homology_table(c: ChainComplex, low: int, high: int):
@@ -410,7 +411,6 @@ def check_exact_sequence(maps, low: int, high: int):
     report: dict[tuple[int, int], bool] = {}
     for j in range(len(maps) - 1):
         f, g = maps[j], maps[j + 1]
-        middle = f.target
         for n in range(low, high + 1):
             # im(f_n) = ker(g_n) as subgroups of the free middle term.
             ker = kernel_basis(g.block(n))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .intmat import IntMat, kernel_basis, smith_normal_form, solve
+from .intmat import IntMat, kernel_basis, rank_and_torsion, solve
 
 __all__ = [
     "HomologyGroup",
@@ -62,9 +62,8 @@ def group_from_relations(gens: int, rels: IntMat) -> HomologyGroup:
     """Normal form of ``Z^gens / column span of rels``."""
     if rels.rows != gens:
         raise ValidationError("relation matrix has wrong number of rows")
-    diag = smith_normal_form(rels).nonzero_diagonal
-    torsion = tuple(d for d in diag if d >= 2)
-    return HomologyGroup(gens - len(diag), torsion)
+    rank, torsion = rank_and_torsion(rels)
+    return HomologyGroup(gens - rank, torsion)
 
 
 @dataclass(frozen=True)

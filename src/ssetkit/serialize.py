@@ -149,17 +149,22 @@ def chain_from_record(data) -> ChainComplex:
         low = int(data["low"])
         high = int(data["high"])
         ranks = tuple(int(r) for r in data["ranks"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"chain complex record incomplete: {exc}")
     if len(ranks) != high - low + 1:
         raise ValidationError("ranks length disagrees with the degree window")
-    raw = data.get("boundaries", {})
+    raw = _as_record(data.get("boundaries", {}), "boundary table")
     boundaries = []
     for n in range(low + 1, high + 1):
         rows = raw.get(str(n))
         if rows is None:
             m = IntMat.zero(ranks[n - 1 - low], ranks[n - low])
         else:
+            if not isinstance(rows, list) or not all(
+                isinstance(row, list) and all(isinstance(x, int) for x in row)
+                for row in rows
+            ):
+                raise ValidationError(f"boundary {n} must be a list of integer rows")
             m = IntMat.from_rows(rows) if rows else IntMat.zero(0, ranks[n - low])
             if m.rows != ranks[n - 1 - low] or m.cols != ranks[n - low]:
                 raise ValidationError(f"boundary {n} shape disagrees with ranks")

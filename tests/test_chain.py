@@ -1,12 +1,14 @@
 """Integer chain complexes: homology, cones, squares, towers, norms."""
 
 import random
+import sys
 
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from conftest import circle
+from ssetkit.build import product
 from ssetkit.chain import (
     ChainComplex,
     ChainMap,
@@ -34,7 +36,8 @@ from ssetkit.chain import (
     zero_map,
 )
 from ssetkit.errors import StabilizationError, ValidationError
-from ssetkit.intmat import IntMat, kernel_basis
+from ssetkit.groups import HomologyGroup
+from ssetkit.intmat import IntMat, kernel_basis, smith_normal_form
 from ssetkit.simplicial_chains import normalized_chains
 from ssetkit.sset import standard_simplex
 
@@ -89,9 +92,9 @@ def test_homology_matches_sympy_oracle():
 
 def test_boundary_composite_must_vanish():
     d1 = IntMat(1, 1, ((1,),))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="boundary composite in degree 2 "):
         ChainComplex(0, 2, (1, 1, 1), (d1, d1))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="boundary out of degree 1 "):
         ChainComplex(0, 1, (2, 1), (IntMat.zero(1, 1),))
 
 
@@ -274,7 +277,7 @@ def test_chain_map_law_enforced():
     c = normalized_chains(standard_simplex(1))
     bad = {n: IntMat.identity(c.rank(n)) for n in c.degrees()}
     bad[1] = IntMat(1, 1, ((2,),))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="chain map law fails in degree 1$"):
         chain_map_from_blocks(c, c, bad)
 
 
@@ -298,7 +301,6 @@ def test_sequential_colimit_behaviors():
 
 
 def test_split_injection_of_injective_space_maps():
-    from ssetkit.intmat import smith_normal_form
     from ssetkit.simplicial_chains import chain_map_of
     from ssetkit.sset import SSetMap, boundary
 
@@ -311,3 +313,26 @@ def test_split_injection_of_injective_space_maps():
         diag = smith_normal_form(blk).nonzero_diagonal
         assert len(diag) == blk.cols
         assert all(x == 1 for x in diag)
+
+
+def test_homology_and_quasi_iso_run_no_smith_form(monkeypatch):
+    """Homology stays on the unit-pivot elimination: building a product's
+    chains, its homology table and the quasi-iso verdict of its identity
+    run no dense Smith form (products skip zeros, see test_intmat)."""
+    calls = []
+
+    def counted_snf(m):
+        calls.append((m.rows, m.cols))
+        return smith_normal_form(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ssetkit" and (
+            getattr(module, "smith_normal_form", None) is smith_normal_form
+        ):
+            monkeypatch.setattr(module, "smith_normal_form", counted_snf)
+
+    c = normalized_chains(product(standard_simplex(2), standard_simplex(2)).space)
+    table = homology_table(c, c.low, c.high)
+    assert quasi_iso(identity_chain_map(c))
+    assert table == {n: HomologyGroup(int(n == 0)) for n in c.degrees()}
+    assert calls == []

@@ -6,17 +6,28 @@ from hypothesis import given, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from ssetkit.errors import ValidationError
-from ssetkit.intmat import IntMat, kernel_basis, smith_normal_form, solve
+from ssetkit.intmat import (
+    IntMat,
+    kernel_basis,
+    rank_and_torsion,
+    smith_normal_form,
+    solve,
+)
+from ssetkit.serialize import sset_from_record
+from ssetkit.simplicial_chains import normalized_chains
+
+# Few units and many non-unit entries, so that the unit-pivot elimination
+# regularly leaves a remainder for the dense Smith form.
+MIXED = st.sampled_from((0, 1, -1, 2, -2, 3, -3, 4, 6))
 
 
 @st.composite
-def intmat(draw, max_dim=4, max_entry=6):
-    rows = draw(st.integers(0, max_dim))
+def intmat(draw, max_dim=4, elements=st.integers(-6, 6), rows=None):
+    if rows is None:
+        rows = draw(st.integers(0, max_dim))
     cols = draw(st.integers(0, max_dim))
     entries = tuple(
-        tuple(
-            draw(st.integers(-max_entry, max_entry)) for _ in range(cols)
-        )
+        tuple(draw(elements) for _ in range(cols))
         for _ in range(rows)
     )
     return IntMat(rows, cols, entries)
@@ -75,6 +86,67 @@ def test_solve_recovers_known_solutions(m, data):
     sol = solve(m, b)
     assert sol is not None
     assert m @ sol == b
+
+
+def _rank_and_factors(diagonal) -> tuple[int, tuple[int, ...]]:
+    return len(diagonal), tuple(d for d in diagonal if d > 1)
+
+
+@given(intmat(max_dim=8, elements=MIXED))
+def test_rank_and_torsion_matches_dense_snf_and_sympy(m):
+    expected = _rank_and_factors(smith_normal_form(m).nonzero_diagonal)
+    assert rank_and_torsion(m) == expected
+    assert _rank_and_factors(_sympy_invariant_factors(m)) == expected
+
+
+def _sympy_matrix(m: IntMat) -> sympy.Matrix:
+    return sympy.Matrix(m.rows, m.cols, [x for row in m.entries for x in row])
+
+
+@given(intmat(max_dim=8, elements=MIXED), st.data())
+def test_matmul_matches_sympy(a, data):
+    b = data.draw(intmat(max_dim=8, elements=MIXED, rows=a.cols))
+    assert _sympy_matrix(a @ b) == _sympy_matrix(a) * _sympy_matrix(b)
+
+
+class _Counted(int):
+    """An int that counts the products it takes part in."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return int(self) * int(other)
+
+    __rmul__ = __mul__
+
+
+def test_matmul_multiplies_only_nonzeros_that_meet():
+    c = _Counted
+    a = IntMat(2, 3, ((c(2), c(0), c(0)), (c(0), c(-1), c(3))))
+    b = IntMat(3, 2, ((c(0), c(1)), (c(4), c(0)), (c(5), c(1))))
+    _Counted.products = 0
+    assert (a @ b).to_lists() == [[0, 2], [11, 3]]
+    # 2 meets one nonzero of row 0 of b, -1 one of row 1, 3 two of row 2.
+    assert _Counted.products == 4
+
+
+def test_rank_and_torsion_fixed_cases():
+    assert rank_and_torsion(IntMat.zero(0, 3)) == (0, ())
+    assert rank_and_torsion(IntMat.zero(3, 0)) == (0, ())
+    # No unit anywhere: SNF of the remainder merges 2 and 3 into (1, 6).
+    assert rank_and_torsion(IntMat.from_rows([[2, 0], [0, 3]])) == (2, (6,))
+    # Column 0 has no unit and is set aside before column 1 gives the
+    # pivot in row 0; only clearing it again leaves the remainder (0, 3).
+    assert rank_and_torsion(IntMat.from_rows([[2, 1], [3, 0]])) == (2, (3,))
+    rp2 = sset_from_record({
+        "cells": [["v"], ["e"], ["t"]],
+        "faces": {
+            "e": [[[], "v"], [[], "v"]],
+            "t": [[[], "e"], [[0], "v"], [[], "e"]],
+        },
+    })
+    assert rank_and_torsion(normalized_chains(rp2).boundary(2)) == (1, (2,))
 
 
 def test_solve_detects_unsolvable():

@@ -93,6 +93,14 @@ def test_malformed_chain_records():
     with pytest.raises(ValidationError):
         chain_from_record({"low": 0, "high": 1, "ranks": [1, 1],
                            "boundaries": {"1": [[1, 2]]}})
+    for record in (
+        {"low": "x", "high": 1, "ranks": [1, 1]},
+        {"low": 0, "high": 1, "ranks": [1, 1], "boundaries": [[1]]},
+        {"low": 0, "high": 1, "ranks": [1, 1], "boundaries": {"1": [["a"]]}},
+        {"low": 0, "high": 1, "ranks": [1, 1], "boundaries": {"1": 5}},
+    ):
+        with pytest.raises(ValidationError):
+            chain_from_record(record)
 
 
 def test_malformed_map_record():
