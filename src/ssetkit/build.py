@@ -1,17 +1,20 @@
 """Products, pushouts, pullbacks and quotients of finite simplicial sets.
 
-All four are computed the same way: materialize every simplex of the
-construction levelwise up to a dimension bound (degenerate ones included),
-then re-extract a nondegenerate presentation by stripping degeneracy
-witnesses.  The bound is exact: a product has no nondegenerate simplices
-above the sum of the factor dimensions, and a levelwise quotient of
-degenerate-only levels stays degenerate.
+Pullbacks and quotients are written down straight from nondegenerate
+simplices.  By the Eilenberg-Zilber lemma a nondegenerate k-simplex of
+``A x_Z B`` is a compatible pair ``(s_I a, s_J b)`` of nondegenerate ``a``
+and ``b`` whose degeneracy words are disjoint, so a pullback lists those
+pairs level by level; the simplices of ``X/A`` are the basepoint and the
+nondegenerate simplices of ``X`` outside ``A``.  A product is the pullback
+of the two maps to the point, so products and fiber products share one
+construction and one result type; product cells keep their own ``p`` name
+prefix.
 
-A product is the pullback of the two maps to the point, so products and
-fiber products share one construction and one result type; product cells
-keep their own ``p`` name prefix.
-
-Each result keeps the element-to-simplex dictionary of the extraction so
+General pushouts (and so disjoint unions) are computed by materializing
+every simplex levelwise up to a dimension bound, degenerate ones included,
+gluing by union-find, and re-extracting a nondegenerate presentation by
+stripping degeneracy witnesses; the function complexes reuse that
+extraction.  Each extraction keeps its element-to-simplex dictionary so
 that structure maps and universally induced maps can be written down by
 cases on representatives.
 """
@@ -19,6 +22,7 @@ cases on representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .delta import compose_monotone, degeneracy_map, word_of_epi
 from .errors import ValidationError
@@ -29,7 +33,6 @@ from .sset import (
     constant_map,
     is_name_subcomplex,
     standard_simplex,
-    _push_epi,
 )
 
 __all__ = [
@@ -53,6 +56,16 @@ def _canon_key(e):
     if isinstance(e, tuple):
         return ("t",) + tuple(_canon_key(x) for x in e)
     return ("a", e)
+
+
+def _cell_name(prefix: str, k: int, idx: int, count: int) -> str:
+    width = len(str(max(count - 1, 0)))
+    return f"{prefix}{k}_{idx:0{width}d}"
+
+
+def _point_simplex(name: str, k: int) -> Simplex:
+    """The k-fold degenerate vertex ``name``."""
+    return Simplex(tuple(range(k - 1, -1, -1)), name, k)
 
 
 @dataclass
@@ -89,10 +102,9 @@ def _extract(system, top: int, basepoint_elem=None, prefix: str = "c") -> Extrac
                 inner = to_simplex[(k - 1, d)]
                 eta = compose_monotone(inner.collapse(), degeneracy_map(k - 1, i))
                 to_simplex[(k, e)] = Simplex(word_of_epi(eta), inner.base, k)
-        width = len(str(max(len(nondeg) - 1, 0)))
         level = []
         for idx, e in enumerate(nondeg):
-            name = f"{prefix}{k}_{idx:0{width}d}"
+            name = _cell_name(prefix, k, idx, len(nondeg))
             level.append(name)
             to_simplex[(k, e)] = Simplex((), name, k)
             from_name[name] = e
@@ -255,50 +267,73 @@ def disjoint_union(X: FiniteSSet, Y: FiniteSSet) -> PushoutResult:
 class QuotientResult:
     space: FiniteSSet  # pointed at the collapsed class
     projection: SSetMap
-    _pushout: PushoutResult = field(repr=False)
-
-    def class_of(self, sx: Simplex) -> Simplex:
-        return self._pushout.class_of(1, sx)
 
 
 def quotient(X: FiniteSSet, A: FiniteSSet) -> QuotientResult:
-    """Collapse a nonempty subcomplex of ``X`` to the basepoint."""
+    """Collapse a nonempty subcomplex of ``X`` to the basepoint.
+
+    The basepoint is ``g0_0``; the other cells are the nondegenerate
+    simplices of ``X`` outside ``A``, renamed in name order within each
+    level.  A face whose base lies in ``A`` becomes the degenerate
+    basepoint; every other face keeps its word on the renamed base.
+    """
     if not is_name_subcomplex(X, A):
         raise ValidationError("can only collapse a subcomplex")
     if A.top_dim < 0:
         raise ValidationError("cannot collapse the empty subcomplex")
-    pt = standard_simplex(0)
-    to_point = constant_map(A, pt, "0")
-    incl = SSetMap.inclusion(A, X)
-    po = pushout(to_point, incl, basepoint=(0, pt.simplex("0")))
-    return QuotientResult(po.space, po.from_right, po)
+    rename: dict = {}
+    cells: list[list[str]] = []
+    faces: dict[str, tuple[Simplex, ...]] = {}
+    for k, level in enumerate(X.cells):
+        kept = [name for name in level if name not in A]
+        if k == 0:
+            kept.insert(0, None)  # the collapsed class takes index 0
+        names = [_cell_name("g", k, idx, len(kept)) for idx in range(len(kept))]
+        rename.update(zip(kept, names))
+        cells.append(names)
+        if k == 0:
+            bp = names[0]
+            continue
+        for old, new in zip(kept, names):
+            faces[new] = tuple(
+                _point_simplex(bp, k - 1)
+                if sx.base in A
+                else Simplex(sx.degeneracies, rename[sx.base], k - 1)
+                for sx in X.faces[old]
+            )
+    space = FiniteSSet(cells, faces, basepoint=bp)
+    images = {
+        name: _point_simplex(bp, X.dim_of(name))
+        if name in A
+        else Simplex((), rename[name], X.dim_of(name))
+        for name in X.names
+    }
+    return QuotientResult(space, SSetMap(X, space, images, check=False))
 
 
 # -- pullbacks -------------------------------------------------------------
 
 
-class _PullbackSystem:
-    def __init__(self, p: SSetMap, q: SSetMap):
-        self.A = p.source
-        self.B = q.source
-        self.p = p
-        self.q = q
+def _words(k: int, m: int) -> list[tuple[int, ...]]:
+    """Every degeneracy word taking an m-simplex to dimension k."""
+    return [tuple(reversed(c)) for c in combinations(range(k), k - m)]
 
-    def elements(self, k: int):
-        by_image: dict = {}
-        for sb in self.B.all_simplices(k):
-            by_image.setdefault(self.q.apply(sb), []).append(sb)
-        out = []
-        for sa in self.A.all_simplices(k):
-            for sb in by_image.get(self.p.apply(sa), ()):
-                out.append((sa, sb))
-        return out
 
-    def face(self, k: int, e, i: int):
-        return (self.A.face(e[0], i), self.B.face(e[1], i))
+def _strip(word: tuple[int, ...], shared: tuple[int, ...]) -> tuple[int, ...]:
+    """The word left once the collapse positions in ``shared`` are undone."""
+    return tuple(i - sum(s < i for s in shared) for i in word if i not in shared)
 
-    def degeneracy(self, k: int, e, i: int):
-        return (self.A.degeneracy(e[0], i), self.B.degeneracy(e[1], i))
+
+def _pair_simplex(name_of: dict, sa: Simplex, sb: Simplex) -> Simplex:
+    # A pair (s_I a, s_J b) is s_{I∩J} applied to the nondegenerate pair
+    # left by undoing the collapse positions the two words share.
+    dim = sa.dim
+    shared = tuple(i for i in sa.degeneracies if i in sb.degeneracies)
+    if shared:
+        core = dim - len(shared)
+        sa = Simplex(_strip(sa.degeneracies, shared), sa.base, core)
+        sb = Simplex(_strip(sb.degeneracies, shared), sb.base, core)
+    return Simplex(shared, name_of[(sa, sb)], dim)
 
 
 @dataclass
@@ -308,36 +343,16 @@ class PullbackResult:
     proj_right: SSetMap  # to the source of q
     leg_left: SSetMap  # p itself
     leg_right: SSetMap  # q itself
-    _extraction: Extraction = field(repr=False)
+    _name_of: dict = field(repr=False)  # nondegenerate pair -> name
 
     def pair_simplex(self, sa: Simplex, sb: Simplex) -> Simplex:
         """The simplex of the pullback corresponding to a compatible pair."""
         if sa.dim != sb.dim:
             raise ValidationError("pair components live in different dimensions")
-        A, B = self.leg_left.source, self.leg_right.source
-        # Strip the degeneracies the two components share, recording the
-        # epi that puts them back onto the nondegenerate core.
-        eta = None
-        while True:
-            ea, eb = sa.collapse(), sb.collapse()
-            common = [
-                i
-                for i in range(sa.dim)
-                if ea.values[i] == ea.values[i + 1] and eb.values[i] == eb.values[i + 1]
-            ]
-            if not common:
-                break
-            step = degeneracy_map(sa.dim - 1, common[0])
-            eta = step if eta is None else compose_monotone(eta, step)
-            sa = A.face(sa, common[0])
-            sb = B.face(sb, common[0])
-        core = self._extraction.simplex_of(sa.dim, (sa, sb))
-        if eta is None:
-            return core
-        return _push_epi(core, eta)
+        return _pair_simplex(self._name_of, sa, sb)
 
     def components(self, name: str) -> tuple[Simplex, Simplex]:
-        return self._extraction.from_name[name]
+        return self.proj_left.images[name], self.proj_right.images[name]
 
     def induced(self, to_a: SSetMap, to_b: SSetMap) -> SSetMap:
         """The map into the pullback determined by a commuting cone."""
@@ -352,23 +367,50 @@ class PullbackResult:
         return SSetMap(to_a.source, self.space, images)
 
 
+def _nondegenerate_pairs(p: SSetMap, q: SSetMap, k: int) -> list:
+    """The compatible pairs ``(s_I a, s_J b)`` of dimension k with I, J disjoint."""
+    A, B = p.source, q.source
+    over: dict = {}  # (J, image in the base) -> the k-simplices s_J b over it
+    for m in range(max(k - A.top_dim, 0), min(k, B.top_dim) + 1):
+        for wb in _words(k, m):
+            for b in B.cells[m]:
+                sb = Simplex(wb, b, k)
+                over.setdefault((wb, q.apply(sb)), []).append(sb)
+    b_words = {wb for wb, _ in over}
+    pairs = []
+    for m in range(max(k - B.top_dim, 0), min(k, A.top_dim) + 1):
+        for wa in _words(k, m):
+            disjoint = [wb for wb in b_words if not set(wa) & set(wb)]
+            for a in A.cells[m]:
+                sa = Simplex(wa, a, k)
+                image = p.apply(sa)
+                for wb in disjoint:
+                    pairs.extend((sa, sb) for sb in over.get((wb, image), ()))
+    return pairs
+
+
 def _pullback(p: SSetMap, q: SSetMap, prefix: str) -> PullbackResult:
-    system = _PullbackSystem(p, q)
-    top = max(p.source.top_dim + q.source.top_dim, -1)
-    ext = _extract(system, top, prefix=prefix)
-    proj_l = SSetMap(
-        ext.space,
-        p.source,
-        {name: ext.from_name[name][0] for name in ext.space.names},
-        check=False,
-    )
-    proj_r = SSetMap(
-        ext.space,
-        q.source,
-        {name: ext.from_name[name][1] for name in ext.space.names},
-        check=False,
-    )
-    return PullbackResult(ext.space, proj_l, proj_r, p, q, ext)
+    A, B = p.source, q.source
+    cells: list[list[str]] = []
+    faces: dict[str, tuple[Simplex, ...]] = {}
+    name_of: dict = {}
+    for k in range(A.top_dim + B.top_dim + 1):
+        pairs = sorted(_nondegenerate_pairs(p, q, k), key=_canon_key)
+        level = []
+        for idx, (sa, sb) in enumerate(pairs):
+            name = _cell_name(prefix, k, idx, len(pairs))
+            level.append(name)
+            name_of[(sa, sb)] = name
+            if k > 0:
+                faces[name] = tuple(
+                    _pair_simplex(name_of, A.face(sa, i), B.face(sb, i))
+                    for i in range(k + 1)
+                )
+        cells.append(level)
+    space = FiniteSSet(cells, faces)
+    proj_l = SSetMap(space, A, {n: sa for (sa, _), n in name_of.items()}, check=False)
+    proj_r = SSetMap(space, B, {n: sb for (_, sb), n in name_of.items()}, check=False)
+    return PullbackResult(space, proj_l, proj_r, p, q, name_of)
 
 
 def sset_pullback(p: SSetMap, q: SSetMap) -> PullbackResult:

@@ -24,6 +24,7 @@ from .build import (
     pushout,
     quotient,
     sset_pullback,
+    _point_simplex,
 )
 from .chain import (
     ChainMap,
@@ -92,11 +93,6 @@ __all__ = [
 # -- cylinders and suspensions ---------------------------------------------
 
 
-def _vertex_prism(j: str, k: int) -> Simplex:
-    """The k-fold degenerate interval vertex ``j``."""
-    return Simplex(tuple(range(k - 1, -1, -1)), j, k)
-
-
 def cylinder(X: FiniteSSet) -> PullbackResult:
     return product(X, standard_simplex(1))
 
@@ -105,7 +101,7 @@ def _end_inclusion(pr: PullbackResult, j: str) -> SSetMap:
     X = pr.proj_left.target
     images = {
         name: pr.pair_simplex(
-            Simplex((), name, X.dim_of(name)), _vertex_prism(j, X.dim_of(name))
+            Simplex((), name, X.dim_of(name)), _point_simplex(j, X.dim_of(name))
         )
         for name in X.names
     }

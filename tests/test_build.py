@@ -2,8 +2,9 @@
 
 import pytest
 
-from conftest import check_simplicial_identities, circle
+from conftest import check_simplicial_identities, circle, two_sphere
 from ssetkit.build import (
+    _extract,
     disjoint_union,
     interval,
     product,
@@ -13,9 +14,11 @@ from ssetkit.build import (
 )
 from ssetkit.errors import ValidationError
 from ssetkit.chain import homology_table
+from ssetkit.excision import reduced_suspension, reduced_suspension_data
 from ssetkit.function_complex import enumerate_maps
 from ssetkit.simplicial_chains import normalized_chains
 from ssetkit.sset import (
+    FiniteSSet,
     SSetMap,
     Simplex,
     boundary,
@@ -48,21 +51,22 @@ def test_product_projections_and_pairing():
 
 
 def test_product_universal_property_exhaustive():
-    # maps T -> A*B correspond exactly to pairs (T->A, T->B)
-    T = standard_simplex(1)
+    # maps T -> A*B correspond exactly to pairs (T->A, T->B); from T = Δ²
+    # a pair of maps can share two degeneracies
     A = boundary(1)
     B = standard_simplex(1)
     pr = product(A, B)
-    into_product = enumerate_maps(T, pr.space)
-    pairs = [(f, g) for f in enumerate_maps(T, A) for g in enumerate_maps(T, B)]
-    assert len(into_product) == len(pairs)
-    seen = set()
-    for f, g in pairs:
-        h = pr.induced(f, g)
-        assert pr.proj_left.compose(h) == f
-        assert pr.proj_right.compose(h) == g
-        seen.add(tuple(sorted(h.images.items())))
-    assert len(seen) == len(pairs)
+    for T in (standard_simplex(1), standard_simplex(2)):
+        into_product = enumerate_maps(T, pr.space)
+        pairs = [(f, g) for f in enumerate_maps(T, A) for g in enumerate_maps(T, B)]
+        assert len(into_product) == len(pairs)
+        seen = set()
+        for f, g in pairs:
+            h = pr.induced(f, g)
+            assert pr.proj_left.compose(h) == f
+            assert pr.proj_right.compose(h) == g
+            seen.add(tuple(sorted(h.images.items())))
+        assert len(seen) == len(pairs)
 
 
 def test_product_point_is_neutral():
@@ -179,20 +183,138 @@ def test_pullback_universal_property_exhaustive():
     p = constant_map(d1, d1, "0")
     q = SSetMap.identity_map(d1)
     pb = sset_pullback(p, q)
-    T = standard_simplex(1)
-    direct = enumerate_maps(T, pb.space)
-    pairs = [
-        (f, g)
-        for f in enumerate_maps(T, d1)
-        for g in enumerate_maps(T, d1)
-        if p.compose(f) == q.compose(g)
-    ]
-    assert len(direct) == len(pairs)
-    images = set()
-    for f, g in pairs:
-        h = pb.induced(f, g)
-        assert h.target is pb.space
-        assert pb.proj_left.compose(h) == f
-        assert pb.proj_right.compose(h) == g
-        images.add(tuple(sorted(h.images.items())))
-    assert len(images) == len(pairs)
+    for T in (standard_simplex(1), standard_simplex(2)):
+        direct = enumerate_maps(T, pb.space)
+        pairs = [
+            (f, g)
+            for f in enumerate_maps(T, d1)
+            for g in enumerate_maps(T, d1)
+            if p.compose(f) == q.compose(g)
+        ]
+        assert len(direct) == len(pairs)
+        images = set()
+        for f, g in pairs:
+            h = pb.induced(f, g)
+            assert h.target is pb.space
+            assert pb.proj_left.compose(h) == f
+            assert pb.proj_right.compose(h) == g
+            images.add(tuple(sorted(h.images.items())))
+        assert len(images) == len(pairs)
+
+
+# -- the direct constructions against the materialize-and-strip path -------
+
+
+class _PairSystem:
+    """Every compatible pair of simplices, degenerate ones included."""
+
+    def __init__(self, p: SSetMap, q: SSetMap):
+        self.p = p
+        self.q = q
+
+    def elements(self, k):
+        A, B = self.p.source, self.q.source
+        return [
+            (sa, sb)
+            for sa in A.all_simplices(k)
+            for sb in B.all_simplices(k)
+            if self.p.apply(sa) == self.q.apply(sb)
+        ]
+
+    def face(self, k, e, i):
+        return (self.p.source.face(e[0], i), self.q.source.face(e[1], i))
+
+    def degeneracy(self, k, e, i):
+        return (self.p.source.degeneracy(e[0], i), self.q.source.degeneracy(e[1], i))
+
+
+def _assert_pullback_matches_extraction(pb, prefix):
+    p, q = pb.leg_left, pb.leg_right
+    top = max(p.source.top_dim + q.source.top_dim, -1)
+    ext = _extract(_PairSystem(p, q), top, prefix=prefix)
+    assert pb.space.cells == ext.space.cells
+    assert pb.space.faces == ext.space.faces
+    assert {name: pb.components(name) for name in pb.space.names} == ext.from_name
+    assert pb.proj_left.images == {n: e[0] for n, e in ext.from_name.items()}
+    assert pb.proj_right.images == {n: e[1] for n, e in ext.from_name.items()}
+
+
+@pytest.mark.parametrize("p_dim", range(4))
+@pytest.mark.parametrize("q_dim", range(4))
+def test_simplex_products_match_extraction(p_dim, q_dim):
+    pr = product(standard_simplex(p_dim), standard_simplex(q_dim))
+    _assert_pullback_matches_extraction(pr, "p")
+
+
+def test_products_of_spheres_match_extraction():
+    for X, Y in [
+        (boundary(3), boundary(2)),
+        (circle(), circle()),
+        (two_sphere(), standard_simplex(1)),
+    ]:
+        _assert_pullback_matches_extraction(product(X, Y), "p")
+
+
+def test_pullbacks_over_a_base_match_extraction():
+    # the counterexample's fiber of the circle projection over its vertex
+    circle_q = quotient(standard_simplex(1), boundary(1))
+    S1 = circle_q.space
+    vertex_in = constant_map(standard_simplex(0), S1, S1.basepoint)
+    _assert_pullback_matches_extraction(
+        sset_pullback(vertex_in, circle_q.projection), "f"
+    )
+    # a projection against a map whose image is a degenerate simplex
+    d2 = standard_simplex(2)
+    squash = simplex_as_map(d2, Simplex((1,), "02", 2))
+    pb = sset_pullback(product(d2, standard_simplex(1)).proj_left, squash)
+    assert pb.space.top_dim == 3
+    _assert_pullback_matches_extraction(pb, "f")
+
+
+def _assert_quotient_matches_pushout(X, A):
+    pt = standard_simplex(0)
+    po = pushout(
+        constant_map(A, pt, "0"),
+        SSetMap.inclusion(A, X),
+        basepoint=(0, pt.simplex("0")),
+    )
+    q = quotient(X, A)
+    assert q.space == po.space
+    assert q.space.basepoint == po.space.basepoint
+    assert q.projection.images == po.from_right.images
+
+
+def test_quotients_match_pushout():
+    for n in range(1, 5):
+        _assert_quotient_matches_pushout(standard_simplex(n), boundary(n))
+    # the cylinder-end collapse of a reduced suspension stage
+    X = reduced_suspension(circle())
+    cyl = product(X, standard_simplex(1))
+    ends = {
+        name
+        for name in cyl.space.names
+        if cyl.components(name)[1].base in ("0", "1")
+        or cyl.components(name)[0].base == X.basepoint
+    }
+    _assert_quotient_matches_pushout(cyl.space, subcomplex(cyl.space, ends))
+
+
+def test_products_pullbacks_and_quotients_list_no_whole_level(monkeypatch):
+    # A work-count guard: none of these constructions may enumerate every
+    # simplex of a level, degenerate ones included.
+    levels = []
+    all_simplices = FiniteSSet.all_simplices
+
+    def counting(self, k):
+        levels.append((self.counts(), k))
+        return all_simplices(self, k)
+
+    monkeypatch.setattr(FiniteSSet, "all_simplices", counting)
+    product(standard_simplex(3), standard_simplex(2))
+    circle_q = quotient(standard_simplex(1), boundary(1))
+    S1 = circle_q.space
+    vertex_in = constant_map(standard_simplex(0), S1, S1.basepoint)
+    sset_pullback(vertex_in, circle_q.projection)
+    quotient(standard_simplex(3), boundary(3))
+    reduced_suspension_data(S1)
+    assert levels == []

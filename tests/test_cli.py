@@ -156,11 +156,19 @@ def test_manifest_run(tmp_path):
     assert run_cli("run", str(f)).returncode == 2
 
 
-def test_product_cell_names_are_stable(capsys):
-    # Bytes recorded before products became pullbacks over the point.
-    assert cli.main(["space", "product", "simplex1", "simplex2", "--json"]) == 0
-    want = (DATA / "product_simplex1_simplex2.json").read_text()
-    assert capsys.readouterr().out == want
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        # recorded before products became pullbacks over the point
+        ("space product simplex1 simplex2", "product_simplex1_simplex2.json"),
+        # recorded before quotients were built without a pushout
+        ("space suspension s2", "suspension_s2.json"),
+    ],
+    ids=["product", "suspension"],
+)
+def test_product_cell_names_are_stable(capsys, argv, golden):
+    assert cli.main([*argv.split(), "--json"]) == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text()
 
 
 _EDGE = {"cells": [["a"], ["e"]]}
