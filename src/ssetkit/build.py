@@ -1,22 +1,21 @@
 """Products, pushouts, pullbacks and quotients of finite simplicial sets.
 
-Pullbacks and quotients are written down straight from nondegenerate
+Every construction here is written down straight from nondegenerate
 simplices.  By the Eilenberg-Zilber lemma a nondegenerate k-simplex of
 ``A x_Z B`` is a compatible pair ``(s_I a, s_J b)`` of nondegenerate ``a``
 and ``b`` whose degeneracy words are disjoint, so a pullback lists those
-pairs level by level; the simplices of ``X/A`` are the basepoint and the
-nondegenerate simplices of ``X`` outside ``A``.  A product is the pullback
-of the two maps to the point, so products and fiber products share one
-construction and one result type; product cells keep their own ``p`` name
-prefix.
+pairs level by level.  A product is the pullback of the two maps to the
+point, so products and fiber products share one construction and one
+result type; product cells keep their own ``p`` name prefix.
 
-General pushouts (and so disjoint unions) are computed by materializing
-every simplex levelwise up to a dimension bound, degenerate ones included,
-gluing by union-find, and re-extracting a nondegenerate presentation by
-stripping degeneracy witnesses; the function complexes reuse that
-extraction.  Each extraction keeps its element-to-simplex dictionary so
-that structure maps and universally induced maps can be written down by
-cases on representatives.
+Pushouts are taken along an injective leg ``A -> Y``: the nondegenerate
+simplices of ``X u_A Y`` are those of ``X`` plus those of ``Y`` outside
+``A``.  Disjoint unions are pushouts over the empty set, and the quotient
+``X/A`` is the pushout of ``X`` and the point along ``A``.
+
+Only the function complexes still materialize every simplex of a level,
+degenerate ones included, and strip the result back to a nondegenerate
+presentation through ``_extract``.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from .sset import (
     Simplex,
     constant_map,
     is_name_subcomplex,
+    pointed,
     standard_simplex,
 )
 
@@ -80,7 +80,7 @@ class Extraction:
         return self.to_simplex[(k, elem)]
 
 
-def _extract(system, top: int, basepoint_elem=None, prefix: str = "c") -> Extraction:
+def _extract(system, top: int, prefix: str = "c") -> Extraction:
     to_simplex: dict = {}
     cells: list[list[str]] = []
     faces: dict[str, tuple[Simplex, ...]] = {}
@@ -113,11 +113,7 @@ def _extract(system, top: int, basepoint_elem=None, prefix: str = "c") -> Extrac
                     to_simplex[(k - 1, system.face(k, e, i))] for i in range(k + 1)
                 )
         cells.append(level)
-    bp = None
-    if basepoint_elem is not None:
-        bp = to_simplex[(0, basepoint_elem)].base
-    space = FiniteSSet(cells, faces, basepoint=bp)
-    return Extraction(space, to_simplex, from_name)
+    return Extraction(FiniteSSet(cells, faces), to_simplex, from_name)
 
 
 def interval() -> FiniteSSet:
@@ -125,65 +121,54 @@ def interval() -> FiniteSSet:
     return standard_simplex(1)
 
 
-# -- pushouts --------------------------------------------------------------
+# -- pushouts and quotients -----------------------------------------------
 
 
-class _PushoutSystem:
-    """Levelwise set pushout of ``U <- W -> V`` via union-find."""
+def _glue(f: SSetMap, g: SSetMap):
+    """Glue ``g.target`` onto ``f.target`` along the injective ``g``.
 
-    def __init__(self, f: SSetMap, g: SSetMap, top: int):
-        self.U = f.target
-        self.V = g.target
-        self.top = top
-        self.parent: dict = {}
-        for k in range(top + 1):
-            for sx in self.U.all_simplices(k):
-                self._add((0, sx))
-            for sx in self.V.all_simplices(k):
-                self._add((1, sx))
-            for w in f.source.all_simplices(k):
-                self._union((0, f.apply(w)), (1, g.apply(w)))
+    Level k lists the cells of ``f.target``, then the cells of ``g.target``
+    outside the image of ``g``, named ``g{k}_{idx}``.  A simplex whose base
+    lies in that image becomes ``f`` of its preimage.  Returns the space,
+    the maps from both targets, and the origin ``(side, simplex)`` of each
+    cell, side 0 for ``f.target`` and 1 for ``g.target``.
+    """
+    sides = (f.target, g.target)
+    # g is injective, so it sends nondegenerate cells to nondegenerate cells.
+    preimage = {sx.base: name for name, sx in g.images.items()}
+    rename: tuple[dict, dict] = ({}, {})
+    origin: dict = {}
+    cells: list[list[str]] = []
+    for k in range(max(f.target.top_dim, g.target.top_dim) + 1):
+        level = [(0, n) for n in f.target.nondeg(k)]
+        level += [(1, n) for n in g.target.nondeg(k) if n not in preimage]
+        names = [_cell_name("g", k, idx, len(level)) for idx in range(len(level))]
+        for (side, old), new in zip(level, names):
+            rename[side][old] = new
+            origin[new] = (side, Simplex((), old, k))
+        cells.append(names)
+    memo: dict = {}
 
-    def _add(self, e):
-        if e not in self.parent:
-            self.parent[e] = e
+    def image(side: int, sx: Simplex) -> Simplex:
+        if side == 1 and sx.base in preimage:
+            out = memo.get(sx)
+            if out is None:
+                pre = Simplex(sx.degeneracies, preimage[sx.base], sx.dim)
+                out = memo[sx] = image(0, f.apply(pre))
+            return out
+        return Simplex(sx.degeneracies, rename[side][sx.base], sx.dim)
 
-    def _find(self, e):
-        root = e
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[e] != root:
-            self.parent[e], e = root, self.parent[e]
-        return root
-
-    def _union(self, a, b):
-        ra, rb = self._find(a), self._find(b)
-        if ra != rb:
-            # Keep the canonically smaller element as representative.
-            if _canon_key(rb) < _canon_key(ra):
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-    def canon(self, e):
-        return self._find(e)
-
-    def elements(self, k: int):
-        seen = set()
-        for side, space in ((0, self.U), (1, self.V)):
-            for sx in space.all_simplices(k):
-                seen.add(self._find((side, sx)))
-        return list(seen)
-
-    def _space(self, side: int) -> FiniteSSet:
-        return self.U if side == 0 else self.V
-
-    def face(self, k: int, e, i: int):
-        side, sx = e
-        return self._find((side, self._space(side).face(sx, i)))
-
-    def degeneracy(self, k: int, e, i: int):
-        side, sx = e
-        return self._find((side, self._space(side).degeneracy(sx, i)))
+    faces = {
+        name: tuple(image(side, d) for d in sides[side].faces[sx.base])
+        for name, (side, sx) in origin.items()
+        if sx.dim > 0
+    }
+    space = FiniteSSet(cells, faces)
+    legs = tuple(
+        SSetMap(X, space, {n: image(side, X.simplex(n)) for n in X.names}, check=False)
+        for side, X in enumerate(sides)
+    )
+    return space, legs, origin
 
 
 @dataclass
@@ -193,13 +178,7 @@ class PushoutResult:
     from_right: SSetMap  # V -> P
     leg_left: SSetMap  # W -> U
     leg_right: SSetMap  # W -> V
-    _system: _PushoutSystem = field(repr=False)
-    _extraction: Extraction = field(repr=False)
-
-    def class_of(self, side: int, sx: Simplex) -> Simplex:
-        """Image in the pushout of a simplex of U (side 0) or V (side 1)."""
-        rep = self._system.canon((side, sx))
-        return self._extraction.simplex_of(sx.dim, rep)
+    _origin: dict = field(repr=False)  # name -> (0 for U or 1 for V, simplex)
 
     def induced(self, from_u: SSetMap, from_v: SSetMap) -> SSetMap:
         """The map out of the pushout determined by a commuting cone."""
@@ -207,49 +186,32 @@ class PushoutResult:
             raise ValidationError("cone legs have different targets")
         if from_u.compose(self.leg_left) != from_v.compose(self.leg_right):
             raise ValidationError("cone does not commute over the gluing locus")
-        images = {}
-        for name in self.space.names:
-            side, sx = self._extraction.from_name[name]
-            leg = from_u if side == 0 else from_v
-            images[name] = leg.apply(sx)
+        images = {
+            name: (from_u, from_v)[side].apply(sx)
+            for name, (side, sx) in self._origin.items()
+        }
         return SSetMap(self.space, from_u.target, images)
 
 
-def pushout(f: SSetMap, g: SSetMap, basepoint=None) -> PushoutResult:
-    """Levelwise pushout of ``f.target <- common source -> g.target``.
+def pushout(f: SSetMap, g: SSetMap) -> PushoutResult:
+    """Pushout of ``f.target <- common source -> g.target`` along an injective leg.
 
-    ``basepoint`` may be ``(side, vertex_simplex)`` to point the result at
-    the class of that vertex.
+    If ``g`` is injective, ``g.target`` is glued onto ``f.target``;
+    otherwise, if ``f`` is, ``f.target`` is glued onto ``g.target``.  One
+    leg must be dimensionwise injective: a span with neither raises
+    ``ValidationError``.  A pushout along a monomorphism is also a
+    homotopy pushout.
     """
     if f.source != g.source:
         raise ValidationError("pushout legs must share their source")
-    top = max(f.target.top_dim, g.target.top_dim)
-    system = _PushoutSystem(f, g, max(top, 0))
-    bp = system.canon(basepoint) if basepoint is not None else None
-    ext = _extract(system, top, basepoint_elem=bp, prefix="g")
-    from_left = SSetMap(
-        f.target,
-        ext.space,
-        {
-            name: ext.simplex_of(
-                f.target.dim_of(name), system.canon((0, f.target.simplex(name)))
-            )
-            for name in f.target.names
-        },
-        check=False,
-    )
-    from_right = SSetMap(
-        g.target,
-        ext.space,
-        {
-            name: ext.simplex_of(
-                g.target.dim_of(name), system.canon((1, g.target.simplex(name)))
-            )
-            for name in g.target.names
-        },
-        check=False,
-    )
-    return PushoutResult(ext.space, from_left, from_right, f, g, system, ext)
+    if g.is_dimensionwise_injective():
+        space, (from_left, from_right), origin = _glue(f, g)
+    elif f.is_dimensionwise_injective():
+        space, (from_right, from_left), origin = _glue(g, f)
+        origin = {name: (1 - side, sx) for name, (side, sx) in origin.items()}
+    else:
+        raise ValidationError("pushout needs an injective leg")
+    return PushoutResult(space, from_left, from_right, f, g, origin)
 
 
 def disjoint_union(X: FiniteSSet, Y: FiniteSSet) -> PushoutResult:
@@ -258,9 +220,6 @@ def disjoint_union(X: FiniteSSet, Y: FiniteSSet) -> PushoutResult:
     f = SSetMap(empty, X, {}, check=False)
     g = SSetMap(empty, Y, {}, check=False)
     return pushout(f, g)
-
-
-# -- quotients -------------------------------------------------------------
 
 
 @dataclass
@@ -272,43 +231,18 @@ class QuotientResult:
 def quotient(X: FiniteSSet, A: FiniteSSet) -> QuotientResult:
     """Collapse a nonempty subcomplex of ``X`` to the basepoint.
 
-    The basepoint is ``g0_0``; the other cells are the nondegenerate
-    simplices of ``X`` outside ``A``, renamed in name order within each
-    level.  A face whose base lies in ``A`` becomes the degenerate
-    basepoint; every other face keeps its word on the renamed base.
+    This is the pushout of ``X`` and the point along ``A``.  The basepoint
+    is the first vertex, ``g0_0`` (zero-padded like every name of its
+    level); the other cells are the nondegenerate simplices of ``X``
+    outside ``A``, renamed in name order within each level.
     """
     if not is_name_subcomplex(X, A):
         raise ValidationError("can only collapse a subcomplex")
     if A.top_dim < 0:
         raise ValidationError("cannot collapse the empty subcomplex")
-    rename: dict = {}
-    cells: list[list[str]] = []
-    faces: dict[str, tuple[Simplex, ...]] = {}
-    for k, level in enumerate(X.cells):
-        kept = [name for name in level if name not in A]
-        if k == 0:
-            kept.insert(0, None)  # the collapsed class takes index 0
-        names = [_cell_name("g", k, idx, len(kept)) for idx in range(len(kept))]
-        rename.update(zip(kept, names))
-        cells.append(names)
-        if k == 0:
-            bp = names[0]
-            continue
-        for old, new in zip(kept, names):
-            faces[new] = tuple(
-                _point_simplex(bp, k - 1)
-                if sx.base in A
-                else Simplex(sx.degeneracies, rename[sx.base], k - 1)
-                for sx in X.faces[old]
-            )
-    space = FiniteSSet(cells, faces, basepoint=bp)
-    images = {
-        name: _point_simplex(bp, X.dim_of(name))
-        if name in A
-        else Simplex((), rename[name], X.dim_of(name))
-        for name in X.names
-    }
-    return QuotientResult(space, SSetMap(X, space, images, check=False))
+    po = pushout(constant_map(A, standard_simplex(0), "0"), SSetMap.inclusion(A, X))
+    space = pointed(po.space, po.from_left.images["0"].base)
+    return QuotientResult(space, SSetMap(X, space, po.from_right.images, check=False))
 
 
 # -- pullbacks -------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Cylinders, suspensions, homotopy pushouts, and Mayer-Vietoris.
 
 The homotopy pushout of a span is modeled by the double mapping cylinder:
-both feet glued to a cylinder on the shared source.  A square of simplicial
-sets is a homology pushout when the canonical map from that cylinder to
-its corner induces an isomorphism on integral homology.
+both feet glued to a cylinder on the shared source.  Each of its gluings
+is a pushout along a monomorphism, so it is built from nondegenerate
+simplices; no construction here materializes the degenerate ones.  A
+square of simplicial sets is a homology pushout when the canonical map
+from that cylinder to its corner induces an isomorphism on integral
+homology.
 
 For covers by two subcomplexes, every simplex lies in one of the pieces,
 so the inclusion-induced short sequence of normalized chain complexes is
@@ -219,7 +222,11 @@ def identity_square(X: FiniteSSet) -> SSetSquare:
 
 
 def pushout_square(f: SSetMap, g: SSetMap) -> SSetSquare:
-    """The strict pushout of a span, packaged as a square."""
+    """The strict pushout of a span, packaged as a square.
+
+    One leg must be dimensionwise injective; ``pushout`` raises
+    ``ValidationError`` on a span with neither.
+    """
     po = pushout(f, g)
     return SSetSquare(f, g, po.from_left, po.from_right)
 
@@ -238,7 +245,7 @@ def chain_square_of(sq: SSetSquare) -> ChainSquare:
 
 @dataclass
 class DoubleMappingCylinder:
-    """Homotopy pushout model of a span, with its comparison maps."""
+    """Homotopy pushout model of a span, and its map to any cocone corner."""
 
     space: FiniteSSet
     from_u: SSetMap
@@ -246,8 +253,6 @@ class DoubleMappingCylinder:
     cylinder: PullbackResult
     coproduct: PushoutResult  # U disjoint-union V
     gluing: PushoutResult
-    strict: PushoutResult
-    comparison: SSetMap  # to the strict pushout, collapsing the cylinder
 
     def corner_comparison(self, to_u: SSetMap, to_v: SSetMap, w_composite: SSetMap) -> SSetMap:
         """The induced map to any cocone corner.
@@ -270,11 +275,9 @@ def double_mapping_cylinder(f: SSetMap, g: SSetMap) -> DoubleMappingCylinder:
     into_feet = ends.induced(
         feet.from_left.compose(f), feet.from_right.compose(g)
     )
+    # The ends of the cylinder are an injective leg, so this is a homotopy
+    # pushout as well as a strict one.
     glue = pushout(into_cyl, into_feet)
-    strict = pushout(f, g)
-    collapse = strict.from_left.compose(f).compose(pr.proj_left)
-    onto_feet = feet.induced(strict.from_left, strict.from_right)
-    comparison = glue.induced(collapse, onto_feet)
     return DoubleMappingCylinder(
         glue.space,
         glue.from_right.compose(feet.from_left),
@@ -282,8 +285,6 @@ def double_mapping_cylinder(f: SSetMap, g: SSetMap) -> DoubleMappingCylinder:
         pr,
         feet,
         glue,
-        strict,
-        comparison,
     )
 
 

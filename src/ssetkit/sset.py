@@ -340,15 +340,19 @@ def standard_simplex(n: int) -> FiniteSSet:
 
 
 def face_closure(X: FiniteSSet, names) -> set[str]:
-    """Smallest face-closed set of nondegenerate names containing ``names``."""
-    todo = list(names)
+    """Smallest face-closed set of nondegenerate names containing ``names``.
+
+    The first unknown name in sorted order is the one reported.
+    """
+    todo = sorted(names)
+    for name in todo:
+        if name not in X:
+            raise ValidationError(f"unknown simplex {name!r}")
     seen = set()
     while todo:
         name = todo.pop()
         if name in seen:
             continue
-        if name not in X:
-            raise ValidationError(f"unknown simplex {name!r}")
         seen.add(name)
         for sx in X.faces.get(name, ()):
             todo.append(sx.base)
@@ -471,6 +475,8 @@ class SSetMap:
 
     def apply(self, sx: Simplex) -> Simplex:
         img = self.images[sx.base]
+        if not sx.degeneracies:
+            return img
         return _push_epi(img, epi_of_word(sx.degeneracies, sx.dim))
 
     def __call__(self, sx: Simplex) -> Simplex:
@@ -495,18 +501,16 @@ class SSetMap:
             raise ValidationError("not a subcomplex inclusion")
         return cls(A, X, {name: X.simplex(name) for name in A.names}, check=False)
 
-    def is_dimensionwise_injective(self, top: int | None = None) -> bool:
-        """Injective on all simplices in each dimension up to ``top``."""
-        if top is None:
-            top = self.source.top_dim
-        for k in range(top + 1):
-            seen = set()
-            for sx in self.source.all_simplices(k):
-                img = self.apply(sx)
-                if img in seen:
-                    return False
-                seen.add(img)
-        return True
+    def is_dimensionwise_injective(self) -> bool:
+        """Injective on the simplices of every dimension.
+
+        By the Eilenberg-Zilber lemma this holds exactly when the images of
+        the nondegenerate simplices are nondegenerate and pairwise distinct.
+        """
+        images = set(self.images.values())
+        return len(images) == len(self.images) and not any(
+            sx.is_degenerate for sx in images
+        )
 
     def key(self):
         return tuple(sorted(self.images.items()))

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import check_simplicial_identities, circle, two_sphere
 from ssetkit.build import (
+    _canon_key,
     _extract,
     disjoint_union,
     interval,
@@ -14,7 +15,11 @@ from ssetkit.build import (
 )
 from ssetkit.errors import ValidationError
 from ssetkit.chain import homology_table
-from ssetkit.excision import reduced_suspension, reduced_suspension_data
+from ssetkit.excision import (
+    double_mapping_cylinder,
+    reduced_suspension,
+    reduced_suspension_data,
+)
 from ssetkit.function_complex import enumerate_maps
 from ssetkit.simplicial_chains import normalized_chains
 from ssetkit.sset import (
@@ -23,6 +28,7 @@ from ssetkit.sset import (
     Simplex,
     boundary,
     constant_map,
+    pointed,
     simplex_as_map,
     standard_simplex,
     subcomplex,
@@ -141,7 +147,16 @@ def test_pushout_class_of_respects_gluing():
     incl = SSetMap.inclusion(b1, d1)
     po = pushout(incl, incl)
     v = Simplex((), "0", 0)
-    assert po.class_of(0, v) == po.class_of(1, v)
+    assert po.from_left.apply(v) == po.from_right.apply(v)
+    edge = Simplex((), "01", 1)
+    assert po.from_left.apply(edge) != po.from_right.apply(edge)
+
+
+def test_pushout_needs_an_injective_leg():
+    # both legs fold ∂Δ¹ onto a point: neither is injective, so pushout refuses
+    to_pt = constant_map(boundary(1), standard_simplex(0), "0")
+    with pytest.raises(ValidationError, match="injective leg"):
+        pushout(to_pt, to_pt)
 
 
 def test_quotient_circle():
@@ -203,6 +218,8 @@ def test_pullback_universal_property_exhaustive():
 
 
 # -- the direct constructions against the materialize-and-strip path -------
+# Pullbacks are checked against every compatible pair of simplices, and
+# pushouts against a union-find over every simplex of both targets.
 
 
 class _PairSystem:
@@ -271,16 +288,97 @@ def test_pullbacks_over_a_base_match_extraction():
     _assert_pullback_matches_extraction(pb, "f")
 
 
+class _PushoutSystem:
+    """Levelwise set pushout of ``U <- W -> V`` via union-find."""
+
+    def __init__(self, f: SSetMap, g: SSetMap, top: int):
+        self.U = f.target
+        self.V = g.target
+        self.parent: dict = {}
+        for k in range(top + 1):
+            for sx in self.U.all_simplices(k):
+                self._add((0, sx))
+            for sx in self.V.all_simplices(k):
+                self._add((1, sx))
+            for w in f.source.all_simplices(k):
+                self._union((0, f.apply(w)), (1, g.apply(w)))
+
+    def _add(self, e):
+        if e not in self.parent:
+            self.parent[e] = e
+
+    def canon(self, e):
+        root = e
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[e] != root:
+            self.parent[e], e = root, self.parent[e]
+        return root
+
+    def _union(self, a, b):
+        ra, rb = self.canon(a), self.canon(b)
+        if ra != rb:
+            # Keep the canonically smaller element as representative.
+            if _canon_key(rb) < _canon_key(ra):
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+
+    def _space(self, side):
+        return self.U if side == 0 else self.V
+
+    def elements(self, k):
+        return list({
+            self.canon((side, sx))
+            for side in (0, 1)
+            for sx in self._space(side).all_simplices(k)
+        })
+
+    def face(self, k, e, i):
+        side, sx = e
+        return self.canon((side, self._space(side).face(sx, i)))
+
+    def degeneracy(self, k, e, i):
+        side, sx = e
+        return self.canon((side, self._space(side).degeneracy(sx, i)))
+
+
+def _oracle_pushout(f, g):
+    """The union-find pushout and the images of both targets in it."""
+    top = max(f.target.top_dim, g.target.top_dim)
+    system = _PushoutSystem(f, g, max(top, 0))
+    ext = _extract(system, top, prefix="g")
+
+    def leg(side, X):
+        images = {
+            n: ext.simplex_of(X.dim_of(n), system.canon((side, X.simplex(n))))
+            for n in X.names
+        }
+        return SSetMap(X, ext.space, images)
+
+    return ext.space, leg(0, f.target), leg(1, g.target)
+
+
+def _assert_pushout_matches_oracle(po):
+    space, left, right = _oracle_pushout(po.leg_left, po.leg_right)
+    assert po.space == space
+    assert po.from_left.images == left.images
+    assert po.from_right.images == right.images
+
+
+def _assert_pushout_isomorphic_to_oracle(po):
+    space, left, right = _oracle_pushout(po.leg_left, po.leg_right)
+    h = po.induced(left, right)
+    for k in range(max(po.space.top_dim, space.top_dim) + 1):
+        images = [h.images[name] for name in po.space.nondeg(k)]
+        assert not any(sx.is_degenerate for sx in images)
+        assert sorted(sx.base for sx in images) == list(space.nondeg(k))
+
+
 def _assert_quotient_matches_pushout(X, A):
-    pt = standard_simplex(0)
-    po = pushout(
-        constant_map(A, pt, "0"),
-        SSetMap.inclusion(A, X),
-        basepoint=(0, pt.simplex("0")),
-    )
+    po = pushout(constant_map(A, standard_simplex(0), "0"), SSetMap.inclusion(A, X))
+    _assert_pushout_matches_oracle(po)
     q = quotient(X, A)
-    assert q.space == po.space
-    assert q.space.basepoint == po.space.basepoint
+    assert q.space == pointed(po.space, po.space.cells[0][0])
     assert q.projection.images == po.from_right.images
 
 
@@ -297,6 +395,42 @@ def test_quotients_match_pushout():
         or cyl.components(name)[0].base == X.basepoint
     }
     _assert_quotient_matches_pushout(cyl.space, subcomplex(cyl.space, ends))
+    # twelve vertices, so the basepoint is named g0_00
+    P = product(standard_simplex(3), standard_simplex(2)).space
+    _assert_quotient_matches_pushout(P, subcomplex(P, [P.cells[0][0]]))
+    assert quotient(P, subcomplex(P, [P.cells[0][0]])).space.basepoint == "g0_00"
+
+
+def _interval_collapse_span():
+    ends = boundary(1)
+    return (
+        constant_map(ends, standard_simplex(0), "0"),
+        SSetMap.inclusion(ends, standard_simplex(1)),
+    )
+
+
+def test_pushouts_along_the_right_leg_match_oracle():
+    _assert_pushout_matches_oracle(disjoint_union(standard_simplex(0), boundary(1)))
+    _assert_pushout_matches_oracle(disjoint_union(circle(), boundary(2)))
+    S1 = circle()
+    to_vertex = constant_map(standard_simplex(0), S1, S1.nondeg(0)[0])
+    _assert_pushout_matches_oracle(pushout(to_vertex, to_vertex))
+    _assert_pushout_matches_oracle(pushout(*_interval_collapse_span()))
+
+
+def test_pushouts_along_the_left_leg_are_isomorphic_to_oracle():
+    f, g = _interval_collapse_span()
+    _assert_pushout_isomorphic_to_oracle(pushout(g, f))
+    d2, b2 = standard_simplex(2), boundary(2)
+    _assert_pushout_isomorphic_to_oracle(
+        pushout(SSetMap.inclusion(b2, d2), constant_map(b2, standard_simplex(0), "0"))
+    )
+    # the gluing of the double mapping cylinder: its cylinder ends are the
+    # injective leg
+    for span in (_interval_collapse_span(), (f, f)):
+        gluing = double_mapping_cylinder(*span).gluing
+        assert not gluing.leg_right.is_dimensionwise_injective()
+        _assert_pushout_isomorphic_to_oracle(gluing)
 
 
 def test_products_pullbacks_and_quotients_list_no_whole_level(monkeypatch):
@@ -317,4 +451,7 @@ def test_products_pullbacks_and_quotients_list_no_whole_level(monkeypatch):
     sset_pullback(vertex_in, circle_q.projection)
     quotient(standard_simplex(3), boundary(3))
     reduced_suspension_data(S1)
+    disjoint_union(S1, boundary(2))
+    pushout(*_interval_collapse_span())
+    double_mapping_cylinder(*_interval_collapse_span())
     assert levels == []

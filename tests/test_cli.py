@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON stability, manifests."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -12,10 +13,10 @@ from ssetkit import cli
 DATA = pathlib.Path(__file__).parent / "data"
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "ssetkit.cli", *args],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, env=env,
     )
 
 
@@ -82,6 +83,17 @@ def test_invalid_inputs_exit_two():
     assert run_cli("homology", "missing_file.json").returncode == 2
     assert run_cli("qcat", "simplex2", "-d", "1").returncode == 2
     assert run_cli("mapspace", "simplex1", "9", "1", "-d", "1").returncode == 2
+
+
+def test_unknown_simplex_error_does_not_depend_on_hash_seed():
+    runs = set()
+    for seed in ("0", "1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        r = run_cli("space", "quotient", "simplex2", "boundary3", env=env)
+        runs.add((r.returncode, r.stderr))
+    assert len(runs) == 1
+    ((code, stderr),) = runs
+    assert code == 2 and "unknown simplex" in stderr
 
 
 def test_mv_from_cover_file(tmp_path):

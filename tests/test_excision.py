@@ -141,7 +141,9 @@ def test_double_mapping_cylinder_of_circle_span():
     from ssetkit.chain import quasi_iso
     from ssetkit.simplicial_chains import chain_map_of
 
-    assert quasi_iso(chain_map_of(dmc.comparison))
+    sq = pushout_square(f, g)
+    comparison = dmc.corner_comparison(sq.u_to_x, sq.v_to_x, sq.u_to_x.compose(f))
+    assert quasi_iso(chain_map_of(comparison))
 
 
 def test_homology_pushout_verdicts():

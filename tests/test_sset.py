@@ -155,6 +155,33 @@ def test_dimensionwise_injectivity():
     assert not fold.is_dimensionwise_injective()
 
 
+def _injective_on_every_level(f, top):
+    for k in range(top + 1):
+        images = [f.apply(sx) for sx in f.source.all_simplices(k)]
+        if len(set(images)) != len(images):
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "source, target",
+    [
+        (standard_simplex(1), standard_simplex(2)),
+        (boundary(2), standard_simplex(2)),
+        (standard_simplex(2), standard_simplex(1)),
+        (boundary(1), standard_simplex(0)),
+    ],
+)
+def test_dimensionwise_injectivity_matches_levelwise_check(source, target):
+    # The Eilenberg-Zilber criterion against every simplex, one level past
+    # the top nondegenerate one.
+    from ssetkit.function_complex import enumerate_maps
+
+    for f in enumerate_maps(source, target):
+        expected = _injective_on_every_level(f, source.top_dim + 1)
+        assert f.is_dimensionwise_injective() == expected
+
+
 def test_isomorphism_detection():
     assert are_isomorphic(standard_simplex(2), standard_simplex(2))
     assert not are_isomorphic(standard_simplex(2), boundary(2))
