@@ -415,6 +415,11 @@ def _parser() -> argparse.ArgumentParser:
         if assertable:
             sp.add_argument("--assert", dest="assert_", action="store_true")
 
+    max_enum_help = (
+        "budget of candidate images the map search may try (default 10**6); "
+        "only candidates whose faces already match are counted"
+    )
+
     sp = sub.add_parser("space", help="build and serialize a simplicial set")
     sp.add_argument("spec", nargs="+")
     sp.add_argument("-d", type=int, default=None, help="nerve truncation dimension")
@@ -430,7 +435,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("qcat", help="inner-horn filling verdict")
     sp.add_argument("space")
     sp.add_argument("-d", type=int, default=2)
-    sp.add_argument("--max-enum", type=int, default=None)
+    sp.add_argument("--max-enum", type=int, default=None, help=max_enum_help)
     common(sp)
     sp.set_defaults(fn=_cmd_qcat)
 
@@ -439,7 +444,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("source")
     sp.add_argument("target")
     sp.add_argument("-d", type=int, default=1)
-    sp.add_argument("--max-enum", type=int, default=None)
+    sp.add_argument("--max-enum", type=int, default=None, help=max_enum_help)
     common(sp, assertable=False)
     sp.set_defaults(fn=_cmd_mapspace)
 

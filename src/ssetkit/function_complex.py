@@ -1,18 +1,22 @@
 """Exhaustive map enumeration and truncated function complexes.
 
-Enumeration backtracks over nondegenerate simplices in ascending dimension;
-a candidate image is kept only if its faces agree with the already-assigned
-images, so every emitted assignment is a simplicial map by construction.
-A global candidate budget guards against combinatorial blowups.
+Enumeration backtracks over nondegenerate simplices in ascending dimension.
+The candidate images of each dimension are indexed by their tuple of faces,
+so a slot reads in one lookup exactly the candidates whose faces agree with
+the images already assigned: every emitted assignment is a simplicial map by
+construction.  A global budget on the candidates tried guards against
+combinatorial blowups.
 
 Function complexes are genuine simplicial sets of maps: a k-simplex of
 hom(X, Y) is a map X x Delta^k -> Y.  They can be nonempty in every
-dimension, hence the mandatory truncation.
+dimension, hence the mandatory truncation.  The mapping space between two
+vertices is the simplicial subset of hom(Delta^1, C) whose maps are constant
+at those vertices on the two ends of the prism.
 """
 
 from __future__ import annotations
 
-from .build import _extract, product, sset_pullback
+from .build import _extract, _point_simplex, product
 from .delta import MonotoneMap, degeneracy_map, face_map, factor_maps, word_of_epi
 from .errors import EnumerationLimit, ValidationError
 from .sset import (
@@ -42,30 +46,28 @@ def enumerate_maps(
     """All simplicial maps ``X -> Y``, duplicate-free.
 
     Basepoints are ignored; filter afterwards if pointed maps are wanted.
+    The budget counts the candidate images tried, and a slot tries only the
+    candidates whose faces already match the images assigned before it.
     """
     guard = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
     slots = [
         (k, name) for k in range(X.top_dim + 1) for name in X.nondeg(k)
     ]
     # Faces of each generator, split into base name plus collapse word, and
-    # the candidate images per dimension with their face tuples: both are
-    # fixed for the whole search, so compute them once up front.
-    slot_faces: list[list[tuple[str, MonotoneMap | None]] | None] = []
+    # the candidate images per dimension keyed by their face tuples, vertices
+    # under (): both are fixed for the whole search, so compute them once.
+    slot_faces: list[list[tuple[str, MonotoneMap | None]]] = []
     for k, name in slots:
-        if k == 0:
-            slot_faces.append(None)
-            continue
-        me = Simplex((), name, k)
-        faces = [X.face(me, i) for i in range(k + 1)]
+        faces = [X.face(X.simplex(name), i) for i in range(k + 1)] if k else []
         slot_faces.append(
             [(f.base, f.collapse() if f.degeneracies else None) for f in faces]
         )
-    cands: dict[int, list[tuple[Simplex, tuple[Simplex, ...]]]] = {}
+    cands: dict[int, dict[tuple[Simplex, ...], list[Simplex]]] = {}
     for k in sorted({k for k, _ in slots}):
-        cands[k] = [
-            (c, tuple(Y.face(c, i) for i in range(k + 1)) if k else ())
-            for c in Y.all_simplices(k)
-        ]
+        by_faces = cands[k] = {}
+        for c in Y.all_simplices(k):
+            key = tuple(Y.face(c, i) for i in range(k + 1)) if k else ()
+            by_faces.setdefault(key, []).append(c)
     results: list[SSetMap] = []
     images: dict[str, Simplex] = {}
     pushed: dict[tuple[Simplex, MonotoneMap], Simplex] = {}
@@ -87,20 +89,13 @@ def enumerate_maps(
             results.append(SSetMap(X, Y, dict(images), check=False))
             return
         k, name = slots[idx]
-        ops = slot_faces[idx]
-        want = (
-            tuple(partial_apply(base, epi) for base, epi in ops)
-            if ops is not None
-            else None
-        )
-        for cand, cand_faces in cands[k]:
+        want = tuple(partial_apply(base, epi) for base, epi in slot_faces[idx])
+        for cand in cands[k].get(want, ()):
             tried += 1
             if tried > guard:
                 raise EnumerationLimit(
                     f"map search exceeded {guard} candidate assignments"
                 )
-            if want is not None and cand_faces != want:
-                continue
             images[name] = cand
             backtrack(idx + 1)
             del images[name]
@@ -119,10 +114,10 @@ def standard_map(alpha: MonotoneMap) -> SSetMap:
 class _HomSystem:
     """Levelwise system whose k-elements are maps ``X x Delta^k -> Y``."""
 
-    def __init__(self, X: FiniteSSet, Y: FiniteSSet, guard: int):
+    def __init__(self, X: FiniteSSet, Y: FiniteSSet, max_candidates: int | None):
         self.X = X
         self.Y = Y
-        self.guard = guard
+        self.max_candidates = max_candidates
         self._products: dict[int, object] = {}
         self._cross: dict[MonotoneMap, SSetMap] = {}
 
@@ -142,7 +137,7 @@ class _HomSystem:
         return self._cross[alpha]
 
     def elements(self, k: int):
-        return enumerate_maps(self.prism(k).space, self.Y, self.guard)
+        return enumerate_maps(self.prism(k).space, self.Y, self.max_candidates)
 
     def face(self, k: int, h: SSetMap, i: int) -> SSetMap:
         return h.compose(self.cross(face_map(k, i)))
@@ -151,18 +146,39 @@ class _HomSystem:
         return h.compose(self.cross(degeneracy_map(k, i)))
 
 
-def _hom_extraction(X: FiniteSSet, Y: FiniteSSet, d: int, guard: int):
-    system = _HomSystem(X, Y, guard)
-    return system, _extract(system, d, prefix="h")
+class _FiberSystem(_HomSystem):
+    """The maps ``Delta^1 x Delta^k -> C`` that are constant at ``x`` on
+    ``0 x Delta^k`` and at ``y`` on ``1 x Delta^k``.
+
+    Faces and degeneracies act on the ``Delta^k`` factor only, so they keep
+    both ends constant: these maps form a simplicial subset of
+    hom(Delta^1, C).
+    """
+
+    def __init__(self, C: FiniteSSet, x: str, y: str, max_candidates: int | None):
+        super().__init__(standard_simplex(1), C, max_candidates)
+        self.ends = {"0": x, "1": y}
+
+    def elements(self, k: int):
+        # The cells of an end are those projecting onto a vertex of Delta^1.
+        fixed = [
+            (name, _point_simplex(self.ends[sx.base], sx.dim))
+            for name, sx in self.prism(k).proj_left.images.items()
+            if sx.base in self.ends
+        ]
+        return [
+            h for h in super().elements(k)
+            if all(h.images[name] == img for name, img in fixed)
+        ]
 
 
 def internal_hom_truncated(
     X: FiniteSSet, Y: FiniteSSet, d: int, max_candidates: int | None = None
 ) -> FiniteSSet:
     """The function complex ``Y^X`` up to dimension ``d``."""
-    guard = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
-    _, ext = _hom_extraction(X, Y, d, guard)
-    return ext.space
+    if d < 0:
+        raise ValidationError(f"truncation dimension {d} is negative")
+    return _extract(_HomSystem(X, Y, max_candidates), d, prefix="h").space
 
 
 def mapping_space(
@@ -170,45 +186,14 @@ def mapping_space(
 ) -> FiniteSSet:
     """The space of arrows from vertex ``x`` to vertex ``y``.
 
-    Computed as the strict fiber of ``C^(Delta^1) -> C^(Delta^0) x
-    C^(Delta^0)`` (restriction to the two endpoints) over the vertex
-    pair picking out ``x`` and ``y``.
+    The strict fiber over ``(x, y)`` of the restriction of ``C^(Delta^1)``
+    to its two endpoints, taken directly: its k-simplices are the maps
+    ``Delta^1 x Delta^k -> C`` constant at ``x`` on ``0 x Delta^k`` and at
+    ``y`` on ``1 x Delta^k``.
     """
     for v in (x, y):
         if v not in C.names or C.dim_of(v) != 0:
             raise ValidationError(f"{v!r} is not a vertex of the target")
-    guard = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
-    edge_sys, edge_ext = _hom_extraction(standard_simplex(1), C, d, guard)
-    vert_sys, vert_ext = _hom_extraction(standard_simplex(0), C, d, guard)
-
-    def restriction(endpoint: int) -> SSetMap:
-        incl = standard_map(MonotoneMap(0, 1, (endpoint,)))
-        images = {}
-        for name in edge_ext.space.names:
-            h = edge_ext.from_name[name]
-            k = edge_ext.space.dim_of(name)
-            src = vert_sys.prism(k)
-            dst = edge_sys.prism(k)
-            cross_incl = dst.induced(
-                incl.compose(src.proj_left), src.proj_right
-            )
-            images[name] = vert_ext.to_simplex[(k, h.compose(cross_incl))]
-        return SSetMap(edge_ext.space, vert_ext.space, images)
-
-    r0 = restriction(0)
-    r1 = restriction(1)
-    ends = product(vert_ext.space, vert_ext.space)
-    both = ends.induced(r0, r1)
-
-    def constant_vertex(v: str) -> Simplex:
-        pt_prism = vert_sys.prism(0).space
-        vname = pt_prism.nondeg(0)[0]
-        elem = SSetMap(pt_prism, C, {vname: Simplex((), v, 0)}, check=False)
-        return vert_ext.to_simplex[(0, elem)]
-
-    corner = SSetMap(
-        standard_simplex(0),
-        ends.space,
-        {"0": ends.pair_simplex(constant_vertex(x), constant_vertex(y))},
-    )
-    return sset_pullback(both, corner).space
+    if d < 0:
+        raise ValidationError(f"truncation dimension {d} is negative")
+    return _extract(_FiberSystem(C, x, y, max_candidates), d, prefix="f").space

@@ -158,35 +158,8 @@ class IntMat:
             c0 += b.cols
         return cls.from_rows(out) if rows else cls(0, cols, ())
 
-    # -- determinant (Bareiss, fraction-free) ------------------------------
-
-    def det(self) -> int:
-        if self.rows != self.cols:
-            raise ValidationError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = self.to_lists()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
     def is_unimodular(self) -> bool:
-        return self.rows == self.cols and self.det() in (1, -1)
+        return self.rows == self.cols and rank_and_torsion(self) == (self.rows, ())
 
 
 @dataclass(frozen=True)

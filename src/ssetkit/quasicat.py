@@ -1,8 +1,10 @@
 """Inner-horn fillers, quasi-category certification, composition witnesses.
 
-Filler searches enumerate every candidate simplex of the target, degenerate
-ones included; a horn assignment determines images of all lower cells, so
-matching the outer faces suffices.
+A horn assignment determines the images of all lower cells, so a filler of
+a horn is an n-simplex of the target whose walls, the faces d_j for j != i,
+are the images of the horn's walls.  Filler searches index the n-simplices
+of the target, degenerate ones included, by their walls once per (n, i), and
+look each horn up there.
 """
 
 from __future__ import annotations
@@ -47,21 +49,31 @@ class HornMap:
         return 0 < self.i < self.n
 
 
+def _wall_names(n: int, i: int) -> list[str]:
+    """The walls of the horn, the faces d_j, j != i, of the standard
+    n-simplex, in descending j; d_j is the cell on every vertex but j."""
+    vertices = tuple(range(n + 1))
+    return [
+        _subset_name(vertices[:j] + vertices[j + 1:])
+        for j in reversed(vertices)
+        if j != i
+    ]
+
+
+def _wall_index(C: FiniteSSet, n: int, i: int) -> dict[tuple, list[Simplex]]:
+    """Every n-simplex of ``C``, degenerate ones included, keyed by its faces
+    d_j, j != i, in descending j."""
+    index: dict[tuple, list[Simplex]] = {}
+    for sx in C.all_simplices(n):
+        walls = tuple(C.face(sx, j) for j in range(n, -1, -1) if j != i)
+        index.setdefault(walls, []).append(sx)
+    return index
+
+
 def horn_fillers(h: HornMap) -> list[Simplex]:
     """All simplices of the target restricting to the given horn."""
-    # The horn's walls are the faces d_j, j != i, of the standard simplex;
-    # d_j is the cell on every vertex but j.
-    vertices = tuple(range(h.n + 1))
-    walls = [
-        (j, h.assignment.images[_subset_name(vertices[:j] + vertices[j + 1:])])
-        for j in reversed(vertices)
-        if j != h.i
-    ]
-    return [
-        cand
-        for cand in h.target.all_simplices(h.n)
-        if all(h.target.face(cand, j) == image for j, image in walls)
-    ]
+    walls = tuple(h.assignment.images[w] for w in _wall_names(h.n, h.i))
+    return list(_wall_index(h.target, h.n, h.i).get(walls, ()))
 
 
 @dataclass(frozen=True)
@@ -82,11 +94,11 @@ def is_quasicategory_up_to(
         raise ValidationError("inner horns start in dimension 2")
     for n in range(2, d + 1):
         for i in range(1, n):
-            L = horn(n, i)
-            for assignment in enumerate_maps(L, C, max_candidates):
-                hm = HornMap(n, i, C, assignment)
-                if not horn_fillers(hm):
-                    return QcatVerdict(False, d, hm)
+            names = _wall_names(n, i)
+            index = _wall_index(C, n, i)
+            for assignment in enumerate_maps(horn(n, i), C, max_candidates):
+                if tuple(assignment.images[w] for w in names) not in index:
+                    return QcatVerdict(False, d, HornMap(n, i, C, assignment))
     return QcatVerdict(True, d)
 
 
@@ -114,11 +126,10 @@ def compositions(C: FiniteSSet, f: Simplex, g: Simplex) -> list[CompositionWitne
         raise ValidationError("composition inputs must be edges")
     if C.face(f, 0) != C.face(g, 1):
         raise ValidationError("edges are not composable: target(f) != source(g)")
-    out = []
-    for sigma in C.all_simplices(2):
-        if C.face(sigma, 2) == f and C.face(sigma, 0) == g:
-            out.append(CompositionWitness(f, g, C.face(sigma, 1), sigma, C))
-    return out
+    return [
+        CompositionWitness(f, g, C.face(sigma, 1), sigma, C)
+        for sigma in _wall_index(C, 2, 1).get((f, g), ())
+    ]
 
 
 _SQUARE_EDGES = ("f", "g", "fp", "gp", "h")

@@ -11,9 +11,13 @@ import pytest
 from ssetkit import cli
 
 DATA = pathlib.Path(__file__).parent / "data"
+SRC = pathlib.Path(__file__).parent.parent / "src"
 
 
 def run_cli(*args, cwd=None, env=None):
+    # The child imports the package from this checkout, as pytest does.
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "ssetkit.cli", *args],
         capture_output=True, text=True, cwd=cwd, env=env,
@@ -83,6 +87,12 @@ def test_invalid_inputs_exit_two():
     assert run_cli("homology", "missing_file.json").returncode == 2
     assert run_cli("qcat", "simplex2", "-d", "1").returncode == 2
     assert run_cli("mapspace", "simplex1", "9", "1", "-d", "1").returncode == 2
+
+
+def test_mapspace_negative_truncation_exits_two():
+    r = run_cli("mapspace", "simplex2", "0", "2", "-d", "-1")
+    assert r.returncode == 2
+    assert r.stderr == "error: truncation dimension -1 is negative\n"
 
 
 def test_unknown_simplex_error_does_not_depend_on_hash_seed():

@@ -4,16 +4,108 @@ from math import comb
 
 import pytest
 
+from conftest import all_posets, circle, two_sphere
+from ssetkit.build import _extract, product, sset_pullback
 from ssetkit.delta import MonotoneMap, monotone_maps
-from ssetkit.errors import EnumerationLimit
+from ssetkit.errors import EnumerationLimit, ValidationError
 from ssetkit.function_complex import (
+    _HomSystem,
     enumerate_maps,
     internal_hom_truncated,
     mapping_space,
     standard_map,
 )
-from ssetkit.nerve import linear_preorder, nerve_preorder, preorder_category, Preorder
-from ssetkit.sset import are_isomorphic, boundary, standard_simplex
+from ssetkit.nerve import (
+    linear_preorder,
+    nerve_category,
+    nerve_preorder,
+    preorder_category,
+    square_category,
+    Preorder,
+)
+from ssetkit.serialize import sset_to_record
+from ssetkit.sset import (
+    SSetMap,
+    Simplex,
+    are_isomorphic,
+    boundary,
+    horn,
+    standard_simplex,
+    _push_epi,
+)
+
+
+def _scan_maps(X, Y):
+    """Reference enumerator: every slot scans every candidate image of its
+    dimension and keeps those whose faces match the images assigned so far."""
+    slots = [(k, name) for k in range(X.top_dim + 1) for name in X.nondeg(k)]
+    cands = {
+        k: [(c, tuple(Y.face(c, i) for i in range(k + 1)) if k else ())
+            for c in Y.all_simplices(k)]
+        for k in {k for k, _ in slots}
+    }
+    results, images = [], {}
+
+    def image(sx):
+        img = images[sx.base]
+        return _push_epi(img, sx.collapse()) if sx.degeneracies else img
+
+    def backtrack(idx):
+        if idx == len(slots):
+            results.append(SSetMap(X, Y, dict(images), check=False))
+            return
+        k, name = slots[idx]
+        want = tuple(
+            image(X.face(X.simplex(name), i)) for i in range(k + 1)
+        ) if k else ()
+        for cand, cand_faces in cands[k]:
+            if cand_faces == want:
+                images[name] = cand
+                backtrack(idx + 1)
+                del images[name]
+
+    backtrack(0)
+    return results
+
+
+def _pullback_mapping_space(C, x, y, d):
+    """Reference mapping space: the fiber of the restriction
+    ``C^(Delta^1) -> C^(Delta^0) x C^(Delta^0)`` over ``(x, y)``, built as a
+    pullback of extracted function complexes."""
+    edge_sys = _HomSystem(standard_simplex(1), C, None)
+    vert_sys = _HomSystem(standard_simplex(0), C, None)
+    edge_ext = _extract(edge_sys, d, prefix="h")
+    vert_ext = _extract(vert_sys, d, prefix="h")
+
+    def restriction(endpoint):
+        incl = standard_map(MonotoneMap(0, 1, (endpoint,)))
+        images = {}
+        for name in edge_ext.space.names:
+            h = edge_ext.from_name[name]
+            k = edge_ext.space.dim_of(name)
+            src = vert_sys.prism(k)
+            cross_incl = edge_sys.prism(k).induced(
+                incl.compose(src.proj_left), src.proj_right
+            )
+            images[name] = vert_ext.to_simplex[(k, h.compose(cross_incl))]
+        return SSetMap(edge_ext.space, vert_ext.space, images)
+
+    ends = product(vert_ext.space, vert_ext.space)
+    both = ends.induced(restriction(0), restriction(1))
+
+    def constant_vertex(v):
+        pt_prism = vert_sys.prism(0).space
+        elem = SSetMap(
+            pt_prism, C, {pt_prism.nondeg(0)[0]: Simplex((), v, 0)}, check=False
+        )
+        return vert_ext.to_simplex[(0, elem)]
+
+    corner = SSetMap(
+        standard_simplex(0),
+        ends.space,
+        {"0": ends.pair_simplex(constant_vertex(x), constant_vertex(y))},
+    )
+    return sset_pullback(both, corner).space
 
 
 def test_enumeration_counts():
@@ -109,3 +201,52 @@ def test_mapping_space_counts_parallel_edges():
          "e2": (Simplex((), "b", 0), Simplex((), "a", 0))},
     )
     assert mapping_space(X, "a", "b", 1).counts()[0] == 2
+
+
+def test_enumeration_matches_candidate_scan():
+    spaces = [standard_simplex(n) for n in range(3)] + [
+        boundary(2), boundary(3), horn(2, 1), horn(3, 1), circle(),
+    ] + [nerve_preorder(P) for P in all_posets(3)]
+    for X in spaces:
+        for Y in spaces:
+            got = enumerate_maps(X, Y)
+            assert [f.images for f in got] == [f.images for f in _scan_maps(X, Y)]
+
+
+def test_enumeration_budget_counts_matching_candidates_only():
+    # Delta^1 -> Delta^1: 2 images of the first vertex, 2 of the second for
+    # each, and an edge for 3 of the 4 vertex pairs: 9 candidates in all,
+    # where a scan of every candidate edge tries 2 + 4 + 4 * 3 = 18.
+    d1 = standard_simplex(1)
+    assert len(enumerate_maps(d1, d1, max_candidates=9)) == 3
+    with pytest.raises(EnumerationLimit):
+        enumerate_maps(d1, d1, max_candidates=8)
+
+
+@pytest.mark.parametrize(
+    "space, x, y, d",
+    [
+        (standard_simplex(1), "0", "1", 1),
+        (standard_simplex(3), "0", "3", 2),
+        (boundary(3), "0", "3", 2),
+        (two_sphere(), "g0_0", "g0_0", 2),
+        (circle(), "g0_0", "g0_0", 2),
+        (nerve_category(square_category()), "00", "11", 2),
+    ],
+    ids=["interval", "simplex3", "boundary3", "s2", "circle", "square"],
+)
+def test_mapping_space_matches_pullback_fiber(space, x, y, d):
+    M = mapping_space(space, x, y, d)
+    assert sset_to_record(M) == sset_to_record(_pullback_mapping_space(space, x, y, d))
+
+
+def test_mapping_space_of_two_sphere_counts():
+    assert mapping_space(two_sphere(), "g0_0", "g0_0", 2).counts() == (1, 3, 2)
+
+
+def test_negative_truncation_rejected():
+    d1 = standard_simplex(1)
+    with pytest.raises(ValidationError, match="truncation dimension -1"):
+        mapping_space(d1, "0", "1", -1)
+    with pytest.raises(ValidationError, match="truncation dimension -1"):
+        internal_hom_truncated(d1, d1, -1)

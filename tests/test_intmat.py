@@ -160,6 +160,20 @@ def test_matmul_shapes_guarded():
         IntMat.zero(2, 3) @ IntMat.zero(2, 3)
 
 
+@st.composite
+def square_intmat(draw, max_dim=4, elements=st.sampled_from((0, 0, 1, -1, 2))):
+    n = draw(st.integers(0, max_dim))
+    return IntMat(n, n, tuple(
+        tuple(draw(elements) for _ in range(n)) for _ in range(n)
+    ))
+
+
+@given(square_intmat())
+def test_unimodular_matches_sympy_determinant(m):
+    flat = [x for row in m.entries for x in row]
+    assert m.is_unimodular() == (sympy.Matrix(m.rows, m.cols, flat).det() in (1, -1))
+
+
 def test_unimodular_detection():
     assert IntMat.identity(3).is_unimodular()
     assert IntMat.from_rows([[1, 5], [0, -1]]).is_unimodular()

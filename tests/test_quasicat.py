@@ -2,12 +2,14 @@
 
 import pytest
 
-from conftest import all_posets
+from conftest import all_posets, circle
 from ssetkit.errors import ValidationError
+from ssetkit.function_complex import enumerate_maps
 from ssetkit.nerve import nerve_category, nerve_preorder, square_category
 from ssetkit.quasicat import (
     CompositionWitness,
     HornMap,
+    QcatVerdict,
     SquareDiagram,
     compositions,
     horn_fillers,
@@ -19,6 +21,49 @@ from ssetkit.sset import SSetMap, Simplex, boundary, horn, standard_simplex
 def _horn_map(n, i, target, images):
     L = horn(n, i)
     return HornMap(n, i, target, SSetMap(L, target, images))
+
+
+def _scan_fillers(h):
+    """Reference filler search: every n-simplex of the target whose faces
+    d_j, j != i, are the images of the horn's faces d_j."""
+    top = "".join(str(v) for v in range(h.n + 1))
+    walls = [
+        (j, h.assignment.images[top[:j] + top[j + 1:]])
+        for j in range(h.n + 1)
+        if j != h.i
+    ]
+    return [
+        cand
+        for cand in h.target.all_simplices(h.n)
+        if all(h.target.face(cand, j) == image for j, image in walls)
+    ]
+
+
+def _scan_compositions(C, f, g):
+    """Reference composition search over every 2-simplex of ``C``."""
+    return [
+        (C.face(sigma, 1), sigma)
+        for sigma in C.all_simplices(2)
+        if C.face(sigma, 2) == f and C.face(sigma, 0) == g
+    ]
+
+
+def _scan_verdict(C, d):
+    """Reference verdict: the first horn map, in enumeration order, that the
+    reference filler search cannot fill."""
+    for n in range(2, d + 1):
+        for i in range(1, n):
+            for assignment in enumerate_maps(horn(n, i), C):
+                hm = HornMap(n, i, C, assignment)
+                if not _scan_fillers(hm):
+                    return QcatVerdict(False, d, hm)
+    return QcatVerdict(True, d)
+
+
+def _filler_targets():
+    return [standard_simplex(3), boundary(3), circle()] + [
+        nerve_preorder(P) for P in all_posets(3)
+    ]
 
 
 def test_inner_horn_into_triangle_has_unique_filler():
@@ -161,3 +206,36 @@ def test_square_diagram_needs_matching_triangles():
         SquareDiagram.from_triangles(
             d2, Simplex((), "012", 2), Simplex((0,), "01", 2)
         )
+
+
+def test_horn_fillers_match_scan():
+    for C in _filler_targets():
+        for n in range(1, 4):
+            for i in range(n + 1):
+                for assignment in enumerate_maps(horn(n, i), C):
+                    hm = HornMap(n, i, C, assignment)
+                    assert horn_fillers(hm) == _scan_fillers(hm)
+
+
+def test_compositions_match_scan():
+    for C in _filler_targets():
+        edges = C.all_simplices(1)
+        for f in edges:
+            for g in edges:
+                if C.face(f, 0) != C.face(g, 1):
+                    continue
+                got = [(w.h, w.sigma) for w in compositions(C, f, g)]
+                assert got == _scan_compositions(C, f, g)
+
+
+def test_verdicts_and_witnesses_match_scan():
+    targets = _filler_targets() + [
+        boundary(2), horn(2, 1), horn(3, 1), nerve_category(square_category()),
+    ]
+    for C in targets:
+        got = is_quasicategory_up_to(C, 3)
+        want = _scan_verdict(C, 3)
+        assert got.ok == want.ok
+        if not want.ok:
+            assert (got.witness.n, got.witness.i) == (want.witness.n, want.witness.i)
+            assert got.witness.assignment == want.witness.assignment
