@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .delta import compose_monotone, degeneracy_map, word_of_epi
 from .errors import ValidationError
 from .sset import (
     FiniteSSet,
@@ -99,9 +98,7 @@ def _extract(system, top: int, prefix: str = "c") -> Extraction:
                 nondeg.append(e)
             else:
                 i, d = witness
-                inner = to_simplex[(k - 1, d)]
-                eta = compose_monotone(inner.collapse(), degeneracy_map(k - 1, i))
-                to_simplex[(k, e)] = Simplex(word_of_epi(eta), inner.base, k)
+                to_simplex[(k, e)] = to_simplex[(k - 1, d)].degenerate((i,))
         level = []
         for idx, e in enumerate(nondeg):
             name = _cell_name(prefix, k, idx, len(nondeg))

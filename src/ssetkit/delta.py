@@ -4,8 +4,16 @@ An object ``[n]`` is the ordered set ``{0, ..., n}``.  A morphism is a
 nondecreasing function, stored by its value table.  Every morphism factors
 uniquely as a surjection followed by an injection; the surjection is the
 composite of elementary collapses (one per repeated position) and the
-injection is determined by the missed indices.  These normal forms drive
-the degenerate-simplex bookkeeping in :mod:`ssetkit.sset`.
+injection is determined by the missed indices.  ``MonotoneMap`` serves the
+action of a general monotone map (``FiniteSSet.act``, ``standard_map``,
+Dold-Kan).
+
+Faces and degeneracies of degenerate simplices never need a general map.
+A degenerate simplex is ``s_J x`` for a strictly decreasing degeneracy word
+``J``, and the simplicial identities rewrite ``d_i s_J`` and ``s_K s_J``
+into normal form straight from the words: :func:`face_of_word` and
+:func:`compose_words`.  Both are memoized on words and small integers only,
+so their tables stay small however many simplices pass through them.
 """
 
 from __future__ import annotations
@@ -29,6 +37,8 @@ __all__ = [
     "monotone_maps",
     "injective_maps",
     "surjective_maps",
+    "face_of_word",
+    "compose_words",
 ]
 
 
@@ -183,3 +193,73 @@ def surjective_maps(dom: int, cod: int):
             if k in up:
                 v += 1
         yield MonotoneMap(dom, cod, tuple(values))
+
+
+# -- degeneracy words --------------------------------------------------------
+
+
+_FACE_OF_WORD: dict = {}
+_COMPOSE_WORDS: dict = {}
+
+
+def _check_word(word: tuple[int, ...], n: int) -> None:
+    """``word`` must be a strictly decreasing word of indices below ``n``."""
+    if any(a <= b for a, b in zip(word, word[1:])):
+        raise ValidationError(f"degeneracy word {word} is not strictly decreasing")
+    if word and not (word[0] < n and word[-1] >= 0):
+        raise ValidationError(f"degeneracy word {word} invalid in dimension {n}")
+
+
+def face_of_word(
+    word: tuple[int, ...], n: int, i: int
+) -> tuple[tuple[int, ...], int | None]:
+    """Normal form of ``d_i s_word`` on n-simplices.
+
+    Returns ``(word', j)`` when ``d_i s_word = s_word' d_j``, and
+    ``(word', None)`` when the face dies in the word, ``d_i s_word = s_word'``.
+    The face dies exactly when ``i`` or ``i - 1`` is a collapse position:
+    that position (``i`` first) drops out and the ones above it move down.
+    Otherwise ``d_i`` passes through the word onto the index ``i`` less the
+    number of collapse positions below it.
+    """
+    key = (word, n, i)
+    out = _FACE_OF_WORD.get(key)
+    if out is None:
+        _check_word(word, n)
+        if not 0 <= i <= n:
+            raise ValidationError(f"face index {i} outside [0, {n}]")
+        if i in word or i - 1 in word:
+            gone = i if i in word else i - 1
+            out = (tuple(k if k < gone else k - 1 for k in word if k != gone), None)
+        else:
+            below = sum(1 for k in word if k < i)
+            out = (tuple(k if k < i else k - 1 for k in word), i - below)
+        _FACE_OF_WORD[key] = out
+    return out
+
+
+def compose_words(
+    inner: tuple[int, ...], outer: tuple[int, ...], n: int
+) -> tuple[int, ...]:
+    """Normal form of ``s_outer s_inner``, landing in dimension ``n``.
+
+    The collapse positions of the composite are those of ``outer`` and the
+    positions ``k`` outside ``outer`` that the collapse of ``outer`` sends
+    onto a position of ``inner``.
+    """
+    key = (inner, outer, n)
+    out = _COMPOSE_WORDS.get(key)
+    if out is None:
+        _check_word(outer, n)
+        _check_word(inner, n - len(outer))
+        positions = []
+        v = 0  # the image of k under the collapse of outer
+        for k in range(n):
+            if k in outer:
+                positions.append(k)
+            else:
+                if v in inner:
+                    positions.append(k)
+                v += 1
+        out = _COMPOSE_WORDS[key] = tuple(reversed(positions))
+    return out

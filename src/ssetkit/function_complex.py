@@ -11,7 +11,8 @@ Function complexes are genuine simplicial sets of maps: a k-simplex of
 hom(X, Y) is a map X x Delta^k -> Y.  They can be nonempty in every
 dimension, hence the mandatory truncation.  The mapping space between two
 vertices is the simplicial subset of hom(Delta^1, C) whose maps are constant
-at those vertices on the two ends of the prism.
+at those vertices on the two ends of the prism: the search starts from those
+ends and extends them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .sset import (
     Simplex,
     simplex_as_map,
     standard_simplex,
-    _push_epi,
+    subcomplex,
     _subset_name,
 )
 
@@ -41,27 +42,38 @@ DEFAULT_MAX_CANDIDATES = 10**6
 
 
 def enumerate_maps(
-    X: FiniteSSet, Y: FiniteSSet, max_candidates: int | None = None
+    X: FiniteSSet,
+    Y: FiniteSSet,
+    max_candidates: int | None = None,
+    fixed: dict[str, Simplex] | None = None,
 ) -> list[SSetMap]:
     """All simplicial maps ``X -> Y``, duplicate-free.
 
     Basepoints are ignored; filter afterwards if pointed maps are wanted.
     The budget counts the candidate images tried, and a slot tries only the
     candidates whose faces already match the images assigned before it.
+    ``fixed`` gives the images of the nondegenerate simplices of a subcomplex
+    of ``X`` under a map to ``Y``: only the maps extending it are listed, and
+    its simplices are assigned before the search, so they try no candidate.
     """
     guard = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
+    fixed = fixed or {}
+    if fixed:
+        SSetMap(subcomplex(X, fixed), Y, fixed)  # raises unless a map
     slots = [
-        (k, name) for k in range(X.top_dim + 1) for name in X.nondeg(k)
+        (k, name)
+        for k in range(X.top_dim + 1)
+        for name in X.nondeg(k)
+        if name not in fixed
     ]
-    # Faces of each generator, split into base name plus collapse word, and
-    # the candidate images per dimension keyed by their face tuples, vertices
-    # under (): both are fixed for the whole search, so compute them once.
-    slot_faces: list[list[tuple[str, MonotoneMap | None]]] = []
+    # Faces of each generator, split into base name plus degeneracy word,
+    # and the candidate images per dimension keyed by their face tuples,
+    # vertices under (): neither changes during the search, so compute
+    # them once.
+    slot_faces: list[list[tuple[str, tuple[int, ...]]]] = []
     for k, name in slots:
         faces = [X.face(X.simplex(name), i) for i in range(k + 1)] if k else []
-        slot_faces.append(
-            [(f.base, f.collapse() if f.degeneracies else None) for f in faces]
-        )
+        slot_faces.append([(f.base, f.degeneracies) for f in faces])
     cands: dict[int, dict[tuple[Simplex, ...], list[Simplex]]] = {}
     for k in sorted({k for k, _ in slots}):
         by_faces = cands[k] = {}
@@ -69,18 +81,17 @@ def enumerate_maps(
             key = tuple(Y.face(c, i) for i in range(k + 1)) if k else ()
             by_faces.setdefault(key, []).append(c)
     results: list[SSetMap] = []
-    images: dict[str, Simplex] = {}
-    pushed: dict[tuple[Simplex, MonotoneMap], Simplex] = {}
+    images: dict[str, Simplex] = dict(fixed)
+    pushed: dict[tuple[Simplex, tuple[int, ...]], Simplex] = {}
     tried = 0
 
-    def partial_apply(base: str, epi: MonotoneMap | None) -> Simplex:
+    def partial_apply(base: str, word: tuple[int, ...]) -> Simplex:
         img = images[base]
-        if epi is None:
+        if not word:
             return img
-        got = pushed.get((img, epi))
+        got = pushed.get((img, word))
         if got is None:
-            got = _push_epi(img, epi)
-            pushed[(img, epi)] = got
+            got = pushed[(img, word)] = img.degenerate(word)
         return got
 
     def backtrack(idx: int):
@@ -89,7 +100,7 @@ def enumerate_maps(
             results.append(SSetMap(X, Y, dict(images), check=False))
             return
         k, name = slots[idx]
-        want = tuple(partial_apply(base, epi) for base, epi in slot_faces[idx])
+        want = tuple(partial_apply(base, word) for base, word in slot_faces[idx])
         for cand in cands[k].get(want, ()):
             tried += 1
             if tried > guard:
@@ -159,17 +170,19 @@ class _FiberSystem(_HomSystem):
         super().__init__(standard_simplex(1), C, max_candidates)
         self.ends = {"0": x, "1": y}
 
-    def elements(self, k: int):
+    def end_images(self, k: int) -> dict[str, Simplex]:
+        """The images of the cells on the two ends of the k-th prism."""
         # The cells of an end are those projecting onto a vertex of Delta^1.
-        fixed = [
-            (name, _point_simplex(self.ends[sx.base], sx.dim))
+        return {
+            name: _point_simplex(self.ends[sx.base], sx.dim)
             for name, sx in self.prism(k).proj_left.images.items()
             if sx.base in self.ends
-        ]
-        return [
-            h for h in super().elements(k)
-            if all(h.images[name] == img for name, img in fixed)
-        ]
+        }
+
+    def elements(self, k: int):
+        return enumerate_maps(
+            self.prism(k).space, self.Y, self.max_candidates, self.end_images(k)
+        )
 
 
 def internal_hom_truncated(

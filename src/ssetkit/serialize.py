@@ -55,7 +55,8 @@ def _simplex_from_pair(pair, dim: int, what: str) -> Simplex:
     ):
         raise ValidationError(f"{what}: expected a [degeneracy-word, base] pair")
     word, base = pair
-    if not isinstance(word, (list, tuple)) or not all(isinstance(i, int) for i in word):
+    # JSON true and false would pass as the integers 1 and 0.
+    if not isinstance(word, (list, tuple)) or not all(type(i) is int for i in word):
         raise ValidationError(f"{what}: degeneracy word must be a list of integers")
     return Simplex(tuple(word), base, dim)
 

@@ -3,9 +3,11 @@
 A ``FiniteSSet`` stores, per dimension, the names of the nondegenerate
 simplices; the face of a nondegenerate simplex is a ``Simplex`` value, a
 degeneracy word applied to a named base.  Every simplex of the underlying
-presheaf is such a pair, and the action of an arbitrary monotone map is
-computed by composing the simplex's collapse surjection with the map,
-refactoring, and looking up stored faces for the injective part.
+presheaf is such a pair.  Faces and degeneracies of a degenerate simplex,
+and the image of one under a simplicial map, are rewritten on the words
+alone (:func:`ssetkit.delta.face_of_word`, :func:`ssetkit.delta.compose_words`):
+a face either dies in the word or passes through it onto one stored face.
+Only the action of a general monotone map (``act``) factors the map.
 
 Degeneracy words are strictly decreasing, so each simplex has exactly one
 normal form and equality of ``Simplex`` values is equality of simplices.
@@ -19,9 +21,10 @@ from itertools import combinations
 from .delta import (
     MonotoneMap,
     compose_monotone,
+    compose_words,
     epi_mono_factor,
     epi_of_word,
-    face_map,
+    face_of_word,
     surjective_maps,
     word_of_epi,
 )
@@ -60,15 +63,16 @@ class Simplex:
     dim: int
 
     def __post_init__(self) -> None:
-        if any(a <= b for a, b in zip(self.degeneracies, self.degeneracies[1:])):
+        word = self.degeneracies
+        if any(a <= b for a, b in zip(word, word[1:])):
+            raise ValidationError(f"degeneracy word {word} is not strictly decreasing")
+        if word and word[0] >= self.dim:
             raise ValidationError(
-                f"degeneracy word {self.degeneracies} is not strictly decreasing"
+                f"degeneracy index {word[0]} out of range in dim {self.dim}"
             )
-        if self.degeneracies and self.degeneracies[0] >= self.dim:
-            raise ValidationError(
-                f"degeneracy index {self.degeneracies[0]} out of range in dim {self.dim}"
-            )
-        if self.dim < len(self.degeneracies):
+        if word and word[-1] < 0:
+            raise ValidationError(f"degeneracy word {word} has a negative index")
+        if self.dim < len(word):
             raise ValidationError("degeneracy word longer than the dimension")
 
     @property
@@ -79,17 +83,12 @@ class Simplex:
     def base_dim(self) -> int:
         return self.dim - len(self.degeneracies)
 
-    def collapse(self) -> MonotoneMap:
-        """The surjection ``[dim] ->> [base_dim]`` encoded by the word."""
-        return epi_of_word(self.degeneracies, self.dim)
-
-
-def _push_epi(sx: Simplex, epi: MonotoneMap) -> Simplex:
-    """Precompose the collapse of ``sx`` with a further surjection."""
-    if epi.is_identity:
-        return sx
-    eta = compose_monotone(sx.collapse(), epi)
-    return Simplex(word_of_epi(eta), sx.base, epi.dom)
+    def degenerate(self, word: tuple[int, ...]) -> "Simplex":
+        """``s_word`` of this simplex; the simplex itself for the empty word."""
+        if not word:
+            return self
+        dim = self.dim + len(word)
+        return Simplex(compose_words(self.degeneracies, word, dim), self.base, dim)
 
 
 class FiniteSSet:
@@ -179,20 +178,19 @@ class FiniteSSet:
         """The i-th face of an arbitrary simplex."""
         if sx.dim == 0:
             raise ValidationError("a vertex has no faces")
+        if not 0 <= i <= sx.dim:
+            raise ValidationError(f"face index {i} outside [0, {sx.dim}]")
         if not sx.degeneracies:
             return self.faces[sx.base][i]
         cached = self._face_cache.get((sx, i))
         if cached is not None:
             return cached
-        beta = compose_monotone(sx.collapse(), face_map(sx.dim, i))
-        dword, fword = epi_mono_factor(beta)
-        if fword:
-            # The face either dies in the word or hits one stored face.
-            (j,) = fword
-            hit = self.faces[sx.base][j]
+        # The face either dies in the word or passes onto one stored face.
+        word, j = face_of_word(sx.degeneracies, sx.dim, i)
+        if j is None:
+            out = Simplex(word, sx.base, sx.dim - 1)
         else:
-            hit = Simplex((), sx.base, sx.base_dim)
-        out = _push_epi(hit, epi_of_word(dword, sx.dim - 1))
+            out = self.faces[sx.base][j].degenerate(word)
         self._face_cache[(sx, i)] = out
         return out
 
@@ -203,9 +201,7 @@ class FiniteSSet:
         cached = self._deg_cache.get((sx, i))
         if cached is not None:
             return cached
-        eta = compose_monotone(sx.collapse(), _sigma(sx.dim, i))
-        out = Simplex(word_of_epi(eta), sx.base, sx.dim + 1)
-        self._deg_cache[(sx, i)] = out
+        out = self._deg_cache[(sx, i)] = sx.degenerate((i,))
         return out
 
     def act(self, sx: Simplex, alpha: MonotoneMap) -> Simplex:
@@ -214,13 +210,13 @@ class FiniteSSet:
             raise ValidationError(
                 f"map into [{alpha.cod}] cannot act on a {sx.dim}-simplex"
             )
-        beta = compose_monotone(sx.collapse(), alpha)
+        beta = compose_monotone(epi_of_word(sx.degeneracies, sx.dim), alpha)
         dword, fword = epi_mono_factor(beta)
         cur = Simplex((), sx.base, sx.base_dim)
         # Injective part: apply stored faces, largest missed index first.
         for i in reversed(fword):
             cur = self.face(cur, i)
-        return _push_epi(cur, epi_of_word(dword, alpha.dom))
+        return cur.degenerate(dword)
 
     def all_simplices(self, k: int) -> tuple[Simplex, ...]:
         """Every simplex of dimension ``k``, degenerate ones included."""
@@ -300,12 +296,6 @@ class FiniteSSet:
     def __repr__(self) -> str:
         bp = f", basepoint={self.basepoint!r}" if self.basepoint else ""
         return f"FiniteSSet(counts={self.counts()}{bp})"
-
-
-def _sigma(n: int, i: int) -> MonotoneMap:
-    from .delta import degeneracy_map
-
-    return degeneracy_map(n, i)
 
 
 # -- standard constructions ------------------------------------------------
@@ -474,10 +464,7 @@ class SSetMap:
                 raise ValidationError("map does not preserve the basepoint")
 
     def apply(self, sx: Simplex) -> Simplex:
-        img = self.images[sx.base]
-        if not sx.degeneracies:
-            return img
-        return _push_epi(img, epi_of_word(sx.degeneracies, sx.dim))
+        return self.images[sx.base].degenerate(sx.degeneracies)
 
     def __call__(self, sx: Simplex) -> Simplex:
         return self.apply(sx)

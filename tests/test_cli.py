@@ -223,6 +223,23 @@ def test_malformed_records_exit_two(tmp_path, capsys, command, record):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "word, message",
+    [([-1], "degeneracy word (-1,) has a negative index"),
+     ([True], "degeneracy word must be a list of integers")],
+    ids=["negative", "bool"],
+)
+def test_malformed_degeneracy_word_exits_two(tmp_path, capsys, word, message):
+    record = {
+        "cells": [["v"], [], ["t"]],
+        "faces": {"t": [[[0], "v"], [[0], "v"], [word, "v"]]},
+    }
+    f = tmp_path / "record.json"
+    f.write_text(json.dumps(record))
+    assert cli.main(["homology", str(f)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_manifest_cannot_run_a_manifest(tmp_path, capsys):
     f = tmp_path / "manifest.json"
     f.write_text(json.dumps({"tasks": [["homology", "circle"], ["run", str(f)]]}))

@@ -1,5 +1,7 @@
-"""Monotone map algebra: composition, factorization, enumeration."""
+"""Monotone map algebra: composition, factorization, enumeration, and the
+normal forms of degeneracy words."""
 
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -8,10 +10,12 @@ from hypothesis import given, strategies as st
 from ssetkit.delta import (
     MonotoneMap,
     compose_monotone,
+    compose_words,
     degeneracy_map,
     epi_mono_factor,
     epi_of_word,
     face_map,
+    face_of_word,
     factor_maps,
     identity,
     injective_maps,
@@ -115,3 +119,57 @@ def test_face_degeneracy_are_sections():
         for i in range(n + 1):
             assert compose_monotone(degeneracy_map(n, i), face_map(n + 1, i)) == identity(n)
             assert compose_monotone(degeneracy_map(n, i), face_map(n + 1, i + 1)) == identity(n)
+
+
+def _words(n):
+    """Every strictly decreasing degeneracy word on n-simplices."""
+    return [
+        tuple(reversed(c)) for r in range(n + 1) for c in combinations(range(n), r)
+    ]
+
+
+def test_face_of_word_matches_monotone_factorization():
+    for n in range(1, 8):
+        for word in _words(n):
+            collapse = epi_of_word(word, n)
+            for i in range(n + 1):
+                dword, fword = epi_mono_factor(
+                    compose_monotone(collapse, face_map(n, i))
+                )
+                assert face_of_word(word, n, i) == (dword, fword[0] if fword else None)
+
+
+def test_degeneracy_of_word_matches_monotone_composite():
+    for n in range(8):
+        for word in _words(n):
+            collapse = epi_of_word(word, n)
+            for i in range(n + 1):
+                eta = compose_monotone(collapse, degeneracy_map(n, i))
+                assert compose_words(word, (i,), n + 1) == word_of_epi(eta)
+
+
+def test_compose_words_matches_monotone_composite():
+    for n in range(7):
+        for outer in _words(n):
+            mid = n - len(outer)
+            for inner in _words(mid):
+                eta = compose_monotone(epi_of_word(inner, mid), epi_of_word(outer, n))
+                assert compose_words(inner, outer, n) == word_of_epi(eta)
+
+
+@pytest.mark.parametrize(
+    "word, n, i",
+    [((0,), 1, 2), ((0,), 1, -1), ((0, 1), 2, 0), ((2,), 2, 0), ((-1,), 2, 0)],
+)
+def test_face_of_word_rejects_bad_input(word, n, i):
+    with pytest.raises(ValidationError):
+        face_of_word(word, n, i)
+
+
+@pytest.mark.parametrize(
+    "inner, outer, n",
+    [((), (1,), 1), ((0,), (0,), 1), ((), (0, 1), 2), ((1,), (0,), 2)],
+)
+def test_compose_words_rejects_bad_input(inner, outer, n):
+    with pytest.raises(ValidationError):
+        compose_words(inner, outer, n)

@@ -6,9 +6,10 @@ import pytest
 
 from conftest import all_posets, circle, two_sphere
 from ssetkit.build import _extract, product, sset_pullback
-from ssetkit.delta import MonotoneMap, monotone_maps
+from ssetkit.delta import MonotoneMap, epi_of_word, monotone_maps
 from ssetkit.errors import EnumerationLimit, ValidationError
 from ssetkit.function_complex import (
+    _FiberSystem,
     _HomSystem,
     enumerate_maps,
     internal_hom_truncated,
@@ -31,7 +32,6 @@ from ssetkit.sset import (
     boundary,
     horn,
     standard_simplex,
-    _push_epi,
 )
 
 
@@ -48,7 +48,7 @@ def _scan_maps(X, Y):
 
     def image(sx):
         img = images[sx.base]
-        return _push_epi(img, sx.collapse()) if sx.degeneracies else img
+        return Y.act(img, epi_of_word(sx.degeneracies, sx.dim))
 
     def backtrack(idx):
         if idx == len(slots):
@@ -106,6 +106,18 @@ def _pullback_mapping_space(C, x, y, d):
         {"0": ends.pair_simplex(constant_vertex(x), constant_vertex(y))},
     )
     return sset_pullback(both, corner).space
+
+
+class _FilteredFiberSystem(_FiberSystem):
+    """Reference fiber: every map of the prism, then only those constant at
+    the two ends."""
+
+    def elements(self, k):
+        ends = self.end_images(k)
+        return [
+            h for h in _HomSystem.elements(self, k)
+            if all(h.images[name] == img for name, img in ends.items())
+        ]
 
 
 def test_enumeration_counts():
@@ -236,8 +248,36 @@ def test_enumeration_budget_counts_matching_candidates_only():
     ids=["interval", "simplex3", "boundary3", "s2", "circle", "square"],
 )
 def test_mapping_space_matches_pullback_fiber(space, x, y, d):
-    M = mapping_space(space, x, y, d)
-    assert sset_to_record(M) == sset_to_record(_pullback_mapping_space(space, x, y, d))
+    M = sset_to_record(mapping_space(space, x, y, d))
+    assert M == sset_to_record(_pullback_mapping_space(space, x, y, d))
+    filtered = _extract(_FilteredFiberSystem(space, x, y, None), d, prefix="f")
+    assert M == sset_to_record(filtered.space)
+
+
+def test_fixed_images_are_extended_and_cost_no_candidates():
+    d1 = standard_simplex(1)
+    pinned = {"0": Simplex((), "1", 0)}
+    got = enumerate_maps(d1, d1, fixed=pinned)
+    assert [f.images for f in got] == [
+        f.images for f in enumerate_maps(d1, d1) if f.images["0"] == pinned["0"]
+    ]
+    # two images of the free vertex and one edge over 1 -> 1 are tried,
+    # where the search without the pin tries 9
+    assert len(enumerate_maps(d1, d1, max_candidates=3, fixed=pinned)) == 1
+    with pytest.raises(EnumerationLimit):
+        enumerate_maps(d1, d1, max_candidates=2, fixed=pinned)
+
+
+def test_fixed_images_must_form_a_map_on_a_subcomplex():
+    d1 = standard_simplex(1)
+    with pytest.raises(ValidationError):
+        enumerate_maps(d1, d1, fixed={"01": Simplex((), "01", 1)})
+    with pytest.raises(ValidationError):
+        enumerate_maps(
+            d1, d1,
+            fixed={"0": Simplex((), "1", 0), "1": Simplex((), "0", 0),
+                   "01": Simplex((), "01", 1)},
+        )
 
 
 def test_mapping_space_of_two_sphere_counts():

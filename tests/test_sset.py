@@ -2,9 +2,11 @@
 
 import pytest
 
-from conftest import check_simplicial_identities
+from conftest import check_simplicial_identities, circle
+from ssetkit.build import product
 from ssetkit.delta import MonotoneMap
 from ssetkit.errors import ValidationError
+from ssetkit.excision import reduced_suspension
 from ssetkit.sset import (
     FiniteSSet,
     Simplex,
@@ -84,6 +86,42 @@ def test_degenerate_face_recovers_base():
     assert X.face(s0e, 0) == e
     assert X.face(s0e, 1) == e
     assert X.face(s0e, 2) == Simplex((0,), "0", 1)
+
+
+@pytest.mark.parametrize(
+    "sx", [Simplex((), "012", 2), Simplex((0,), "01", 2)], ids=["nondeg", "degenerate"]
+)
+@pytest.mark.parametrize("i", [-1, 3])
+def test_face_index_outside_range_is_rejected(sx, i):
+    with pytest.raises(ValidationError, match=f"face index {i} outside"):
+        standard_simplex(2).face(sx, i)
+
+
+def test_simplex_rejects_negative_degeneracy_index():
+    with pytest.raises(ValidationError, match=r"degeneracy word \(-1,\)"):
+        Simplex((-1,), "v", 1)
+    with pytest.raises(ValidationError, match=r"degeneracy word \(1, -1\)"):
+        Simplex((1, -1), "v", 2)
+
+
+def test_operator_action_builds_no_monotone_maps(monkeypatch):
+    # Faces, degeneracies and map application work on degeneracy words:
+    # building a product or an iterated suspension needs no monotone map.
+    built = []
+    check = MonotoneMap.__post_init__
+
+    def counting_check(f):
+        built.append(f)
+        check(f)
+
+    monkeypatch.setattr(MonotoneMap, "__post_init__", counting_check)
+    MonotoneMap(0, 0, (0,))
+    assert len(built) == 1  # the patched check sees every construction
+    built.clear()
+    product(standard_simplex(3), standard_simplex(3))
+    assert built == []
+    reduced_suspension(reduced_suspension(circle()))
+    assert built == []
 
 
 def test_validation_rejects_broken_faces():
