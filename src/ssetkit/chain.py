@@ -1,7 +1,8 @@
 """Bounded complexes of finitely generated free abelian groups.
 
 A ``ChainComplex`` stores a support window ``[low, high]``, one rank per
-degree and one boundary matrix per internal degree; composites of
+degree and one boundary per internal degree, an ``IntMat`` holding one
+column of nonzeros per basis element of its source degree; composites of
 consecutive boundaries must vanish, which every construction checks.
 Homology is read off the ranks and the invariant factors of the boundaries,
 entirely over the integers; cycle bases and relation matrices are built
@@ -263,11 +264,8 @@ def boundary_operator_norm(c: ChainComplex, n: int) -> float:
     Equals the maximal column sum of absolute values; in particular it is
     finite, witnessing boundedness of the boundary operator.
     """
-    b = c.boundary(n)
-    if b.cols == 0:
-        return 0.0
     return float(max(
-        sum(abs(b.entries[i][j]) for i in range(b.rows)) for j in range(b.cols)
+        (sum(map(abs, col.values())) for col in c.boundary(n).columns), default=0
     ))
 
 

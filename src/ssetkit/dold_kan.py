@@ -173,29 +173,21 @@ def _operator(
     alpha: MonotoneMap,
 ) -> IntMat:
     """Matrix of the contravariant action of ``alpha`` on the summands."""
-    dst_index: dict[tuple, int] = {}
-    col_offsets = []
-    total_cols = 0
-    for eta, k in src:
-        col_offsets.append(total_cols)
-        total_cols += c.rank(k)
     row_offsets = {}
     total_rows = 0
     for eta, k in dst:
         row_offsets[(eta.values, k)] = total_rows
         total_rows += c.rank(k)
-    entries = [[0] * total_cols for _ in range(total_rows)]
-    for s, (eta, k) in enumerate(src):
+    columns = []
+    for eta, k in src:
         epi, mono = factor_maps(compose_monotone(eta, alpha))
         block = _mono_component(c, mono)
-        if block is None or (epi.values, epi.cod) not in row_offsets:
-            continue
-        r0 = row_offsets[(epi.values, epi.cod)]
-        c0 = col_offsets[s]
-        for i in range(block.rows):
-            for j in range(block.cols):
-                entries[r0 + i][c0 + j] = block.entries[i][j]
-    return IntMat(total_rows, total_cols, tuple(tuple(r) for r in entries))
+        r0 = row_offsets.get((epi.values, epi.cod))
+        if block is None or r0 is None:
+            columns.extend({} for _ in range(c.rank(k)))
+        else:
+            columns.extend({i + r0: x for i, x in col.items()} for col in block.columns)
+    return IntMat.of_columns(total_rows, columns)
 
 
 def dold_kan_K(c: ChainComplex, cap: int) -> SimplicialAbelianGroup:

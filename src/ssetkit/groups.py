@@ -109,6 +109,8 @@ def exact_at(
     # Kernel of (middle -> target): x with right @ x in the relation span.
     stacked = right.hstack(target.relations.scale(-1))
     ker = kernel_basis(stacked)
-    ker_x = IntMat(middle.gens, ker.cols, tuple(ker.entries[: middle.gens]))
+    ker_x = IntMat.of_columns(middle.gens, (
+        {i: x for i, x in col.items() if i < middle.gens} for col in ker.columns
+    ))
     span = left.hstack(middle.relations)
     return solve(span, ker_x) is not None

@@ -1,13 +1,14 @@
 """Exact linear algebra over the integers.
 
-Matrices are immutable tuples of row tuples holding Python ints, so pivots
-can grow without overflow.  Homology and presented-group normal forms need
-only a rank and the invariant factors: ``rank_and_torsion`` eliminates by
-unit pivots on a sparse column form and runs the dense Smith normal form on
-the non-unit remainder alone.  Products skip zero entries, so the d∘d and
-chain-map-law checks cost little on sparse boundaries.  Where generators
-are needed (Mayer-Vietoris, exactness) saturated kernel bases and integer
-linear solves come from the Smith normal form with its transforms.
+An ``IntMat`` stores its nonzeros by column: ``columns[j]`` is a
+``{row: value}`` dict of the nonzero entries of column j, each a Python int,
+so pivots can grow without overflow.  Chain builders write one column per
+simplex, products combine columns, and homology and presented-group normal
+forms need only a rank and the invariant factors: ``rank_and_torsion``
+eliminates by unit pivots on the stored columns and runs the dense Smith
+normal form on the non-unit remainder alone.  Where generators are needed
+(Mayer-Vietoris, exactness) saturated kernel bases and integer linear
+solves come from the Smith normal form with its transforms.
 """
 
 from __future__ import annotations
@@ -24,139 +25,147 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+def _shifted(col: dict[int, int], r: int) -> dict[int, int]:
+    return {i + r: x for i, x in col.items()}
+
+
+@dataclass(frozen=True, init=False)
 class IntMat:
+    """An integer matrix as one dict of nonzeros per column.
+
+    No stored value is 0, so ``==`` and ``hash`` are structural; no column
+    is mutated after construction, so matrices may share columns.
+    """
+
     rows: int
     cols: int
-    entries: tuple[tuple[int, ...], ...]
+    columns: tuple[dict[int, int], ...]
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries) -> None:
+        """The dense, validating constructor: ``rows`` rows of ``cols`` ints."""
+        if rows < 0 or cols < 0:
             raise ValidationError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows:
+        if len(entries) != rows:
             raise ValidationError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.cols:
+        columns = tuple({} for _ in range(cols))
+        for i, row in enumerate(entries):
+            if len(row) != cols:
                 raise ValidationError("column count mismatch")
+            for col, x in zip(columns, row):
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise ValidationError(f"matrix entries must be integers, not {x!r}")
+                if x:
+                    col[i] = x
+        self._set(rows, columns)
+
+    def _set(self, rows: int, columns: tuple[dict[int, int], ...]) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", len(columns))
+        object.__setattr__(self, "columns", columns)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, tuple(frozenset(c.items()) for c in self.columns)))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def of_columns(cls, rows: int, columns) -> "IntMat":
+        """Trusted constructor: one ``{row: value}`` dict per column, every
+        row in ``range(rows)`` and no value 0.  Nothing is checked."""
+        m = object.__new__(cls)
+        m._set(rows, tuple(columns))
+        return m
+
+    @classmethod
     def from_rows(cls, rows) -> "IntMat":
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
-        n = len(rows)
-        m = len(rows[0]) if rows else 0
-        return cls(n, m, rows)
+        rows = [tuple(row) for row in rows]
+        return cls(len(rows), len(rows[0]) if rows else 0, rows)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMat":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
+        return cls.of_columns(rows, ({} for _ in range(cols)))
 
     @classmethod
     def identity(cls, n: int) -> "IntMat":
-        return cls(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        return cls.of_columns(n, ({j: 1} for j in range(n)))
 
     @classmethod
     def column(cls, values) -> "IntMat":
-        values = tuple(int(v) for v in values)
+        values = tuple(values)
         return cls(len(values), 1, tuple((v,) for v in values))
-
-    @classmethod
-    def from_columns(cls, columns, rows: int | None = None) -> "IntMat":
-        columns = [tuple(int(v) for v in c) for c in columns]
-        if rows is None:
-            if not columns:
-                raise ValidationError("row count needed for an empty column list")
-            rows = len(columns[0])
-        for c in columns:
-            if len(c) != rows:
-                raise ValidationError("column length mismatch")
-        return cls(rows, len(columns), tuple(
-            tuple(c[i] for c in columns) for i in range(rows)
-        ))
 
     # -- access ------------------------------------------------------------
 
     def __getitem__(self, pos: tuple[int, int]) -> int:
-        return self.entries[pos[0]][pos[1]]
+        i, j = pos
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry {pos} outside a {self.rows}x{self.cols} matrix")
+        return self.columns[j].get(i, 0)
 
-    def col(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The dense rows, built on each call."""
+        return tuple(map(tuple, self.to_lists()))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(self.columns)
 
     def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
+        out = [[0] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, x in col.items():
+                out[i][j] = x
+        return out
 
     # -- arithmetic --------------------------------------------------------
 
     def __matmul__(self, other: "IntMat") -> "IntMat":
         """Product with one multiply-add per pair of nonzeros that meet.
 
-        Boundaries and chain-map blocks are sparse, so past one scan of the
-        entries a product of them costs little.
+        Column j of the product combines the columns of ``self`` that the
+        nonzeros of column j of ``other`` pick out.
         """
         if self.cols != other.rows:
             raise ValidationError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        nonzeros = [[(j, y) for j, y in enumerate(row) if y] for row in other.entries]
+        left = self.columns
         out = []
-        for row in self.entries:
-            acc = [0] * other.cols
-            for k, x in enumerate(row):
-                if x:
-                    for j, y in nonzeros[k]:
-                        acc[j] += x * y
-            out.append(tuple(acc))
-        return IntMat(self.rows, other.cols, tuple(out))
-
-    def __add__(self, other: "IntMat") -> "IntMat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValidationError("shape mismatch")
-        return IntMat(self.rows, self.cols, tuple(
-            tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.entries, other.entries)
-        ))
-
-    def __sub__(self, other: "IntMat") -> "IntMat":
-        return self + (-other)
-
-    def __neg__(self) -> "IntMat":
-        return self.scale(-1)
+        for col in other.columns:
+            acc: dict[int, int] = {}
+            for k, y in col.items():
+                for i, x in left[k].items():
+                    acc[i] = acc.get(i, 0) + x * y
+            out.append({i: v for i, v in acc.items() if v})
+        return IntMat.of_columns(self.rows, out)
 
     def scale(self, c: int) -> "IntMat":
-        return IntMat(self.rows, self.cols, tuple(
-            tuple(c * x for x in row) for row in self.entries
-        ))
+        if not c:
+            return IntMat.zero(self.rows, self.cols)
+        return IntMat.of_columns(
+            self.rows, ({i: c * x for i, x in col.items()} for col in self.columns)
+        )
 
     def hstack(self, other: "IntMat") -> "IntMat":
         if self.rows != other.rows:
             raise ValidationError("row mismatch in hstack")
-        return IntMat(self.rows, self.cols + other.cols, tuple(
-            r1 + r2 for r1, r2 in zip(self.entries, other.entries)
-        ))
+        return IntMat.of_columns(self.rows, self.columns + other.columns)
 
     def vstack(self, other: "IntMat") -> "IntMat":
         if self.cols != other.cols:
             raise ValidationError("column mismatch in vstack")
-        return IntMat(self.rows + other.rows, self.cols, self.entries + other.entries)
+        return IntMat.of_columns(self.rows + other.rows, (
+            {**a, **_shifted(b, self.rows)} for a, b in zip(self.columns, other.columns)
+        ))
 
     @classmethod
     def block_diag(cls, blocks) -> "IntMat":
-        blocks = list(blocks)
-        rows = sum(b.rows for b in blocks)
-        cols = sum(b.cols for b in blocks)
-        out = [[0] * cols for _ in range(rows)]
-        r0 = c0 = 0
+        columns = []
+        r0 = 0
         for b in blocks:
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    out[r0 + i][c0 + j] = b.entries[i][j]
+            columns.extend(_shifted(col, r0) for col in b.columns)
             r0 += b.rows
-            c0 += b.cols
-        return cls.from_rows(out) if rows else cls(0, cols, ())
+        return cls.of_columns(r0, columns)
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and rank_and_torsion(self) == (self.rows, ())
@@ -173,7 +182,7 @@ class SmithDecomposition:
     @property
     def diagonal(self) -> tuple[int, ...]:
         k = min(self.D.rows, self.D.cols)
-        return tuple(self.D.entries[i][i] for i in range(k))
+        return tuple(self.D[i, i] for i in range(k))
 
     @property
     def nonzero_diagonal(self) -> tuple[int, ...]:
@@ -294,9 +303,7 @@ def smith_normal_form(M: IntMat) -> SmithDecomposition:
         else:
             i += 1
 
-    return SmithDecomposition(IntMat.from_rows(u) if n else IntMat(0, 0, ()),
-                              IntMat.from_rows(a) if n else IntMat(0, m, ()),
-                              IntMat.from_rows(v) if m else IntMat(0, 0, ()))
+    return SmithDecomposition(IntMat(n, n, u), IntMat(n, m, a), IntMat(m, m, v))
 
 
 # -- sparse elimination ----------------------------------------------------
@@ -335,10 +342,8 @@ def rank_and_torsion(M: IntMat) -> tuple[int, tuple[int, ...]]:
     pivots: list[tuple[int, dict[int, int]]] = []
     pivot_of_row: dict[int, int] = {}
     rest = []
-    # The columns as {row: value} dicts of their nonzeros; a matrix with no
-    # rows has only zero columns, which add nothing.
-    for entries in zip(*M.entries):
-        col = {i: x for i, x in enumerate(entries) if x}
+    for stored in M.columns:
+        col = dict(stored)  # cleared in place below
         _clear(col, pivots, pivot_of_row)
         r = next((i for i, x in col.items() if x == 1 or x == -1), None)
         if r is not None:
@@ -351,9 +356,9 @@ def rank_and_torsion(M: IntMat) -> tuple[int, tuple[int, ...]]:
     rest = [col for col in rest if col]
     if not rest:
         return len(pivots), ()
-    rows = sorted(set().union(*rest))
-    diag = smith_normal_form(IntMat(len(rows), len(rest), tuple(
-        tuple(col.get(i, 0) for col in rest) for i in rows
+    index = {r: k for k, r in enumerate(sorted(set().union(*rest)))}
+    diag = smith_normal_form(IntMat.of_columns(len(index), (
+        {index[i]: x for i, x in col.items()} for col in rest
     ))).nonzero_diagonal
     return len(pivots) + len(diag), tuple(d for d in diag if d > 1)
 
@@ -366,9 +371,9 @@ def kernel_basis(M: IntMat) -> IntMat:
     """
     snf = smith_normal_form(M)
     diag = snf.diagonal
-    free = [j for j in range(M.cols) if j >= len(diag) or diag[j] == 0]
-    cols = [snf.V.col(j) for j in free]
-    return IntMat.from_columns(cols, rows=M.cols)
+    return IntMat.of_columns(M.cols, (
+        snf.V.columns[j] for j in range(M.cols) if j >= len(diag) or diag[j] == 0
+    ))
 
 
 def solve(M: IntMat, B: IntMat) -> IntMat | None:
@@ -379,24 +384,15 @@ def solve(M: IntMat, B: IntMat) -> IntMat | None:
     if B.rows != M.rows:
         raise ValidationError("shape mismatch in solve")
     snf = smith_normal_form(M)
-    c = snf.U @ B
     diag = snf.diagonal
     ys = []
-    for col in range(B.cols):
-        y = [0] * M.cols
-        for i in range(M.rows):
-            rhs = c.entries[i][col]
+    for col in (snf.U @ B).columns:
+        # Row i of U @ M @ V is diag[i] in column i, or zero past the diagonal.
+        y = {}
+        for i, rhs in col.items():
             d = diag[i] if i < len(diag) else 0
-            if d == 0:
-                if rhs != 0:
-                    return None
-            else:
-                if rhs % d != 0:
-                    return None
-                if i < M.cols:
-                    y[i] = rhs // d
+            if d == 0 or rhs % d:
+                return None
+            y[i] = rhs // d
         ys.append(y)
-    if not ys:
-        return IntMat.zero(M.cols, 0)
-    X = snf.V @ IntMat.from_columns(ys, rows=M.cols)
-    return X
+    return snf.V @ IntMat.of_columns(M.cols, ys)

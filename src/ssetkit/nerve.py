@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .delta import MonotoneMap, word_of_epi
 from .errors import EnumerationLimit, ValidationError
 from .sset import FiniteSSet, Simplex
 
@@ -164,14 +163,11 @@ def _chain_end(C: FiniteCategory, start: str, arrows: tuple[str, ...]) -> str:
 
 
 def _chain_simplex(C: FiniteCategory, start: str, arrows: tuple[str, ...]) -> Simplex:
-    n = len(arrows)
+    """The chain with its identity arrows dropped, degenerated at their
+    positions (a strictly decreasing word)."""
     ids = [j for j, m in enumerate(arrows) if C.is_identity(m)]
-    if not ids:
-        return Simplex((), _chain_name(C, start, arrows), n)
     core = tuple(m for m in arrows if not C.is_identity(m))
-    values = tuple(v - sum(1 for j in ids if j < v) for v in range(n + 1))
-    eta = MonotoneMap(n, n - len(ids), values)
-    return Simplex(word_of_epi(eta), _chain_name(C, start, core), n)
+    return Simplex(tuple(reversed(ids)), _chain_name(C, start, core), len(arrows))
 
 
 def _chain_face(C: FiniteCategory, start: str, arrows: tuple[str, ...], i: int):

@@ -162,7 +162,7 @@ def chain_from_record(data) -> ChainComplex:
             m = IntMat.zero(ranks[n - 1 - low], ranks[n - low])
         else:
             if not isinstance(rows, list) or not all(
-                isinstance(row, list) and all(isinstance(x, int) for x in row)
+                isinstance(row, list) and all(type(x) is int for x in row)
                 for row in rows
             ):
                 raise ValidationError(f"boundary {n} must be a list of integer rows")

@@ -33,21 +33,18 @@ def chain_basis(X: FiniteSSet, n: int, reduced: bool = False) -> tuple[str, ...]
 
 
 def _boundary_matrix(X: FiniteSSet, n: int, reduced: bool) -> IntMat:
-    rows = chain_basis(X, n - 1, reduced)
-    cols = chain_basis(X, n, reduced)
-    index = {name: i for i, name in enumerate(rows)}
-    entries = [[0] * len(cols) for _ in rows]
-    for j, name in enumerate(cols):
-        sx = Simplex((), name, n)
-        for i in range(n + 1):
-            face = X.face(sx, i)
-            if face.is_degenerate:
-                continue
-            row = index.get(face.base)
-            if row is None:  # the basepoint generator in the reduced case
-                continue
-            entries[row][j] += -1 if i % 2 else 1
-    return IntMat.from_rows(entries) if rows else IntMat(0, len(cols), ())
+    """One column per n-simplex: the alternating sum of its nondegenerate
+    faces (the basepoint generator drops out in the reduced case)."""
+    index = {name: i for i, name in enumerate(chain_basis(X, n - 1, reduced))}
+    columns = []
+    for name in chain_basis(X, n, reduced):
+        col: dict[int, int] = {}
+        for i, face in enumerate(X.faces[name]):
+            row = None if face.is_degenerate else index.get(face.base)
+            if row is not None:
+                col[row] = col.get(row, 0) + (-1 if i % 2 else 1)
+        columns.append({r: x for r, x in col.items() if x})
+    return IntMat.of_columns(len(index), columns)
 
 
 def _chains(X: FiniteSSet, reduced: bool) -> ChainComplex:
@@ -72,21 +69,13 @@ def reduced_normalized_chains(X: FiniteSSet) -> ChainComplex:
 def _map_blocks(f: SSetMap, reduced: bool) -> dict[int, IntMat]:
     blocks = {}
     for n in range(f.source.top_dim + 1):
-        rows = chain_basis(f.target, n, reduced)
-        cols = chain_basis(f.source, n, reduced)
-        index = {name: i for i, name in enumerate(rows)}
-        entries = [[0] * len(cols) for _ in rows]
-        for j, name in enumerate(cols):
+        index = {name: i for i, name in enumerate(chain_basis(f.target, n, reduced))}
+        columns = []
+        for name in chain_basis(f.source, n, reduced):
             img = f.images[name]
-            if img.is_degenerate:
-                continue
-            row = index.get(img.base)
-            if row is None:
-                continue
-            entries[row][j] = 1
-        blocks[n] = (
-            IntMat.from_rows(entries) if rows else IntMat(0, len(cols), ())
-        )
+            row = None if img.is_degenerate else index.get(img.base)
+            columns.append({} if row is None else {row: 1})
+        blocks[n] = IntMat.of_columns(len(index), columns)
     return blocks
 
 

@@ -32,7 +32,6 @@ from .chain import (
     zero_complex,
     zero_map,
 )
-from .delta import MonotoneMap, word_of_epi
 from .errors import ValidationError
 from .excision import SuspensionData, reduced_suspension_data
 from .intmat import IntMat
@@ -115,9 +114,9 @@ def check_reduced(F: StageEvaluator, N: int) -> ReducednessCertificate:
 
 
 def _staircase(i: int, k: int) -> Simplex:
-    """The (k+1)-simplex of the interval sending 0..i to 0 and the rest to 1."""
-    values = (0,) * (i + 1) + (1,) * (k + 1 - i)
-    return Simplex(word_of_epi(MonotoneMap(k + 1, 1, values)), "01", k + 1)
+    """The (k+1)-simplex of the interval sending 0..i to 0 and the rest to 1:
+    the edge degenerated at every index but i."""
+    return Simplex(tuple(j for j in range(k, -1, -1) if j != i), "01", k + 1)
 
 
 class _ReducedChainsStages:
@@ -156,19 +155,20 @@ class _ReducedChainsStages:
         sd = self._suspension(Y)
         blocks: dict[int, IntMat] = {}
         for k in range(source.low + n, source.high + n + 1):
-            basis = chain_basis(Y, k, reduced=True)
             out_basis = chain_basis(sd.space, k + 1, reduced=True)
             index = {name: r for r, name in enumerate(out_basis)}
-            m = [[0] * len(basis) for _ in range(len(out_basis))]
-            for col, name in enumerate(basis):
+            columns = []
+            for name in chain_basis(Y, k, reduced=True):
+                col: dict[int, int] = {}
                 for i in range(k + 1):
                     lift = Simplex((i,), name, k + 1)
                     img = sd.pair_class(lift, _staircase(i, k))
                     if img.is_degenerate or img.base not in index:
                         continue
-                    sign = -1 if (k + i) % 2 else 1
-                    m[index[img.base]][col] += sign
-            blocks[k - n] = IntMat(len(out_basis), len(basis), tuple(tuple(r) for r in m))
+                    row = index[img.base]
+                    col[row] = col.get(row, 0) + (-1 if (k + i) % 2 else 1)
+                columns.append({r: x for r, x in col.items() if x})
+            blocks[k - n] = IntMat.of_columns(len(out_basis), columns)
         return chain_map_from_blocks(source, target, blocks)
 
 

@@ -103,6 +103,13 @@ def test_malformed_chain_records():
             chain_from_record(record)
 
 
+def test_chain_record_rejects_bool_entries():
+    # JSON true would otherwise pass as the integer 1.
+    with pytest.raises(ValidationError, match="integer rows"):
+        chain_from_record({"low": 0, "high": 1, "ranks": [1, 1],
+                           "boundaries": {"1": [[True]]}})
+
+
 def test_malformed_map_record():
     d1 = standard_simplex(1)
     with pytest.raises(ValidationError):

@@ -7,6 +7,8 @@ from ssetkit.build import product
 from ssetkit.delta import MonotoneMap
 from ssetkit.errors import ValidationError
 from ssetkit.excision import reduced_suspension
+from ssetkit.nerve import nerve_preorder
+from ssetkit.serialize import preorder_from_record
 from ssetkit.sset import (
     FiniteSSet,
     Simplex,
@@ -24,6 +26,7 @@ from ssetkit.sset import (
     subset_intersection,
     subset_union,
 )
+from ssetkit.tower import reduced_chains_evaluator, tower
 
 
 def test_standard_simplex_counts():
@@ -121,6 +124,14 @@ def test_operator_action_builds_no_monotone_maps(monkeypatch):
     product(standard_simplex(3), standard_simplex(3))
     assert built == []
     reduced_suspension(reduced_suspension(circle()))
+    assert built == []
+    # Neither do the tower's comparison maps nor the degenerate chains of a
+    # nerve (here the identities of a preorder with a <= b <= a).
+    tower(reduced_chains_evaluator(), circle(), 1)
+    assert built == []
+    nerve_preorder(preorder_from_record({
+        "elements": ["a", "b"], "pairs": [["a", "b"], ["b", "a"]],
+    }), 3)
     assert built == []
 
 
