@@ -1,11 +1,17 @@
 """Exhaustive map enumeration and truncated function complexes.
 
-Enumeration backtracks over nondegenerate simplices in ascending dimension.
-The candidate images of each dimension are indexed by their tuple of faces,
-so a slot reads in one lookup exactly the candidates whose faces agree with
-the images already assigned: every emitted assignment is a simplicial map by
-construction.  A global budget on the candidates tried guards against
-combinatorial blowups.
+Enumeration backtracks over the nondegenerate simplices in a face-closed
+eager order: the free vertices in name order, and every other simplex as
+soon as the last of its faces is assigned, so a vertex pair without an edge
+between its images is dropped before the next vertex fans out.  The
+candidate images of each dimension are indexed by their tuple of faces, so
+a slot reads in one lookup exactly the candidates whose faces agree with
+the images already assigned: every found assignment is a simplicial map by
+construction.  The maps are returned in the order of the plain search in
+ascending dimension, then name, which the eager search only reorders.  A
+global budget on the candidates tried guards against combinatorial blowups;
+it counts the candidates of the eager search, which tries fewer than the
+plain one.
 
 Function complexes are genuine simplicial sets of maps: a k-simplex of
 hom(X, Y) is a map X x Delta^k -> Y.  They can be nonempty in every
@@ -16,6 +22,8 @@ ends and extends them.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from .build import _extract, _point_simplex, product
 from .delta import MonotoneMap, degeneracy_map, face_map, factor_maps, word_of_epi
@@ -50,16 +58,21 @@ def enumerate_maps(
     """All simplicial maps ``X -> Y``, duplicate-free.
 
     Basepoints are ignored; filter afterwards if pointed maps are wanted.
-    The budget counts the candidate images tried, and a slot tries only the
-    candidates whose faces already match the images assigned before it.
-    ``fixed`` gives the images of the nondegenerate simplices of a subcomplex
-    of ``X`` under a map to ``Y``: only the maps extending it are listed, and
-    its simplices are assigned before the search, so they try no candidate.
+    The maps come in the order of a search over the nondegenerate simplices
+    in ascending dimension, then name, each trying its images in the order
+    of ``Y.all_simplices``; the search itself runs in the face-closed eager
+    order of :func:`_eager_order`.  The budget counts the candidate images
+    tried, and a slot tries only the candidates whose faces already match
+    the images assigned before it.  ``fixed`` gives the images of the
+    nondegenerate simplices of a subcomplex of ``X`` under a map to ``Y``:
+    only the maps extending it are listed, and its simplices are assigned
+    before the search, so they try no candidate.
     """
     guard = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
     fixed = fixed or {}
     if fixed:
         SSetMap(subcomplex(X, fixed), Y, fixed)  # raises unless a map
+    # Slots in the output order; the search visits them in eager order.
     slots = [
         (k, name)
         for k in range(X.top_dim + 1)
@@ -68,20 +81,22 @@ def enumerate_maps(
     ]
     # Faces of each generator, split into base name plus degeneracy word,
     # and the candidate images per dimension keyed by their face tuples,
-    # vertices under (): neither changes during the search, so compute
-    # them once.
+    # vertices under (), each with its position in ``Y.all_simplices``:
+    # none of these changes during the search, so compute them once.
     slot_faces: list[list[tuple[str, tuple[int, ...]]]] = []
     for k, name in slots:
         faces = [X.face(X.simplex(name), i) for i in range(k + 1)] if k else []
         slot_faces.append([(f.base, f.degeneracies) for f in faces])
-    cands: dict[int, dict[tuple[Simplex, ...], list[Simplex]]] = {}
+    cands: dict[int, dict[tuple[Simplex, ...], list[tuple[int, Simplex]]]] = {}
     for k in sorted({k for k, _ in slots}):
         by_faces = cands[k] = {}
-        for c in Y.all_simplices(k):
+        for pos, c in enumerate(Y.all_simplices(k)):
             key = tuple(Y.face(c, i) for i in range(k + 1)) if k else ()
-            by_faces.setdefault(key, []).append(c)
-    results: list[SSetMap] = []
+            by_faces.setdefault(key, []).append((pos, c))
+    order = _eager_order(slots, slot_faces)
+    found: list[tuple[tuple[int, ...], dict[str, Simplex]]] = []
     images: dict[str, Simplex] = dict(fixed)
+    positions = [0] * len(slots)
     pushed: dict[tuple[Simplex, tuple[int, ...]], Simplex] = {}
     tried = 0
 
@@ -94,25 +109,64 @@ def enumerate_maps(
             got = pushed[(img, word)] = img.degenerate(word)
         return got
 
-    def backtrack(idx: int):
+    def backtrack(step: int):
         nonlocal tried
-        if idx == len(slots):
-            results.append(SSetMap(X, Y, dict(images), check=False))
+        if step == len(order):
+            found.append((tuple(positions), dict(images)))
             return
+        idx = order[step]
         k, name = slots[idx]
         want = tuple(partial_apply(base, word) for base, word in slot_faces[idx])
-        for cand in cands[k].get(want, ()):
+        for pos, cand in cands[k].get(want, ()):
             tried += 1
             if tried > guard:
                 raise EnumerationLimit(
                     f"map search exceeded {guard} candidate assignments"
                 )
             images[name] = cand
-            backtrack(idx + 1)
+            positions[idx] = pos
+            backtrack(step + 1)
             del images[name]
 
     backtrack(0)
-    return results
+    # Two maps first differ at a slot whose earlier images agree, so both
+    # images there come from one face bucket, in all_simplices order: the
+    # positions read in slot order sort the maps into the output order.
+    found.sort(key=lambda item: item[0])
+    return [SSetMap(X, Y, imgs, check=False) for _, imgs in found]
+
+
+def _eager_order(
+    slots: list[tuple[int, str]],
+    slot_faces: list[list[tuple[str, tuple[int, ...]]]],
+) -> list[int]:
+    """The indices of ``slots`` in face-closed eager order.
+
+    Free vertices come in name order, and every other slot comes as soon as
+    the last of its faces is placed, so each edge prunes right after its
+    second vertex instead of after every vertex.  A counter of unplaced
+    faces per slot, decremented as faces are placed, finds the ready slots
+    as in Kahn's topological sort.  Faces on fixed simplices count as
+    placed from the start.
+    """
+    index = {name: idx for idx, (_, name) in enumerate(slots)}
+    unplaced = [0] * len(slots)
+    cofaces: dict[int, list[int]] = {}
+    for idx, faces in enumerate(slot_faces):
+        for face in {index[b] for b, _ in faces if b in index}:
+            unplaced[idx] += 1
+            cofaces.setdefault(face, []).append(idx)
+    vertices = deque(idx for idx, (k, _) in enumerate(slots) if not k)
+    ready = deque(idx for idx, (k, _) in enumerate(slots) if k and not unplaced[idx])
+    order: list[int] = []
+    while ready or vertices:
+        idx = ready.popleft() if ready else vertices.popleft()
+        order.append(idx)
+        for up in cofaces.get(idx, ()):
+            unplaced[up] -= 1
+            if not unplaced[up]:
+                ready.append(up)
+    return order
 
 
 def standard_map(alpha: MonotoneMap) -> SSetMap:

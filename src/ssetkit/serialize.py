@@ -147,11 +147,15 @@ def chain_to_record(c: ChainComplex) -> dict:
 def chain_from_record(data) -> ChainComplex:
     data = _as_record(data, "chain complex")
     try:
-        low = int(data["low"])
-        high = int(data["high"])
-        ranks = tuple(int(r) for r in data["ranks"])
-    except (KeyError, TypeError, ValueError) as exc:
+        low, high, ranks = data["low"], data["high"], data["ranks"]
+    except KeyError as exc:
         raise ValidationError(f"chain complex record incomplete: {exc}")
+    # JSON true would pass int() as 1, and 1.7 would be truncated to 1.
+    if type(low) is not int or type(high) is not int:
+        raise ValidationError("chain complex 'low' and 'high' must be integers")
+    if not isinstance(ranks, (list, tuple)) or not all(type(r) is int for r in ranks):
+        raise ValidationError("chain complex 'ranks' must be a list of integers")
+    ranks = tuple(ranks)
     if len(ranks) != high - low + 1:
         raise ValidationError("ranks length disagrees with the degree window")
     raw = _as_record(data.get("boundaries", {}), "boundary table")

@@ -15,7 +15,6 @@ normal form and equality of ``Simplex`` values is equality of simplices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .delta import (
@@ -50,30 +49,64 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+# Writes a slot of an immutable value from inside its constructor.
+_set_field = object.__setattr__
+
+
 class Simplex:
     """A simplex in normal form: a degeneracy word applied to a named base.
 
     ``degeneracies`` is strictly decreasing; ``dim`` is the dimension of the
-    simplex itself (base dimension plus word length).
+    simplex itself (base dimension plus word length).  Values are immutable
+    and hash once, at construction, to ``hash((degeneracies, base, dim))``.
     """
 
-    degeneracies: tuple[int, ...]
-    base: str
-    dim: int
+    __slots__ = ("degeneracies", "base", "dim", "_hash")
 
-    def __post_init__(self) -> None:
-        word = self.degeneracies
+    def __init__(self, degeneracies: tuple[int, ...], base: str, dim: int) -> None:
+        word = degeneracies
         if any(a <= b for a, b in zip(word, word[1:])):
             raise ValidationError(f"degeneracy word {word} is not strictly decreasing")
-        if word and word[0] >= self.dim:
+        if word and word[0] >= dim:
             raise ValidationError(
-                f"degeneracy index {word[0]} out of range in dim {self.dim}"
+                f"degeneracy index {word[0]} out of range in dim {dim}"
             )
         if word and word[-1] < 0:
             raise ValidationError(f"degeneracy word {word} has a negative index")
-        if self.dim < len(word):
+        if dim < len(word):
             raise ValidationError("degeneracy word longer than the dimension")
+        _set_field(self, "degeneracies", word)
+        _set_field(self, "base", base)
+        _set_field(self, "dim", dim)
+        _set_field(self, "_hash", hash((word, base, dim)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a Simplex")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a Simplex")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Simplex:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.dim == other.dim
+            and self.base == other.base
+            and self.degeneracies == other.degeneracies
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return (
+            f"Simplex(degeneracies={self.degeneracies!r}, "
+            f"base={self.base!r}, dim={self.dim!r})"
+        )
+
+    def __reduce__(self):
+        return Simplex, (self.degeneracies, self.base, self.dim)
 
     @property
     def is_degenerate(self) -> bool:

@@ -89,6 +89,31 @@ def test_invalid_inputs_exit_two():
     assert run_cli("mapspace", "simplex1", "9", "1", "-d", "1").returncode == 2
 
 
+@pytest.mark.parametrize(
+    "args, golden",
+    [(("boundary3", "-d", "3"), "qcat_boundary3_d3.json"),
+     (("boundary2", "-d", "2"), "qcat_boundary2_d2.json")],
+)
+def test_qcat_witness_bytes_are_pinned(args, golden):
+    r = run_cli("qcat", *args, "--json")
+    assert r.returncode == 0
+    assert r.stdout == (DATA / golden).read_text()
+
+
+def test_non_integer_degeneracy_index_exits_two(tmp_path):
+    # No subcommand reads a chain record; the integers the CLI does read
+    # from JSON are degeneracy indices, and false or 0.0 is not 0.
+    codes = {}
+    for label, word in (("int", [0]), ("bool", [False]), ("float", [0.0])):
+        rec = {"cells": [["a"], ["e"], ["t"]],
+               "faces": {"e": [[[], "a"], [[], "a"]],
+                         "t": [[[], "e"], [word, "a"], [[], "e"]]}}
+        f = tmp_path / f"{label}.json"
+        f.write_text(json.dumps(rec))
+        codes[label] = run_cli("homology", str(f)).returncode
+    assert codes == {"int": 0, "bool": 2, "float": 2}
+
+
 def test_mapspace_negative_truncation_exits_two():
     r = run_cli("mapspace", "simplex2", "0", "2", "-d", "-1")
     assert r.returncode == 2

@@ -3,6 +3,7 @@
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import all_posets, circle, two_sphere
 from ssetkit.build import _extract, product, sset_pullback
@@ -24,14 +25,17 @@ from ssetkit.nerve import (
     square_category,
     Preorder,
 )
+from ssetkit.quasicat import is_quasicategory_up_to
 from ssetkit.serialize import sset_to_record
 from ssetkit.sset import (
     SSetMap,
     Simplex,
     are_isomorphic,
     boundary,
+    face_closure,
     horn,
     standard_simplex,
+    subcomplex,
 )
 
 
@@ -223,6 +227,78 @@ def test_enumeration_matches_candidate_scan():
         for Y in spaces:
             got = enumerate_maps(X, Y)
             assert [f.images for f in got] == [f.images for f in _scan_maps(X, Y)]
+
+
+_ORDER_SPACES = (
+    [standard_simplex(n) for n in range(4)]
+    + [boundary(n) for n in range(1, 4)]
+    + [horn(2, 0), horn(2, 1), horn(3, 1), horn(3, 3), circle()]
+    + [nerve_preorder(P) for P in all_posets(3)]
+)
+
+
+@given(
+    st.sampled_from(_ORDER_SPACES),
+    # Half the draws target the circle: its loop and the degenerate edge on
+    # its vertex share their faces, so its face buckets hold two candidates
+    # and the eager search finds its maps out of the output order.
+    st.one_of(st.just(circle()), st.sampled_from(_ORDER_SPACES)),
+    st.data(),
+)
+def test_eager_search_keeps_the_scan_order(X, Y, data):
+    # the eager search returns the maps in the order of the plain scan in
+    # ascending dimension, also with a pinned subcomplex
+    scanned = _scan_maps(X, Y)
+    assert [f.images for f in enumerate_maps(X, Y)] == [f.images for f in scanned]
+    names = sorted(X.names)
+    picked = data.draw(st.lists(st.sampled_from(names), max_size=3)) if names else []
+    A = subcomplex(X, face_closure(X, picked))
+    on_A = _scan_maps(A, Y)
+    if not on_A:
+        return
+    pinned = data.draw(st.sampled_from(on_A)).images
+    assert [f.images for f in enumerate_maps(X, Y, fixed=pinned)] == [
+        f.images for f in scanned
+        if all(f.images[name] == img for name, img in pinned.items())
+    ]
+
+
+def _scan_qcat_witness(C, d):
+    """Reference check: the first unfilled inner horn, over the scanned maps
+    of each horn, as (n, i, images), or None."""
+    for n in range(2, d + 1):
+        for i in range(1, n):
+            walls = {
+                j: "".join(str(v) for v in range(n + 1) if v != j)
+                for j in range(n + 1) if j != i
+            }
+            for h in _scan_maps(horn(n, i), C):
+                if not any(
+                    all(C.face(sx, j) == h.images[w] for j, w in walls.items())
+                    for sx in C.all_simplices(n)
+                ):
+                    return n, i, h.images
+    return None
+
+
+@pytest.mark.parametrize(
+    "C, d",
+    [(boundary(2), 2), (boundary(3), 3), (circle(), 2), (horn(3, 1), 3)],
+    ids=["boundary2", "boundary3", "circle", "horn31"],
+)
+def test_qcat_witness_matches_scanned_horns(C, d):
+    verdict = is_quasicategory_up_to(C, d)
+    expected = _scan_qcat_witness(C, d)
+    assert expected is not None and not verdict.ok
+    w = verdict.witness
+    assert (w.n, w.i, w.assignment.images) == expected
+
+
+def test_eager_search_prunes_each_edge():
+    # an edge is tried right after its second vertex: Lambda^4_2 -> Delta^4
+    # tries 3339 candidates, where the search in ascending dimension assigns
+    # all five vertices first and tries 12990
+    assert len(enumerate_maps(horn(4, 2), standard_simplex(4), max_candidates=4000)) == 126
 
 
 def test_enumeration_budget_counts_matching_candidates_only():

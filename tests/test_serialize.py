@@ -110,6 +110,20 @@ def test_chain_record_rejects_bool_entries():
                            "boundaries": {"1": [[True]]}})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("low", True), ("low", 0.0), ("high", True), ("high", 1.7), ("high", "1"),
+     ("ranks", [1.7, True]), ("ranks", [1, True]), ("ranks", [1, 1.0]),
+     ("ranks", "11")],
+)
+def test_chain_record_rejects_non_integer_degrees_and_ranks(field, value):
+    record = {"low": 0, "high": 1, "ranks": [1, 1], "boundaries": {"1": [[1]]}}
+    chain_from_record(record)
+    record[field] = value
+    with pytest.raises(ValidationError, match=f"'{field}'"):
+        chain_from_record(record)
+
+
 def test_malformed_map_record():
     d1 = standard_simplex(1)
     with pytest.raises(ValidationError):

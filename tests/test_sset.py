@@ -1,5 +1,7 @@
 """Core simplicial set structure: builders, actions, subcomplexes, maps."""
 
+import pickle
+
 import pytest
 
 from conftest import check_simplicial_identities, circle
@@ -105,6 +107,37 @@ def test_simplex_rejects_negative_degeneracy_index():
         Simplex((-1,), "v", 1)
     with pytest.raises(ValidationError, match=r"degeneracy word \(1, -1\)"):
         Simplex((1, -1), "v", 2)
+
+
+def test_simplex_value_contract():
+    sx = Simplex((1, 0), "ab", 3)
+    # the hash of the (degeneracies, base, dim) tuple, so set and dict
+    # orders match those of that tuple
+    assert hash(sx) == hash(((1, 0), "ab", 3))
+    assert hash(Simplex((), "v", 0)) == hash(((), "v", 0))
+    assert sx == Simplex((1, 0), "ab", 3)
+    assert sx != Simplex((2, 0), "ab", 3)
+    assert sx != Simplex((1, 0), "ac", 3)
+    assert sx != Simplex((1, 0), "ab", 4)
+    assert sx != ((1, 0), "ab", 3)
+    assert ((1, 0), "ab", 3) != sx
+    for field in ("degeneracies", "base", "dim", "other"):
+        with pytest.raises(AttributeError):
+            setattr(sx, field, None)
+    with pytest.raises(AttributeError):
+        del sx.base
+    assert repr(sx) == "Simplex(degeneracies=(1, 0), base='ab', dim=3)"
+    assert pickle.loads(pickle.dumps(sx)) == sx
+
+
+@pytest.mark.parametrize(
+    "word, dim",
+    [((0, 1), 3), ((2,), 2), ((-1,), 1), ((1, 0), 1)],
+    ids=["increasing", "index-too-large", "negative", "longer-than-dim"],
+)
+def test_malformed_degeneracy_words_are_rejected(word, dim):
+    with pytest.raises(ValidationError):
+        Simplex(word, "v", dim)
 
 
 def test_operator_action_builds_no_monotone_maps(monkeypatch):
