@@ -40,7 +40,7 @@ from .chain import (
     total_complex_of_square,
     zero_complex,
 )
-from .delta import MonotoneMap, compose_monotone, epi_mono_factor
+from .delta import MonotoneMap, epi_mono_factor
 from .dold_kan import (
     SimplicialAbelianGroup,
     dold_kan_K,

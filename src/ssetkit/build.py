@@ -16,13 +16,17 @@ simplices of ``X u_A Y`` are those of ``X`` plus those of ``Y`` outside
 Only the function complexes still materialize every simplex of a level,
 degenerate ones included, and strip the result back to a nondegenerate
 presentation through ``_extract``.
+
+Each construction is valid by construction on valid inputs, so its space
+and maps are built with ``check=False``: spaces are validated where they
+enter, not each time one is derived from another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
+from .delta import degeneracy_words
 from .errors import ValidationError
 from .sset import (
     FiniteSSet,
@@ -110,7 +114,7 @@ def _extract(system, top: int, prefix: str = "c") -> Extraction:
                     to_simplex[(k - 1, system.face(k, e, i))] for i in range(k + 1)
                 )
         cells.append(level)
-    return Extraction(FiniteSSet(cells, faces), to_simplex, from_name)
+    return Extraction(FiniteSSet(cells, faces, check=False), to_simplex, from_name)
 
 
 def interval() -> FiniteSSet:
@@ -160,7 +164,7 @@ def _glue(f: SSetMap, g: SSetMap):
         for name, (side, sx) in origin.items()
         if sx.dim > 0
     }
-    space = FiniteSSet(cells, faces)
+    space = FiniteSSet(cells, faces, check=False)
     legs = tuple(
         SSetMap(X, space, {n: image(side, X.simplex(n)) for n in X.names}, check=False)
         for side, X in enumerate(sides)
@@ -245,11 +249,6 @@ def quotient(X: FiniteSSet, A: FiniteSSet) -> QuotientResult:
 # -- pullbacks -------------------------------------------------------------
 
 
-def _words(k: int, m: int) -> list[tuple[int, ...]]:
-    """Every degeneracy word taking an m-simplex to dimension k."""
-    return [tuple(reversed(c)) for c in combinations(range(k), k - m)]
-
-
 def _strip(word: tuple[int, ...], shared: tuple[int, ...]) -> tuple[int, ...]:
     """The word left once the collapse positions in ``shared`` are undone."""
     return tuple(i - sum(s < i for s in shared) for i in word if i not in shared)
@@ -303,14 +302,14 @@ def _nondegenerate_pairs(p: SSetMap, q: SSetMap, k: int) -> list:
     A, B = p.source, q.source
     over: dict = {}  # (J, image in the base) -> the k-simplices s_J b over it
     for m in range(max(k - A.top_dim, 0), min(k, B.top_dim) + 1):
-        for wb in _words(k, m):
+        for wb in degeneracy_words(k, m):
             for b in B.cells[m]:
                 sb = Simplex(wb, b, k)
                 over.setdefault((wb, q.apply(sb)), []).append(sb)
     b_words = {wb for wb, _ in over}
     pairs = []
     for m in range(max(k - B.top_dim, 0), min(k, A.top_dim) + 1):
-        for wa in _words(k, m):
+        for wa in degeneracy_words(k, m):
             disjoint = [wb for wb in b_words if not set(wa) & set(wb)]
             for a in A.cells[m]:
                 sa = Simplex(wa, a, k)
@@ -338,7 +337,7 @@ def _pullback(p: SSetMap, q: SSetMap, prefix: str) -> PullbackResult:
                     for i in range(k + 1)
                 )
         cells.append(level)
-    space = FiniteSSet(cells, faces)
+    space = FiniteSSet(cells, faces, check=False)
     proj_l = SSetMap(space, A, {n: sa for (sa, _), n in name_of.items()}, check=False)
     proj_r = SSetMap(space, B, {n: sb for (_, sb), n in name_of.items()}, check=False)
     return PullbackResult(space, proj_l, proj_r, p, q, name_of)

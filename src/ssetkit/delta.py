@@ -1,42 +1,34 @@
-"""The simplex category: monotone maps between finite ordinals.
+"""The simplex category, run on degeneracy and face words.
 
-An object ``[n]`` is the ordered set ``{0, ..., n}``.  A morphism is a
-nondecreasing function, stored by its value table.  Every morphism factors
-uniquely as a surjection followed by an injection; the surjection is the
-composite of elementary collapses (one per repeated position) and the
-injection is determined by the missed indices.  ``MonotoneMap`` serves the
-action of a general monotone map (``FiniteSSet.act``, ``standard_map``,
-Dold-Kan).
+An object ``[n]`` is the ordered set ``{0, ..., n}``.  Every morphism
+factors uniquely as a surjection followed by an injection.  The surjection
+is a strictly decreasing *degeneracy word* (its collapse positions), the
+injection a strictly increasing *face word* (the indices its image misses),
+and a simplex is a degeneracy word applied to a nondegenerate one.  The
+simplicial identities rewrite ``d_i s_J`` and ``s_K s_J`` into normal form
+straight from the words (:func:`face_of_word`, :func:`compose_words`), and
+:func:`degeneracy_words` lists the words of each pair of dimensions, so
+faces, degeneracies, map application and the enumeration of degenerate
+simplices never build a general map.  All three are memoized on words and
+small integers only, so their tables stay small however many simplices pass
+through them.
 
-Faces and degeneracies of degenerate simplices never need a general map.
-A degenerate simplex is ``s_J x`` for a strictly decreasing degeneracy word
-``J``, and the simplicial identities rewrite ``d_i s_J`` and ``s_K s_J``
-into normal form straight from the words: :func:`face_of_word` and
-:func:`compose_words`.  Both are memoized on words and small integers only,
-so their tables stay small however many simplices pass through them.
+``MonotoneMap`` is the validated value of a general map ``[dom] -> [cod]``,
+given by its value table, and :func:`epi_mono_factor` is its one bridge
+into words: it is how ``FiniteSSet.act`` and ``standard_map`` read a map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 from .errors import ValidationError
 
 __all__ = [
     "MonotoneMap",
-    "identity",
-    "face_map",
-    "degeneracy_map",
-    "compose_monotone",
     "epi_mono_factor",
-    "factor_maps",
-    "epi_of_word",
-    "mono_of_word",
-    "word_of_epi",
-    "monotone_maps",
-    "injective_maps",
-    "surjective_maps",
+    "degeneracy_words",
     "face_of_word",
     "compose_words",
 ]
@@ -74,35 +66,6 @@ class MonotoneMap:
     def is_surjective(self) -> bool:
         return set(self.values) == set(range(self.cod + 1))
 
-    @property
-    def is_identity(self) -> bool:
-        return self.dom == self.cod and all(v == k for k, v in enumerate(self.values))
-
-
-def identity(n: int) -> MonotoneMap:
-    return MonotoneMap(n, n, tuple(range(n + 1)))
-
-
-def face_map(n: int, i: int) -> MonotoneMap:
-    """The injection ``[n-1] -> [n]`` whose image misses ``i``."""
-    if not 0 <= i <= n:
-        raise ValidationError(f"face index {i} outside [0, {n}]")
-    return MonotoneMap(n - 1, n, tuple(k if k < i else k + 1 for k in range(n)))
-
-
-def degeneracy_map(n: int, i: int) -> MonotoneMap:
-    """The surjection ``[n+1] -> [n]`` hitting ``i`` twice."""
-    if not 0 <= i <= n:
-        raise ValidationError(f"degeneracy index {i} outside [0, {n}]")
-    return MonotoneMap(n + 1, n, tuple(k if k <= i else k - 1 for k in range(n + 2)))
-
-
-def compose_monotone(f: MonotoneMap, g: MonotoneMap) -> MonotoneMap:
-    """The composite ``f of g`` (apply ``g`` first)."""
-    if g.cod != f.dom:
-        raise ValidationError(f"cannot compose: cod(g)={g.cod} != dom(f)={f.dom}")
-    return MonotoneMap(g.dom, f.cod, tuple(f.values[v] for v in g.values))
-
 
 def epi_mono_factor(f: MonotoneMap) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Unique factorization of ``f`` as a surjection followed by an injection.
@@ -120,86 +83,32 @@ def epi_mono_factor(f: MonotoneMap) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(reversed(repeats)), missed
 
 
-def epi_of_word(word: tuple[int, ...], dom: int) -> MonotoneMap:
-    """The surjection ``[dom] ->> [dom - len(word)]`` collapsing at ``word``.
-
-    ``word`` is a strictly decreasing tuple of collapse positions, matching
-    the normal form produced by :func:`epi_mono_factor`.
-    """
-    if any(a <= b for a, b in zip(word, word[1:])):
-        raise ValidationError(f"degeneracy word {word} is not strictly decreasing")
-    cod = dom - len(word)
-    if cod < 0:
-        raise ValidationError("degeneracy word longer than the domain")
-    # Walk [dom] and drop one step at each collapse position.
-    drop = set(word)
-    values = []
-    v = 0
-    for k in range(dom + 1):
-        values.append(v)
-        if k not in drop:
-            v += 1
-    out = MonotoneMap(dom, cod, tuple(values))
-    if not out.is_surjective:
-        raise ValidationError(f"degeneracy word {word} invalid for domain [{dom}]")
-    return out
-
-
-def mono_of_word(word: tuple[int, ...], cod: int) -> MonotoneMap:
-    """The injection into ``[cod]`` missing exactly the indices in ``word``."""
-    missed = set(word)
-    if len(missed) != len(word) or any(not 0 <= i <= cod for i in word):
-        raise ValidationError(f"face word {word} invalid for codomain [{cod}]")
-    hit = tuple(i for i in range(cod + 1) if i not in missed)
-    return MonotoneMap(len(hit) - 1, cod, hit)
-
-
-def word_of_epi(f: MonotoneMap) -> tuple[int, ...]:
-    """Degeneracy word of a surjection, strictly decreasing."""
-    if not f.is_surjective:
-        raise ValidationError(f"{f} is not surjective")
-    word, _ = epi_mono_factor(f)
-    return word
-
-
-def factor_maps(f: MonotoneMap) -> tuple[MonotoneMap, MonotoneMap]:
-    """``f = mono of epi`` as actual maps."""
-    dword, fword = epi_mono_factor(f)
-    return epi_of_word(dword, f.dom), mono_of_word(fword, f.cod)
-
-
-def monotone_maps(dom: int, cod: int):
-    """All monotone maps ``[dom] -> [cod]``."""
-    for values in combinations_with_replacement(range(cod + 1), dom + 1):
-        yield MonotoneMap(dom, cod, values)
-
-
-def injective_maps(dom: int, cod: int):
-    for values in combinations(range(cod + 1), dom + 1):
-        yield MonotoneMap(dom, cod, values)
-
-
-def surjective_maps(dom: int, cod: int):
-    """All monotone surjections ``[dom] ->> [cod]``."""
-    if cod > dom:
-        return
-    # A surjection is a walk taking cod unit steps among dom step slots.
-    for steps in combinations(range(dom), cod):
-        up = set(steps)
-        values = []
-        v = 0
-        for k in range(dom + 1):
-            values.append(v)
-            if k in up:
-                v += 1
-        yield MonotoneMap(dom, cod, tuple(values))
-
-
 # -- degeneracy words --------------------------------------------------------
 
 
+_DEGENERACY_WORDS: dict = {}
 _FACE_OF_WORD: dict = {}
 _COMPOSE_WORDS: dict = {}
+
+
+def degeneracy_words(k: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Every degeneracy word taking an m-simplex to dimension k.
+
+    The words are the strictly decreasing ``(k - m)``-subsets of
+    ``{0, ..., k-1}``, listed so that their complements, the unit steps of
+    the surjections ``[k] ->> [m]``, come in increasing lexicographic order.
+    There are none when ``m > k``.
+    """
+    key = (k, m)
+    out = _DEGENERACY_WORDS.get(key)
+    if out is None:
+        if m > k:
+            out = ()
+        else:
+            subsets = list(combinations(range(k), k - m))
+            out = tuple(tuple(reversed(c)) for c in reversed(subsets))
+        _DEGENERACY_WORDS[key] = out
+    return out
 
 
 def _check_word(word: tuple[int, ...], n: int) -> None:

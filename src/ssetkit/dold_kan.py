@@ -6,8 +6,12 @@ simplicial identity is asserted matrix-exactly on construction.
 
 The two legs implemented here are the classical pair: ``dold_kan_K`` builds
 the simplicial group whose level n is the sum of copies of the chain groups
-indexed by monotone surjections out of [n], and ``moore_normalized`` cuts
-it back down by intersecting the kernels of all positive-index faces.  The
+C_k indexed by the degeneracy words from dimension k to n (the monotone
+surjections out of [n]), and ``moore_normalized`` cuts it back down by
+intersecting the kernels of all positive-index faces.  The operators act on
+the words: d_i on the summand of ``s_J`` either dies in ``J`` (the identity
+into the summand of the shorter word), passes through onto d_0 (the boundary
+of C), or passes onto a higher face (zero); s_i composes words.  The
 homotopy groups of a levelwise-free simplicial abelian group are then the
 homology of its Moore complex, which is how degreewise mapping-space
 homotopy reduces to homology of the original complex.
@@ -18,14 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chain import ChainComplex, homology
-from .delta import (
-    MonotoneMap,
-    compose_monotone,
-    degeneracy_map,
-    face_map,
-    factor_maps,
-    surjective_maps,
-)
+from .delta import compose_words, degeneracy_words, face_of_word
 from .errors import ValidationError
 from .groups import HomologyGroup
 from .intmat import IntMat, kernel_basis, solve
@@ -145,48 +142,47 @@ def truncate_nonneg(c: ChainComplex) -> ChainComplex:
 # -- the K construction ----------------------------------------------------
 
 
-def _summands(c: ChainComplex, n: int) -> list[tuple[MonotoneMap, int]]:
-    """Surjection-indexed summands of level n, skipping zero-rank targets."""
-    out = []
-    for k in range(n + 1):
-        if c.rank(k) == 0:
-            continue
-        for eta in surjective_maps(n, k):
-            out.append((eta, k))
-    return out
+def _summands(c: ChainComplex, n: int) -> list[tuple[tuple[int, ...], int]]:
+    """Summands ``(word, k)`` of level n, skipping zero-rank chain groups."""
+    return [
+        (word, k)
+        for k in range(n + 1)
+        if c.rank(k)
+        for word in degeneracy_words(n, k)
+    ]
 
 
-def _mono_component(c: ChainComplex, eps: MonotoneMap) -> IntMat | None:
-    """Chain-level action of a mono ``eps``: identity, the boundary for the
-    mono missing value 0, zero otherwise."""
-    if eps.dom == eps.cod:
-        return IntMat.identity(c.rank(eps.cod))
-    if eps.dom == eps.cod - 1 and eps.values[0] == 1:
-        return c.boundary(eps.cod)
-    return None
+def _face_block(c: ChainComplex, word, k: int, n: int, i: int):
+    """The summand that d_i sends ``(word, k)`` of level n to, and the block
+    it maps by; ``None`` for a zero block."""
+    word2, j = face_of_word(word, n, i)
+    if j is None:  # d_i s_J = s_J'
+        return (word2, k), IntMat.identity(c.rank(k))
+    if j == 0:  # d_i s_J = s_J' d_0
+        return (word2, k - 1), c.boundary(k)
+    return None  # d_j with j > 0 is zero on C
 
 
-def _operator(
-    c: ChainComplex,
-    src: list[tuple[MonotoneMap, int]],
-    dst: list[tuple[MonotoneMap, int]],
-    alpha: MonotoneMap,
-) -> IntMat:
-    """Matrix of the contravariant action of ``alpha`` on the summands."""
+def _degeneracy_block(c: ChainComplex, word, k: int, n: int, i: int):
+    """The summand that s_i sends ``(word, k)`` of level n to, by the identity."""
+    return (compose_words(word, (i,), n + 1), k), IntMat.identity(c.rank(k))
+
+
+def _operator(c: ChainComplex, src: list, dst: list, block, n: int, i: int) -> IntMat:
+    """Matrix of the operator of index i on level n, summand by summand."""
     row_offsets = {}
     total_rows = 0
-    for eta, k in dst:
-        row_offsets[(eta.values, k)] = total_rows
-        total_rows += c.rank(k)
+    for summand in dst:
+        row_offsets[summand] = total_rows
+        total_rows += c.rank(summand[1])
     columns = []
-    for eta, k in src:
-        epi, mono = factor_maps(compose_monotone(eta, alpha))
-        block = _mono_component(c, mono)
-        r0 = row_offsets.get((epi.values, epi.cod))
-        if block is None or r0 is None:
+    for word, k in src:
+        hit = block(c, word, k, n, i)
+        r0 = None if hit is None else row_offsets.get(hit[0])
+        if r0 is None:
             columns.extend({} for _ in range(c.rank(k)))
         else:
-            columns.extend({i + r0: x for i, x in col.items()} for col in block.columns)
+            columns.extend({r + r0: x for r, x in col.items()} for col in hit[1].columns)
     return IntMat.of_columns(total_rows, columns)
 
 
@@ -197,14 +193,14 @@ def dold_kan_K(c: ChainComplex, cap: int) -> SimplicialAbelianGroup:
     ranks = tuple(sum(c.rank(k) for _, k in lv) for lv in levels)
     face_ops = tuple(
         tuple(
-            _operator(c, levels[n], levels[n - 1], face_map(n, i))
+            _operator(c, levels[n], levels[n - 1], _face_block, n, i)
             for i in range(n + 1)
         )
         for n in range(1, cap + 1)
     )
     degeneracy_ops = tuple(
         tuple(
-            _operator(c, levels[n], levels[n + 1], degeneracy_map(n, i))
+            _operator(c, levels[n], levels[n + 1], _degeneracy_block, n, i)
             for i in range(n + 1)
         )
         for n in range(cap)

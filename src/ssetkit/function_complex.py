@@ -15,10 +15,14 @@ plain one.
 
 Function complexes are genuine simplicial sets of maps: a k-simplex of
 hom(X, Y) is a map X x Delta^k -> Y.  They can be nonempty in every
-dimension, hence the mandatory truncation.  The mapping space between two
-vertices is the simplicial subset of hom(Delta^1, C) whose maps are constant
-at those vertices on the two ends of the prism: the search starts from those
-ends and extends them.
+dimension, hence the mandatory truncation.  The face d_i and the degeneracy
+s_i of a k-simplex h precompose h with id_X x alpha, where alpha is the map
+of standard simplices classifying a simplex of Delta^k: the face missing
+vertex i for d_i, and s_i of the top simplex for s_i.  Such a map is read
+off the faces of the simplex it classifies, so no monotone map is built.
+The mapping space between two vertices is the simplicial subset of
+hom(Delta^1, C) whose maps are constant at those vertices on the two ends
+of the prism: the search starts from those ends and extends them.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 from collections import deque
 
 from .build import _extract, _point_simplex, product
-from .delta import MonotoneMap, degeneracy_map, face_map, factor_maps, word_of_epi
+from .delta import MonotoneMap, epi_mono_factor
 from .errors import EnumerationLimit, ValidationError
 from .sset import (
     FiniteSSet,
@@ -170,9 +174,15 @@ def _eager_order(
 
 
 def standard_map(alpha: MonotoneMap) -> SSetMap:
-    """The map of standard simplices induced by a monotone map."""
-    epi, mono = factor_maps(alpha)
-    sx = Simplex(word_of_epi(epi), _subset_name(mono.values), alpha.dom)
+    """The map of standard simplices induced by a monotone map.
+
+    It classifies the simplex ``s_J v`` of ``Delta^cod``, for ``alpha``
+    factored as the degeneracy word ``J`` followed by the face ``v`` of
+    ``Delta^cod`` on the image of ``alpha``.
+    """
+    dword, fword = epi_mono_factor(alpha)
+    image = tuple(v for v in range(alpha.cod + 1) if v not in fword)
+    sx = Simplex(dword, _subset_name(image), alpha.dom)
     return simplex_as_map(standard_simplex(alpha.cod), sx)
 
 
@@ -184,31 +194,39 @@ class _HomSystem:
         self.Y = Y
         self.max_candidates = max_candidates
         self._products: dict[int, object] = {}
-        self._cross: dict[MonotoneMap, SSetMap] = {}
+        self._cross: dict[tuple[Simplex, int], SSetMap] = {}
 
     def prism(self, k: int):
         if k not in self._products:
             self._products[k] = product(self.X, standard_simplex(k))
         return self._products[k]
 
-    def cross(self, alpha: MonotoneMap) -> SSetMap:
-        """``id_X x alpha`` between the prism spaces."""
-        if alpha not in self._cross:
-            src = self.prism(alpha.dom)
-            dst = self.prism(alpha.cod)
-            self._cross[alpha] = dst.induced(
-                src.proj_left, standard_map(alpha).compose(src.proj_right)
+    def cross(self, sx: Simplex, cod: int) -> SSetMap:
+        """``id_X x alpha`` between the prism spaces, for the monotone map
+        ``alpha`` into ``[cod]`` that classifies the simplex ``sx`` of
+        ``Delta^cod``."""
+        key = (sx, cod)
+        if key not in self._cross:
+            src = self.prism(sx.dim)
+            dst = self.prism(cod)
+            alpha = simplex_as_map(standard_simplex(cod), sx)
+            self._cross[key] = dst.induced(
+                src.proj_left, alpha.compose(src.proj_right)
             )
-        return self._cross[alpha]
+        return self._cross[key]
 
     def elements(self, k: int):
         return enumerate_maps(self.prism(k).space, self.Y, self.max_candidates)
 
     def face(self, k: int, h: SSetMap, i: int) -> SSetMap:
-        return h.compose(self.cross(face_map(k, i)))
+        # d_i classifies the (k-1)-face of Delta^k that misses vertex i.
+        wall = _subset_name(tuple(v for v in range(k + 1) if v != i))
+        return h.compose(self.cross(Simplex((), wall, k - 1), k))
 
     def degeneracy(self, k: int, h: SSetMap, i: int) -> SSetMap:
-        return h.compose(self.cross(degeneracy_map(k, i)))
+        # s_i classifies s_i of the top simplex of Delta^k.
+        top = _subset_name(tuple(range(k + 1)))
+        return h.compose(self.cross(Simplex((i,), top, k + 1), k))
 
 
 class _FiberSystem(_HomSystem):

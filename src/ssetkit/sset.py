@@ -3,11 +3,15 @@
 A ``FiniteSSet`` stores, per dimension, the names of the nondegenerate
 simplices; the face of a nondegenerate simplex is a ``Simplex`` value, a
 degeneracy word applied to a named base.  Every simplex of the underlying
-presheaf is such a pair.  Faces and degeneracies of a degenerate simplex,
-and the image of one under a simplicial map, are rewritten on the words
-alone (:func:`ssetkit.delta.face_of_word`, :func:`ssetkit.delta.compose_words`):
-a face either dies in the word or passes through it onto one stored face.
-Only the action of a general monotone map (``act``) factors the map.
+presheaf is such a pair, so the simplices of a level are the names of each
+lower level under every degeneracy word into it
+(:func:`ssetkit.delta.degeneracy_words`).  Faces and degeneracies of a
+degenerate simplex, and the image of one under a simplicial map, are
+rewritten on the words alone (:func:`ssetkit.delta.face_of_word`,
+:func:`ssetkit.delta.compose_words`): a face either dies in the word or
+passes through it onto one stored face.  The map classifying a simplex reads
+its faces.  Only ``act``, the action of a general ``MonotoneMap``, factors
+the map, once, into a face word and a degeneracy word.
 
 Degeneracy words are strictly decreasing, so each simplex has exactly one
 normal form and equality of ``Simplex`` values is equality of simplices.
@@ -19,13 +23,10 @@ from itertools import combinations
 
 from .delta import (
     MonotoneMap,
-    compose_monotone,
     compose_words,
+    degeneracy_words,
     epi_mono_factor,
-    epi_of_word,
     face_of_word,
-    surjective_maps,
-    word_of_epi,
 )
 from .errors import ValidationError
 
@@ -73,8 +74,6 @@ class Simplex:
             )
         if word and word[-1] < 0:
             raise ValidationError(f"degeneracy word {word} has a negative index")
-        if dim < len(word):
-            raise ValidationError("degeneracy word longer than the dimension")
         _set_field(self, "degeneracies", word)
         _set_field(self, "base", base)
         _set_field(self, "dim", dim)
@@ -238,18 +237,17 @@ class FiniteSSet:
         return out
 
     def act(self, sx: Simplex, alpha: MonotoneMap) -> Simplex:
-        """Apply the contravariant action of ``alpha: [k] -> [dim sx]``."""
+        """Apply the contravariant action of ``alpha: [k] -> [dim sx]``.
+
+        ``alpha`` is factored once: the faces of its face word come first,
+        then the collapses of its degeneracy word.
+        """
         if alpha.cod != sx.dim:
             raise ValidationError(
                 f"map into [{alpha.cod}] cannot act on a {sx.dim}-simplex"
             )
-        beta = compose_monotone(epi_of_word(sx.degeneracies, sx.dim), alpha)
-        dword, fword = epi_mono_factor(beta)
-        cur = Simplex((), sx.base, sx.base_dim)
-        # Injective part: apply stored faces, largest missed index first.
-        for i in reversed(fword):
-            cur = self.face(cur, i)
-        return cur.degenerate(dword)
+        dword, fword = epi_mono_factor(alpha)
+        return _restrict(self, sx, fword).degenerate(dword)
 
     def all_simplices(self, k: int) -> tuple[Simplex, ...]:
         """Every simplex of dimension ``k``, degenerate ones included."""
@@ -258,9 +256,8 @@ class FiniteSSet:
         if k not in self._all_cache:
             out = []
             for m in range(min(k, self.top_dim) + 1):
-                words = [word_of_epi(eta) for eta in surjective_maps(k, m)]
                 for name in self.cells[m]:
-                    for w in words:
+                    for w in degeneracy_words(k, m):
                         out.append(Simplex(w, name, k))
             self._all_cache[k] = tuple(out)
         return self._all_cache[k]
@@ -359,7 +356,7 @@ def standard_simplex(n: int) -> FiniteSSet:
                 Simplex((), _subset_name(c[:i] + c[i + 1 :]), k - 1)
                 for i in range(k + 1)
             )
-    return FiniteSSet(cells, faces)
+    return FiniteSSet(cells, faces, check=False)
 
 
 def face_closure(X: FiniteSSet, names) -> set[str]:
@@ -393,7 +390,8 @@ def subcomplex(X: FiniteSSet, names, check_closed: bool = True) -> FiniteSSet:
     ]
     faces = {n: X.faces[n] for n in names if X.dim_of(n) > 0}
     bp = X.basepoint if X.basepoint in names else None
-    return FiniteSSet(cells, faces, basepoint=bp)
+    # A face-closed part of a valid space is valid.
+    return FiniteSSet(cells, faces, basepoint=bp, check=False)
 
 
 def boundary(n: int) -> FiniteSSet:
@@ -560,15 +558,25 @@ def constant_map(X: FiniteSSet, Y: FiniteSSet, vertex: str) -> SSetMap:
     return SSetMap(X, Y, images, check=False)
 
 
+def _restrict(X: FiniteSSet, sx: Simplex, missed: tuple[int, ...]) -> Simplex:
+    """The face of ``sx`` on the vertices outside ``missed`` (increasing)."""
+    # Largest index first, so the smaller ones keep their positions.
+    for i in reversed(missed):
+        sx = X.face(sx, i)
+    return sx
+
+
 def simplex_as_map(Y: FiniteSSet, sx: Simplex) -> SSetMap:
     """The map from the standard simplex classifying ``sx``.
 
     Sends the nondegenerate k-cell with vertex set ``S`` of the standard
-    ``dim(sx)``-simplex to the action of the corresponding injection.
+    ``dim(sx)``-simplex to the face of ``sx`` on the vertices ``S``.
     """
     n = sx.dim
     images = {
-        _subset_name(verts): Y.act(sx, MonotoneMap(k, n, verts))
+        _subset_name(verts): _restrict(
+            Y, sx, tuple(v for v in range(n + 1) if v not in verts)
+        )
         for k in range(n + 1)
         for verts in combinations(range(n + 1), k + 1)
     }

@@ -1,5 +1,6 @@
-"""Monotone map algebra: composition, factorization, enumeration, and the
-normal forms of degeneracy words."""
+"""The word kernel of ``ssetkit.delta`` against the value-table oracle in
+``delta_oracle``: composition, factorization, enumeration, and the normal
+forms of degeneracy words."""
 
 from itertools import combinations
 from math import comb
@@ -7,15 +8,11 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from ssetkit.delta import (
-    MonotoneMap,
+from delta_oracle import (
     compose_monotone,
-    compose_words,
     degeneracy_map,
-    epi_mono_factor,
     epi_of_word,
     face_map,
-    face_of_word,
     factor_maps,
     identity,
     injective_maps,
@@ -23,6 +20,13 @@ from ssetkit.delta import (
     monotone_maps,
     surjective_maps,
     word_of_epi,
+)
+from ssetkit.delta import (
+    MonotoneMap,
+    compose_words,
+    degeneracy_words,
+    epi_mono_factor,
+    face_of_word,
 )
 from ssetkit.errors import ValidationError
 
@@ -173,3 +177,10 @@ def test_face_of_word_rejects_bad_input(word, n, i):
 def test_compose_words_rejects_bad_input(inner, outer, n):
     with pytest.raises(ValidationError):
         compose_words(inner, outer, n)
+
+
+def test_degeneracy_words_list_surjections_in_order():
+    for k in range(8):
+        for m in range(k + 2):
+            expected = tuple(word_of_epi(eta) for eta in surjective_maps(k, m))
+            assert degeneracy_words(k, m) == expected

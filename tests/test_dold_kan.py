@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import delta_oracle
 from ssetkit.chain import ChainComplex, homology, single_complex, zero_complex
 from ssetkit.dold_kan import (
     SimplicialAbelianGroup,
@@ -15,6 +16,8 @@ from ssetkit.dold_kan import (
 )
 from ssetkit.errors import ValidationError
 from ssetkit.intmat import IntMat
+from ssetkit.simplicial_chains import normalized_chains, reduced_normalized_chains
+from ssetkit.sset import boundary, pointed, standard_simplex
 
 
 def _mat(rows):
@@ -36,6 +39,25 @@ def test_K_of_sphere_complex():
     assert A.face(2, 0).to_lists() == [[0, 1]]
     assert A.face(2, 1).to_lists() == [[1, 1]]
     assert A.face(2, 2).to_lists() == [[1, 0]]
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        single_complex(0),
+        single_complex(1),
+        single_complex(2, 2),
+        reduced_normalized_chains(pointed(boundary(3), "0")),
+        normalized_chains(standard_simplex(2)),
+    ],
+    ids=["Z[0]", "Z[1]", "Z2[2]", "reduced-boundary3", "simplex2"],
+)
+def test_K_operators_match_monotone_map_oracle(c):
+    # The word-indexed operators against composing and factoring maps.
+    A = dold_kan_K(c, 4)
+    faces, degeneracies = delta_oracle.dold_kan_operators(c, 4)
+    assert A.face_ops == faces
+    assert A.degeneracy_ops == degeneracies
 
 
 def test_K_validates_all_identities_on_construction():

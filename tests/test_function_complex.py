@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import all_posets, circle, two_sphere
+from delta_oracle import epi_of_word, monotone_maps
 from ssetkit.build import _extract, product, sset_pullback
-from ssetkit.delta import MonotoneMap, epi_of_word, monotone_maps
+from ssetkit.delta import MonotoneMap
 from ssetkit.errors import EnumerationLimit, ValidationError
 from ssetkit.function_complex import (
     _FiberSystem,

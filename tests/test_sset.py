@@ -4,11 +4,19 @@ import pickle
 
 import pytest
 
+import delta_oracle
 from conftest import check_simplicial_identities, circle
 from ssetkit.build import product
+from ssetkit.chain import single_complex
 from ssetkit.delta import MonotoneMap
+from ssetkit.dold_kan import dold_kan_K
 from ssetkit.errors import ValidationError
 from ssetkit.excision import reduced_suspension
+from ssetkit.function_complex import (
+    enumerate_maps,
+    internal_hom_truncated,
+    mapping_space,
+)
 from ssetkit.nerve import nerve_preorder
 from ssetkit.serialize import preorder_from_record
 from ssetkit.sset import (
@@ -83,6 +91,19 @@ def test_act_agrees_with_face_words():
     assert X.act(top, MonotoneMap(1, 2, (1, 1))) == Simplex((0,), "1", 1)
 
 
+@pytest.mark.parametrize("X", [standard_simplex(2), circle()], ids=["simplex2", "S1"])
+def test_act_matches_compose_and_factor_oracle(X):
+    # Every monotone map into [dim sx], on every simplex up to dimension 3.
+    checked = 0
+    for n in range(4):
+        for sx in X.all_simplices(n):
+            for k in range(n + 2):
+                for alpha in delta_oracle.monotone_maps(k, n):
+                    assert X.act(sx, alpha) == delta_oracle.act(X, sx, alpha)
+                    checked += 1
+    assert checked > 500
+
+
 def test_degenerate_face_recovers_base():
     X = standard_simplex(1)
     e = Simplex((), "01", 1)
@@ -131,12 +152,19 @@ def test_simplex_value_contract():
 
 
 @pytest.mark.parametrize(
-    "word, dim",
-    [((0, 1), 3), ((2,), 2), ((-1,), 1), ((1, 0), 1)],
+    "word, dim, message",
+    [
+        ((0, 1), 3, "not strictly decreasing"),
+        ((2,), 2, "out of range"),
+        ((-1,), 1, "negative index"),
+        # A strictly decreasing word with indices in [0, dim) has at most
+        # dim letters, so an overlong word fails the range check.
+        ((1, 0), 1, "out of range"),
+    ],
     ids=["increasing", "index-too-large", "negative", "longer-than-dim"],
 )
-def test_malformed_degeneracy_words_are_rejected(word, dim):
-    with pytest.raises(ValidationError):
+def test_malformed_degeneracy_words_are_rejected(word, dim, message):
+    with pytest.raises(ValidationError, match=message):
         Simplex(word, "v", dim)
 
 
@@ -165,6 +193,15 @@ def test_operator_action_builds_no_monotone_maps(monkeypatch):
     nerve_preorder(preorder_from_record({
         "elements": ["a", "b"], "pairs": [["a", "b"], ["b", "a"]],
     }), 3)
+    assert built == []
+    # Nor do degenerate simplices, map search, classifying maps, function
+    # complexes, mapping spaces or the Dold-Kan operators.
+    standard_simplex(3).all_simplices(5)
+    enumerate_maps(standard_simplex(2), circle())
+    simplex_as_map(standard_simplex(2), Simplex((1,), "01", 2))
+    internal_hom_truncated(boundary(1), standard_simplex(1), 2)
+    mapping_space(standard_simplex(2), "0", "2", 2)
+    dold_kan_K(single_complex(1), 4)
     assert built == []
 
 
