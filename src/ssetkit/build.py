@@ -18,8 +18,10 @@ degenerate ones included, and strip the result back to a nondegenerate
 presentation through ``_extract``.
 
 Each construction is valid by construction on valid inputs, so its space
-and maps are built with ``check=False``: spaces are validated where they
-enter, not each time one is derived from another.
+and maps, and the maps a pushout or pullback induces from a commuting cone,
+are built with ``check=False``: spaces and maps are validated where they
+enter, not each time one is derived from another.  Only the cone itself is
+checked, since it comes from the caller.
 """
 
 from __future__ import annotations
@@ -191,7 +193,7 @@ class PushoutResult:
             name: (from_u, from_v)[side].apply(sx)
             for name, (side, sx) in self._origin.items()
         }
-        return SSetMap(self.space, from_u.target, images)
+        return SSetMap(self.space, from_u.target, images, check=False)
 
 
 def pushout(f: SSetMap, g: SSetMap) -> PushoutResult:
@@ -225,24 +227,30 @@ def disjoint_union(X: FiniteSSet, Y: FiniteSSet) -> PushoutResult:
 
 @dataclass
 class QuotientResult:
-    space: FiniteSSet  # pointed at the collapsed class
+    space: FiniteSSet  # pointed, see quotient
     projection: SSetMap
 
 
 def quotient(X: FiniteSSet, A: FiniteSSet) -> QuotientResult:
-    """Collapse a nonempty subcomplex of ``X`` to the basepoint.
+    """Collapse a nonempty subcomplex of ``X`` to a point.
 
-    This is the pushout of ``X`` and the point along ``A``.  The basepoint
-    is the first vertex, ``g0_0`` (zero-padded like every name of its
+    This is the pushout of ``X`` and the point along ``A``.  The collapsed
+    class is the first vertex, ``g0_0`` (zero-padded like every name of its
     level); the other cells are the nondegenerate simplices of ``X``
-    outside ``A``, renamed in name order within each level.
+    outside ``A``, renamed in name order within each level.  The quotient
+    is pointed at the class of the basepoint of ``X``, so the projection is
+    a pointed map, and at the collapsed class when ``X`` has no basepoint.
     """
     if not is_name_subcomplex(X, A):
         raise ValidationError("can only collapse a subcomplex")
     if A.top_dim < 0:
         raise ValidationError("cannot collapse the empty subcomplex")
     po = pushout(constant_map(A, standard_simplex(0), "0"), SSetMap.inclusion(A, X))
-    space = pointed(po.space, po.from_left.images["0"].base)
+    if X.basepoint is None:
+        bp = po.from_left.images["0"].base
+    else:
+        bp = po.from_right.images[X.basepoint].base
+    space = pointed(po.space, bp)
     return QuotientResult(space, SSetMap(X, space, po.from_right.images, check=False))
 
 
@@ -294,7 +302,7 @@ class PullbackResult:
             name: self.pair_simplex(to_a.images[name], to_b.images[name])
             for name in to_a.source.names
         }
-        return SSetMap(to_a.source, self.space, images)
+        return SSetMap(to_a.source, self.space, images, check=False)
 
 
 def _nondegenerate_pairs(p: SSetMap, q: SSetMap, k: int) -> list:

@@ -3,10 +3,13 @@
 A ``ChainComplex`` stores a support window ``[low, high]``, one rank per
 degree and one boundary per internal degree, an ``IntMat`` holding one
 column of nonzeros per basis element of its source degree; composites of
-consecutive boundaries must vanish, which every construction checks.
+consecutive boundaries must vanish, checked where a complex enters, as is
+the chain-map law where a map enters.  Complexes and maps derived from
+checked data (shifts, sums, cones, composites, the chains of a simplicial
+set) are valid by construction and are built without re-checking.
 Homology is read off the ranks and the invariant factors of the boundaries,
-entirely over the integers; cycle bases and relation matrices are built
-only where Mayer-Vietoris needs generators.
+each boundary eliminated once, entirely over the integers; cycle bases and
+relation matrices are built only where Mayer-Vietoris needs generators.
 """
 
 from __future__ import annotations
@@ -97,9 +100,19 @@ class ChainComplex:
         return all(r == 0 for r in self.ranks)
 
 
+def _unchecked(cls, *values):
+    """A frozen chain value with the given fields, built without running
+    its ``__post_init__``: for derived data that is valid by construction."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
+
+
 def zero_complex(low: int = 0, high: int = 0) -> ChainComplex:
+    if high < low:
+        raise ValidationError("empty support window")
     n = high - low + 1
-    return ChainComplex(low, high, (0,) * n, tuple(
+    return _unchecked(ChainComplex, low, high, (0,) * n, tuple(
         IntMat.zero(0, 0) for _ in range(n - 1)
     ))
 
@@ -152,7 +165,7 @@ class ChainMap:
         blocks = tuple(
             self.block(n) @ other.block(n) for n in range(lo, hi + 1)
         )
-        return ChainMap(other.source, self.target, blocks)
+        return _unchecked(ChainMap, other.source, self.target, blocks)
 
     def is_degreewise_iso(self) -> bool:
         lo, hi = self._window()
@@ -168,7 +181,8 @@ class ChainMap:
         return all(b.is_zero() for b in self.blocks)
 
 
-def chain_map_from_blocks(source, target, blocks_by_degree) -> ChainMap:
+def _padded_blocks(source, target, blocks_by_degree) -> tuple[IntMat, ...]:
+    """The blocks over the combined window, zero where none is given."""
     lo = min(source.low, target.low)
     hi = max(source.high, target.high)
     blocks = []
@@ -177,17 +191,20 @@ def chain_map_from_blocks(source, target, blocks_by_degree) -> ChainMap:
         if b is None:
             b = IntMat.zero(target.rank(n), source.rank(n))
         blocks.append(b)
-    return ChainMap(source, target, tuple(blocks))
+    return tuple(blocks)
+
+
+def chain_map_from_blocks(source, target, blocks_by_degree) -> ChainMap:
+    return ChainMap(source, target, _padded_blocks(source, target, blocks_by_degree))
 
 
 def zero_map(source: ChainComplex, target: ChainComplex) -> ChainMap:
-    return chain_map_from_blocks(source, target, {})
+    return _unchecked(ChainMap, source, target, _padded_blocks(source, target, {}))
 
 
 def identity_chain_map(c: ChainComplex) -> ChainMap:
-    return chain_map_from_blocks(
-        c, c, {n: IntMat.identity(c.rank(n)) for n in c.degrees()}
-    )
+    blocks = {n: IntMat.identity(c.rank(n)) for n in c.degrees()}
+    return _unchecked(ChainMap, c, c, _padded_blocks(c, c, blocks))
 
 
 # -- homology --------------------------------------------------------------
@@ -210,18 +227,25 @@ def homology_presentation(c: ChainComplex, n: int) -> tuple[IntMat, PresentedGro
 
 def homology(c: ChainComplex, n: int) -> HomologyGroup:
     """Integral homology in degree ``n`` in invariant-factor normal form."""
-    out, _ = rank_and_torsion(c.boundary(n))
-    into, torsion = rank_and_torsion(c.boundary(n + 1))
-    return HomologyGroup(c.rank(n) - out - into, torsion)
+    return homology_table(c, n, n)[n]
 
 
 def homology_table(c: ChainComplex, low: int, high: int):
-    return {n: homology(c, n) for n in range(low, high + 1)}
+    """Homology in degrees ``low..high``, eliminating each of the boundaries
+    out of degrees ``low..high + 1`` once: H_n has rank ``c_n`` less the
+    ranks of the boundaries out of and into degree n, and the torsion of
+    the boundary into it."""
+    elim = {m: rank_and_torsion(c.boundary(m)) for m in range(low, high + 2)}
+    return {
+        n: HomologyGroup(c.rank(n) - elim[n][0] - elim[n + 1][0], elim[n + 1][1])
+        for n in range(low, high + 1)
+    }
 
 
 def is_acyclic(c: ChainComplex) -> bool:
     """All homology groups vanish (outside the support window they must)."""
-    return all(homology(c, n).is_zero for n in c.degrees())
+    table = homology_table(c, c.low, c.high)
+    return all(g.is_zero for g in table.values())
 
 
 def induced_map(
@@ -276,7 +300,9 @@ def loop_shift(c: ChainComplex, times: int = 1) -> ChainComplex:
     """Reindex so that degree ``n`` holds what was degree ``n + times``."""
     if times < 0:
         raise ValidationError("shift count must be nonnegative")
-    return ChainComplex(c.low - times, c.high - times, c.ranks, c.boundaries)
+    return _unchecked(
+        ChainComplex, c.low - times, c.high - times, c.ranks, c.boundaries
+    )
 
 
 def _common_window(a: ChainComplex, b: ChainComplex) -> tuple[int, int]:
@@ -291,7 +317,7 @@ def direct_sum(a: ChainComplex, b: ChainComplex) -> ChainComplex:
         IntMat.block_diag([a.boundary(n), b.boundary(n)])
         for n in range(lo + 1, hi + 1)
     )
-    return ChainComplex(lo, hi, ranks, boundaries)
+    return _unchecked(ChainComplex, lo, hi, ranks, boundaries)
 
 
 def mapping_cone(f: ChainMap) -> ChainComplex:
@@ -311,7 +337,7 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
             s.boundary(n - 1).scale(-1)
         )
         boundaries.append(top.vstack(bottom))
-    return ChainComplex(lo, hi, ranks, tuple(boundaries))
+    return _unchecked(ChainComplex, lo, hi, ranks, tuple(boundaries))
 
 
 # -- squares ---------------------------------------------------------------
@@ -370,18 +396,18 @@ def total_complex_of_square(sq: ChainSquare) -> ChainComplex:
     w, u, v, x = sq.w, sq.u, sq.v, sq.x
     # First cone: over (w_to_u, w_to_v) : W -> U + V.
     uv = direct_sum(u, v)
-    into_sum = chain_map_from_blocks(w, uv, {
+    into_sum = _unchecked(ChainMap, w, uv, _padded_blocks(w, uv, {
         n: sq.w_to_u.block(n).vstack(sq.w_to_v.block(n))
         for n in range(w.low, w.high + 1)
-    })
+    }))
     cone1 = mapping_cone(into_sum)
     # Collapse map (u, v, w) -> p(u) - q(v), a chain map by commutativity.
-    collapse = chain_map_from_blocks(cone1, x, {
+    collapse = _unchecked(ChainMap, cone1, x, _padded_blocks(cone1, x, {
         n: sq.u_to_x.block(n)
         .hstack(sq.v_to_x.block(n).scale(-1))
         .hstack(IntMat.zero(x.rank(n), w.rank(n - 1)))
         for n in cone1.degrees()
-    })
+    }))
     return mapping_cone(collapse)
 
 

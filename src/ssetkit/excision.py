@@ -32,6 +32,7 @@ from .build import (
 from .chain import (
     ChainMap,
     ChainSquare,
+    _unchecked,
     check_exact_sequence,
     direct_sum,
     homology,
@@ -108,7 +109,7 @@ def _end_inclusion(pr: PullbackResult, j: str) -> SSetMap:
         )
         for name in X.names
     }
-    return SSetMap(X, pr.space, images)
+    return SSetMap(X, pr.space, images, check=False)
 
 
 def _end_names(pr: PullbackResult, j: str) -> set[str]:
@@ -140,7 +141,8 @@ def unreduced_suspension(X: FiniteSSet) -> FiniteSSet:
         )
         top_images.add(img.base)
     q2 = quotient(q1.space, subcomplex(q1.space, top_images))
-    return q2.space
+    # q2 keeps the bottom cone point of q1; point it at the top one instead.
+    return pointed(q2.space, q2.projection.images[min(top_images)].base)
 
 
 @dataclass
@@ -232,7 +234,9 @@ def pushout_square(f: SSetMap, g: SSetMap) -> SSetSquare:
 
 
 def chain_square_of(sq: SSetSquare) -> ChainSquare:
-    return ChainSquare(
+    # Chains are a functor, so the square of chain maps commutes as sq does.
+    return _unchecked(
+        ChainSquare,
         chain_map_of(sq.w_to_u),
         chain_map_of(sq.w_to_v),
         chain_map_of(sq.u_to_x),
@@ -408,7 +412,8 @@ def cover_short_exact_sequence(cd: CoverData, reduced: bool = False) -> CoverSES
     cUV = direct_sum(chains(U), chains(V))
     cX = chains(X)
     lo, hi = cUV.low, cUV.high
-    alpha = ChainMap(
+    alpha = _unchecked(
+        ChainMap,
         cW,
         cUV,
         tuple(
@@ -416,7 +421,8 @@ def cover_short_exact_sequence(cd: CoverData, reduced: bool = False) -> CoverSES
             for n in range(min(cW.low, lo), max(cW.high, hi) + 1)
         ),
     )
-    beta = ChainMap(
+    beta = _unchecked(
+        ChainMap,
         cUV,
         cX,
         tuple(

@@ -8,7 +8,7 @@ keeps every level free and drops exactly one rank.
 
 from __future__ import annotations
 
-from .chain import ChainComplex, ChainMap, chain_map_from_blocks, zero_complex
+from .chain import ChainComplex, ChainMap, _padded_blocks, _unchecked, zero_complex
 from .errors import ValidationError
 from .intmat import IntMat
 from .sset import FiniteSSet, SSetMap, Simplex
@@ -53,7 +53,8 @@ def _chains(X: FiniteSSet, reduced: bool) -> ChainComplex:
         return zero_complex()
     ranks = tuple(len(chain_basis(X, n, reduced)) for n in range(top + 1))
     bounds = tuple(_boundary_matrix(X, n, reduced) for n in range(1, top + 1))
-    return ChainComplex(0, top, ranks, bounds)
+    # d∘d = 0 follows from the simplicial identities, checked where X entered.
+    return _unchecked(ChainComplex, 0, top, ranks, bounds)
 
 
 def normalized_chains(X: FiniteSSet) -> ChainComplex:
@@ -79,15 +80,20 @@ def _map_blocks(f: SSetMap, reduced: bool) -> dict[int, IntMat]:
     return blocks
 
 
+def _map_of(f: SSetMap, chains, reduced: bool) -> ChainMap:
+    # The chain-map law follows from f commuting with faces.
+    source, target = chains(f.source), chains(f.target)
+    blocks = _padded_blocks(source, target, _map_blocks(f, reduced))
+    return _unchecked(ChainMap, source, target, blocks)
+
+
 def chain_map_of(f: SSetMap) -> ChainMap:
     """The induced map on normalized chains.
 
     Nondegenerate simplices with degenerate image are sent to zero; this is
     what makes the normalized complex functorial.
     """
-    return chain_map_from_blocks(
-        normalized_chains(f.source), normalized_chains(f.target), _map_blocks(f, False)
-    )
+    return _map_of(f, normalized_chains, False)
 
 
 def reduced_chain_map_of(f: SSetMap) -> ChainMap:
@@ -96,8 +102,4 @@ def reduced_chain_map_of(f: SSetMap) -> ChainMap:
         raise ValidationError("reduced chain maps need pointed source and target")
     if f.images[f.source.basepoint] != Simplex((), f.target.basepoint, 0):
         raise ValidationError("map does not preserve the basepoint")
-    return chain_map_from_blocks(
-        reduced_normalized_chains(f.source),
-        reduced_normalized_chains(f.target),
-        _map_blocks(f, True),
-    )
+    return _map_of(f, reduced_normalized_chains, True)

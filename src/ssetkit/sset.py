@@ -15,6 +15,8 @@ the map, once, into a face word and a degeneracy word.
 
 Degeneracy words are strictly decreasing, so each simplex has exactly one
 normal form and equality of ``Simplex`` values is equality of simplices.
+``Simplex`` checks that form once per distinct word and dimension, and
+remembers the pairs that passed, as ``delta`` remembers its tables.
 """
 
 from __future__ import annotations
@@ -53,6 +55,21 @@ __all__ = [
 # Writes a slot of an immutable value from inside its constructor.
 _set_field = object.__setattr__
 
+# The nonempty (word, dim) pairs that passed _check_word.  A word is valid
+# or not whatever base it is applied to, so each pair is checked once per
+# process; a malformed one never enters and raises on every construction.
+_checked_words: set[tuple[tuple[int, ...], int]] = set()
+
+
+def _check_word(word: tuple[int, ...], dim: int) -> None:
+    if any(a <= b for a, b in zip(word, word[1:])):
+        raise ValidationError(f"degeneracy word {word} is not strictly decreasing")
+    if word[0] >= dim:
+        raise ValidationError(f"degeneracy index {word[0]} out of range in dim {dim}")
+    if word[-1] < 0:
+        raise ValidationError(f"degeneracy word {word} has a negative index")
+    _checked_words.add((word, dim))
+
 
 class Simplex:
     """A simplex in normal form: a degeneracy word applied to a named base.
@@ -66,14 +83,8 @@ class Simplex:
 
     def __init__(self, degeneracies: tuple[int, ...], base: str, dim: int) -> None:
         word = degeneracies
-        if any(a <= b for a, b in zip(word, word[1:])):
-            raise ValidationError(f"degeneracy word {word} is not strictly decreasing")
-        if word and word[0] >= dim:
-            raise ValidationError(
-                f"degeneracy index {word[0]} out of range in dim {dim}"
-            )
-        if word and word[-1] < 0:
-            raise ValidationError(f"degeneracy word {word} has a negative index")
+        if word and (word, dim) not in _checked_words:
+            _check_word(word, dim)
         _set_field(self, "degeneracies", word)
         _set_field(self, "base", base)
         _set_field(self, "dim", dim)
@@ -145,7 +156,6 @@ class FiniteSSet:
         "_dim_of",
         "_all_cache",
         "_face_cache",
-        "_deg_cache",
         "_hash",
     )
 
@@ -170,7 +180,6 @@ class FiniteSSet:
                 self._dim_of[name] = k
         self._all_cache: dict[int, tuple[Simplex, ...]] = {}
         self._face_cache: dict[tuple[Simplex, int], Simplex] = {}
-        self._deg_cache: dict[tuple[Simplex, int], Simplex] = {}
         self._hash: int | None = None
         if check:
             self._validate()
@@ -230,11 +239,7 @@ class FiniteSSet:
         """The i-th degeneracy of an arbitrary simplex."""
         if not 0 <= i <= sx.dim:
             raise ValidationError(f"degeneracy index {i} out of range")
-        cached = self._deg_cache.get((sx, i))
-        if cached is not None:
-            return cached
-        out = self._deg_cache[(sx, i)] = sx.degenerate((i,))
-        return out
+        return sx.degenerate((i,))
 
     def act(self, sx: Simplex, alpha: MonotoneMap) -> Simplex:
         """Apply the contravariant action of ``alpha: [k] -> [dim sx]``.

@@ -25,7 +25,8 @@ from .chain import (
     ChainComplex,
     ChainMap,
     Tower,
-    chain_map_from_blocks,
+    _padded_blocks,
+    _unchecked,
     homology_table,
     loop_shift,
     sequential_colimit,
@@ -169,7 +170,9 @@ class _ReducedChainsStages:
                     col[row] = col.get(row, 0) + (-1 if (k + i) % 2 else 1)
                 columns.append({r: x for r, x in col.items() if x})
             blocks[k - n] = IntMat.of_columns(len(out_basis), columns)
-        return chain_map_from_blocks(source, target, blocks)
+        return _unchecked(
+            ChainMap, source, target, _padded_blocks(source, target, blocks)
+        )
 
 
 def reduced_chains_evaluator() -> StageEvaluator:

@@ -90,6 +90,18 @@ def test_homology_matches_sympy_oracle():
             assert g == homology_presentation(c, n)[1].normal_form()
 
 
+def test_homology_table_matches_sympy_oracle():
+    # One elimination per boundary gives the groups of every degree read,
+    # inside the window and on both sides of it.
+    rng = random.Random(20261018)
+    for _ in range(40):
+        c = _random_complex(rng)
+        table = homology_table(c, -1, 3)
+        assert list(table) == list(range(-1, 4))
+        for n, g in table.items():
+            assert (g.rank, g.torsion) == _sympy_homology(c, n)
+
+
 def test_boundary_composite_must_vanish():
     d1 = IntMat(1, 1, ((1,),))
     with pytest.raises(ValidationError, match="boundary composite in degree 2 "):

@@ -151,7 +151,7 @@ def test_simplex_value_contract():
     assert pickle.loads(pickle.dumps(sx)) == sx
 
 
-@pytest.mark.parametrize(
+MALFORMED_WORDS = pytest.mark.parametrize(
     "word, dim, message",
     [
         ((0, 1), 3, "not strictly decreasing"),
@@ -163,9 +163,29 @@ def test_simplex_value_contract():
     ],
     ids=["increasing", "index-too-large", "negative", "longer-than-dim"],
 )
+
+
+@MALFORMED_WORDS
 def test_malformed_degeneracy_words_are_rejected(word, dim, message):
     with pytest.raises(ValidationError, match=message):
         Simplex(word, "v", dim)
+
+
+@MALFORMED_WORDS
+def test_malformed_words_raise_on_every_construction(word, dim, message):
+    # Simplex remembers the words that passed its check, never a failure.
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValidationError, match=message) as err:
+            Simplex(word, "v", dim)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_word_check_is_remembered_per_dimension():
+    Simplex((2,), "v", 3)
+    with pytest.raises(ValidationError, match="out of range in dim 2"):
+        Simplex((2,), "v", 2)
 
 
 def test_operator_action_builds_no_monotone_maps(monkeypatch):
