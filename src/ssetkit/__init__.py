@@ -2,9 +2,9 @@
 
 Spaces are stored by their nondegenerate simplices; products, pushouts,
 quotients, nerves, and function complexes are computed levelwise and
-normalized.  Chain-level tooling (Smith normal form, mapping cones,
-Mayer-Vietoris, Dold-Kan, excisive approximation towers) works over the
-integers with no floating point outside the one real-coefficient norm.
+normalized.  Chain-level tooling (sparse integer elimination, mapping
+cones, Mayer-Vietoris, Dold-Kan, excisive approximation towers) works over
+the integers with no floating point outside the one real-coefficient norm.
 """
 
 from .build import (
@@ -75,7 +75,7 @@ from .function_complex import (
     standard_map,
 )
 from .groups import HomologyGroup, PresentedGroup
-from .intmat import IntMat, smith_normal_form
+from .intmat import IntMat
 from .nerve import (
     FiniteCategory,
     Preorder,

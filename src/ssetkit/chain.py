@@ -8,17 +8,19 @@ the chain-map law where a map enters.  Complexes and maps derived from
 checked data (shifts, sums, cones, composites, the chains of a simplicial
 set) are valid by construction and are built without re-checking.
 Homology is read off the ranks and the invariant factors of the boundaries,
-each boundary eliminated once, entirely over the integers; cycle bases and
-relation matrices are built only where Mayer-Vietoris needs generators.
+each boundary eliminated once, entirely over the integers.  Where
+Mayer-Vietoris needs generators, a homology presentation keeps the cycles
+that no unit relation removes, with the non-unit relations among them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import StabilizationError, ValidationError
 from .groups import HomologyGroup, PresentedGroup
-from .intmat import IntMat, kernel_basis, rank_and_torsion, solve
+from .intmat import IntMat, _unit_quotient, kernel_basis, rank_and_torsion, solve
 
 __all__ = [
     "ChainComplex",
@@ -209,20 +211,36 @@ def identity_chain_map(c: ChainComplex) -> ChainMap:
 
 # -- homology --------------------------------------------------------------
 
+# ``(G, P, coordinates)``, as ``homology_presentation`` returns it.
+HomologyPresentation = tuple[
+    IntMat, PresentedGroup, Callable[[IntMat], "IntMat | None"]
+]
 
-def homology_presentation(c: ChainComplex, n: int) -> tuple[IntMat, PresentedGroup]:
-    """Cycle basis and presentation of the degree-n homology.
 
-    Returns ``(Z, P)``: the columns of ``Z`` are a saturated basis of the
-    cycles in degree ``n`` and ``P`` presents the homology on those
-    generators, with one relation per boundary from degree ``n + 1``.
+def homology_presentation(c: ChainComplex, n: int) -> HomologyPresentation:
+    """Generators, presentation and coordinates of the degree-n homology.
+
+    Returns ``(G, P, coordinates)``.  With ``Z`` a saturated basis of the
+    cycles in degree ``n`` and ``W`` the boundaries from degree ``n + 1``
+    written on it, the unit elimination of ``rank_and_torsion`` runs on the
+    columns of ``W``.  Each unit pivot removes one cycle: the columns of
+    ``G`` are the cycles of ``Z`` in no unit-pivot row, and ``P`` presents
+    the homology on them by the non-unit remainder.  ``coordinates(V)``
+    writes cycles ``V`` on ``G`` modulo ``P``, or gives ``None`` when ``V``
+    is not made of cycles.
     """
     Z = kernel_basis(c.boundary(n))
-    B = c.boundary(n + 1)
-    W = solve(Z, B)
+    W = solve(Z, c.boundary(n + 1))
     if W is None:
         raise ValidationError("boundaries are not cycles; complex is corrupt")
-    return Z, PresentedGroup(Z.cols, W)
+    kept, relations, reduce = _unit_quotient(W)
+
+    def coordinates(V: IntMat) -> IntMat | None:
+        X = solve(Z, V)
+        return None if X is None else reduce(X)
+
+    G = IntMat.of_columns(Z.rows, (Z.columns[i] for i in kept))
+    return G, PresentedGroup(len(kept), relations), coordinates
 
 
 def homology(c: ChainComplex, n: int) -> HomologyGroup:
@@ -249,13 +267,11 @@ def is_acyclic(c: ChainComplex) -> bool:
 
 
 def induced_map(
-    f: ChainMap,
-    n: int,
-    src: tuple[IntMat, PresentedGroup],
-    tgt: tuple[IntMat, PresentedGroup],
+    f: ChainMap, n: int, src: HomologyPresentation, tgt: HomologyPresentation
 ) -> IntMat:
-    """Matrix of ``H_n(f)`` between the presentations ``src`` and ``tgt``."""
-    M = solve(tgt[0], f.block(n) @ src[0])
+    """Matrix of ``H_n(f)`` between the homology presentations ``src`` and
+    ``tgt``, on their generators."""
+    M = tgt[2](f.block(n) @ src[0])
     if M is None:
         raise ValidationError("cycles do not map to cycles; not a chain map")
     return M

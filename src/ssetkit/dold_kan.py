@@ -2,7 +2,8 @@
 
 A simplicial abelian group is stored through a finite cap as one free
 abelian group per level with explicit face and degeneracy matrices; every
-simplicial identity is asserted matrix-exactly on construction.
+simplicial identity is asserted matrix-exactly where a group enters, and
+what is derived here from checked data is built without re-checking.
 
 The two legs implemented here are the classical pair: ``dold_kan_K`` builds
 the simplicial group whose level n is the sum of copies of the chain groups
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain import ChainComplex, homology
+from .chain import ChainComplex, _unchecked, homology
 from .delta import compose_words, degeneracy_words, face_of_word
 from .errors import ValidationError
 from .groups import HomologyGroup
@@ -136,7 +137,7 @@ def truncate_nonneg(c: ChainComplex) -> ChainComplex:
             raise ValidationError("boundary image escapes the cycle subgroup")
         boundaries.append(d1)
         boundaries.extend(c.boundary(n) for n in range(2, high + 1))
-    return ChainComplex(0, high, tuple(ranks), tuple(boundaries))
+    return _unchecked(ChainComplex, 0, high, tuple(ranks), tuple(boundaries))
 
 
 # -- the K construction ----------------------------------------------------
@@ -205,7 +206,7 @@ def dold_kan_K(c: ChainComplex, cap: int) -> SimplicialAbelianGroup:
         )
         for n in range(cap)
     )
-    return SimplicialAbelianGroup(cap, ranks, face_ops, degeneracy_ops)
+    return _unchecked(SimplicialAbelianGroup, cap, ranks, face_ops, degeneracy_ops)
 
 
 # -- the Moore complex -----------------------------------------------------
@@ -228,7 +229,7 @@ def moore_normalized(A: SimplicialAbelianGroup) -> ChainComplex:
         if coords is None:
             raise ValidationError("zeroth face leaves the normalized subgroup")
         boundaries.append(coords)
-    return ChainComplex(0, A.cap, ranks, tuple(boundaries))
+    return _unchecked(ChainComplex, 0, A.cap, ranks, tuple(boundaries))
 
 
 def simplicial_homotopy_group(A: SimplicialAbelianGroup, n: int) -> HomologyGroup:

@@ -32,6 +32,7 @@ from .build import (
 from .chain import (
     ChainMap,
     ChainSquare,
+    HomologyPresentation,
     _unchecked,
     check_exact_sequence,
     direct_sum,
@@ -453,7 +454,7 @@ class LESEntry:
 @dataclass
 class LongExactSequence:
     entries: tuple[LESEntry, ...]
-    maps: tuple[IntMat, ...]  # matrices on the chosen homology generators
+    maps: tuple[IntMat, ...]  # on the generators each presentation keeps
     exact: tuple[bool, ...]  # exactness at entries[1:], tail included
     reduced: bool
 
@@ -488,8 +489,8 @@ def _connecting(
     beta: ChainMap,
     alpha: ChainMap,
     n: int,
-    pres_x: tuple[IntMat, PresentedGroup],
-    pres_w: tuple[IntMat, PresentedGroup],
+    pres_x: HomologyPresentation,
+    pres_w: HomologyPresentation,
 ) -> IntMat:
     """Snake construction of the boundary map H_{n+1}(X) -> H_n(W)."""
     ZX = pres_x[0]
@@ -503,7 +504,7 @@ def _connecting(
     back = solve(alpha.block(n), bdry)
     if back is None:
         raise ValidationError("snake boundary does not come from the overlap")
-    coords = solve(ZW, back)
+    coords = pres_w[2](back)
     if coords is None:
         raise ValidationError("snake boundary is not a cycle")
     return coords

@@ -4,25 +4,27 @@ An ``IntMat`` stores its nonzeros by column: ``columns[j]`` is a
 ``{row: value}`` dict of the nonzero entries of column j, each a Python int,
 so pivots can grow without overflow.  Chain builders write one column per
 simplex, products combine columns, and homology and presented-group normal
-forms need only a rank and the invariant factors: ``rank_and_torsion``
-eliminates by unit pivots on the stored columns and runs the dense Smith
-normal form on the non-unit remainder alone.  Where generators are needed
-(Mayer-Vietoris, exactness) saturated kernel bases and integer linear
-solves come from the Smith normal form with its transforms.
+forms need only a rank and the invariant factors.
+
+One sparse column elimination serves every caller.  Each column is cleared
+against the pivots found so far and becomes a pivot on a ±1 entry if it has
+one.  ``rank_and_torsion`` sets the other columns aside and hands their
+non-unit remainder to a dense routine that returns only invariant factors.
+``kernel_basis`` and ``solve`` pivot them on their least entry instead,
+run Euclid's algorithm on a pivot column and a column whose entry it does
+not divide, and record every column operation, so a saturated kernel basis
+and integer solutions come from the same pass; no U or V transform is ever
+built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import ValidationError
 
-__all__ = [
-    "IntMat",
-    "smith_normal_form",
-    "SmithDecomposition",
-    "rank_and_torsion",
-]
+__all__ = ["IntMat", "rank_and_torsion", "kernel_basis", "solve"]
 
 
 def _shifted(col: dict[int, int], r: int) -> dict[int, int]:
@@ -171,163 +173,151 @@ class IntMat:
         return self.rows == self.cols and rank_and_torsion(self) == (self.rows, ())
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """``U @ M @ V == D`` with unimodular transforms and divisibility chain."""
-
-    U: IntMat
-    D: IntMat
-    V: IntMat
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        k = min(self.D.rows, self.D.cols)
-        return tuple(self.D[i, i] for i in range(k))
-
-    @property
-    def nonzero_diagonal(self) -> tuple[int, ...]:
-        return tuple(d for d in self.diagonal if d != 0)
-
-
-def smith_normal_form(M: IntMat) -> SmithDecomposition:
-    """Smith normal form with transforms.
-
-    Returns ``SmithDecomposition(U, D, V)`` where ``U @ M @ V == D`` is
-    diagonal with nonnegative entries, each dividing the next.
-    """
-    n, m = M.rows, M.cols
-    a = M.to_lists()
-    u = IntMat.identity(n).to_lists()
-    v = IntMat.identity(m).to_lists()
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        # row[dst] += c * row[src]
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(n, m):
-        # Find a pivot of least absolute value in the remaining block.
-        pivot = None
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        # Reduce until the pivot divides its row and column, then clear.
-        while True:
-            p = a[t][t]
-            dirty = False
-            for i in range(t + 1, n):
-                if a[i][t] % p != 0:
-                    add_row(i, t, -(a[i][t] // p))
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, m):
-                if a[t][j] % p != 0:
-                    add_col(j, t, -(a[t][j] // p))
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            break
-        p = a[t][t]
-        for i in range(t + 1, n):
-            if a[i][t] != 0:
-                add_row(i, t, -(a[i][t] // p))
-        for j in range(t + 1, m):
-            if a[t][j] != 0:
-                add_col(j, t, -(a[t][j] // p))
-        t += 1
-
-    # Sign normalization and divisibility chain.
-    for i in range(min(n, m)):
-        if a[i][i] < 0:
-            negate_row(i)
-    i = 0
-    while i < min(n, m) - 1:
-        x, y = a[i][i], a[i + 1][i + 1]
-        if y != 0 and (x == 0 or y % x != 0):
-            # Merge the two diagonal entries into gcd/lcm position.
-            add_col(i, i + 1, 1)
-            # Re-clear the 2x2 block with row/column operations.
-            while True:
-                p = a[i][i]
-                q = a[i + 1][i]
-                if q == 0:
-                    break
-                if p == 0 or abs(q) < abs(p):
-                    swap_rows(i, i + 1)
-                    continue
-                add_row(i + 1, i, -(q // p))
-            p = a[i][i]
-            if a[i][i + 1] != 0:
-                add_col(i + 1, i, -(a[i][i + 1] // p))
-            if a[i][i] < 0:
-                negate_row(i)
-            if a[i + 1][i + 1] < 0:
-                negate_row(i + 1)
-            i = max(i - 1, 0)
-        else:
-            i += 1
-
-    return SmithDecomposition(IntMat(n, n, u), IntMat(n, m, a), IntMat(m, m, v))
-
-
 # -- sparse elimination ----------------------------------------------------
 
 
-def _clear(col: dict[int, int], pivots, pivot_of_row: dict[int, int]) -> None:
+def _sub(col: dict[int, int], c: int, other: dict[int, int]) -> None:
+    """``col -= c * other`` in place for ``c != 0``, dropping the zeros it
+    makes."""
+    for i, x in other.items():
+        v = col.get(i, 0) - c * x
+        if v:
+            col[i] = v
+        else:
+            del col[i]
+
+
+def _swap(u: dict[int, int], v: dict[int, int]) -> None:
+    """Exchange the contents of two columns in place."""
+    w = dict(u)
+    u.clear()
+    u.update(v)
+    v.clear()
+    v.update(w)
+
+
+def _clear(col: dict[int, int], t, pivots, pivot_of_row: dict[int, int]) -> None:
     """Zero the pivot rows of ``col`` in place by column operations.
 
-    ``pivots[k]`` is ``(row, column)`` with a ±1 in ``row`` and zeros in the
-    rows of all earlier pivots.  So clearing with the earliest pivot first
-    only fills rows of later pivots, and the loop ends.
+    ``pivots[k]`` is ``(row, column, transform)``, the column nonzero in
+    ``row`` and zero in the rows of all earlier pivots.  So clearing with the
+    earliest pivot first only fills rows of later pivots, and the loop ends.
+    With ``p`` the pivot and ``x`` the entry of ``col`` in its row, ``x // p``
+    times the pivot column is subtracted.  Where ``p`` does not divide ``x``
+    the two columns are then swapped, so the pivot becomes ``x mod p`` and
+    the loop runs Euclid's algorithm on them until the pivot is
+    ``gcd(p, x)``.  Every step is unimodular.  The transform ``t`` of
+    ``col`` (``None`` when not kept) and the pivots' transforms undergo the
+    same operations.
     """
     while True:
         k = min((pivot_of_row[i] for i in col if i in pivot_of_row), default=None)
         if k is None:
             return
-        r, p = pivots[k]
-        c = col[r] * p[r]  # ±1 is its own inverse
-        for i, x in p.items():
-            v = col.get(i, 0) - c * x
-            if v:
-                col[i] = v
-            else:
-                del col[i]
+        r, pc, pt = pivots[k]
+        p, x = pc[r], col[r]
+        if c := x // p:
+            for i, y in pc.items():  # ``_sub`` written out: homology's inner loop
+                v = col.get(i, 0) - c * y
+                if v:
+                    col[i] = v
+                else:
+                    del col[i]
+            if t is not None:
+                _sub(t, c, pt)
+        if x % p:
+            _swap(col, pc)
+            if t is not None:
+                _swap(t, pt)
+
+
+def _eliminate(M: IntMat, track: bool):
+    """Clear the columns of ``M`` in turn against the pivots found so far.
+
+    A cleared column with a ±1 entry becomes a pivot on it.  With ``track``
+    each column carries its transform (the combination of columns of ``M``
+    it now is), a column without a ±1 entry becomes a pivot on its least
+    entry, and the last value returned holds the transforms of the columns
+    cleared to zero.  Without ``track`` such a column is set aside and
+    cleared again against all k pivots; the last value is this remainder,
+    zero in every pivot row, so SNF(M) = I_k ⊕ SNF(remainder).
+    """
+    pivots: list[tuple[int, dict[int, int], dict[int, int] | None]] = []
+    pivot_of_row: dict[int, int] = {}
+    rest = []
+    for j, stored in enumerate(M.columns):
+        col = dict(stored)  # cleared in place below
+        t = {j: 1} if track else None
+        _clear(col, t, pivots, pivot_of_row)
+        r = next((i for i, x in col.items() if x == 1 or x == -1), None)
+        if r is None and track and col:
+            r = min(col, key=lambda i: abs(col[i]))
+        if r is not None:
+            pivot_of_row[r] = len(pivots)
+            pivots.append((r, col, t))
+        elif track or col:
+            rest.append(t if track else col)
+    if not track:
+        for col in rest:
+            _clear(col, None, pivots, pivot_of_row)
+        rest = [col for col in rest if col]
+    return pivots, pivot_of_row, rest
+
+
+def _unit_quotient(W: IntMat):
+    """``Z^rows / <W>`` on fewer generators, by the unit elimination of W.
+
+    Returns the rows that are no unit pivot, the remainder written on them,
+    and the map that clears columns against the unit pivots and reads them
+    on those rows.  Clearing is linear and kills exactly the span of the
+    unit pivots, so ``Z^rows / <W>`` is ``Z^kept / <remainder>``.
+    """
+    pivots, pivot_of_row, rest = _eliminate(W, track=False)
+    kept = [i for i in range(W.rows) if i not in pivot_of_row]
+    index = {i: k for k, i in enumerate(kept)}
+
+    def reduce(columns) -> IntMat:
+        columns = [dict(col) for col in columns]
+        for col in columns:
+            _clear(col, None, pivots, pivot_of_row)
+        return IntMat.of_columns(len(kept), (
+            {index[i]: x for i, x in col.items()} for col in columns
+        ))
+
+    return kept, reduce(rest), lambda X: reduce(X.columns)
+
+
+def _invariant_factors(columns: list[dict[int, int]]) -> list[int]:
+    """The nonzero invariant factors of the matrix with these columns.
+
+    Dense, and without transforms: pivot on an entry of least absolute
+    value and reduce its row and column modulo it, until it is alone in both;
+    then the diagonal so found is put into gcd/lcm divisibility order.
+    """
+    a = [[col.get(i, 0) for col in columns] for i in sorted(set().union(*columns))]
+    diag = []
+    while any(map(any, a)):
+        _, i, j = min(
+            (abs(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x
+        )
+        prow, p = a[i], a[i][j]
+        for row in a:
+            if row is not prow and (q := row[j] // p):
+                row[:] = [x - q * y for x, y in zip(row, prow)]
+        for k, y in enumerate(prow):
+            if k != j and (q := y // p):
+                for row in a:
+                    row[k] -= q * row[j]
+        if sum(map(bool, prow)) + sum(bool(row[j]) for row in a) == 2:
+            diag.append(abs(p))
+            del a[i]
+            for row in a:
+                del row[j]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return diag
 
 
 def rank_and_torsion(M: IntMat) -> tuple[int, tuple[int, ...]]:
@@ -335,64 +325,51 @@ def rank_and_torsion(M: IntMat) -> tuple[int, tuple[int, ...]]:
 
     Each column is cleared against the unit (±1) pivots found so far; it
     becomes a pivot if it is left with a ±1 entry and is set aside otherwise.
-    The set-aside columns are cleared again against all k pivots, which
-    leaves them zero in every pivot row, so SNF(M) = I_k ⊕ SNF(remainder)
-    and only the remainder goes through the dense Smith normal form.
+    Only the remainder of the set-aside columns goes through the dense
+    invariant-factor routine.
     """
-    pivots: list[tuple[int, dict[int, int]]] = []
-    pivot_of_row: dict[int, int] = {}
-    rest = []
-    for stored in M.columns:
-        col = dict(stored)  # cleared in place below
-        _clear(col, pivots, pivot_of_row)
-        r = next((i for i, x in col.items() if x == 1 or x == -1), None)
-        if r is not None:
-            pivot_of_row[r] = len(pivots)
-            pivots.append((r, col))
-        elif col:
-            rest.append(col)
-    for col in rest:
-        _clear(col, pivots, pivot_of_row)
-    rest = [col for col in rest if col]
+    pivots, _, rest = _eliminate(M, track=False)
     if not rest:
         return len(pivots), ()
-    index = {r: k for k, r in enumerate(sorted(set().union(*rest)))}
-    diag = smith_normal_form(IntMat.of_columns(len(index), (
-        {index[i]: x for i, x in col.items()} for col in rest
-    ))).nonzero_diagonal
+    diag = _invariant_factors(rest)
     return len(pivots) + len(diag), tuple(d for d in diag if d > 1)
 
 
 def kernel_basis(M: IntMat) -> IntMat:
     """A saturated basis of the integer kernel, as columns.
 
-    The basis spans ``ker M`` as a direct summand of the domain lattice, so
-    any integer kernel vector is an integer combination of the columns.
+    The columns are the transforms of the columns that the elimination
+    clears to zero.  Every step is unimodular, so the transforms of all
+    columns form a basis of the domain lattice, and those of the vanished
+    ones span ``ker M`` as a direct summand: any integer kernel vector is an
+    integer combination of them.
     """
-    snf = smith_normal_form(M)
-    diag = snf.diagonal
-    return IntMat.of_columns(M.cols, (
-        snf.V.columns[j] for j in range(M.cols) if j >= len(diag) or diag[j] == 0
-    ))
+    return IntMat.of_columns(M.cols, _eliminate(M, track=True)[2])
 
 
 def solve(M: IntMat, B: IntMat) -> IntMat | None:
     """An integer solution ``X`` of ``M @ X == B``, or ``None``.
 
-    Solves all columns of ``B`` at once; free coordinates are set to zero.
+    Each column of ``B`` is cleared against the pivots of the elimination
+    of ``M``, earliest first.  A pivot column is zero in the rows of all
+    earlier pivots, so each multiple is forced and must be an integer, and
+    a column not cleared to zero lies outside the span of ``M``.  The same
+    multiples of the pivots' transforms give ``X``; free coordinates are 0.
     """
     if B.rows != M.rows:
         raise ValidationError("shape mismatch in solve")
-    snf = smith_normal_form(M)
-    diag = snf.diagonal
-    ys = []
-    for col in (snf.U @ B).columns:
-        # Row i of U @ M @ V is diag[i] in column i, or zero past the diagonal.
-        y = {}
-        for i, rhs in col.items():
-            d = diag[i] if i < len(diag) else 0
-            if d == 0 or rhs % d:
+    pivots, pivot_of_row, _ = _eliminate(M, track=True)
+    xs = []
+    for stored in B.columns:
+        col, x = dict(stored), {}
+        while rows := [pivot_of_row[i] for i in col if i in pivot_of_row]:
+            r, pc, pt = pivots[min(rows)]
+            q, rem = divmod(col[r], pc[r])
+            if rem:
                 return None
-            y[i] = rhs // d
-        ys.append(y)
-    return snf.V @ IntMat.of_columns(M.cols, ys)
+            _sub(col, q, pc)
+            _sub(x, -q, pt)
+        if col:
+            return None
+        xs.append(x)
+    return IntMat.of_columns(M.cols, xs)

@@ -1,13 +1,14 @@
 """Integer chain complexes: homology, cones, squares, towers, norms."""
 
 import random
-import sys
 
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from conftest import circle
+from intmat_oracle import smith_normal_form
+from ssetkit import intmat
 from ssetkit.build import product
 from ssetkit.chain import (
     ChainComplex,
@@ -36,10 +37,11 @@ from ssetkit.chain import (
     zero_map,
 )
 from ssetkit.errors import StabilizationError, ValidationError
+from ssetkit.excision import cover_from_names, mayer_vietoris
 from ssetkit.groups import HomologyGroup
-from ssetkit.intmat import IntMat, kernel_basis, smith_normal_form
+from ssetkit.intmat import IntMat, kernel_basis, rank_and_torsion
 from ssetkit.simplicial_chains import normalized_chains
-from ssetkit.sset import standard_simplex
+from ssetkit.sset import boundary, standard_simplex
 
 
 # -- independent homology oracle -------------------------------------------
@@ -330,21 +332,27 @@ def test_split_injection_of_injective_space_maps():
 def test_homology_and_quasi_iso_run_no_smith_form(monkeypatch):
     """Homology stays on the unit-pivot elimination: building a product's
     chains, its homology table and the quasi-iso verdict of its identity
-    run no dense Smith form (products skip zeros, see test_intmat)."""
+    run the dense invariant-factor routine on no remainder (products skip
+    zeros, see test_intmat), and neither do Mayer-Vietoris sequences whose
+    relations are all units."""
     calls = []
+    dense = intmat._invariant_factors
 
-    def counted_snf(m):
-        calls.append((m.rows, m.cols))
-        return smith_normal_form(m)
+    def counted_dense(columns):
+        calls.append(len(columns))
+        return dense(columns)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "ssetkit" and (
-            getattr(module, "smith_normal_form", None) is smith_normal_form
-        ):
-            monkeypatch.setattr(module, "smith_normal_form", counted_snf)
+    monkeypatch.setattr(intmat, "_invariant_factors", counted_dense)
+    assert rank_and_torsion(IntMat.from_rows([[2]])) == (1, (2,))
+    assert calls == [1]  # the counter sees the routine
+    calls.clear()
 
     c = normalized_chains(product(standard_simplex(2), standard_simplex(2)).space)
     table = homology_table(c, c.low, c.high)
     assert quasi_iso(identity_chain_map(c))
     assert table == {n: HomologyGroup(int(n == 0)) for n in c.degrees()}
+    two_arcs = cover_from_names(boundary(2), ["01", "12"], ["02"])
+    sphere = cover_from_names(boundary(3), ["123", "023"], ["013", "012"])
+    assert mayer_vietoris(two_arcs, 2).all_exact
+    assert mayer_vietoris(sphere, 3).all_exact
     assert calls == []

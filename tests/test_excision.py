@@ -1,5 +1,7 @@
 """Suspensions, homotopy pushouts, cover sequences, Mayer-Vietoris."""
 
+from itertools import combinations
+
 import pytest
 
 from conftest import check_simplicial_identities, circle, four_test_spaces, two_sphere
@@ -24,6 +26,8 @@ from ssetkit.excision import (
     reduced_suspension_data,
     unreduced_suspension,
 )
+from ssetkit.groups import HomologyGroup
+from ssetkit.serialize import sset_from_record
 from ssetkit.simplicial_chains import (
     normalized_chains,
     reduced_normalized_chains,
@@ -289,8 +293,7 @@ def test_mv_exactness_for_battery():
 
 def test_mv_sphere_cover():
     # the 2-sphere as two half-shells meeting in a square equator
-    S = boundary(3)
-    cd = cover_from_names(S, ["123", "023"], ["013", "012"])
+    cd = _sphere_cover()
     assert cd.W.counts() == (4, 4)  # the 4-gon equator
     les = mayer_vietoris(cd, 3)
     assert les.all_exact
@@ -301,6 +304,46 @@ def test_mv_sphere_cover():
                if (e.degree, e.tag) == (2, "X"))
     mat = les.maps[idx]
     assert mat.cols == 1 and not mat.is_zero()
+
+
+def _sphere_cover():
+    return cover_from_names(boundary(3), ["123", "023"], ["013", "012"])
+
+
+def _assert_maps_on_group_generators(les):
+    # Free groups here, so each group has exactly rank-many generators.
+    for i, m in enumerate(les.maps):
+        shape = (les.entries[i + 1].group.rank, les.entries[i].group.rank)
+        assert (m.rows, m.cols) == shape, (i, les.entries[i], les.entries[i + 1])
+
+
+def test_mv_maps_run_between_the_groups_generators():
+    _assert_maps_on_group_generators(mayer_vietoris(_sphere_cover(), 3))
+    for cd in _cover_battery():
+        _assert_maps_on_group_generators(mayer_vietoris(cd, 2))
+        if cd.W.nondeg(0):
+            _assert_maps_on_group_generators(mayer_vietoris(cd, 2, reduced=True))
+
+
+def test_mv_projective_plane_carries_torsion():
+    # The 6-vertex RP²: the star of vertex 0 (a disk) and the rest (a
+    # Möbius band), meeting in the pentagon 1-2-3-4-5.
+    tops = "012 023 034 045 015 124 245 235 135 134".split()
+    names = {"".join(f) for t in tops for k in (1, 2, 3) for f in combinations(t, k)}
+    X = sset_from_record({
+        "cells": [sorted(n for n in names if len(n) == k) for k in (1, 2, 3)],
+        "faces": {
+            n: [[[], n[:i] + n[i + 1:]] for i in range(len(n))]
+            for n in names if len(n) > 1
+        },
+    })
+    cd = cover_from_names(X, tops[:5], tops[5:])
+    assert homology(normalized_chains(cd.W), 1).rank == 1  # the pentagon
+    for reduced in (False, True):
+        les = mayer_vietoris(cd, 2, reduced=reduced)
+        assert les.all_exact
+        assert les.group(1, "X") == HomologyGroup(0, (2,))
+        assert les.group(1, "W").rank == les.group(1, "U_plus_V").rank == 1
 
 
 def test_mv_record_shape():

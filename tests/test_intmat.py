@@ -5,19 +5,14 @@ import sympy
 from hypothesis import given, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from intmat_oracle import smith_normal_form
 from ssetkit.errors import ValidationError
-from ssetkit.intmat import (
-    IntMat,
-    kernel_basis,
-    rank_and_torsion,
-    smith_normal_form,
-    solve,
-)
+from ssetkit.intmat import IntMat, kernel_basis, rank_and_torsion, solve
 from ssetkit.serialize import sset_from_record
 from ssetkit.simplicial_chains import normalized_chains
 
 # Few units and many non-unit entries, so that the unit-pivot elimination
-# regularly leaves a remainder for the dense Smith form.
+# regularly leaves a remainder for the dense invariant-factor routine.
 MIXED = st.sampled_from((0, 1, -1, 2, -2, 3, -3, 4, 6))
 
 
@@ -63,7 +58,13 @@ def test_snf_transform_equation(m):
         assert b % a == 0
 
 
-@given(intmat())
+# Small matrices of any entries, and larger ones with few units, on which
+# the kernel and solve eliminations pivot on non-units and run Euclid's
+# algorithm where a pivot does not divide an entry.
+ANY_INTMAT = st.one_of(intmat(), intmat(max_dim=8, elements=MIXED))
+
+
+@given(ANY_INTMAT)
 def test_kernel_basis_is_saturated_kernel(m):
     k = kernel_basis(m)
     assert (m @ k).is_zero()
@@ -77,7 +78,7 @@ def test_kernel_basis_is_saturated_kernel(m):
         assert solve(k, iv) is not None
 
 
-@given(intmat(), st.data())
+@given(ANY_INTMAT, st.data())
 def test_solve_recovers_known_solutions(m, data):
     x = IntMat.column(
         [data.draw(st.integers(-4, 4)) for _ in range(m.cols)]
@@ -86,6 +87,33 @@ def test_solve_recovers_known_solutions(m, data):
     sol = solve(m, b)
     assert sol is not None
     assert m @ sol == b
+
+
+@given(ANY_INTMAT, st.data())
+def test_solve_fails_exactly_where_the_oracle_has_no_solution(m, data):
+    b = data.draw(intmat(elements=MIXED, rows=m.rows))
+    d = smith_normal_form(m)
+    diag = d.diagonal
+    # U @ M @ V == D, so M @ X == B has a solution iff D @ Y == U @ B has one.
+    solvable = all(
+        i < len(diag) and diag[i] and x % diag[i] == 0
+        for col in (d.U @ b).columns for i, x in col.items()
+    )
+    sol = solve(m, b)
+    assert (sol is not None) == solvable
+    if sol is not None:
+        assert m @ sol == b
+
+
+def test_gcd_step_kernel_and_solves():
+    # No entry of [2, 3] or [4, 6] divides the other, so the elimination
+    # runs Euclid's algorithm on the two columns.
+    k = kernel_basis(IntMat.from_rows([[2, 3]])).to_lists()
+    assert k in ([[3], [-2]], [[-3], [2]])
+    m = IntMat.from_rows([[4, 6]])
+    sol = solve(m, IntMat.from_rows([[2]]))
+    assert sol is not None and m @ sol == IntMat.from_rows([[2]])
+    assert solve(m, IntMat.from_rows([[1]])) is None
 
 
 def _rank_and_factors(diagonal) -> tuple[int, tuple[int, ...]]:
@@ -134,7 +162,8 @@ def test_matmul_multiplies_only_nonzeros_that_meet():
 def test_rank_and_torsion_fixed_cases():
     assert rank_and_torsion(IntMat.zero(0, 3)) == (0, ())
     assert rank_and_torsion(IntMat.zero(3, 0)) == (0, ())
-    # No unit anywhere: SNF of the remainder merges 2 and 3 into (1, 6).
+    # No unit anywhere: the remainder's invariant factors merge 2 and 3
+    # into (1, 6).
     assert rank_and_torsion(IntMat.from_rows([[2, 0], [0, 3]])) == (2, (6,))
     # Column 0 has no unit and is set aside before column 1 gives the
     # pivot in row 0; only clearing it again leaves the remainder (0, 3).

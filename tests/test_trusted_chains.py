@@ -4,10 +4,12 @@ The chains of a simplicial set, the chain maps of simplicial maps, shifts,
 sums, cones, composites, tower stages and structure maps, the maps of a
 cover's short exact sequence and the chain square of a square of spaces
 are valid by construction, so the package builds them without running the
-d∘d and chain-map-law checks.  These properties rebuild each such value
-through the validating constructors and compare it with the original.  The
-last test pins down that the tower pipeline re-checks nothing it derived and
-eliminates each boundary once.
+d∘d and chain-map-law checks.  So are the Dold-Kan groups, Moore complexes
+and good truncations, which skip the simplicial-identity and d∘d checks.
+These properties rebuild each such value through the validating
+constructors and compare it with the original.  The last test pins down
+that the tower pipeline re-checks nothing it derived and eliminates each
+boundary once.
 """
 
 from collections import Counter
@@ -25,7 +27,14 @@ from ssetkit.chain import (
     homology_table,
     loop_shift,
     mapping_cone,
+    single_complex,
     total_complex_of_square,
+)
+from ssetkit.dold_kan import (
+    SimplicialAbelianGroup,
+    dold_kan_K,
+    moore_normalized,
+    truncate_nonneg,
 )
 from ssetkit.errors import ValidationError
 from ssetkit.excision import (
@@ -135,6 +144,22 @@ def test_chain_squares_of_pushouts_validate(data):
         # Its total complex is the cone of a map out of a cone; d∘d = 0 on
         # it holds only if both maps inside obey the chain-map law.
         revalidate(total_complex_of_square(csq))
+
+
+@given(
+    st.one_of(
+        st.builds(single_complex, st.integers(0, 3), st.integers(0, 2)),
+        st.sampled_from(sorted(four_test_spaces()))
+        .map(SPACES.__getitem__)
+        .map(reduced_normalized_chains),
+    ),
+    st.integers(0, 4),
+)
+def test_dold_kan_results_validate(c, cap):
+    A = dold_kan_K(c, cap)
+    assert SimplicialAbelianGroup(A.cap, A.ranks, A.face_ops, A.degeneracy_ops) == A
+    revalidate(moore_normalized(A))
+    revalidate(truncate_nonneg(c))
 
 
 def two_elimination_table(c: ChainComplex, low: int, high: int) -> dict:
