@@ -8,10 +8,20 @@ pairs level by level.  A product is the pullback of the two maps to the
 point, so products and fiber products share one construction and one
 result type; product cells keep their own ``p`` name prefix.
 
+A pullback works on positions.  Each level sorts the simplices ``s_I a``
+and ``s_J b`` of either side by word, then base, so a pair is a pair of
+positions, and the pairs are listed in the order of ``_canon_key`` without
+sorting them.  Each side computes the faces of each of its simplices once,
+as positions in a list of distinct faces, and each distinct pair of faces
+is normalised to a simplex of the pullback once, so a face is a lookup
+keyed on two ints.  The pairs are counted against
+``DEFAULT_MAX_CANDIDATES`` before any level is built.
+
 Pushouts are taken along an injective leg ``A -> Y``: the nondegenerate
 simplices of ``X u_A Y`` are those of ``X`` plus those of ``Y`` outside
 ``A``.  Disjoint unions are pushouts over the empty set, and the quotient
-``X/A`` is the pushout of ``X`` and the point along ``A``.
+``X/A`` is the pushout of ``X`` and the point along ``A``.  The gluing
+memoises the image of every face it renames, on both sides.
 
 Only the function complexes still materialize every simplex of a level,
 degenerate ones included, and strip the result back to a nondegenerate
@@ -29,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .delta import degeneracy_words
-from .errors import ValidationError
+from .errors import EnumerationLimit, ValidationError
 from .sset import (
     FiniteSSet,
     SSetMap,
@@ -52,6 +62,11 @@ __all__ = [
     "interval",
 ]
 
+# The budget of the package's combinatorial listings: the nondegenerate
+# simplices a pullback lists, and the candidate images a map search tries
+# (``function_complex.enumerate_maps``).
+DEFAULT_MAX_CANDIDATES = 10**6
+
 
 def _canon_key(e):
     if isinstance(e, Simplex):
@@ -63,9 +78,11 @@ def _canon_key(e):
     return ("a", e)
 
 
-def _cell_name(prefix: str, k: int, idx: int, count: int) -> str:
+def _level_names(prefix: str, k: int, count: int) -> list[str]:
+    """The names ``{prefix}{k}_{idx}`` of a level of ``count`` cells, the
+    indices zero-padded to one width."""
     width = len(str(max(count - 1, 0)))
-    return f"{prefix}{k}_{idx:0{width}d}"
+    return [f"{prefix}{k}_{idx:0{width}d}" for idx in range(count)]
 
 
 def _point_simplex(name: str, k: int) -> Simplex:
@@ -105,10 +122,8 @@ def _extract(system, top: int, prefix: str = "c") -> Extraction:
             else:
                 i, d = witness
                 to_simplex[(k, e)] = to_simplex[(k - 1, d)].degenerate((i,))
-        level = []
-        for idx, e in enumerate(nondeg):
-            name = _cell_name(prefix, k, idx, len(nondeg))
-            level.append(name)
+        level = _level_names(prefix, k, len(nondeg))
+        for e, name in zip(nondeg, level):
             to_simplex[(k, e)] = Simplex((), name, k)
             from_name[name] = e
             if k > 0:
@@ -145,21 +160,23 @@ def _glue(f: SSetMap, g: SSetMap):
     for k in range(max(f.target.top_dim, g.target.top_dim) + 1):
         level = [(0, n) for n in f.target.nondeg(k)]
         level += [(1, n) for n in g.target.nondeg(k) if n not in preimage]
-        names = [_cell_name("g", k, idx, len(level)) for idx in range(len(level))]
+        names = _level_names("g", k, len(level))
         for (side, old), new in zip(level, names):
             rename[side][old] = new
             origin[new] = (side, Simplex((), old, k))
         cells.append(names)
-    memo: dict = {}
+    memo: tuple[dict, dict] = ({}, {})  # per side: simplex -> its image
 
     def image(side: int, sx: Simplex) -> Simplex:
-        if side == 1 and sx.base in preimage:
-            out = memo.get(sx)
-            if out is None:
+        out = memo[side].get(sx)
+        if out is None:
+            if side == 1 and sx.base in preimage:
                 pre = Simplex(sx.degeneracies, preimage[sx.base], sx.dim)
-                out = memo[sx] = image(0, f.apply(pre))
-            return out
-        return Simplex(sx.degeneracies, rename[side][sx.base], sx.dim)
+                out = image(0, f.apply(pre))
+            else:
+                out = Simplex(sx.degeneracies, rename[side][sx.base], sx.dim)
+            memo[side][sx] = out
+        return out
 
     faces = {
         name: tuple(image(side, d) for d in sides[side].faces[sx.base])
@@ -305,46 +322,111 @@ class PullbackResult:
         return SSetMap(to_a.source, self.space, images, check=False)
 
 
-def _nondegenerate_pairs(p: SSetMap, q: SSetMap, k: int) -> list:
-    """The compatible pairs ``(s_I a, s_J b)`` of dimension k with I, J disjoint."""
+def _level_simplices(X: FiniteSSet, k: int, other_top: int) -> list[Simplex]:
+    """The k-simplices ``s_I x`` of nondegenerate ``x`` that can pair with a
+    k-simplex of a space of dimension ``other_top``, sorted by ``(I, x)``."""
+    return sorted(
+        (
+            Simplex(w, x, k)
+            for m in range(max(k - other_top, 0), min(k, X.top_dim) + 1)
+            for w in degeneracy_words(k, m)
+            for x in X.cells[m]
+        ),
+        key=lambda sx: (sx.degeneracies, sx.base),
+    )
+
+
+def _compatible(p: SSetMap, q: SSetMap, k: int):
+    """Level k of the pullback, by position.
+
+    Returns the k-simplices ``s_I a`` of the source of ``p`` and ``s_J b``
+    of the source of ``q``, each sorted by word, then base, and for each
+    ``s_I a`` the buckets of positions of the ``s_J b`` it pairs with: those
+    over the same image in the base whose words J are disjoint from I.  A
+    bucket holds one word and the buckets come in increasing words, so
+    reading them in turn lists the pairs of the level in the order of
+    ``(I, a, J, b)``, the order of ``_canon_key``.
+    """
     A, B = p.source, q.source
-    over: dict = {}  # (J, image in the base) -> the k-simplices s_J b over it
-    for m in range(max(k - A.top_dim, 0), min(k, B.top_dim) + 1):
-        for wb in degeneracy_words(k, m):
-            for b in B.cells[m]:
-                sb = Simplex(wb, b, k)
-                over.setdefault((wb, q.apply(sb)), []).append(sb)
-    b_words = {wb for wb, _ in over}
-    pairs = []
-    for m in range(max(k - B.top_dim, 0), min(k, A.top_dim) + 1):
-        for wa in degeneracy_words(k, m):
-            disjoint = [wb for wb in b_words if not set(wa) & set(wb)]
-            for a in A.cells[m]:
-                sa = Simplex(wa, a, k)
-                image = p.apply(sa)
-                for wb in disjoint:
-                    pairs.extend((sa, sb) for sb in over.get((wb, image), ()))
-    return pairs
+    sas = _level_simplices(A, k, B.top_dim)
+    sbs = _level_simplices(B, k, A.top_dim)
+    over: dict = {}  # (J, image in the base) -> positions of the s_J b over it
+    for jb, sb in enumerate(sbs):
+        over.setdefault((sb.degeneracies, q.apply(sb)), []).append(jb)
+    b_words = sorted({wb for wb, _ in over})
+    disjoint: dict = {}  # I -> the words J disjoint from it, increasing
+    partners = []
+    for sa in sas:
+        wa = sa.degeneracies
+        if wa not in disjoint:
+            disjoint[wa] = [wb for wb in b_words if not set(wa) & set(wb)]
+        image = p.apply(sa)
+        partners.append(
+            [bucket for wb in disjoint[wa] if (bucket := over.get((wb, image)))]
+        )
+    return sas, sbs, partners
+
+
+def _face_positions(X: FiniteSSet, level: list[Simplex], k: int):
+    """The distinct faces of the k-simplices in ``level``, and the faces of
+    each as positions in that list."""
+    index: dict = {}
+    faces = [
+        tuple(index.setdefault(X.face(sx, i), len(index)) for i in range(k + 1))
+        for sx in level
+    ]
+    return list(index), faces
 
 
 def _pullback(p: SSetMap, q: SSetMap, prefix: str) -> PullbackResult:
+    """The pullback, listed level by level before any level is built.
+
+    The pairs are counted against ``DEFAULT_MAX_CANDIDATES`` as the levels
+    are listed, so an oversized pullback raises ``EnumerationLimit`` before
+    it builds anything.  Then each side's simplices get their faces once,
+    as positions, and each distinct pair of faces is normalised once.
+    """
     A, B = p.source, q.source
+    levels = []
+    listed = 0
+    for k in range(A.top_dim + B.top_dim + 1):
+        levels.append(_compatible(p, q, k))
+        listed += sum(len(bucket) for buckets in levels[-1][2] for bucket in buckets)
+        if listed > DEFAULT_MAX_CANDIDATES:
+            raise EnumerationLimit(
+                f"pullback exceeds {DEFAULT_MAX_CANDIDATES} nondegenerate simplices"
+            )
     cells: list[list[str]] = []
     faces: dict[str, tuple[Simplex, ...]] = {}
     name_of: dict = {}
-    for k in range(A.top_dim + B.top_dim + 1):
-        pairs = sorted(_nondegenerate_pairs(p, q, k), key=_canon_key)
-        level = []
-        for idx, (sa, sb) in enumerate(pairs):
-            name = _cell_name(prefix, k, idx, len(pairs))
-            level.append(name)
-            name_of[(sa, sb)] = name
-            if k > 0:
-                faces[name] = tuple(
-                    _pair_simplex(name_of, A.face(sa, i), B.face(sb, i))
-                    for i in range(k + 1)
-                )
-        cells.append(level)
+    for k in range(len(levels)):
+        sas, sbs, partners = levels[k]
+        levels[k] = None  # free each level once read: it would add to the peak
+        pairs = [
+            (ia, ib)
+            for ia, buckets in enumerate(partners)
+            for bucket in buckets
+            for ib in bucket
+        ]
+        names = _level_names(prefix, k, len(pairs))
+        cells.append(names)
+        for (ia, ib), name in zip(pairs, names):
+            name_of[(sas[ia], sbs[ib])] = name
+        if not k:
+            continue
+        a_faces, a_of = _face_positions(A, sas, k)
+        b_faces, b_of = _face_positions(B, sbs, k)
+        memo: dict = {}  # (face position in A, in B) -> face in the pullback
+        for (ia, ib), name in zip(pairs, names):
+            out = []
+            for pair in zip(a_of[ia], b_of[ib]):
+                face = memo.get(pair)
+                if face is None:
+                    face = memo[pair] = _pair_simplex(
+                        name_of, a_faces[pair[0]], b_faces[pair[1]]
+                    )
+                out.append(face)
+            faces[name] = tuple(out)
     space = FiniteSSet(cells, faces, check=False)
     proj_l = SSetMap(space, A, {n: sa for (sa, _), n in name_of.items()}, check=False)
     proj_r = SSetMap(space, B, {n: sb for (_, sb), n in name_of.items()}, check=False)

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 
 from .errors import StabilizationError, ValidationError
 from .groups import HomologyGroup, PresentedGroup
-from .intmat import IntMat, _unit_quotient, kernel_basis, rank_and_torsion, solve
+from .intmat import (
+    IntMat,
+    _solver,
+    _unit_quotient,
+    kernel_basis,
+    rank_and_torsion,
+    solve,
+)
 
 __all__ = [
     "ChainComplex",
@@ -230,13 +237,14 @@ def homology_presentation(c: ChainComplex, n: int) -> HomologyPresentation:
     is not made of cycles.
     """
     Z = kernel_basis(c.boundary(n))
-    W = solve(Z, c.boundary(n + 1))
+    on_cycles = _solver(Z)  # eliminates Z once, for W and every coordinates
+    W = on_cycles(c.boundary(n + 1))
     if W is None:
         raise ValidationError("boundaries are not cycles; complex is corrupt")
     kept, relations, reduce = _unit_quotient(W)
 
     def coordinates(V: IntMat) -> IntMat | None:
-        X = solve(Z, V)
+        X = on_cycles(V)
         return None if X is None else reduce(X)
 
     G = IntMat.of_columns(Z.rows, (Z.columns[i] for i in kept))

@@ -3,11 +3,15 @@
 Enumeration backtracks over the nondegenerate simplices in a face-closed
 eager order: the free vertices in name order, and every other simplex as
 soon as the last of its faces is assigned, so a vertex pair without an edge
-between its images is dropped before the next vertex fans out.  The
-candidate images of each dimension are indexed by their tuple of faces, so
-a slot reads in one lookup exactly the candidates whose faces agree with
-the images already assigned: every found assignment is a simplicial map by
-construction.  The maps are returned in the order of the plain search in
+between its images is dropped before the next vertex fans out.  The search
+works on positions: an image is its position in ``Y.all_simplices`` of its
+dimension.  The candidate images of each dimension are indexed by the
+positions of their faces, so a slot reads in one lookup exactly the
+candidates whose faces agree with the images already assigned: every found
+assignment is a simplicial map by construction.  A slot's degenerate faces
+are read through one position table per dimension and degeneracy word, so
+the search builds no ``Simplex``; only the maps found are built, at the
+end.  The maps are returned in the order of the plain search in
 ascending dimension, then name, which the eager search only reorders.  A
 global budget on the candidates tried guards against combinatorial blowups;
 it counts the candidates of the eager search, which tries fewer than the
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .build import _extract, _point_simplex, product
+from .build import DEFAULT_MAX_CANDIDATES, _extract, _point_simplex, product
 from .delta import MonotoneMap, epi_mono_factor
 from .errors import EnumerationLimit, ValidationError
 from .sset import (
@@ -49,8 +53,6 @@ __all__ = [
     "internal_hom_truncated",
     "mapping_space",
 ]
-
-DEFAULT_MAX_CANDIDATES = 10**6
 
 
 def enumerate_maps(
@@ -83,69 +85,91 @@ def enumerate_maps(
         for name in X.nondeg(k)
         if name not in fixed
     ]
-    # Faces of each generator, split into base name plus degeneracy word,
-    # and the candidate images per dimension keyed by their face tuples,
-    # vertices under (), each with its position in ``Y.all_simplices``:
-    # none of these changes during the search, so compute them once.
-    slot_faces: list[list[tuple[str, tuple[int, ...]]]] = []
-    for k, name in slots:
-        faces = [X.face(X.simplex(name), i) for i in range(k + 1)] if k else []
-        slot_faces.append([(f.base, f.degeneracies) for f in faces])
-    cands: dict[int, dict[tuple[Simplex, ...], list[tuple[int, Simplex]]]] = {}
+    # An image is its position in ``Y.all_simplices`` of its dimension.
+    # ``positions`` holds the image of each slot, then of each fixed simplex.
+    indices: dict[int, dict[Simplex, int]] = {}
+
+    def index(m: int) -> dict[Simplex, int]:
+        if m not in indices:
+            indices[m] = {sx: pos for pos, sx in enumerate(Y.all_simplices(m))}
+        return indices[m]
+
+    where = {name: idx for idx, (_, name) in enumerate(slots)}
+    positions = [0] * len(slots)
+    for name, img in fixed.items():
+        where[name] = len(positions)
+        positions.append(index(img.dim)[img])
+    # Each face of a slot is read off the image of its base: a position
+    # directly, or through the table of its degeneracy word, which sends
+    # the positions of dimension m to those of s_word of them.
+    tables: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+
+    def table(m: int, word: tuple[int, ...]) -> list[int]:
+        if (m, word) not in tables:
+            up = index(m + len(word))
+            tables[m, word] = [up[sx.degenerate(word)] for sx in Y.all_simplices(m)]
+        return tables[m, word]
+
+    slot_faces: list[list[tuple[int, list[int] | None]]] = []
+    for _, name in slots:
+        refs = []
+        for f in X.faces.get(name, ()):
+            up = table(f.base_dim, f.degeneracies) if f.is_degenerate else None
+            refs.append((where[f.base], up))
+        slot_faces.append(refs)
+    # The candidates of each dimension, keyed by the positions of their
+    # faces (vertices under ()), in ``Y.all_simplices`` order.
+    cands: dict[int, dict[tuple[int, ...], list[int]]] = {}
     for k in sorted({k for k, _ in slots}):
         by_faces = cands[k] = {}
+        down = index(k - 1) if k else {}
         for pos, c in enumerate(Y.all_simplices(k)):
-            key = tuple(Y.face(c, i) for i in range(k + 1)) if k else ()
-            by_faces.setdefault(key, []).append((pos, c))
-    order = _eager_order(slots, slot_faces)
-    found: list[tuple[tuple[int, ...], dict[str, Simplex]]] = []
-    images: dict[str, Simplex] = dict(fixed)
-    positions = [0] * len(slots)
-    pushed: dict[tuple[Simplex, tuple[int, ...]], Simplex] = {}
+            key = tuple(down[Y.face(c, i)] for i in range(k + 1)) if k else ()
+            by_faces.setdefault(key, []).append(pos)
+    buckets = [cands[k] for k, _ in slots]
+    order = _eager_order(slot_faces)
+    found: list[list[int]] = []
     tried = 0
-
-    def partial_apply(base: str, word: tuple[int, ...]) -> Simplex:
-        img = images[base]
-        if not word:
-            return img
-        got = pushed.get((img, word))
-        if got is None:
-            got = pushed[(img, word)] = img.degenerate(word)
-        return got
 
     def backtrack(step: int):
         nonlocal tried
         if step == len(order):
-            found.append((tuple(positions), dict(images)))
+            found.append(positions[: len(slots)])
             return
         idx = order[step]
-        k, name = slots[idx]
-        want = tuple(partial_apply(base, word) for base, word in slot_faces[idx])
-        for pos, cand in cands[k].get(want, ()):
+        want = tuple(
+            positions[src] if up is None else up[positions[src]]
+            for src, up in slot_faces[idx]
+        )
+        for pos in buckets[idx].get(want, ()):
             tried += 1
             if tried > guard:
                 raise EnumerationLimit(
                     f"map search exceeded {guard} candidate assignments"
                 )
-            images[name] = cand
             positions[idx] = pos
             backtrack(step + 1)
-            del images[name]
 
     backtrack(0)
     # Two maps first differ at a slot whose earlier images agree, so both
     # images there come from one face bucket, in all_simplices order: the
     # positions read in slot order sort the maps into the output order.
-    found.sort(key=lambda item: item[0])
-    return [SSetMap(X, Y, imgs, check=False) for _, imgs in found]
+    found.sort()
+    pools = [(idx, slots[idx][1], Y.all_simplices(slots[idx][0])) for idx in order]
+    maps = []
+    for ps in found:
+        images = dict(fixed)
+        images.update((name, pool[ps[idx]]) for idx, name, pool in pools)
+        maps.append(SSetMap(X, Y, images, check=False))
+    return maps
 
 
-def _eager_order(
-    slots: list[tuple[int, str]],
-    slot_faces: list[list[tuple[str, tuple[int, ...]]]],
-) -> list[int]:
-    """The indices of ``slots`` in face-closed eager order.
+def _eager_order(slot_faces: list[list[tuple[int, object]]]) -> list[int]:
+    """The indices of the slots in face-closed eager order.
 
+    ``slot_faces[idx]`` lists the faces of slot ``idx`` as pairs whose first
+    entry is the index of the face's base: a slot when below the number of
+    slots, a fixed simplex otherwise.
     Free vertices come in name order, and every other slot comes as soon as
     the last of its faces is placed, so each edge prunes right after its
     second vertex instead of after every vertex.  A counter of unplaced
@@ -153,15 +177,17 @@ def _eager_order(
     as in Kahn's topological sort.  Faces on fixed simplices count as
     placed from the start.
     """
-    index = {name: idx for idx, (_, name) in enumerate(slots)}
-    unplaced = [0] * len(slots)
+    count = len(slot_faces)
+    unplaced = [0] * count
     cofaces: dict[int, list[int]] = {}
     for idx, faces in enumerate(slot_faces):
-        for face in {index[b] for b, _ in faces if b in index}:
+        for face in {src for src, _ in faces if src < count}:
             unplaced[idx] += 1
             cofaces.setdefault(face, []).append(idx)
-    vertices = deque(idx for idx, (k, _) in enumerate(slots) if not k)
-    ready = deque(idx for idx, (k, _) in enumerate(slots) if k and not unplaced[idx])
+    vertices = deque(idx for idx, faces in enumerate(slot_faces) if not faces)
+    ready = deque(
+        idx for idx, faces in enumerate(slot_faces) if faces and not unplaced[idx]
+    )
     order: list[int] = []
     while ready or vertices:
         idx = ready.popleft() if ready else vertices.popleft()

@@ -199,24 +199,26 @@ def _swap(u: dict[int, int], v: dict[int, int]) -> None:
 def _clear(col: dict[int, int], t, pivots, pivot_of_row: dict[int, int]) -> None:
     """Zero the pivot rows of ``col`` in place by column operations.
 
-    ``pivots[k]`` is ``(row, column, transform)``, the column nonzero in
-    ``row`` and zero in the rows of all earlier pivots.  So clearing with the
-    earliest pivot first only fills rows of later pivots, and the loop ends.
-    With ``p`` the pivot and ``x`` the entry of ``col`` in its row, ``x // p``
-    times the pivot column is subtracted.  Where ``p`` does not divide ``x``
-    the two columns are then swapped, so the pivot becomes ``x mod p`` and
-    the loop runs Euclid's algorithm on them until the pivot is
-    ``gcd(p, x)``.  Every step is unimodular.  The transform ``t`` of
-    ``col`` (``None`` when not kept) and the pivots' transforms undergo the
-    same operations.
+    ``pivots[k]`` is ``(row, column, transform, unit)``, the column nonzero
+    in ``row`` and zero in the rows of all earlier pivots.  So clearing with
+    the earliest pivot first only fills rows of later pivots, and the loop
+    ends.  With ``p`` the pivot and ``x`` the entry of ``col`` in its row,
+    ``x // p`` times the pivot column is subtracted.  Where ``p`` does not
+    divide ``x`` the two columns are then swapped, so the pivot becomes
+    ``x mod p`` and the loop runs Euclid's algorithm on them until the pivot
+    is ``gcd(p, x)``.  ``unit`` is ``p`` for a ±1 pivot and 0 otherwise: a
+    ±1 pivot is its own inverse and divides every entry, so it needs no
+    division and is never swapped, and stays ±1.  Every step is unimodular.
+    The transform ``t`` of ``col`` (``None`` when not kept) and the pivots'
+    transforms undergo the same operations.
     """
     while True:
         k = min((pivot_of_row[i] for i in col if i in pivot_of_row), default=None)
         if k is None:
             return
-        r, pc, pt = pivots[k]
-        p, x = pc[r], col[r]
-        if c := x // p:
+        r, pc, pt, unit = pivots[k]
+        x = col[r]
+        if c := (x * unit if unit else x // pc[r]):
             for i, y in pc.items():  # ``_sub`` written out: homology's inner loop
                 v = col.get(i, 0) - c * y
                 if v:
@@ -225,7 +227,7 @@ def _clear(col: dict[int, int], t, pivots, pivot_of_row: dict[int, int]) -> None
                     del col[i]
             if t is not None:
                 _sub(t, c, pt)
-        if x % p:
+        if not unit and x % pc[r]:
             _swap(col, pc)
             if t is not None:
                 _swap(t, pt)
@@ -242,7 +244,7 @@ def _eliminate(M: IntMat, track: bool):
     cleared again against all k pivots; the last value is this remainder,
     zero in every pivot row, so SNF(M) = I_k ⊕ SNF(remainder).
     """
-    pivots: list[tuple[int, dict[int, int], dict[int, int] | None]] = []
+    pivots: list[tuple[int, dict[int, int], dict[int, int] | None, int]] = []
     pivot_of_row: dict[int, int] = {}
     rest = []
     for j, stored in enumerate(M.columns):
@@ -250,11 +252,12 @@ def _eliminate(M: IntMat, track: bool):
         t = {j: 1} if track else None
         _clear(col, t, pivots, pivot_of_row)
         r = next((i for i, x in col.items() if x == 1 or x == -1), None)
+        unit = 0 if r is None else col[r]
         if r is None and track and col:
             r = min(col, key=lambda i: abs(col[i]))
         if r is not None:
             pivot_of_row[r] = len(pivots)
-            pivots.append((r, col, t))
+            pivots.append((r, col, t, unit))
         elif track or col:
             rest.append(t if track else col)
     if not track:
@@ -347,6 +350,32 @@ def kernel_basis(M: IntMat) -> IntMat:
     return IntMat.of_columns(M.cols, _eliminate(M, track=True)[2])
 
 
+def _solver(M: IntMat):
+    """``solve`` with ``M`` fixed: the tracked elimination of ``M`` runs
+    once, here, and the function returned clears each ``B`` against it."""
+    pivots, pivot_of_row, _ = _eliminate(M, track=True)
+
+    def solve_for(B: IntMat) -> IntMat | None:
+        if B.rows != M.rows:
+            raise ValidationError("shape mismatch in solve")
+        xs = []
+        for stored in B.columns:
+            col, x = dict(stored), {}
+            while rows := [pivot_of_row[i] for i in col if i in pivot_of_row]:
+                r, pc, pt, _ = pivots[min(rows)]
+                q, rem = divmod(col[r], pc[r])
+                if rem:
+                    return None
+                _sub(col, q, pc)
+                _sub(x, -q, pt)
+            if col:
+                return None
+            xs.append(x)
+        return IntMat.of_columns(M.cols, xs)
+
+    return solve_for
+
+
 def solve(M: IntMat, B: IntMat) -> IntMat | None:
     """An integer solution ``X`` of ``M @ X == B``, or ``None``.
 
@@ -356,20 +385,4 @@ def solve(M: IntMat, B: IntMat) -> IntMat | None:
     a column not cleared to zero lies outside the span of ``M``.  The same
     multiples of the pivots' transforms give ``X``; free coordinates are 0.
     """
-    if B.rows != M.rows:
-        raise ValidationError("shape mismatch in solve")
-    pivots, pivot_of_row, _ = _eliminate(M, track=True)
-    xs = []
-    for stored in B.columns:
-        col, x = dict(stored), {}
-        while rows := [pivot_of_row[i] for i in col if i in pivot_of_row]:
-            r, pc, pt = pivots[min(rows)]
-            q, rem = divmod(col[r], pc[r])
-            if rem:
-                return None
-            _sub(col, q, pc)
-            _sub(x, -q, pt)
-        if col:
-            return None
-        xs.append(x)
-    return IntMat.of_columns(M.cols, xs)
+    return _solver(M)(B)

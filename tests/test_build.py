@@ -3,6 +3,8 @@
 import pytest
 
 from conftest import check_simplicial_identities, circle, two_sphere
+from pullback_oracle import oracle_pullback
+from ssetkit import build
 from ssetkit.build import (
     _canon_key,
     _extract,
@@ -13,7 +15,7 @@ from ssetkit.build import (
     quotient,
     sset_pullback,
 )
-from ssetkit.errors import ValidationError
+from ssetkit.errors import EnumerationLimit, ValidationError
 from ssetkit.chain import homology_table
 from ssetkit.excision import (
     double_mapping_cylinder,
@@ -28,6 +30,7 @@ from ssetkit.sset import (
     Simplex,
     boundary,
     constant_map,
+    horn,
     pointed,
     simplex_as_map,
     standard_simplex,
@@ -455,3 +458,78 @@ def test_products_pullbacks_and_quotients_list_no_whole_level(monkeypatch):
     pushout(*_interval_collapse_span())
     double_mapping_cylinder(*_interval_collapse_span())
     assert levels == []
+
+
+# -- the positional pullback against the one-cell-at-a-time oracle ---------
+
+
+def _assert_pullback_matches_oracle(pb, prefix):
+    ref = oracle_pullback(pb.leg_left, pb.leg_right, prefix)
+    assert pb.space.cells == ref.space.cells
+    assert pb.space.faces == ref.space.faces
+    assert pb.proj_left.images == ref.proj_left.images
+    assert pb.proj_right.images == ref.proj_right.images
+    assert pb._name_of == ref._name_of
+
+
+_FACTORS = [standard_simplex(n) for n in range(4)] + [
+    boundary(2), boundary(3), horn(3, 1), circle(), two_sphere(),
+]
+
+
+@pytest.mark.parametrize("X", _FACTORS, ids=repr)
+def test_products_match_oracle(X):
+    for Y in _FACTORS:
+        _assert_pullback_matches_oracle(product(X, Y), "p")
+
+
+def test_pullbacks_match_oracle():
+    circle_q = quotient(standard_simplex(1), boundary(1))
+    S1 = circle_q.space
+    vertex_in = constant_map(standard_simplex(0), S1, S1.basepoint)
+    for p, q in [
+        (vertex_in, circle_q.projection),
+        (circle_q.projection, circle_q.projection),
+    ]:
+        _assert_pullback_matches_oracle(sset_pullback(p, q), "f")
+    d2 = standard_simplex(2)
+    squash = simplex_as_map(d2, Simplex((1,), "02", 2))
+    pr = product(d2, standard_simplex(1))
+    _assert_pullback_matches_oracle(sset_pullback(pr.proj_left, squash), "f")
+    _assert_pullback_matches_oracle(sset_pullback(pr.proj_left, pr.proj_left), "f")
+    d1 = standard_simplex(1)
+    vertex0 = simplex_as_map(d1, Simplex((), "0", 0))
+    _assert_pullback_matches_oracle(
+        sset_pullback(vertex0, SSetMap.identity_map(d1)), "f"
+    )
+
+
+def test_product_normalises_each_face_pair_once(monkeypatch):
+    # A work-count guard: the 1007 cells of Delta^3 x Delta^3 have 987
+    # distinct pairs of faces, each normalised once; normalising each face
+    # of each cell on its own takes 4112 calls.
+    calls = []
+    pair_simplex = build._pair_simplex
+
+    def counting(name_of, sa, sb):
+        calls.append((sa, sb))
+        return pair_simplex(name_of, sa, sb)
+
+    monkeypatch.setattr(build, "_pair_simplex", counting)
+    pr = product(standard_simplex(3), standard_simplex(3))
+    assert sum(pr.space.counts()) == 1007
+    assert len(calls) <= 1007
+    assert len(calls) == len(set(calls))
+
+
+def test_pullback_budget_counts_nondegenerate_simplices(monkeypatch):
+    # Delta^3 x Delta^3 lists 1007 pairs over its seven levels: a budget of
+    # 1007 builds it, and one pair less refuses it before building a level.
+    monkeypatch.setattr(build, "DEFAULT_MAX_CANDIDATES", 1007)
+    assert sum(product(standard_simplex(3), standard_simplex(3)).space.counts()) == 1007
+    monkeypatch.setattr(build, "DEFAULT_MAX_CANDIDATES", 1006)
+    names = []
+    monkeypatch.setattr(build, "_level_names", lambda *args: names.append(args))
+    with pytest.raises(EnumerationLimit, match="1006"):
+        product(standard_simplex(3), standard_simplex(3))
+    assert names == []

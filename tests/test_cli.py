@@ -120,6 +120,17 @@ def test_mapspace_negative_truncation_exits_two():
     assert r.stderr == "error: truncation dimension -1 is negative\n"
 
 
+@pytest.mark.parametrize("n", [6, 9])
+def test_oversized_products_are_refused(n):
+    # Delta^6 x Delta^6 has 1,150,591 nondegenerate simplices and
+    # Delta^9 x Delta^9 about 1.5e9, past the budget of 10**6: both are
+    # refused while their levels are counted, before any is built.
+    r = run_cli("space", "product", f"simplex{n}", f"simplex{n}", "--json")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: pullback exceeds 1000000 nondegenerate simplices\n"
+
+
 def test_unknown_simplex_error_does_not_depend_on_hash_seed():
     runs = set()
     for seed in ("0", "1", "2"):

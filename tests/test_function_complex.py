@@ -220,14 +220,34 @@ def test_mapping_space_counts_parallel_edges():
     assert mapping_space(X, "a", "b", 1).counts()[0] == 2
 
 
+def _assert_matches_scan(X, Y):
+    scanned = _scan_maps(X, Y)
+    assert [f.images for f in enumerate_maps(X, Y)] == [f.images for f in scanned]
+    if not scanned or not X.cells:
+        return
+    # pinned: the closure of the first top cell, imaged as under the last
+    # scanned map
+    pinned = {
+        name: scanned[-1].images[name] for name in face_closure(X, [X.cells[-1][0]])
+    }
+    assert [f.images for f in enumerate_maps(X, Y, fixed=pinned)] == [
+        f.images for f in scanned
+        if all(f.images[name] == img for name, img in pinned.items())
+    ]
+
+
 def test_enumeration_matches_candidate_scan():
     spaces = [standard_simplex(n) for n in range(3)] + [
-        boundary(2), boundary(3), horn(2, 1), horn(3, 1), circle(),
+        boundary(2), boundary(3), horn(2, 1), horn(3, 1), circle(), two_sphere(),
     ] + [nerve_preorder(P) for P in all_posets(3)]
     for X in spaces:
         for Y in spaces:
-            got = enumerate_maps(X, Y)
-            assert [f.images for f in got] == [f.images for f in _scan_maps(X, Y)]
+            _assert_matches_scan(X, Y)
+    # S^2 x Delta^1 has 3-cells with faces degenerate on an edge, which sit
+    # at other positions than the edge itself
+    cylinder = product(two_sphere(), standard_simplex(1)).space
+    for Y in (standard_simplex(2), two_sphere(), cylinder):
+        _assert_matches_scan(cylinder, Y)
 
 
 _ORDER_SPACES = (
@@ -300,6 +320,23 @@ def test_eager_search_prunes_each_edge():
     # tries 3339 candidates, where the search in ascending dimension assigns
     # all five vertices first and tries 12990
     assert len(enumerate_maps(horn(4, 2), standard_simplex(4), max_candidates=4000)) == 126
+
+
+@pytest.mark.parametrize(
+    "X, Y, least, count",
+    [
+        (horn(3, 1), standard_simplex(3), 440, 35),
+        (horn(4, 2), standard_simplex(4), 3339, 126),
+        (boundary(3), boundary(3), 475, 35),
+    ],
+    ids=["horn31-simplex3", "horn42-simplex4", "boundary3-boundary3"],
+)
+def test_least_budget_of_each_search_is_pinned(X, Y, least, count):
+    # the candidates tried are a property of the search order, so the least
+    # budget that lets a search finish is pinned exactly
+    assert len(enumerate_maps(X, Y, max_candidates=least)) == count
+    with pytest.raises(EnumerationLimit):
+        enumerate_maps(X, Y, max_candidates=least - 1)
 
 
 def test_enumeration_budget_counts_matching_candidates_only():
