@@ -12,7 +12,6 @@ from .build import (
     PushoutResult,
     QuotientResult,
     disjoint_union,
-    interval,
     product,
     pushout,
     quotient,
@@ -84,10 +83,8 @@ from .nerve import (
     nerve_preorder,
 )
 from .quasicat import (
-    CompositionWitness,
     HornMap,
     QcatVerdict,
-    compositions,
     horn_fillers,
     is_quasicategory_up_to,
 )
@@ -110,7 +107,6 @@ from .sset import (
     standard_simplex,
     subcomplex,
     subset_intersection,
-    subset_union,
 )
 from .tower import (
     ReducednessCertificate,

@@ -59,7 +59,6 @@ __all__ = [
     "pushout",
     "sset_pullback",
     "quotient",
-    "interval",
 ]
 
 # The budget of the package's combinatorial listings: the nondegenerate
@@ -132,11 +131,6 @@ def _extract(system, top: int, prefix: str = "c") -> Extraction:
                 )
         cells.append(level)
     return Extraction(FiniteSSet(cells, faces, check=False), to_simplex, from_name)
-
-
-def interval() -> FiniteSSet:
-    """The 1-simplex, used as the cylinder coordinate."""
-    return standard_simplex(1)
 
 
 # -- pushouts and quotients -----------------------------------------------

@@ -14,13 +14,14 @@ deterministic; machine records go through the canonical serializer.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
 import sys
 
 from .build import product, quotient
-from .chain import homology, homology_table, quasi_iso, stabilization_index
+from .chain import homology_table, quasi_iso, stabilization_index
 from .errors import EnumerationLimit, StabilizationError, ValidationError
 from .excision import (
     CoverData,
@@ -73,15 +74,9 @@ def _load_json(path: str):
         raise ValidationError(f"{path} is not valid JSON: {exc}")
 
 
-def _circle() -> FiniteSSet:
-    return quotient(standard_simplex(1), boundary(1)).space
-
-
 def _sphere(n: int) -> FiniteSSet:
     if n == 0:
         return pointed(boundary(1), "0")
-    if n == 1:
-        return _circle()
     return quotient(standard_simplex(n), boundary(n)).space
 
 
@@ -92,7 +87,7 @@ def _atom_space(token: str, namespace: dict | None = None) -> FiniteSSet:
     if token == "point":
         return standard_simplex(0)
     if token == "circle":
-        return _circle()
+        return _sphere(1)
     m = re.fullmatch(r"simplex(\d+)", token)
     if m:
         return standard_simplex(int(m.group(1)))
@@ -124,7 +119,7 @@ def _build_space(tokens: list[str], d: int | None, namespace=None) -> FiniteSSet
     if head == "nerve" and len(rest) == 1:
         return nerve_preorder(preorder_from_record(_load_json(rest[0])), d)
     if head == "circle" and not rest:
-        return _circle()
+        return _sphere(1)
     if head == "product" and len(rest) == 2:
         return product(
             _atom_space(rest[0], namespace), _atom_space(rest[1], namespace)
@@ -154,7 +149,7 @@ def _square(token: str, names=({}, {}, {})) -> SSetSquare:
             constant_map(ends, pt, "0"), SSetMap.inclusion(ends, standard_simplex(1))
         )
     if token == "corner-circle":
-        circle = _circle()
+        circle = _sphere(1)
         to_circle = constant_map(pt, circle, circle.basepoint)
         return SSetSquare(
             constant_map(ends, pt, "0"), constant_map(ends, pt, "0"),
@@ -248,7 +243,7 @@ def _cmd_homology(args) -> int:
     X = _atom_space(args.space, args.names[0])
     c = normalized_chains(X)
     top = args.top if args.top is not None else max(X.top_dim, 0)
-    groups = {n: homology(c, n) for n in range(top + 1)}
+    groups = homology_table(c, 0, top)
     rec = {
         "space_counts": list(X.counts()),
         "groups": {str(n): group_to_record(g) for n, g in groups.items()},
@@ -406,7 +401,10 @@ def _cmd_run(args) -> int:
 # -- dispatch --------------------------------------------------------------
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``run`` parses every
+    task of a manifest with it."""
     p = argparse.ArgumentParser(prog="ssetkit")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -479,18 +477,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None, _names=None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     args.names = _names if _names is not None else ({}, {}, {})
     try:
         return args.fn(args)
-    except (ValidationError, EnumerationLimit, StabilizationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    # ValueError covers ValidationError and the int() of a malformed token.
+    except (ValueError, EnumerationLimit, StabilizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

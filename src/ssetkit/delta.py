@@ -11,7 +11,9 @@ straight from the words (:func:`face_of_word`, :func:`compose_words`), and
 faces, degeneracies, map application and the enumeration of degenerate
 simplices never build a general map.  All three are memoized on words and
 small integers only, so their tables stay small however many simplices pass
-through them.
+through them.  Degeneracy words are checked here and nowhere else, once per
+(word, dimension) pair: ``Simplex`` runs the check on a pair it has not seen,
+and the word operations on the words of each table entry they compute.
 
 ``MonotoneMap`` is the validated value of a general map ``[dom] -> [cod]``,
 given by its value table, and :func:`epi_mono_factor` is its one bridge
@@ -89,6 +91,10 @@ def epi_mono_factor(f: MonotoneMap) -> tuple[tuple[int, ...], tuple[int, ...]]:
 _DEGENERACY_WORDS: dict = {}
 _FACE_OF_WORD: dict = {}
 _COMPOSE_WORDS: dict = {}
+# The (word, dim) pairs that passed _check_word.  A word is valid or not
+# whatever it is applied to, so each pair is checked once per process; a
+# malformed one never enters and raises on every use.
+_CHECKED_WORDS: set[tuple[tuple[int, ...], int]] = set()
 
 
 def degeneracy_words(k: int, m: int) -> tuple[tuple[int, ...], ...]:
@@ -111,12 +117,18 @@ def degeneracy_words(k: int, m: int) -> tuple[tuple[int, ...], ...]:
     return out
 
 
-def _check_word(word: tuple[int, ...], n: int) -> None:
-    """``word`` must be a strictly decreasing word of indices below ``n``."""
+def _check_word(word: tuple[int, ...], dim: int) -> None:
+    """``word`` must be a strictly decreasing word of indices in ``[0, dim)``,
+    ``dim`` the dimension of the simplices it lands on."""
+    if not word or (word, dim) in _CHECKED_WORDS:
+        return
     if any(a <= b for a, b in zip(word, word[1:])):
         raise ValidationError(f"degeneracy word {word} is not strictly decreasing")
-    if word and not (word[0] < n and word[-1] >= 0):
-        raise ValidationError(f"degeneracy word {word} invalid in dimension {n}")
+    if word[0] >= dim:
+        raise ValidationError(f"degeneracy index {word[0]} out of range in dim {dim}")
+    if word[-1] < 0:
+        raise ValidationError(f"degeneracy word {word} has a negative index")
+    _CHECKED_WORDS.add((word, dim))
 
 
 def face_of_word(

@@ -48,9 +48,9 @@ from .errors import ValidationError
 from .groups import HomologyGroup, PresentedGroup, exact_at
 from .intmat import IntMat, solve
 from .simplicial_chains import (
+    _map_of,
     chain_map_of,
     normalized_chains,
-    reduced_chain_map_of,
     reduced_normalized_chains,
 )
 from .sset import (
@@ -235,13 +235,15 @@ def pushout_square(f: SSetMap, g: SSetMap) -> SSetSquare:
 
 
 def chain_square_of(sq: SSetSquare) -> ChainSquare:
+    """The square of normalized chains, each corner's complex built once."""
+    cw, cu, cv, cx = (normalized_chains(Y) for Y in (sq.w, sq.u, sq.v, sq.x))
     # Chains are a functor, so the square of chain maps commutes as sq does.
     return _unchecked(
         ChainSquare,
-        chain_map_of(sq.w_to_u),
-        chain_map_of(sq.w_to_v),
-        chain_map_of(sq.u_to_x),
-        chain_map_of(sq.v_to_x),
+        _map_of(sq.w_to_u, cw, cu, False),
+        _map_of(sq.w_to_v, cw, cv, False),
+        _map_of(sq.u_to_x, cu, cx, False),
+        _map_of(sq.v_to_x, cv, cx, False),
     )
 
 
@@ -397,21 +399,25 @@ def _pointed_copy(cd: CoverData) -> tuple[FiniteSSet, FiniteSSet, FiniteSSet, Fi
 
 
 def cover_short_exact_sequence(cd: CoverData, reduced: bool = False) -> CoverSES:
+    """The sequence of (reduced) chains, each piece's complex built once and
+    shared by the inclusions into and out of it."""
     if reduced:
+        # The pointed copies share one basepoint, which the inclusions keep.
         X, U, V, W = _pointed_copy(cd)
         chains = reduced_normalized_chains
-        cmap = reduced_chain_map_of
     else:
         X, U, V, W = cd.X, cd.U, cd.V, cd.W
         chains = normalized_chains
-        cmap = chain_map_of
-    i_wu = cmap(SSetMap.inclusion(W, U))
-    i_wv = cmap(SSetMap.inclusion(W, V))
-    i_ux = cmap(SSetMap.inclusion(U, X))
-    i_vx = cmap(SSetMap.inclusion(V, X))
-    cW = chains(W)
-    cUV = direct_sum(chains(U), chains(V))
-    cX = chains(X)
+    cW, cU, cV, cX = chains(W), chains(U), chains(V), chains(X)
+
+    def inclusion(A, cA, B, cB) -> ChainMap:
+        return _map_of(SSetMap.inclusion(A, B), cA, cB, reduced)
+
+    i_wu = inclusion(W, cW, U, cU)
+    i_wv = inclusion(W, cW, V, cV)
+    i_ux = inclusion(U, cU, X, cX)
+    i_vx = inclusion(V, cV, X, cX)
+    cUV = direct_sum(cU, cV)
     lo, hi = cUV.low, cUV.high
     alpha = _unchecked(
         ChainMap,

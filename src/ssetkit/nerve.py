@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
+from .build import DEFAULT_MAX_CANDIDATES
 from .errors import EnumerationLimit, ValidationError
 from .sset import FiniteSSet, Simplex
 
@@ -23,11 +24,9 @@ __all__ = [
     "nerve_category",
     "nerve_preorder",
     "square_category",
-    "one_object_monoid",
 ]
 
 _CHAIN_SEP = "|"
-_LEVEL_GUARD = 10**6
 
 
 @dataclass(frozen=True)
@@ -184,10 +183,13 @@ def nerve_category(C: FiniteCategory, d: int | None = None) -> FiniteSSet:
 
     The default bound covers every nondegenerate chain when the category
     has no non-identity endomorphism loops (posets in particular); with
-    loops the nerve is infinite-dimensional, so the cap is essential.
+    loops the nerve is infinite-dimensional, so the cap is essential.  Each
+    level is listed under ``DEFAULT_MAX_CANDIDATES`` chains.
     """
     if d is None:
         d = len(C.objects) + 2
+    if d < 0:
+        raise ValidationError(f"truncation dimension {d} is negative")
     non_ids = [m for m in C.morphisms if not C.is_identity(m)]
     levels: list[list[tuple[str, tuple[str, ...]]]] = [
         [(obj, ()) for obj in C.objects]
@@ -199,8 +201,10 @@ def nerve_category(C: FiniteCategory, d: int | None = None) -> FiniteSSet:
             for m in non_ids:
                 if C.source(m) == end:
                     level.append((start, arrows + (m,)))
-            if len(level) > _LEVEL_GUARD:
-                raise EnumerationLimit(f"nerve level {k} exceeds {_LEVEL_GUARD} chains")
+            if len(level) > DEFAULT_MAX_CANDIDATES:
+                raise EnumerationLimit(
+                    f"nerve level {k} exceeds {DEFAULT_MAX_CANDIDATES} chains"
+                )
         levels.append(level)
     cells = [[_chain_name(C, s, ms) for s, ms in lvl] for lvl in levels]
     faces = {}
@@ -248,8 +252,3 @@ def square_category() -> FiniteCategory:
             else:
                 table[(g, f)] = "h"
     return FiniteCategory(objects, morphisms, identities, table)
-
-
-def one_object_monoid() -> FiniteCategory:
-    """The terminal category: one object, only its identity."""
-    return FiniteCategory(("x",), {"idx": ("x", "x")}, {"x": "idx"}, {("idx", "idx"): "idx"})

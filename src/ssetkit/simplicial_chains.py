@@ -80,9 +80,10 @@ def _map_blocks(f: SSetMap, reduced: bool) -> dict[int, IntMat]:
     return blocks
 
 
-def _map_of(f: SSetMap, chains, reduced: bool) -> ChainMap:
+def _map_of(f: SSetMap, source, target, reduced: bool) -> ChainMap:
+    """The map ``f`` induces between ``source`` and ``target``, the (reduced)
+    chains of its ends, built once by a caller that needs them again."""
     # The chain-map law follows from f commuting with faces.
-    source, target = chains(f.source), chains(f.target)
     blocks = _padded_blocks(source, target, _map_blocks(f, reduced))
     return _unchecked(ChainMap, source, target, blocks)
 
@@ -93,7 +94,7 @@ def chain_map_of(f: SSetMap) -> ChainMap:
     Nondegenerate simplices with degenerate image are sent to zero; this is
     what makes the normalized complex functorial.
     """
-    return _map_of(f, normalized_chains, False)
+    return _map_of(f, normalized_chains(f.source), normalized_chains(f.target), False)
 
 
 def reduced_chain_map_of(f: SSetMap) -> ChainMap:
@@ -102,4 +103,6 @@ def reduced_chain_map_of(f: SSetMap) -> ChainMap:
         raise ValidationError("reduced chain maps need pointed source and target")
     if f.images[f.source.basepoint] != Simplex((), f.target.basepoint, 0):
         raise ValidationError("map does not preserve the basepoint")
-    return _map_of(f, reduced_normalized_chains, True)
+    return _map_of(
+        f, reduced_normalized_chains(f.source), reduced_normalized_chains(f.target), True
+    )

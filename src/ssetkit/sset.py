@@ -15,8 +15,9 @@ the map, once, into a face word and a degeneracy word.
 
 Degeneracy words are strictly decreasing, so each simplex has exactly one
 normal form and equality of ``Simplex`` values is equality of simplices.
-``Simplex`` checks that form once per distinct word and dimension, and
-remembers the pairs that passed, as ``delta`` remembers its tables.
+That form is checked by ``delta``'s one word check, which remembers every
+(word, dimension) pair that passed: ``Simplex`` looks its word up there
+inline and runs the check only on a pair it has not seen.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from itertools import combinations
 
 from .delta import (
     MonotoneMap,
+    _CHECKED_WORDS,
+    _check_word,
     compose_words,
     degeneracy_words,
     epi_mono_factor,
@@ -43,7 +46,6 @@ __all__ = [
     "subcomplex",
     "is_name_subcomplex",
     "subset_intersection",
-    "subset_union",
     "pointed",
     "constant_map",
     "simplex_as_map",
@@ -54,21 +56,6 @@ __all__ = [
 
 # Writes a slot of an immutable value from inside its constructor.
 _set_field = object.__setattr__
-
-# The nonempty (word, dim) pairs that passed _check_word.  A word is valid
-# or not whatever base it is applied to, so each pair is checked once per
-# process; a malformed one never enters and raises on every construction.
-_checked_words: set[tuple[tuple[int, ...], int]] = set()
-
-
-def _check_word(word: tuple[int, ...], dim: int) -> None:
-    if any(a <= b for a, b in zip(word, word[1:])):
-        raise ValidationError(f"degeneracy word {word} is not strictly decreasing")
-    if word[0] >= dim:
-        raise ValidationError(f"degeneracy index {word[0]} out of range in dim {dim}")
-    if word[-1] < 0:
-        raise ValidationError(f"degeneracy word {word} has a negative index")
-    _checked_words.add((word, dim))
 
 
 class Simplex:
@@ -83,7 +70,7 @@ class Simplex:
 
     def __init__(self, degeneracies: tuple[int, ...], base: str, dim: int) -> None:
         word = degeneracies
-        if word and (word, dim) not in _checked_words:
+        if word and (word, dim) not in _CHECKED_WORDS:
             _check_word(word, dim)
         _set_field(self, "degeneracies", word)
         _set_field(self, "base", base)
@@ -433,21 +420,11 @@ def is_name_subcomplex(X: FiniteSSet, A: FiniteSSet) -> bool:
     return True
 
 
-def _require_subcomplexes(X: FiniteSSet, U: FiniteSSet, V: FiniteSSet) -> None:
-    if not (is_name_subcomplex(X, U) and is_name_subcomplex(X, V)):
-        raise ValidationError("arguments are not subcomplexes of the ambient set")
-
-
 def subset_intersection(X: FiniteSSet, U: FiniteSSet, V: FiniteSSet) -> FiniteSSet:
     """Dimensionwise intersection of two subcomplexes of ``X``."""
-    _require_subcomplexes(X, U, V)
+    if not (is_name_subcomplex(X, U) and is_name_subcomplex(X, V)):
+        raise ValidationError("arguments are not subcomplexes of the ambient set")
     return subcomplex(X, set(U.names) & set(V.names), check_closed=False)
-
-
-def subset_union(X: FiniteSSet, U: FiniteSSet, V: FiniteSSet) -> FiniteSSet:
-    """Dimensionwise union of two subcomplexes of ``X``."""
-    _require_subcomplexes(X, U, V)
-    return subcomplex(X, set(U.names) | set(V.names), check_closed=False)
 
 
 def pointed(X: FiniteSSet, vertex: str) -> FiniteSSet:

@@ -9,7 +9,6 @@ from ssetkit.build import (
     _canon_key,
     _extract,
     disjoint_union,
-    interval,
     product,
     pushout,
     quotient,
@@ -36,10 +35,6 @@ from ssetkit.sset import (
     standard_simplex,
     subcomplex,
 )
-
-
-def test_interval_is_standard_one_simplex():
-    assert interval().counts() == (2, 1)
 
 
 def test_square_product_counts():

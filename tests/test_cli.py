@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from ssetkit import cli
+from ssetkit import chain, cli
 
 DATA = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -117,6 +117,15 @@ def test_non_integer_degeneracy_index_exits_two(tmp_path):
 def test_mapspace_negative_truncation_exits_two():
     r = run_cli("mapspace", "simplex2", "0", "2", "-d", "-1")
     assert r.returncode == 2
+    assert r.stderr == "error: truncation dimension -1 is negative\n"
+
+
+def test_nerve_negative_truncation_exits_two(tmp_path):
+    f = tmp_path / "poset.json"
+    f.write_text(json.dumps({"elements": ["a", "b"], "pairs": [["a", "b"]]}))
+    r = run_cli("space", "nerve", str(f), "-d", "-1")
+    assert r.returncode == 2
+    assert r.stdout == ""
     assert r.stderr == "error: truncation dimension -1 is negative\n"
 
 
@@ -274,6 +283,33 @@ def test_malformed_degeneracy_word_exits_two(tmp_path, capsys, word, message):
     f.write_text(json.dumps(record))
     assert cli.main(["homology", str(f)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_manifest_builds_the_parser_once(tmp_path, capsys):
+    f = tmp_path / "manifest.json"
+    tasks = [["homology", "circle"], ["qcat", "simplex2"], ["space", "point"]]
+    f.write_text(json.dumps({"tasks": tasks}))
+    cli._parser.cache_clear()
+    assert cli.main(["run", str(f)]) == 0
+    assert capsys.readouterr().out.count("== task") == 3
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_homology_eliminates_each_boundary_once(monkeypatch, capsys):
+    # One table over degrees 0..3 of Δ³ eliminates the boundaries out of
+    # degrees 0..4 once each: top + 2 = 5, where one homology call per
+    # degree took 8.
+    calls = []
+    rank_and_torsion = chain.rank_and_torsion
+
+    def counting(M):
+        calls.append((M.rows, M.cols))
+        return rank_and_torsion(M)
+
+    monkeypatch.setattr(chain, "rank_and_torsion", counting)
+    assert cli.main(["homology", "simplex3"]) == 0
+    assert capsys.readouterr().out == "H_0 = Z\nH_1 = 0\nH_2 = 0\nH_3 = 0\n"
+    assert len(calls) == 5
 
 
 def test_manifest_cannot_run_a_manifest(tmp_path, capsys):

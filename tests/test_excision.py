@@ -26,9 +26,11 @@ from ssetkit.excision import (
     reduced_suspension_data,
     unreduced_suspension,
 )
+from ssetkit import simplicial_chains
 from ssetkit.groups import HomologyGroup
 from ssetkit.serialize import sset_from_record
 from ssetkit.simplicial_chains import (
+    chain_map_of,
     normalized_chains,
     reduced_normalized_chains,
 )
@@ -365,3 +367,42 @@ def test_identity_counterexample_report():
     rec = rep.to_record()
     assert rec["pullback_H0_rank"] == 2
     assert rec["square_is_pushout"] is True
+
+
+# -- work counts -------------------------------------------------------------
+
+
+@pytest.fixture
+def chain_builds(monkeypatch):
+    """The spaces whose (reduced) normalized chains are built, in order."""
+    built = []
+    chains = simplicial_chains._chains
+
+    def counting(X, reduced):
+        built.append(X)
+        return chains(X, reduced)
+
+    monkeypatch.setattr(simplicial_chains, "_chains", counting)
+    return built
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["unreduced", "reduced"])
+def test_cover_sequence_builds_each_piece_once(chain_builds, reduced):
+    # W, U, V and X once each; building both ends of each of the four
+    # inclusions took 12.
+    les = mayer_vietoris(_sphere_cover(), 3, reduced=reduced)
+    assert les.all_exact
+    assert len(chain_builds) == 4
+
+
+def test_chain_square_builds_each_corner_once(chain_builds):
+    sq = pushout_square(
+        constant_map(boundary(1), standard_simplex(0), "0"),
+        SSetMap.inclusion(boundary(1), standard_simplex(1)),
+    )
+    csq = chain_square_of(sq)
+    assert len(chain_builds) == 4  # 8 with both ends of each leg
+    legs = (sq.w_to_u, sq.w_to_v, sq.u_to_x, sq.v_to_x)
+    assert (csq.w_to_u, csq.w_to_v, csq.u_to_x, csq.v_to_x) == tuple(
+        chain_map_of(f) for f in legs
+    )

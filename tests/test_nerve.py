@@ -4,14 +4,14 @@ import pytest
 
 from conftest import check_simplicial_identities
 from ssetkit.chain import homology_table
-from ssetkit.errors import ValidationError
+from ssetkit import nerve
+from ssetkit.errors import EnumerationLimit, ValidationError
 from ssetkit.nerve import (
     FiniteCategory,
     Preorder,
     linear_preorder,
     nerve_category,
     nerve_preorder,
-    one_object_monoid,
     preorder_category,
     square_category,
 )
@@ -39,7 +39,7 @@ def test_square_nerve_cells():
 
 
 def test_terminal_category_nerve():
-    N = nerve_category(one_object_monoid(), 3)
+    N = nerve_category(preorder_category(linear_preorder(0)), 3)
     assert N.counts() == (1,)
 
 
@@ -117,3 +117,18 @@ def test_preorder_category_round_trip():
     C = preorder_category(P)
     assert len(C.morphisms) == 6
     assert C.compose("1<=2", "0<=1") == "0<=2"
+
+
+def test_negative_truncation_rejected():
+    with pytest.raises(ValidationError, match="truncation dimension -1 is negative"):
+        nerve_category(square_category(), -1)
+    assert nerve_category(square_category(), 0).counts() == (4,)
+
+
+def test_nerve_levels_are_listed_under_the_budget(monkeypatch):
+    # The nerve shares the package's one listing budget.
+    monkeypatch.setattr(nerve, "DEFAULT_MAX_CANDIDATES", 5)
+    with pytest.raises(EnumerationLimit, match="nerve level 1 exceeds 5 chains"):
+        nerve_preorder(linear_preorder(3))
+    monkeypatch.setattr(nerve, "DEFAULT_MAX_CANDIDATES", 6)
+    assert nerve_preorder(linear_preorder(3), 1).counts() == (4, 6)

@@ -1,4 +1,5 @@
-"""Horn fillers, inner-horn certification, composition witnesses."""
+"""Horn fillers and inner-horn certification; composites of edges are the
+fillers of Λ²₁."""
 
 import pytest
 
@@ -6,15 +7,7 @@ from conftest import all_posets, circle
 from ssetkit.errors import ValidationError
 from ssetkit.function_complex import enumerate_maps
 from ssetkit.nerve import nerve_category, nerve_preorder, square_category
-from ssetkit.quasicat import (
-    CompositionWitness,
-    HornMap,
-    QcatVerdict,
-    SquareDiagram,
-    compositions,
-    horn_fillers,
-    is_quasicategory_up_to,
-)
+from ssetkit.quasicat import HornMap, QcatVerdict, horn_fillers, is_quasicategory_up_to
 from ssetkit.sset import SSetMap, Simplex, boundary, horn, standard_simplex
 
 
@@ -39,6 +32,16 @@ def _scan_fillers(h):
     ]
 
 
+def _composites(C, f, g):
+    """The composites of the edges ``f`` then ``g``, with their witnesses:
+    the fillers of the horn Λ²₁ on (f, g) and their faces d_1."""
+    images = {
+        "0": C.face(f, 1), "1": C.face(f, 0), "2": C.face(g, 0), "01": f, "12": g,
+    }
+    fillers = horn_fillers(_horn_map(2, 1, C, images))
+    return [(C.face(sigma, 1), sigma) for sigma in fillers]
+
+
 def _scan_compositions(C, f, g):
     """Reference composition search over every 2-simplex of ``C``."""
     return [
@@ -61,9 +64,9 @@ def _scan_verdict(C, d):
 
 
 def _filler_targets():
-    return [standard_simplex(3), boundary(3), circle()] + [
-        nerve_preorder(P) for P in all_posets(3)
-    ]
+    return [
+        standard_simplex(3), boundary(3), circle(), nerve_category(square_category()),
+    ] + [nerve_preorder(P) for P in all_posets(3)]
 
 
 def test_inner_horn_into_triangle_has_unique_filler():
@@ -144,68 +147,28 @@ def test_low_dimension_cap_rejected():
 
 def test_composition_in_triangle():
     d2 = standard_simplex(2)
-    f = Simplex((), "01", 1)
-    g = Simplex((), "12", 1)
-    out = compositions(d2, f, g)
-    assert len(out) == 1
-    w = out[0]
-    assert w.h == Simplex((), "02", 1)
-    assert w.sigma == Simplex((), "012", 2)
+    out = _composites(d2, Simplex((), "01", 1), Simplex((), "12", 1))
+    assert out == [(Simplex((), "02", 1), Simplex((), "012", 2))]
 
 
 def test_composition_with_identity_edge():
     d1 = standard_simplex(1)
     e = Simplex((), "01", 1)
     idv = Simplex((0,), "1", 1)
-    out = compositions(d1, e, idv)
-    assert any(w.h == e and w.sigma == Simplex((1,), "01", 2) for w in out)
+    assert (e, Simplex((1,), "01", 2)) in _composites(d1, e, idv)
 
 
 def test_composition_rejects_noncomposable():
+    # A horn on edges that do not meet is not a simplicial map.
     d2 = standard_simplex(2)
     with pytest.raises(ValidationError):
-        compositions(d2, Simplex((), "01", 1), Simplex((), "01", 1))
-    with pytest.raises(ValidationError):
-        compositions(d2, Simplex((), "012", 2), Simplex((), "01", 1))
+        _composites(d2, Simplex((), "01", 1), Simplex((), "01", 1))
 
 
 def test_composition_in_poset_nerve_unique():
     N = nerve_category(square_category())
-    out = compositions(N, Simplex((), "f", 1), Simplex((), "g", 1))
-    assert len(out) == 1
-    assert out[0].h == Simplex((), "h", 1)
-
-
-def test_witness_face_layout_enforced():
-    d2 = standard_simplex(2)
-    with pytest.raises(ValidationError):
-        CompositionWitness(
-            f=Simplex((), "12", 1),
-            g=Simplex((), "01", 1),
-            h=Simplex((), "02", 1),
-            sigma=Simplex((), "012", 2),
-            space=d2,
-        )
-
-
-def test_square_diagram_from_triangles():
-    N = nerve_category(square_category())
-    sq = SquareDiagram.from_triangles(
-        N, Simplex((), "f|g", 2), Simplex((), "fp|gp", 2)
-    )
-    assert sq.corner("00") == Simplex((), "00", 0)
-    assert sq.corner("11") == Simplex((), "11", 0)
-    assert sq.edge("h") == Simplex((), "h", 1)
-    with pytest.raises(ValidationError):
-        sq.corner("22")
-
-
-def test_square_diagram_needs_matching_triangles():
-    d2 = standard_simplex(2)
-    with pytest.raises(ValidationError):
-        SquareDiagram.from_triangles(
-            d2, Simplex((), "012", 2), Simplex((0,), "01", 2)
-        )
+    out = _composites(N, Simplex((), "f", 1), Simplex((), "g", 1))
+    assert out == [(Simplex((), "h", 1), Simplex((), "f|g", 2))]
 
 
 def test_horn_fillers_match_scan():
@@ -224,14 +187,11 @@ def test_compositions_match_scan():
             for g in edges:
                 if C.face(f, 0) != C.face(g, 1):
                     continue
-                got = [(w.h, w.sigma) for w in compositions(C, f, g)]
-                assert got == _scan_compositions(C, f, g)
+                assert _composites(C, f, g) == _scan_compositions(C, f, g)
 
 
 def test_verdicts_and_witnesses_match_scan():
-    targets = _filler_targets() + [
-        boundary(2), horn(2, 1), horn(3, 1), nerve_category(square_category()),
-    ]
+    targets = _filler_targets() + [boundary(2), horn(2, 1), horn(3, 1)]
     for C in targets:
         got = is_quasicategory_up_to(C, 3)
         want = _scan_verdict(C, 3)
