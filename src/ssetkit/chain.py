@@ -47,6 +47,7 @@ __all__ = [
     "loop_shift",
     "direct_sum",
     "mapping_cone",
+    "square_sequence",
     "total_complex_of_square",
     "is_homotopy_bicartesian",
     "check_exact_sequence",
@@ -411,25 +412,35 @@ class ChainSquare:
         return self.u_to_x.target
 
 
+def square_sequence(sq: ChainSquare) -> tuple[ChainMap, ChainMap]:
+    """The maps ``W -> U + V -> X`` of a square: the two legs stacked, then
+    ``u_to_x - v_to_x``.  They compose to zero because the square commutes.
+    The total complex and the Mayer-Vietoris sequence both take their
+    block layout and sign from here."""
+    w, uv, x = sq.w, direct_sum(sq.u, sq.v), sq.x
+    stacked = {n: sq.w_to_u.block(n).vstack(sq.w_to_v.block(n)) for n in w.degrees()}
+    difference = {
+        n: sq.u_to_x.block(n).hstack(sq.v_to_x.block(n).scale(-1))
+        for n in uv.degrees()
+    }
+    return (
+        _unchecked(ChainMap, w, uv, _padded_blocks(w, uv, stacked)),
+        _unchecked(ChainMap, uv, x, _padded_blocks(uv, x, difference)),
+    )
+
+
 def total_complex_of_square(sq: ChainSquare) -> ChainComplex:
     """Iterated mapping cone of ``W -> U + V -> X``.
 
     Degree ``n`` is ``X_n + U_{n-1} + V_{n-1} + W_{n-2}`` with the standard
     cone signs; acyclicity of this complex is the homotopy-bicartesian test.
     """
-    w, u, v, x = sq.w, sq.u, sq.v, sq.x
-    # First cone: over (w_to_u, w_to_v) : W -> U + V.
-    uv = direct_sum(u, v)
-    into_sum = _unchecked(ChainMap, w, uv, _padded_blocks(w, uv, {
-        n: sq.w_to_u.block(n).vstack(sq.w_to_v.block(n))
-        for n in range(w.low, w.high + 1)
-    }))
+    into_sum, out_of_sum = square_sequence(sq)
     cone1 = mapping_cone(into_sum)
-    # Collapse map (u, v, w) -> p(u) - q(v), a chain map by commutativity.
+    # (u, v, w) -> p(u) - q(v), a chain map since the sequence composes to 0.
+    w, x = sq.w, sq.x
     collapse = _unchecked(ChainMap, cone1, x, _padded_blocks(cone1, x, {
-        n: sq.u_to_x.block(n)
-        .hstack(sq.v_to_x.block(n).scale(-1))
-        .hstack(IntMat.zero(x.rank(n), w.rank(n - 1)))
+        n: out_of_sum.block(n).hstack(IntMat.zero(x.rank(n), w.rank(n - 1)))
         for n in cone1.degrees()
     }))
     return mapping_cone(collapse)

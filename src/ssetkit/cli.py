@@ -30,8 +30,8 @@ from .excision import (
     excision_check,
     identity_square,
     identity_counterexample_report,
+    interval_collapse_square,
     mayer_vietoris,
-    pushout_square,
     reduced_suspension,
     unreduced_suspension,
 )
@@ -51,7 +51,6 @@ from .serialize import (
 from .simplicial_chains import normalized_chains
 from .sset import (
     FiniteSSet,
-    SSetMap,
     boundary,
     constant_map,
     horn,
@@ -142,19 +141,14 @@ def _square(token: str, names=({}, {}, {})) -> SSetSquare:
     spaces, _, squares = names
     if token in squares:
         return squares[token]
-    pt = standard_simplex(0)
-    ends = boundary(1)
     if token == "interval-collapse":
-        return pushout_square(
-            constant_map(ends, pt, "0"), SSetMap.inclusion(ends, standard_simplex(1))
-        )
+        return interval_collapse_square()
     if token == "corner-circle":
+        pt = standard_simplex(0)
+        to_pt = constant_map(boundary(1), pt, "0")
         circle = _sphere(1)
         to_circle = constant_map(pt, circle, circle.basepoint)
-        return SSetSquare(
-            constant_map(ends, pt, "0"), constant_map(ends, pt, "0"),
-            to_circle, to_circle,
-        )
+        return SSetSquare(to_pt, to_pt, to_circle, to_circle)
     m = re.fullmatch(r"identity:(.+)", token)
     if m:
         return identity_square(_atom_space(m.group(1), spaces))

@@ -184,7 +184,9 @@ def nerve_category(C: FiniteCategory, d: int | None = None) -> FiniteSSet:
     The default bound covers every nondegenerate chain when the category
     has no non-identity endomorphism loops (posets in particular); with
     loops the nerve is infinite-dimensional, so the cap is essential.  Each
-    level is listed under ``DEFAULT_MAX_CANDIDATES`` chains.
+    level is listed under ``DEFAULT_MAX_CANDIDATES`` chains.  The category
+    is validated, associativity included, so its nerve satisfies the
+    simplicial identities and is built unchecked.
     """
     if d is None:
         d = len(C.objects) + 2
@@ -214,7 +216,7 @@ def nerve_category(C: FiniteCategory, d: int | None = None) -> FiniteSSet:
                 _chain_simplex(C, *_chain_face(C, start, arrows, i))
                 for i in range(k + 1)
             )
-    return FiniteSSet(cells, faces)
+    return FiniteSSet(cells, faces, check=False)
 
 
 def nerve_preorder(P: Preorder, d: int | None = None) -> FiniteSSet:

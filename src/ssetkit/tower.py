@@ -6,14 +6,10 @@ desuspension of F on the n-fold reduced suspension.  The colimit of that
 diagram is the excisive approximation; here it is probed through finitely
 many stages and certified stable or reported as undecided.
 
-The built-in ``reduced_chains_evaluator`` realizes the comparison
-Ñ(Y) -> ΩÑ(ΣY) by the simplicial prism: a k-simplex y of Y sweeps out the
-(k+1)-chain sum of its degenerate lifts paired with the staircase simplices
-of the interval, with alternating signs and a degree twist that makes the
-assignment commute with the boundaries once both cylinder ends die in the
-suspension quotient.  Each stage is built once per base space, and the
-comparison maps are written directly between the stages they join, so a
-tower's maps start and end at its own stage objects.
+The built-in ``reduced_chains_evaluator`` takes its structure maps from
+the suspension comparison Ñ(Y) -> ΩÑ(ΣY) of ``SuspensionData.comparison``,
+shifted down to the stages they join.  Each stage is built once per base
+space, so a tower's maps start and end at its own stage objects.
 """
 
 from __future__ import annotations
@@ -35,9 +31,8 @@ from .chain import (
 )
 from .errors import ValidationError
 from .excision import SuspensionData, reduced_suspension_data
-from .intmat import IntMat
-from .simplicial_chains import chain_basis, reduced_normalized_chains
-from .sset import FiniteSSet, Simplex, pointed, standard_simplex
+from .simplicial_chains import reduced_normalized_chains
+from .sset import FiniteSSet, pointed, standard_simplex
 
 __all__ = [
     "StageEvaluator",
@@ -114,12 +109,6 @@ def check_reduced(F: StageEvaluator, N: int) -> ReducednessCertificate:
 # -- the reduced-chains evaluator ------------------------------------------
 
 
-def _staircase(i: int, k: int) -> Simplex:
-    """The (k+1)-simplex of the interval sending 0..i to 0 and the rest to 1:
-    the edge degenerated at every index but i."""
-    return Simplex(tuple(j for j in range(k, -1, -1) if j != i), "01", k + 1)
-
-
 class _ReducedChainsStages:
     """Builds each stage once per base space (the reduced chains of the
     n-fold suspension, shifted down n degrees) and the maps between them."""
@@ -148,28 +137,15 @@ class _ReducedChainsStages:
         return self._stages[X, n]
 
     def structure_map(self, X: FiniteSSet, n: int) -> ChainMap:
-        """The prism comparison from stage n into stage n + 1: a k-simplex
-        of Y = Σⁿ X, in stage degree k - n, goes to (k+1)-simplices of ΣY,
+        """The comparison of Y = Σⁿ X from stage n into stage n + 1: a
+        k-simplex of Y, in stage degree k - n, goes to (k+1)-chains of ΣY,
         which sit in the same stage degree of stage n + 1."""
         source, target = self.eval(X, n), self.eval(X, n + 1)
-        Y = self.space(X, n)
-        sd = self._suspension(Y)
-        blocks: dict[int, IntMat] = {}
-        for k in range(source.low + n, source.high + n + 1):
-            out_basis = chain_basis(sd.space, k + 1, reduced=True)
-            index = {name: r for r, name in enumerate(out_basis)}
-            columns = []
-            for name in chain_basis(Y, k, reduced=True):
-                col: dict[int, int] = {}
-                for i in range(k + 1):
-                    lift = Simplex((i,), name, k + 1)
-                    img = sd.pair_class(lift, _staircase(i, k))
-                    if img.is_degenerate or img.base not in index:
-                        continue
-                    row = index[img.base]
-                    col[row] = col.get(row, 0) + (-1 if (k + i) % 2 else 1)
-                columns.append({r: x for r, x in col.items() if x})
-            blocks[k - n] = IntMat.of_columns(len(out_basis), columns)
+        sd = self._suspension(self.space(X, n))
+        blocks = {
+            k - n: sd.comparison(k)
+            for k in range(source.low + n, source.high + n + 1)
+        }
         return _unchecked(
             ChainMap, source, target, _padded_blocks(source, target, blocks)
         )

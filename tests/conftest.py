@@ -2,7 +2,7 @@
 
 from hypothesis import HealthCheck, settings
 
-from ssetkit.build import product, quotient
+from ssetkit.build import quotient
 from ssetkit.nerve import Preorder
 from ssetkit.sset import FiniteSSet, boundary, pointed, standard_simplex
 

@@ -12,7 +12,6 @@ from ssetkit import intmat
 from ssetkit.build import product
 from ssetkit.chain import (
     ChainComplex,
-    ChainMap,
     ChainSquare,
     RealChain,
     Tower,

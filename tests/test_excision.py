@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import check_simplicial_identities, circle, four_test_spaces, two_sphere
+from conftest import check_simplicial_identities, circle, four_test_spaces
 from ssetkit.chain import homology, homology_table
 from ssetkit.errors import ValidationError
 from ssetkit.excision import (
@@ -39,7 +39,6 @@ from ssetkit.sset import (
     boundary,
     constant_map,
     face_closure,
-    pointed,
     standard_simplex,
     subcomplex,
 )

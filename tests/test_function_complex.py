@@ -19,10 +19,8 @@ from ssetkit.function_complex import (
     standard_map,
 )
 from ssetkit.nerve import (
-    linear_preorder,
     nerve_category,
     nerve_preorder,
-    preorder_category,
     square_category,
     Preorder,
 )

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import circle, four_test_spaces
-from ssetkit.chain import homology, homology_table, quasi_iso
+from ssetkit.chain import homology, quasi_iso
 from ssetkit.errors import ValidationError
 from ssetkit.simplicial_chains import (
     chain_basis,

@@ -2,9 +2,10 @@
 
 The chains of a simplicial set, the chain maps of simplicial maps, shifts,
 sums, cones, composites, tower stages and structure maps, the maps of a
-cover's short exact sequence and the chain square of a square of spaces
-are valid by construction, so the package builds them without running the
-d∘d and chain-map-law checks.  So are the Dold-Kan groups, Moore complexes
+cover's short exact sequence, the chain square of a square of spaces and
+the sequence ``W -> U + V -> X`` of a chain square are valid by
+construction, so the package builds them without running the d∘d and
+chain-map-law checks.  So are the Dold-Kan groups, Moore complexes
 and good truncations, which skip the simplicial-identity and d∘d checks.
 These properties rebuild each such value through the validating
 constructors and compare it with the original.  The last test pins down
@@ -28,6 +29,7 @@ from ssetkit.chain import (
     loop_shift,
     mapping_cone,
     single_complex,
+    square_sequence,
     total_complex_of_square,
 )
 from ssetkit.dold_kan import (
@@ -41,6 +43,7 @@ from ssetkit.excision import (
     chain_square_of,
     cover_from_names,
     cover_short_exact_sequence,
+    is_homology_pushout,
     pushout_square,
 )
 from ssetkit.function_complex import enumerate_maps
@@ -144,6 +147,12 @@ def test_chain_squares_of_pushouts_validate(data):
         # Its total complex is the cone of a map out of a cone; d∘d = 0 on
         # it holds only if both maps inside obey the chain-map law.
         revalidate(total_complex_of_square(csq))
+        into_sum, out_of_sum = square_sequence(csq)
+        revalidate_map(into_sum)
+        revalidate_map(out_of_sum)
+        assert out_of_sum.compose(into_sum).is_zero()
+        # A strict pushout along an injective leg is a homotopy pushout.
+        assert is_homology_pushout(sq)
 
 
 @given(

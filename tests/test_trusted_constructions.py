@@ -1,28 +1,49 @@
 """Constructions build their results unchecked; full validation agrees.
 
 Standard simplices, subcomplexes, products, pullbacks, pushouts, quotients,
-suspensions, cones and function complexes are valid by construction on
-valid inputs, so they build their spaces and maps with ``check=False``.
-These properties rebuild every result with ``check=True``: its face tables
-must satisfy the simplicial identities, and every returned leg or
-projection must commute with faces.
+suspensions, cones, function complexes and the nerves of categories are
+valid by construction on valid inputs, so they build their spaces and maps
+with ``check=False``; identity and pushout squares commute by construction
+and skip the commutation check.  These properties rebuild every result
+with the checks on: its face tables must satisfy the simplicial
+identities, every returned leg or projection must commute with faces, and
+every square must commute.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import four_test_spaces
+from conftest import circle, four_test_spaces
 from ssetkit.build import product, pushout, quotient, sset_pullback
-from ssetkit.excision import cone, reduced_suspension_data, unreduced_suspension
+from ssetkit.excision import (
+    SSetSquare,
+    cone,
+    identity_square,
+    interval_collapse_square,
+    pushout_square,
+    reduced_suspension_data,
+    unreduced_suspension,
+)
 from ssetkit.function_complex import (
     enumerate_maps,
     internal_hom_truncated,
     mapping_space,
 )
+from ssetkit.nerve import (
+    FiniteCategory,
+    Preorder,
+    linear_preorder,
+    nerve_category,
+    nerve_preorder,
+    preorder_category,
+    square_category,
+)
+from ssetkit.serialize import preorder_from_record
 from ssetkit.sset import (
     FiniteSSet,
     SSetMap,
     boundary,
+    constant_map,
     face_closure,
     horn,
     pointed,
@@ -48,6 +69,14 @@ def revalidate(X: FiniteSSet) -> None:
 
 def revalidate_map(f: SSetMap) -> None:
     SSetMap(f.source, f.target, f.images, check=True)
+
+
+def revalidate_square(sq: SSetSquare) -> None:
+    """The legs into the final corner are derived; the others are inputs."""
+    revalidate_map(sq.u_to_x)
+    revalidate_map(sq.v_to_x)
+    legs = (sq.w_to_u, sq.w_to_v, sq.u_to_x, sq.v_to_x)
+    assert SSetSquare(*legs) == sq
 
 
 def draw_subcomplex(data, X: FiniteSSet) -> FiniteSSet:
@@ -124,3 +153,65 @@ def test_mapping_spaces_validate(data):
     x = data.draw(st.sampled_from(C.nondeg(0)))
     y = data.draw(st.sampled_from(C.nondeg(0)))
     revalidate(mapping_space(C, x, y, data.draw(st.integers(0, 2))))
+
+
+def test_squares_of_the_excision_tests_validate():
+    b1, d1, pt = boundary(1), standard_simplex(1), standard_simplex(0)
+    to_pt = constant_map(b1, pt, "0")
+    incl = SSetMap.inclusion(b1, d1)
+    S1 = circle()
+    to_vertex = constant_map(pt, S1, S1.nondeg(0)[0])
+    squares = [
+        pushout_square(to_pt, incl),
+        pushout_square(incl, to_pt),
+        pushout_square(incl, incl),
+        pushout_square(to_vertex, to_vertex),
+        interval_collapse_square(),
+        identity_square(boundary(2)),
+        identity_square(pt),
+    ]
+    squares += [identity_square(X) for X in SPACES.values()]
+    for sq in squares:
+        revalidate_square(sq)
+
+
+@settings(max_examples=25)
+@given(st.data())
+def test_pushout_squares_validate(data):
+    X, Y = data.draw(spaces), data.draw(spaces)
+    A = draw_subcomplex(data, X)
+    f = data.draw(st.sampled_from(enumerate_maps(A, Y)))
+    g = SSetMap.inclusion(A, X)
+    revalidate_square(pushout_square(f, g))
+    revalidate_square(pushout_square(g, f))
+
+
+def _involution_monoid() -> FiniteCategory:
+    table = {("e", "e"): "e", ("e", "t"): "t", ("t", "e"): "t", ("t", "t"): "e"}
+    return FiniteCategory(
+        ("x",), {"e": ("x", "x"), "t": ("x", "x")}, {"x": "e"}, table
+    )
+
+
+def test_nerves_of_the_nerve_tests_validate():
+    grid = {("00", "01"), ("00", "10"), ("01", "11"), ("10", "11"), ("00", "11")}
+    grid |= {(e, e) for e in ("00", "01", "10", "11")}
+    loop = {("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")}  # a <= b <= a
+    for n in range(4):
+        revalidate(nerve_preorder(linear_preorder(n), n))
+    revalidate(nerve_category(square_category()))
+    revalidate(nerve_category(preorder_category(linear_preorder(0)), 3))
+    revalidate(nerve_category(_involution_monoid(), 4))
+    revalidate(nerve_preorder(Preorder(("00", "01", "10", "11"), frozenset(grid)), 3))
+    revalidate(nerve_preorder(Preorder(("a", "b"), frozenset(loop)), 3))
+
+
+@given(
+    st.lists(st.lists(st.sampled_from("abc"), min_size=2, max_size=2)),
+    st.integers(0, 4),
+)
+def test_nerves_of_preorders_validate(pairs, d):
+    # The record's pairs are closed to a preorder; a pair and its reverse
+    # make two elements isomorphic, as a <= b <= a does.
+    P = preorder_from_record({"elements": list("abc"), "pairs": pairs})
+    revalidate(nerve_preorder(P, d))
