@@ -1,10 +1,16 @@
 """Batch command-line front door.
 
-One executable with one subcommand per pipeline.  Spaces are named by
-compact builder tokens (``simplex2``, ``boundary3``, ``horn2_1``,
-``circle``, ``s0`` .. ``s9``, ``point``) or by paths to interchange files;
-the ``space`` subcommand additionally accepts the spaced builder grammar
-(``space product circle simplex1``).  Exit codes: 0 success, 1 a failed
+One executable with one subcommand per pipeline.  Every field that names a
+space (an argument, the words of ``space``, a manifest's ``spaces``, a
+cover's ``space``, a square record's corners, the X of ``identity:X``)
+reads one grammar, in every form its syntax can carry: as one word, a
+manifest name, a compact built-in (``simplex3``, ``boundary3``,
+``horn2_1``, ``s2``, ``point``, ``circle``) or a file; as a list of words, a
+spaced built-in (``simplex 3``) or a builder (``product A B``,
+``quotient A B``, ``suspension A``, ``nerve FILE``); as a JSON object, an
+interchange record.  Covers and squares (built-ins ``interval-collapse``,
+``corner-circle``, ``identity:X``) resolve the same way, and a manifest
+entry may name the entries before it.  Exit codes: 0 success, 1 a failed
 mathematical verdict requested with ``--assert``, 2 parse or validation
 errors, malformed interchange records and manifests included; exit 2
 prints an ``error:`` line on stderr, never a traceback.  All output is
@@ -39,6 +45,8 @@ from .function_complex import mapping_space
 from .nerve import nerve_preorder
 from .quasicat import is_quasicategory_up_to
 from .serialize import (
+    _record,
+    _strings,
     canonical_dumps,
     chain_to_record,
     group_to_record,
@@ -71,6 +79,8 @@ def _load_json(path: str):
         raise ValidationError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise ValidationError(f"{path} is nested too deeply to read")
 
 
 def _sphere(n: int) -> FiniteSSet:
@@ -79,162 +89,141 @@ def _sphere(n: int) -> FiniteSSet:
     return quotient(standard_simplex(n), boundary(n)).space
 
 
-def _atom_space(token: str, namespace: dict | None = None) -> FiniteSSet:
-    """Resolve a compact space token: manifest name, builtin, or file."""
-    if namespace and token in namespace:
-        return namespace[token]
-    if token == "point":
-        return standard_simplex(0)
-    if token == "circle":
-        return _sphere(1)
-    m = re.fullmatch(r"simplex(\d+)", token)
-    if m:
-        return standard_simplex(int(m.group(1)))
-    m = re.fullmatch(r"boundary(\d+)", token)
-    if m:
-        return boundary(int(m.group(1)))
-    m = re.fullmatch(r"horn(\d+)_(\d+)", token)
-    if m:
-        return horn(int(m.group(1)), int(m.group(2)))
-    m = re.fullmatch(r"s(\d)", token)
-    if m:
-        return _sphere(int(m.group(1)))
-    if os.path.exists(token):
-        return sset_from_record(_load_json(token))
-    raise ValidationError(f"unknown space {token!r}")
+# Built-in spaces, by head word: the number of integer arguments and the
+# builder.  ``simplex3`` and ``simplex 3`` both name ``standard_simplex(3)``.
+_BUILTINS = {
+    "point": (0, lambda: standard_simplex(0)),
+    "circle": (0, lambda: _sphere(1)),
+    "simplex": (1, standard_simplex),
+    "boundary": (1, boundary),
+    "horn": (2, horn),
+    "s": (1, _sphere),
+}
+
+# Builders over spaces, by head word: the number of spaces and the builder.
+_BUILDERS = {
+    "product": (2, lambda X, Y: product(X, Y).space),
+    "quotient": (2, lambda X, A: quotient(X, subcomplex(X, A.names)).space),
+    "suspension": (1, lambda X: (
+        reduced_suspension(X) if X.basepoint is not None else unreduced_suspension(X)
+    )),
+}
 
 
-def _build_space(tokens: list[str], d: int | None, namespace=None) -> FiniteSSet:
-    """The spaced builder grammar of the ``space`` subcommand."""
-    if not tokens:
-        raise ValidationError("empty space specification")
-    head, rest = tokens[0], tokens[1:]
-    if head == "simplex" and len(rest) == 1:
-        return standard_simplex(int(rest[0]))
-    if head == "boundary" and len(rest) == 1:
-        return boundary(int(rest[0]))
-    if head == "horn" and len(rest) == 2:
-        return horn(int(rest[0]), int(rest[1]))
-    if head == "nerve" and len(rest) == 1:
-        return nerve_preorder(preorder_from_record(_load_json(rest[0])), d)
-    if head == "circle" and not rest:
-        return _sphere(1)
-    if head == "product" and len(rest) == 2:
-        return product(
-            _atom_space(rest[0], namespace), _atom_space(rest[1], namespace)
-        ).space
-    if head == "quotient" and len(rest) == 2:
-        total = _atom_space(rest[0], namespace)
-        part = _atom_space(rest[1], namespace)
-        return quotient(total, subcomplex(total, part.names)).space
-    if head == "suspension" and len(rest) == 1:
-        X = _atom_space(rest[0], namespace)
-        if X.basepoint is not None:
-            return reduced_suspension(X)
-        return unreduced_suspension(X)
-    if len(tokens) == 1:
-        return _atom_space(head, namespace)
-    raise ValidationError(f"cannot parse space specification {tokens!r}")
+def _builtin_space(word: str, names: dict) -> FiniteSSet | None:
+    """The built-in a compact token (``s2``, ``horn2_1``) names, if any."""
+    m = re.fullmatch(r"([a-z]+)(?:(\d+)(?:_(\d+))?)?", word)
+    if m is None or m.group(1) not in _BUILTINS:
+        return None
+    arity, build = _BUILTINS[m.group(1)]
+    numbers = [int(x) for x in m.groups()[1:] if x is not None]
+    return build(*numbers) if len(numbers) == arity else None
 
 
-def _square(token: str, names=({}, {}, {})) -> SSetSquare:
-    spaces, _, squares = names
-    if token in squares:
-        return squares[token]
-    if token == "interval-collapse":
+def _builtin_square(word: str, names: dict) -> SSetSquare | None:
+    if word == "interval-collapse":
         return interval_collapse_square()
-    if token == "corner-circle":
+    if word == "corner-circle":
         pt = standard_simplex(0)
         to_pt = constant_map(boundary(1), pt, "0")
         circle = _sphere(1)
         to_circle = constant_map(pt, circle, circle.basepoint)
         return SSetSquare(to_pt, to_pt, to_circle, to_circle)
-    m = re.fullmatch(r"identity:(.+)", token)
+    m = re.fullmatch(r"identity:(.+)", word)
     if m:
-        return identity_square(_atom_space(m.group(1), spaces))
-    if os.path.exists(token):
-        return _square_from_record(_load_json(token))
-    raise ValidationError(f"unknown square {token!r}")
+        return identity_square(_resolve("space", m.group(1), names))
+    return None
 
 
-def _square_from_record(data) -> SSetSquare:
-    if not isinstance(data, dict):
-        raise ValidationError("square record must be a JSON object")
+def _space_words(words, names: dict, d: int | None = None) -> FiniteSSet:
+    """A space from a list of words (see the module docstring)."""
+    words = _strings(words, "space specification must be a list of strings")
+    if not words:
+        raise ValidationError("empty space specification")
+    head, rest = words[0], words[1:]
+    if not rest:
+        return _resolve("space", head, names)
+    if head in _BUILTINS and len(rest) == _BUILTINS[head][0]:
+        return _BUILTINS[head][1](*map(int, rest))
+    if head in _BUILDERS and len(rest) == _BUILDERS[head][0]:
+        return _BUILDERS[head][1](*(_resolve("space", w, names) for w in rest))
+    if head == "nerve" and len(rest) == 1:
+        return nerve_preorder(preorder_from_record(_load_json(rest[0])), d)
+    raise ValidationError(f"cannot parse space specification {list(words)!r}")
+
+
+def _square_from_record(data, names: dict) -> SSetSquare:
+    data = _record(data, "square record")
     try:
-        spaces = {
-            key: sset_from_record(data[key]) for key in ("w", "u", "v", "x")
-        }
-        legs = {
-            "w_to_u": (spaces["w"], spaces["u"]),
-            "w_to_v": (spaces["w"], spaces["v"]),
-            "u_to_x": (spaces["u"], spaces["x"]),
-            "v_to_x": (spaces["v"], spaces["x"]),
-        }
-        maps = {
-            key: map_from_record(src, dst, data[key])
-            for key, (src, dst) in legs.items()
-        }
+        corners = {key: _resolve("space", data[key], names) for key in "wuvx"}
+        legs = [
+            map_from_record(corners[leg[0]], corners[leg[-1]], data[leg])
+            for leg in ("w_to_u", "w_to_v", "u_to_x", "v_to_x")
+        ]
     except KeyError as exc:
         raise ValidationError(f"square record is missing {exc}")
-    return SSetSquare(
-        maps["w_to_u"], maps["w_to_v"], maps["u_to_x"], maps["v_to_x"]
-    )
+    return SSetSquare(*legs)
 
 
-def _cover_from_record(data, spaces) -> CoverData:
-    if not isinstance(data, dict):
-        raise ValidationError("cover record must be a JSON object")
-    space_spec = data.get("space")
-    if isinstance(space_spec, str):
-        X = _atom_space(space_spec, spaces)
-    else:
-        X = sset_from_record(space_spec)
-    pieces = (data.get("u", []), data.get("v", []))
-    for piece in pieces:
-        if not isinstance(piece, list) or not all(isinstance(n, str) for n in piece):
-            raise ValidationError("cover pieces 'u' and 'v' must be lists of names")
-    return cover_from_names(X, *pieces)
+def _cover_from_record(data, names: dict) -> CoverData:
+    data = _record(data, "cover record")
+    X = _resolve("space", data.get("space"), names)
+    message = "cover pieces 'u' and 'v' must be lists of names"
+    return cover_from_names(X, *(_strings(data.get(k, []), message) for k in "uv"))
 
 
-def _cover(token: str, names=({}, {}, {})) -> CoverData:
-    spaces, covers, _ = names
-    if token in covers:
-        return covers[token]
-    return _cover_from_record(_load_json(token), spaces)
+# Per kind: the built-in a word names (or None), and the reader of a record.
+_KINDS = {
+    "space": (_builtin_space, lambda data, names: sset_from_record(data)),
+    "cover": (lambda word, names: None, _cover_from_record),
+    "square": (_builtin_square, _square_from_record),
+}
 
 
-def _manifest_section(data: dict, key: str) -> dict:
-    section = data.get(key, {})
-    if not isinstance(section, dict):
-        raise ValidationError(f"manifest {key!r} must be a JSON object")
-    return section
+def _resolve(kind: str, spec, names: dict, d: int | None = None):
+    """The space, cover or square an argument or a JSON field gives.  One
+    word is a manifest name (``names`` maps ``(kind, name)`` to what the
+    manifest defines), then a built-in, then a file."""
+    builtin, read = _KINDS[kind]
+    if not isinstance(spec, str):
+        if kind == "space" and isinstance(spec, list):
+            return _space_words(spec, names, d)
+        return read(spec, names)
+    if (kind, spec) in names:
+        return names[kind, spec]
+    found = builtin(spec, names)
+    if found is not None:
+        return found
+    if os.path.exists(spec):
+        return read(_load_json(spec), names)
+    raise ValidationError(f"unknown {kind} {spec!r}")
 
 
-def _emit(args, record: dict, human: list[str]) -> None:
+def _emit(args, record: dict, human: list[str], ok: bool = True) -> int:
+    """Print the record or the human lines; return the exit code, 1 for a
+    verdict that failed under ``--assert``."""
     if args.json:
         sys.stdout.write(canonical_dumps(record))
     else:
         for line in human:
             print(line)
+    return 1 if getattr(args, "assert_", False) and not ok else 0
 
 
 # -- subcommand bodies -----------------------------------------------------
 
 
 def _cmd_space(args) -> int:
-    X = _build_space(args.spec, args.d, args.names[0])
-    rec = sset_to_record(X)
-    if args.json:
-        sys.stdout.write(canonical_dumps(rec))
-    else:
+    X = _resolve("space", args.spec, args.names, args.d)
+    if not args.json:
         print(f"counts: {X.counts()}")
         print(f"basepoint: {X.basepoint if X.basepoint is not None else '-'}")
-        sys.stdout.write(canonical_dumps(rec))
+    sys.stdout.write(canonical_dumps(sset_to_record(X)))
     return 0
 
 
 def _cmd_homology(args) -> int:
-    X = _atom_space(args.space, args.names[0])
+    X = _resolve("space", args.space, args.names)
     c = normalized_chains(X)
     top = args.top if args.top is not None else max(X.top_dim, 0)
     groups = homology_table(c, 0, top)
@@ -242,54 +231,44 @@ def _cmd_homology(args) -> int:
         "space_counts": list(X.counts()),
         "groups": {str(n): group_to_record(g) for n, g in groups.items()},
     }
-    _emit(args, rec, [f"H_{n} = {g}" for n, g in groups.items()])
-    return 0
+    return _emit(args, rec, [f"H_{n} = {g}" for n, g in groups.items()])
 
 
 def _cmd_qcat(args) -> int:
-    X = _atom_space(args.space, args.names[0])
+    X = _resolve("space", args.space, args.names)
     verdict = is_quasicategory_up_to(X, args.d, max_candidates=args.max_enum)
     human = [f"quasi-category up to d={args.d}: {'PASS' if verdict.ok else 'FAIL'}"]
     if verdict.witness is not None:
         human.append(
             f"witness: unfillable inner horn n={verdict.witness.n} i={verdict.witness.i}"
         )
-    _emit(args, verdict_to_record(verdict), human)
-    if args.assert_ and not verdict.ok:
-        return 1
-    return 0
+    return _emit(args, verdict_to_record(verdict), human, verdict.ok)
 
 
 def _cmd_mapspace(args) -> int:
-    C = _atom_space(args.space, args.names[0])
+    C = _resolve("space", args.space, args.names)
     M = mapping_space(C, args.source, args.target, args.d, max_candidates=args.max_enum)
     rec = {"counts": list(M.counts()), "space": sset_to_record(M)}
-    _emit(args, rec, [f"counts: {M.counts()}"])
-    return 0
+    return _emit(args, rec, [f"counts: {M.counts()}"])
 
 
 def _cmd_mv(args) -> int:
-    cd = _cover(args.cover, args.names)
+    cd = _resolve("cover", args.cover, args.names)
     top = args.top if args.top is not None else max(cd.X.top_dim, 0)
     les = mayer_vietoris(cd, top, reduced=args.reduced)
     human = []
     for e in les.entries:
         human.append(f"deg {e.degree} {e.tag}: {e.group}")
     human.append(f"exact: {'all slots' if les.all_exact else 'FAILED'}")
-    _emit(args, les.to_record(), human)
-    if args.assert_ and not les.all_exact:
-        return 1
-    return 0
+    return _emit(args, les.to_record(), human, les.all_exact)
 
 
 def _cmd_excision(args) -> int:
-    sq = _square(args.square, args.names)
+    sq = _resolve("square", args.square, args.names)
     report = excision_check(sq)
     rec = report.to_record()
-    _emit(args, rec, [f"{k}: {v}" for k, v in rec.items()])
-    if args.assert_ and not (report.square_is_pushout and report.chain_bicartesian):
-        return 1
-    return 0
+    ok = report.square_is_pushout and report.chain_bicartesian
+    return _emit(args, rec, [f"{k}: {v}" for k, v in rec.items()], ok)
 
 
 def _cmd_tower(args) -> int:
@@ -300,17 +279,16 @@ def _cmd_tower(args) -> int:
     if args.evaluator not in evaluators:
         raise ValidationError(f"unknown evaluator {args.evaluator!r}")
     F = evaluators[args.evaluator]()
-    X = _atom_space(args.space, args.names[0])
-    note = None
+    X = _resolve("space", args.space, args.names)
+    human = []
     if X.basepoint is None:
         if not X.nondeg(0):
             raise ValidationError("a tower needs a space with a vertex")
         X = pointed(X, X.nondeg(0)[0])
-        note = f"note: pointed at vertex {X.basepoint!r}"
+        human.append(f"note: pointed at vertex {X.basepoint!r}")
     t = tower(F, X, args.N)
     qis = [quasi_iso(u) for u in t.maps]
     index = stabilization_index(t)
-    human = [] if note is None else [note]
     stage_tables, shown = [], []
     for n, st in enumerate(t.stages):
         table = homology_table(st, st.low, st.high)
@@ -331,10 +309,7 @@ def _cmd_tower(args) -> int:
         "stabilization_index": index,
         "colimit": None if index is None else chain_to_record(t.stages[index]),
     }
-    _emit(args, rec, human)
-    if args.assert_ and index is None:
-        return 1
-    return 0
+    return _emit(args, rec, human, index is not None)
 
 
 def _cmd_counterexample(args) -> int:
@@ -348,58 +323,59 @@ def _cmd_counterexample(args) -> int:
     )
     human = [f"{k}: {v}" for k, v in rec.items()]
     human.append(f"matches expected values: {ok}")
-    _emit(args, rec, human)
-    if args.assert_ and not ok:
-        return 1
-    return 0
+    return _emit(args, rec, human, ok)
 
 
 def _cmd_run(args) -> int:
-    data = _load_json(args.manifest)
-    if not isinstance(data, dict):
-        raise ValidationError("manifest must be a JSON object")
-    namespace: dict[str, FiniteSSet] = {}
-    for name, spec in _manifest_section(data, "spaces").items():
-        if isinstance(spec, str):
-            namespace[name] = _atom_space(spec)
-        elif isinstance(spec, list) and all(isinstance(t, str) for t in spec):
-            namespace[name] = _build_space(spec, None, namespace)
-        else:
-            namespace[name] = sset_from_record(spec)
-    covers = {
-        name: _cover_from_record(spec, namespace)
-        for name, spec in _manifest_section(data, "covers").items()
-    }
-    squares = {}
-    for name, spec in _manifest_section(data, "squares").items():
-        squares[name] = (
-            _square(spec, (namespace, {}, {}))
-            if isinstance(spec, str)
-            else _square_from_record(spec)
-        )
+    data = _record(_load_json(args.manifest), "manifest")
+    names: dict = {}
+    for kind in ("space", "cover", "square"):
+        entries = _record(data.get(kind + "s", {}), f"manifest '{kind}s'")
+        for name, spec in entries.items():
+            names[kind, name] = _resolve(kind, spec, names)
     tasks = data.get("tasks", [])
-    if not isinstance(tasks, list) or not all(
-        isinstance(t, list) and all(isinstance(x, str) for x in t) for t in tasks
-    ):
-        raise ValidationError("manifest tasks must be lists of argument strings")
-    if any(t[:1] == ["run"] for t in tasks):
+    message = "manifest tasks must be lists of argument strings"
+    if not isinstance(tasks, list):
+        raise ValidationError(message)
+    tasks = [_strings(task, message) for task in tasks]
+    if any(task[:1] == ["run"] for task in tasks):
         raise ValidationError("a manifest task cannot run another manifest")
-    worst = 0
+    # Every task is parsed before the first one runs.
+    parsed = []
     for i, task in enumerate(tasks):
+        try:
+            parsed.append(_parser().parse_args(task))
+        except _Usage as exc:
+            reason = exc.args[1] or "asks for help"
+            raise ValidationError(f"manifest task {i}: {reason}")
+    worst = 0
+    for i, (task, task_args) in enumerate(zip(tasks, parsed)):
         print(f"== task {i}: {' '.join(task)}")
-        code = main(task, _names=(namespace, covers, squares))
-        worst = max(worst, code)
+        worst = max(worst, _execute(task_args, names))
     return worst
 
 
 # -- dispatch --------------------------------------------------------------
 
 
+class _Usage(Exception):
+    """Raised by ``_Parser`` with ``(parser, message)`` where argparse would
+    print and exit; ``message`` is None for a request for help."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Usage(self, message)
+
+    def print_help(self, file=None):
+        raise _Usage(self, None)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: ``run`` parses every
     task of a manifest with it."""
-    p = argparse.ArgumentParser(prog="ssetkit")
+    p = _Parser(prog="ssetkit")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, assertable=True):
@@ -413,7 +389,12 @@ def _parser() -> argparse.ArgumentParser:
     )
 
     sp = sub.add_parser("space", help="build and serialize a simplicial set")
-    sp.add_argument("spec", nargs="+")
+    sp.add_argument("spec", nargs="+", help=(
+        "one word: a manifest name, a built-in (simplex3, boundary3, horn2_1, s2, "
+        "point, circle) or a file; several: a spaced built-in (simplex 3, horn 2 1), "
+        "product A B, quotient A B, suspension A or nerve FILE.  Every field that "
+        "names a space accepts every form of this grammar"
+    ))
     sp.add_argument("-d", type=int, default=None, help="nerve truncation dimension")
     common(sp, assertable=False)
     sp.set_defaults(fn=_cmd_space)
@@ -470,18 +451,28 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def main(argv=None, _names=None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    args.names = _names if _names is not None else ({}, {}, {})
+def _execute(args, names: dict) -> int:
+    args.names = names
     try:
         return args.fn(args)
     # ValueError covers ValidationError and the int() of a malformed token.
     except (ValueError, EnumerationLimit, StabilizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    try:
+        args = _parser().parse_args(argv)
+    except _Usage as exc:  # print what argparse would
+        parser, message = exc.args
+        if message is None:
+            sys.stdout.write(parser.format_help())
+            return 0
+        parser.print_usage(sys.stderr)
+        print(f"{parser.prog}: error: {message}", file=sys.stderr)
+        return 2
+    return _execute(args, {})
 
 
 if __name__ == "__main__":

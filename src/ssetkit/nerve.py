@@ -143,7 +143,14 @@ def preorder_category(P: Preorder) -> FiniteCategory:
     def mname(a, b):
         return f"{a}<={b}"
 
-    morphisms = {mname(a, b): (a, b) for a, b in P.relation}
+    morphisms = {}
+    for a, b in sorted(P.relation):
+        other = morphisms.setdefault(mname(a, b), (a, b))
+        if other != (a, b):
+            raise ValidationError(
+                f"relations {other} and {(a, b)} share the morphism name "
+                f"{mname(a, b)!r}"
+            )
     identities = {a: mname(a, a) for a in P.elements}
     table = {}
     for g, (gs, gt) in morphisms.items():

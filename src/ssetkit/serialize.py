@@ -3,7 +3,10 @@
 All emitters produce plain dict/list/int/str trees; ``canonical_dumps``
 fixes key order and spacing so equal objects serialize to identical bytes.
 Parsers validate through the normal constructors, so malformed input fails
-with the package's own error types rather than raw KeyErrors.
+with the package's own error types rather than raw KeyErrors.  Every record
+reader, here and in ``cli``, checks shapes through the same three private
+helpers: ``_record`` (a JSON object), ``_strings`` (a list of strings) and
+``_ints`` (a list of integers, refusing ``true`` and ``false``).
 """
 
 from __future__ import annotations
@@ -37,9 +40,22 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _as_record(data, what: str) -> dict:
+def _record(data, what: str) -> dict:
     if not isinstance(data, dict):
-        raise ValidationError(f"{what} record must be a JSON object")
+        raise ValidationError(f"{what} must be a JSON object")
+    return data
+
+
+def _strings(data, message: str) -> list:
+    if not isinstance(data, (list, tuple)) or not all(isinstance(x, str) for x in data):
+        raise ValidationError(message)
+    return data
+
+
+def _ints(data, message: str) -> list:
+    # type() and not isinstance(): JSON true and false would pass as 1 and 0.
+    if not isinstance(data, (list, tuple)) or not all(type(x) is int for x in data):
+        raise ValidationError(message)
     return data
 
 
@@ -54,11 +70,11 @@ def _simplex_from_pair(pair, dim: int, what: str) -> Simplex:
         or not isinstance(pair[1], str)
     ):
         raise ValidationError(f"{what}: expected a [degeneracy-word, base] pair")
-    word, base = pair
-    # JSON true and false would pass as the integers 1 and 0.
-    if not isinstance(word, (list, tuple)) or not all(type(i) is int for i in word):
-        raise ValidationError(f"{what}: degeneracy word must be a list of integers")
-    return Simplex(tuple(word), base, dim)
+    try:
+        word = _ints(pair[0], "degeneracy word must be a list of integers")
+    except ValidationError as exc:
+        raise ValidationError(f"{what}: {exc}") from None
+    return Simplex(tuple(word), pair[1], dim)
 
 
 # -- simplicial sets -------------------------------------------------------
@@ -78,29 +94,23 @@ def sset_to_record(X: FiniteSSet) -> dict:
 
 
 def sset_from_record(data) -> FiniteSSet:
-    data = _as_record(data, "simplicial set")
+    data = _record(data, "simplicial set record")
     cells = data.get("cells")
     if not isinstance(cells, list):
         raise ValidationError("simplicial set record needs a 'cells' list")
-    if not all(isinstance(level, (list, tuple)) for level in cells):
-        raise ValidationError("simplicial set cells must be lists of names")
-    cells = tuple(tuple(level) for level in cells)
-    dim_of = {}
-    for k, level in enumerate(cells):
-        for name in level:
-            if not isinstance(name, str):
-                raise ValidationError("simplex names must be strings")
-            dim_of[name] = k
+    cells = tuple(
+        tuple(_strings(level, "simplicial set cells must be lists of names"))
+        for level in cells
+    )
+    dim_of = {name: k for k, level in enumerate(cells) for name in level}
     faces = {}
-    for name, lst in _as_record(data.get("faces", {}), "face table").items():
+    for name, lst in _record(data.get("faces", {}), "face table record").items():
         if name not in dim_of:
             raise ValidationError(f"faces listed for unknown simplex {name!r}")
         if not isinstance(lst, (list, tuple)):
             raise ValidationError(f"faces of {name!r} must be a list")
-        k = dim_of[name]
-        faces[name] = tuple(
-            _simplex_from_pair(p, k - 1, f"face of {name!r}") for p in lst
-        )
+        k, what = dim_of[name], f"face of {name!r}"
+        faces[name] = tuple(_simplex_from_pair(p, k - 1, what) for p in lst)
     basepoint = data.get("basepoint")
     if basepoint is not None and not isinstance(basepoint, str):
         raise ValidationError("basepoint must be a simplex name")
@@ -119,9 +129,9 @@ def map_to_record(f: SSetMap) -> dict:
 
 
 def map_from_record(source: FiniteSSet, target: FiniteSSet, data) -> SSetMap:
-    data = _as_record(data, "simplicial map")
+    data = _record(data, "simplicial map record")
     images = {}
-    for name, pair in _as_record(data.get("images"), "map images").items():
+    for name, pair in _record(data.get("images"), "map images record").items():
         if name not in source.names:
             raise ValidationError(f"image listed for unknown simplex {name!r}")
         images[name] = _simplex_from_pair(
@@ -145,31 +155,26 @@ def chain_to_record(c: ChainComplex) -> dict:
 
 
 def chain_from_record(data) -> ChainComplex:
-    data = _as_record(data, "chain complex")
+    data = _record(data, "chain complex record")
     try:
         low, high, ranks = data["low"], data["high"], data["ranks"]
     except KeyError as exc:
         raise ValidationError(f"chain complex record incomplete: {exc}")
-    # JSON true would pass int() as 1, and 1.7 would be truncated to 1.
-    if type(low) is not int or type(high) is not int:
-        raise ValidationError("chain complex 'low' and 'high' must be integers")
-    if not isinstance(ranks, (list, tuple)) or not all(type(r) is int for r in ranks):
-        raise ValidationError("chain complex 'ranks' must be a list of integers")
-    ranks = tuple(ranks)
+    _ints((low, high), "chain complex 'low' and 'high' must be integers")
+    ranks = tuple(_ints(ranks, "chain complex 'ranks' must be a list of integers"))
     if len(ranks) != high - low + 1:
         raise ValidationError("ranks length disagrees with the degree window")
-    raw = _as_record(data.get("boundaries", {}), "boundary table")
+    raw = _record(data.get("boundaries", {}), "boundary table record")
     boundaries = []
     for n in range(low + 1, high + 1):
         rows = raw.get(str(n))
         if rows is None:
             m = IntMat.zero(ranks[n - 1 - low], ranks[n - low])
         else:
-            if not isinstance(rows, list) or not all(
-                isinstance(row, list) and all(type(x) is int for x in row)
-                for row in rows
-            ):
-                raise ValidationError(f"boundary {n} must be a list of integer rows")
+            message = f"boundary {n} must be a list of integer rows"
+            if not isinstance(rows, list):
+                raise ValidationError(message)
+            rows = [_ints(row, message) for row in rows]
             m = IntMat.from_rows(rows) if rows else IntMat.zero(0, ranks[n - low])
             if m.rows != ranks[n - 1 - low] or m.cols != ranks[n - low]:
                 raise ValidationError(f"boundary {n} shape disagrees with ranks")
@@ -190,29 +195,22 @@ def preorder_from_record(data) -> Preorder:
     The relation is closed reflexively and transitively, so input files
     only list the covering pairs they care about.
     """
-    data = _as_record(data, "preorder")
-    elements = data.get("elements")
-    if not isinstance(elements, list) or not all(
-        isinstance(e, str) for e in elements
-    ):
-        raise ValidationError("preorder record needs a list of string elements")
+    data = _record(data, "preorder record")
+    elements = _strings(
+        data.get("elements"), "preorder record needs a list of string elements"
+    )
     pairs = data.get("pairs", [])
-    if not isinstance(pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 for p in pairs
+    message = "preorder pairs must be [element, element] lists"
+    if not isinstance(pairs, list) or any(
+        len(_strings(p, message)) != 2 for p in pairs
     ):
-        raise ValidationError("preorder pairs must be [element, element] lists")
+        raise ValidationError(message)
     for a, b in pairs:
         if a not in elements or b not in elements:
             raise ValidationError(f"pair ({a!r}, {b!r}) uses unknown elements")
     rel = {(e, e) for e in elements} | {(a, b) for a, b in pairs}
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(rel):
-            for c, d in list(rel):
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
+    for k in elements:  # Warshall: close through each element in turn
+        rel |= {(a, d) for a, b in rel if b == k for c, d in rel if c == k}
     return Preorder(tuple(elements), frozenset(rel))
 
 
@@ -226,9 +224,6 @@ def verdict_to_record(v: QcatVerdict) -> dict:
         rec["witness"] = {
             "n": h.n,
             "i": h.i,
-            "assignment": {
-                name: _simplex_pair(h.assignment.images[name])
-                for name in sorted(h.assignment.images)
-            },
+            "assignment": map_to_record(h.assignment)["images"],
         }
     return rec

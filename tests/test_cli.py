@@ -9,6 +9,9 @@ import sys
 import pytest
 
 from ssetkit import chain, cli
+from ssetkit.excision import identity_square
+from ssetkit.serialize import map_to_record, sset_to_record
+from ssetkit.sset import boundary
 
 DATA = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -258,6 +261,8 @@ _PREORDER = {"elements": ["a", "b"]}
         ("space nerve", {**_PREORDER, "pairs": [3]}),
         ("space nerve", {**_PREORDER, "pairs": [[["a"], "b"]]}),
         ("tower reduced_chains", {"cells": []}),
+        ("space nerve", {"elements": ["x<=y", "z", "x", "y<=z"],
+                         "pairs": [["x<=y", "z"], ["x", "y<=z"]]}),
     ],
 )
 def test_malformed_records_exit_two(tmp_path, capsys, command, record):
@@ -333,3 +338,91 @@ def test_homology_of_projective_plane_has_torsion(tmp_path, capsys):
     f.write_text(json.dumps(rp2))
     assert cli.main(["homology", str(f)]) == 0
     assert capsys.readouterr().out == "H_0 = Z\nH_1 = Z/2\nH_2 = 0\n"
+
+
+@pytest.mark.parametrize("command", [
+    "homology", "run", "mv", "excision", "space nerve",
+])
+def test_deeply_nested_json_exits_two(tmp_path, capsys, command):
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 100_000)
+    assert cli.main([*command.split(), str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {f} is nested too deeply to read\n"
+
+
+@pytest.mark.parametrize(
+    "tasks, message",
+    [
+        ([["", "A"], ["homology", "circle"]],
+         "error: manifest task 0: argument command: invalid choice: ''"),
+        ([["-h"], ["homology", "circle"]], "error: manifest task 0: asks for help"),
+        ([["homology", "circle"], ["qcat", "--help"]],
+         "error: manifest task 1: asks for help"),
+        ([["homology", "circle"], ["qcat", "simplex2", "-d", "x"]],
+         "error: manifest task 1: argument -d: invalid int value: 'x'"),
+    ],
+    ids=["invalid-choice", "help", "subcommand-help", "bad-option"],
+)
+def test_manifest_tasks_are_parsed_before_any_runs(tmp_path, capsys, tasks, message):
+    f = tmp_path / "manifest.json"
+    f.write_text(json.dumps({"tasks": tasks}))
+    assert cli.main(["run", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # no task ran and no usage or help was printed
+    assert err.count("\n") == 1 and err.startswith(message)
+
+
+def _boundary2_forms(tmp_path) -> dict:
+    """∂Δ² named in each form a space field accepts."""
+    record = sset_to_record(boundary(2))
+    path = tmp_path / "b2.json"
+    path.write_text(json.dumps(record))
+    return {"name": "B", "token": "boundary2", "words": ["boundary", "2"],
+            "record": record, "path": str(path)}
+
+
+def _run_output(capsys, tasks, argvs) -> str:
+    """What ``run`` prints for ``tasks`` if each prints what ``argvs`` do."""
+    out = []
+    for i, (task, argv) in enumerate(zip(tasks, argvs)):
+        assert cli.main(argv) == 0
+        out.append(f"== task {i}: {' '.join(task)}\n{capsys.readouterr().out}")
+    return "".join(out)
+
+
+def _manifest_output(tmp_path, capsys, manifest) -> str:
+    f = tmp_path / "manifest.json"
+    f.write_text(json.dumps({"spaces": {"B": "boundary2"}, **manifest}))
+    assert cli.main(["run", str(f)]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("form", ["name", "token", "words", "record", "path"])
+def test_manifest_cover_names_its_space_in_any_form(tmp_path, capsys, form):
+    inline = {"space": sset_to_record(boundary(2)), "u": ["01", "12"], "v": ["02"]}
+    f = tmp_path / "cover.json"
+    f.write_text(json.dumps(inline))
+    flags = [[], ["--reduced", "--json"]]
+    tasks = [["mv", "c", *fl] for fl in flags]
+    want = _run_output(capsys, tasks, [["mv", str(f), *fl] for fl in flags])
+    cover = {**inline, "space": _boundary2_forms(tmp_path)[form]}
+    got = _manifest_output(tmp_path, capsys, {"covers": {"c": cover}, "tasks": tasks})
+    assert got == want
+
+
+@pytest.mark.parametrize("form", ["name", "token", "words", "record", "path"])
+def test_manifest_square_names_its_corners_in_any_form(tmp_path, capsys, form):
+    sq = identity_square(boundary(2))
+    inline = {key: sset_to_record(getattr(sq, key)) for key in "wuvx"}
+    inline.update({leg: map_to_record(getattr(sq, leg))
+                   for leg in ("w_to_u", "w_to_v", "u_to_x", "v_to_x")})
+    f = tmp_path / "square.json"
+    f.write_text(json.dumps(inline))
+    flags = [[], ["--json", "--assert"]]
+    tasks = [["excision", "q", *fl] for fl in flags]
+    want = _run_output(capsys, tasks, [["excision", str(f), *fl] for fl in flags])
+    square = {**inline, **dict.fromkeys("wuvx", _boundary2_forms(tmp_path)[form])}
+    got = _manifest_output(tmp_path, capsys, {"squares": {"q": square}, "tasks": tasks})
+    assert got == want

@@ -132,3 +132,12 @@ def test_nerve_levels_are_listed_under_the_budget(monkeypatch):
         nerve_preorder(linear_preorder(3))
     monkeypatch.setattr(nerve, "DEFAULT_MAX_CANDIDATES", 6)
     assert nerve_preorder(linear_preorder(3), 1).counts() == (4, 6)
+
+
+def test_relations_with_clashing_morphism_names_are_refused():
+    # x<=y ≤ z and x ≤ y<=z would both be named "x<=y<=z", and the nerve
+    # would silently keep one of the two edges.
+    elements = ("x<=y", "z", "x", "y<=z")
+    rel = {(e, e) for e in elements} | {("x<=y", "z"), ("x", "y<=z")}
+    with pytest.raises(ValidationError, match="share the morphism name 'x<=y<=z'"):
+        nerve_preorder(Preorder(elements, frozenset(rel)))
