@@ -12,8 +12,9 @@ interchange record.  Covers and squares (built-ins ``interval-collapse``,
 ``corner-circle``, ``identity:X``) resolve the same way, and a manifest
 entry may name the entries before it.  Exit codes: 0 success, 1 a failed
 mathematical verdict requested with ``--assert``, 2 parse or validation
-errors, malformed interchange records and manifests included; exit 2
-prints an ``error:`` line on stderr, never a traceback.  All output is
+errors (malformed interchange records and manifests included) and a
+standard output closed before everything was written; exit 2 prints an
+``error:`` line on stderr, never a traceback.  All output is
 deterministic; machine records go through the canonical serializer.
 """
 
@@ -141,6 +142,8 @@ def _space_words(words, names: dict, d: int | None = None) -> FiniteSSet:
     if not words:
         raise ValidationError("empty space specification")
     head, rest = words[0], words[1:]
+    if d is not None and (head != "nerve" or len(rest) != 1):
+        raise ValidationError("-d truncates only the nerve of 'nerve FILE'")
     if not rest:
         return _resolve("space", head, names)
     if head in _BUILTINS and len(rest) == _BUILTINS[head][0]:
@@ -461,7 +464,7 @@ def _execute(args, names: dict) -> int:
         return 2
 
 
-def main(argv=None) -> int:
+def _main(argv) -> int:
     try:
         args = _parser().parse_args(argv)
     except _Usage as exc:  # print what argparse would
@@ -473,6 +476,18 @@ def main(argv=None) -> int:
         print(f"{parser.prog}: error: {message}", file=sys.stderr)
         return 2
     return _execute(args, {})
+
+
+def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # Drop what is still buffered, so the flush at exit is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed before the output ended", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

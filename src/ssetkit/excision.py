@@ -380,8 +380,8 @@ class CoverData:
 
 def cover_from_names(X: FiniteSSet, u_names, v_names) -> CoverData:
     """Build a cover from generator names, closing each piece under faces."""
-    U = subcomplex(X, face_closure(X, u_names))
-    V = subcomplex(X, face_closure(X, v_names))
+    U = subcomplex(X, face_closure(X, u_names), check_closed=False)
+    V = subcomplex(X, face_closure(X, v_names), check_closed=False)
     return CoverData(X, U, V)
 
 

@@ -4,18 +4,18 @@ Enumeration backtracks over the nondegenerate simplices in a face-closed
 eager order: the free vertices in name order, and every other simplex as
 soon as the last of its faces is assigned, so a vertex pair without an edge
 between its images is dropped before the next vertex fans out.  The search
-works on positions: an image is its position in ``Y.all_simplices`` of its
-dimension.  The candidate images of each dimension are indexed by the
-positions of their faces, so a slot reads in one lookup exactly the
-candidates whose faces agree with the images already assigned: every found
-assignment is a simplicial map by construction.  A slot's degenerate faces
-are read through one position table per dimension and degeneracy word, so
-the search builds no ``Simplex``; only the maps found are built, at the
-end.  The maps are returned in the order of the plain search in
-ascending dimension, then name, which the eager search only reorders.  A
-global budget on the candidates tried guards against combinatorial blowups;
-it counts the candidates of the eager search, which tries fewer than the
-plain one.
+works on positions: an image is its position in the level table of ``Y``
+(``FiniteSSet.level``).  The candidate images of each dimension are keyed
+by the positions of their faces that table holds, so a slot reads in one
+lookup exactly the candidates whose faces agree with the images already
+assigned: every found assignment is a simplicial map by construction.  A
+slot's degenerate faces are read through one position table per dimension
+and degeneracy word, so the search builds no ``Simplex``; only the maps
+found are built, at the end.  The maps are returned in the order of the
+plain search in ascending dimension, then name, which the eager search only
+reorders.  A global budget on the candidates tried guards against
+combinatorial blowups; it counts the candidates of the eager search, which
+tries fewer than the plain one.
 
 Function complexes are genuine simplicial sets of maps: a k-simplex of
 hom(X, Y) is a map X x Delta^k -> Y.  They can be nonempty in every
@@ -85,46 +85,33 @@ def enumerate_maps(
         for name in X.nondeg(k)
         if name not in fixed
     ]
-    # An image is its position in ``Y.all_simplices`` of its dimension.
+    # An image is its position in ``Y.level`` of its dimension.
     # ``positions`` holds the image of each slot, then of each fixed simplex.
-    indices: dict[int, dict[Simplex, int]] = {}
-
-    def index(m: int) -> dict[Simplex, int]:
-        if m not in indices:
-            indices[m] = {sx: pos for pos, sx in enumerate(Y.all_simplices(m))}
-        return indices[m]
-
     where = {name: idx for idx, (_, name) in enumerate(slots)}
     positions = [0] * len(slots)
     for name, img in fixed.items():
         where[name] = len(positions)
-        positions.append(index(img.dim)[img])
+        positions.append(Y.level(img.dim)[1][img])
     # Each face of a slot is read off the image of its base: a position
     # directly, or through the table of its degeneracy word, which sends
     # the positions of dimension m to those of s_word of them.
     tables: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-
-    def table(m: int, word: tuple[int, ...]) -> list[int]:
-        if (m, word) not in tables:
-            up = index(m + len(word))
-            tables[m, word] = [up[sx.degenerate(word)] for sx in Y.all_simplices(m)]
-        return tables[m, word]
-
     slot_faces: list[list[tuple[int, list[int] | None]]] = []
     for _, name in slots:
         refs = []
         for f in X.faces.get(name, ()):
-            up = table(f.base_dim, f.degeneracies) if f.is_degenerate else None
-            refs.append((where[f.base], up))
+            m, word = f.base_dim, f.degeneracies
+            if word and (m, word) not in tables:
+                up = Y.level(f.dim)[1]
+                tables[m, word] = [up[sx.degenerate(word)] for sx in Y.all_simplices(m)]
+            refs.append((where[f.base], tables.get((m, word))))
         slot_faces.append(refs)
     # The candidates of each dimension, keyed by the positions of their
-    # faces (vertices under ()), in ``Y.all_simplices`` order.
+    # faces in Y's level table (vertices under ()), in listing order.
     cands: dict[int, dict[tuple[int, ...], list[int]]] = {}
-    for k in sorted({k for k, _ in slots}):
+    for k in {k for k, _ in slots}:
         by_faces = cands[k] = {}
-        down = index(k - 1) if k else {}
-        for pos, c in enumerate(Y.all_simplices(k)):
-            key = tuple(down[Y.face(c, i)] for i in range(k + 1)) if k else ()
+        for pos, key in enumerate(Y.level(k)[2]):
             by_faces.setdefault(key, []).append(pos)
     buckets = [cands[k] for k, _ in slots]
     order = _eager_order(slot_faces)

@@ -17,7 +17,6 @@ from .intmat import IntMat, kernel_basis, rank_and_torsion, solve
 __all__ = [
     "HomologyGroup",
     "PresentedGroup",
-    "ZERO_GROUP",
     "group_from_relations",
     "is_zero_map",
     "exact_at",
@@ -53,9 +52,6 @@ class HomologyGroup:
             parts.append(f"Z^{self.rank}")
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-
-ZERO_GROUP = HomologyGroup(0, ())
 
 
 def group_from_relations(gens: int, rels: IntMat) -> HomologyGroup:

@@ -2,11 +2,12 @@
 
 A horn assignment determines the images of all lower cells, so a filler of
 a horn is an n-simplex of the target whose walls, the faces d_j for j != i,
-are the images of the horn's walls.  Filler searches index the n-simplices
-of the target, degenerate ones included, by their walls once per (n, i), and
-look each horn up there.  A composite of edges f then g is read the same
-way: the fillers of the horn Λ²₁ on (f, g) are the 2-simplices witnessing a
-composite, which is their face d_1.
+are the images of the horn's walls, its (n-1)-cells (in name order, that is
+descending j).  Filler searches index the n-simplices of the target,
+degenerate ones included, once per (n, i) by the positions of their walls in
+the target's level table, and look each horn up there.  A composite of edges
+f then g is read the same way: the fillers of the horn Λ²₁ on (f, g) are the
+2-simplices witnessing a composite, which is their face d_1.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .function_complex import enumerate_maps
-from .sset import FiniteSSet, SSetMap, Simplex, horn, _subset_name
+from .sset import FiniteSSet, SSetMap, Simplex, horn
 
 __all__ = [
     "HornMap",
@@ -47,30 +48,21 @@ class HornMap:
         return 0 < self.i < self.n
 
 
-def _wall_names(n: int, i: int) -> list[str]:
-    """The walls of the horn, the faces d_j, j != i, of the standard
-    n-simplex, in descending j; d_j is the cell on every vertex but j."""
-    vertices = tuple(range(n + 1))
-    return [
-        _subset_name(vertices[:j] + vertices[j + 1:])
-        for j in reversed(vertices)
-        if j != i
-    ]
-
-
 def _wall_index(C: FiniteSSet, n: int, i: int) -> dict[tuple, list[Simplex]]:
-    """Every n-simplex of ``C``, degenerate ones included, keyed by its faces
-    d_j, j != i, in descending j."""
+    """Every n-simplex of ``C``, degenerate ones included, keyed by the
+    positions of its faces d_j, j != i, in descending j."""
+    simplices, _, faces = C.level(n)
     index: dict[tuple, list[Simplex]] = {}
-    for sx in C.all_simplices(n):
-        walls = tuple(C.face(sx, j) for j in range(n, -1, -1) if j != i)
-        index.setdefault(walls, []).append(sx)
+    for sx, fs in zip(simplices, faces):
+        index.setdefault((fs[:i] + fs[i + 1:])[::-1], []).append(sx)
     return index
 
 
 def horn_fillers(h: HornMap) -> list[Simplex]:
     """All simplices of the target restricting to the given horn."""
-    walls = tuple(h.assignment.images[w] for w in _wall_names(h.n, h.i))
+    position = h.target.level(h.n - 1)[1]
+    images = h.assignment.images
+    walls = tuple(position[images[w]] for w in h.assignment.source.nondeg(h.n - 1))
     return list(_wall_index(h.target, h.n, h.i).get(walls, ()))
 
 
@@ -92,9 +84,11 @@ def is_quasicategory_up_to(
         raise ValidationError("inner horns start in dimension 2")
     for n in range(2, d + 1):
         for i in range(1, n):
-            names = _wall_names(n, i)
+            L = horn(n, i)
+            position = C.level(n - 1)[1]
             index = _wall_index(C, n, i)
-            for assignment in enumerate_maps(horn(n, i), C, max_candidates):
-                if tuple(assignment.images[w] for w in names) not in index:
+            for assignment in enumerate_maps(L, C, max_candidates):
+                walls = tuple(position[assignment.images[w]] for w in L.nondeg(n - 1))
+                if walls not in index:
                     return QcatVerdict(False, d, HornMap(n, i, C, assignment))
     return QcatVerdict(True, d)

@@ -9,7 +9,10 @@ lower level under every degeneracy word into it
 degenerate simplex, and the image of one under a simplicial map, are
 rewritten on the words alone (:func:`ssetkit.delta.face_of_word`,
 :func:`ssetkit.delta.compose_words`): a face either dies in the word or
-passes through it onto one stored face.  The map classifying a simplex reads
+passes through it onto one stored face; ``face`` stores nothing.  Each
+level has one table, built once (``FiniteSSet.level``): its simplices, the
+position of each, and the faces of each as positions one level down, which
+the map search and the horn check read.  The map classifying a simplex reads
 its faces.  Only ``act``, the action of a general ``MonotoneMap``, factors
 the map, once, into a face word and a degeneracy word.
 
@@ -141,8 +144,7 @@ class FiniteSSet:
         "faces",
         "basepoint",
         "_dim_of",
-        "_all_cache",
-        "_face_cache",
+        "_levels",
         "_hash",
     )
 
@@ -165,8 +167,7 @@ class FiniteSSet:
                 if name in self._dim_of:
                     raise ValidationError(f"duplicate simplex name {name!r}")
                 self._dim_of[name] = k
-        self._all_cache: dict[int, tuple[Simplex, ...]] = {}
-        self._face_cache: dict[tuple[Simplex, int], Simplex] = {}
+        self._levels: dict[int, tuple] = {}
         self._hash: int | None = None
         if check:
             self._validate()
@@ -210,17 +211,11 @@ class FiniteSSet:
             raise ValidationError(f"face index {i} outside [0, {sx.dim}]")
         if not sx.degeneracies:
             return self.faces[sx.base][i]
-        cached = self._face_cache.get((sx, i))
-        if cached is not None:
-            return cached
         # The face either dies in the word or passes onto one stored face.
         word, j = face_of_word(sx.degeneracies, sx.dim, i)
         if j is None:
-            out = Simplex(word, sx.base, sx.dim - 1)
-        else:
-            out = self.faces[sx.base][j].degenerate(word)
-        self._face_cache[(sx, i)] = out
-        return out
+            return Simplex(word, sx.base, sx.dim - 1)
+        return self.faces[sx.base][j].degenerate(word)
 
     def degeneracy(self, sx: Simplex, i: int) -> Simplex:
         """The i-th degeneracy of an arbitrary simplex."""
@@ -241,18 +236,30 @@ class FiniteSSet:
         dword, fword = epi_mono_factor(alpha)
         return _restrict(self, sx, fword).degenerate(dword)
 
+    def level(self, k: int):
+        """The table of level ``k``, built once: its simplices, the names of
+        each level ``m <= k`` under every word of ``degeneracy_words(k, m)``;
+        the position of each; and the faces of each as positions in level
+        ``k - 1`` (``()`` for a vertex)."""
+        if k not in self._levels:
+            simplices = tuple(
+                Simplex(w, name, k)
+                for m in range(min(k, self.top_dim) + 1)
+                for name in self.cells[m]
+                for w in degeneracy_words(k, m)
+            )
+            below = self.level(k - 1)[1] if k > 0 else {}
+            faces = tuple(
+                tuple(below[self.face(sx, i)] for i in range(k + 1)) if k > 0 else ()
+                for sx in simplices
+            )
+            position = {sx: pos for pos, sx in enumerate(simplices)}
+            self._levels[k] = (simplices, position, faces)
+        return self._levels[k]
+
     def all_simplices(self, k: int) -> tuple[Simplex, ...]:
         """Every simplex of dimension ``k``, degenerate ones included."""
-        if k < 0:
-            return ()
-        if k not in self._all_cache:
-            out = []
-            for m in range(min(k, self.top_dim) + 1):
-                for name in self.cells[m]:
-                    for w in degeneracy_words(k, m):
-                        out.append(Simplex(w, name, k))
-            self._all_cache[k] = tuple(out)
-        return self._all_cache[k]
+        return self.level(k)[0]
 
     # -- validation, equality ----------------------------------------------
 
@@ -395,7 +402,7 @@ def boundary(n: int) -> FiniteSSet:
     X = standard_simplex(n)
     top = _subset_name(tuple(range(n + 1)))
     gens = [sx.base for sx in X.faces[top]] if n >= 1 else []
-    return subcomplex(X, face_closure(X, gens))
+    return subcomplex(X, face_closure(X, gens), check_closed=False)
 
 
 def horn(n: int, i: int) -> FiniteSSet:
@@ -407,7 +414,7 @@ def horn(n: int, i: int) -> FiniteSSet:
     X = standard_simplex(n)
     top = _subset_name(tuple(range(n + 1)))
     gens = [sx.base for j, sx in enumerate(X.faces[top]) if j != i]
-    return subcomplex(X, face_closure(X, gens))
+    return subcomplex(X, face_closure(X, gens), check_closed=False)
 
 
 def is_name_subcomplex(X: FiniteSSet, A: FiniteSSet) -> bool:

@@ -10,20 +10,30 @@ import pytest
 
 from ssetkit import chain, cli
 from ssetkit.excision import identity_square
-from ssetkit.serialize import map_to_record, sset_to_record
+from ssetkit.nerve import nerve_preorder
+from ssetkit.serialize import (
+    canonical_dumps,
+    map_to_record,
+    preorder_from_record,
+    sset_to_record,
+)
 from ssetkit.sset import boundary
 
 DATA = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(__file__).parent.parent / "src"
 
 
-def run_cli(*args, cwd=None, env=None):
+def _child_env(env=None):
     # The child imports the package from this checkout, as pytest does.
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
+
+
+def run_cli(*args, cwd=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "ssetkit.cli", *args],
-        capture_output=True, text=True, cwd=cwd, env=env,
+        capture_output=True, text=True, cwd=cwd, env=_child_env(env),
     )
 
 
@@ -130,6 +140,50 @@ def test_nerve_negative_truncation_exits_two(tmp_path):
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr == "error: truncation dimension -1 is negative\n"
+
+
+@pytest.mark.parametrize(
+    "spec", [["simplex3"], ["product", "simplex1", "simplex1"]]
+)
+def test_space_truncation_outside_a_nerve_exits_two(spec):
+    r = run_cli("space", *spec, "-d", "1")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: -d truncates only the nerve of 'nerve FILE'\n"
+
+
+def test_space_nerve_truncation_keeps_its_bytes(tmp_path):
+    poset = {"elements": ["a", "b", "c"], "pairs": [["a", "b"], ["b", "c"]]}
+    f = tmp_path / "poset.json"
+    f.write_text(json.dumps(poset))
+    r = run_cli("space", "nerve", str(f), "-d", "1", "--json")
+    assert r.returncode == 0
+    N = nerve_preorder(preorder_from_record(poset), 1)
+    assert N.counts() == (3, 3)
+    assert r.stdout == canonical_dumps(sset_to_record(N))
+
+
+@pytest.mark.parametrize(
+    "task", [["space", "simplex3"], ["run", "manifest.json"]]
+)
+def test_closed_output_pipe_exits_two_with_one_error_line(tmp_path, task):
+    # The read end is closed before the child starts, so its first write
+    # to standard output fails.
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"tasks": [["space", "simplex3"], ["homology", "circle"]]}
+    ))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run(
+            [sys.executable, "-m", "ssetkit.cli", *task],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            cwd=tmp_path, env=_child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert r.returncode == 2
+    assert r.stderr == "error: standard output closed before the output ended\n"
 
 
 @pytest.mark.parametrize("n", [6, 9])

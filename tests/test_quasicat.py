@@ -7,7 +7,13 @@ from conftest import all_posets, circle
 from ssetkit.errors import ValidationError
 from ssetkit.function_complex import enumerate_maps
 from ssetkit.nerve import nerve_category, nerve_preorder, square_category
-from ssetkit.quasicat import HornMap, QcatVerdict, horn_fillers, is_quasicategory_up_to
+from ssetkit.quasicat import (
+    HornMap,
+    QcatVerdict,
+    _wall_index,
+    horn_fillers,
+    is_quasicategory_up_to,
+)
 from ssetkit.sset import SSetMap, Simplex, boundary, horn, standard_simplex
 
 
@@ -199,3 +205,28 @@ def test_verdicts_and_witnesses_match_scan():
         if not want.ok:
             assert (got.witness.n, got.witness.i) == (want.witness.n, want.witness.i)
             assert got.witness.assignment == want.witness.assignment
+
+
+def _scan_wall_index(C, n, i):
+    """Reference wall index: every n-simplex keyed by its faces d_j, j != i,
+    in descending j, as ``Simplex`` values read with ``face``."""
+    index = {}
+    for sx in C.all_simplices(n):
+        walls = tuple(C.face(sx, j) for j in range(n, -1, -1) if j != i)
+        index.setdefault(walls, []).append(sx)
+    return index
+
+
+def test_wall_index_matches_a_scan_with_face():
+    # Every (n, i) that ``qcat -d 4`` indexes, on Δ⁴ and on the nerve of the
+    # poset on four elements whose nerve is largest.
+    largest = max(all_posets(4), key=lambda P: nerve_preorder(P).counts())
+    for C in (standard_simplex(4), nerve_preorder(largest)):
+        for n in range(2, 5):
+            below = C.all_simplices(n - 1)
+            for i in range(1, n):
+                index = {
+                    tuple(below[p] for p in walls): fillers
+                    for walls, fillers in _wall_index(C, n, i).items()
+                }
+                assert index == _scan_wall_index(C, n, i)

@@ -5,10 +5,10 @@ import pickle
 import pytest
 
 import delta_oracle
-from conftest import check_simplicial_identities, circle
+from conftest import all_posets, check_simplicial_identities, circle, four_test_spaces
 from ssetkit.build import product
 from ssetkit.chain import single_complex
-from ssetkit.delta import MonotoneMap
+from ssetkit.delta import MonotoneMap, degeneracy_words
 from ssetkit.dold_kan import dold_kan_K
 from ssetkit.errors import ValidationError
 from ssetkit.excision import reduced_suspension
@@ -111,6 +111,38 @@ def test_degenerate_face_recovers_base():
     assert X.face(s0e, 0) == e
     assert X.face(s0e, 1) == e
     assert X.face(s0e, 2) == Simplex((0,), "0", 1)
+
+
+def _level_spaces():
+    """The four test spaces and the nerves of the posets on at most four
+    elements."""
+    spaces = list(four_test_spaces().values())
+    return spaces + [nerve_preorder(P) for P in all_posets()]
+
+
+def test_level_table_faces_name_the_simplices_face_returns():
+    for X in _level_spaces():
+        assert X.level(0)[2] == ((),) * len(X.nondeg(0))
+        for k in range(1, 6):
+            simplices, position, faces = X.level(k)
+            below = X.all_simplices(k - 1)
+            assert len(faces) == len(simplices)
+            for pos, (sx, fs) in enumerate(zip(simplices, faces)):
+                assert position[sx] == pos
+                assert [below[p] for p in fs] == [X.face(sx, i) for i in range(k + 1)]
+
+
+def test_level_table_lists_every_name_under_every_degeneracy_word():
+    for X in _level_spaces():
+        for k in range(6):
+            listing = tuple(
+                Simplex(word, name, k)
+                for m in range(min(k, X.top_dim) + 1)
+                for name in X.nondeg(m)
+                for word in degeneracy_words(k, m)
+            )
+            assert X.level(k)[0] == listing == X.all_simplices(k)
+            assert len(X.level(k)[1]) == len(listing)
 
 
 @pytest.mark.parametrize(
