@@ -62,9 +62,20 @@ __all__ = [
 ]
 
 # The budget of the package's combinatorial listings: the nondegenerate
-# simplices a pullback lists, and the candidate images a map search tries
-# (``function_complex.enumerate_maps``).
+# simplices a pullback lists, the candidate images a map search tries
+# (``function_complex.enumerate_maps``) and the candidate walls an inner-horn
+# check tries (``quasicat.is_quasicategory_up_to``).
 DEFAULT_MAX_CANDIDATES = 10**6
+
+
+def _budget(max_candidates: int | None) -> int:
+    """The budget of a search given ``max_candidates``, which is None for
+    ``DEFAULT_MAX_CANDIDATES``; a negative one is refused."""
+    if max_candidates is None:
+        return DEFAULT_MAX_CANDIDATES
+    if max_candidates < 0:
+        raise ValidationError(f"candidate budget {max_candidates} is negative")
+    return max_candidates
 
 
 def _canon_key(e):

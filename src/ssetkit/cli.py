@@ -374,6 +374,17 @@ class _Parser(argparse.ArgumentParser):
         raise _Usage(self, None)
 
 
+def _count(text: str) -> int:
+    """An argument that counts something: a nonnegative int."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: ``run`` parses every
@@ -387,8 +398,9 @@ def _parser() -> argparse.ArgumentParser:
             sp.add_argument("--assert", dest="assert_", action="store_true")
 
     max_enum_help = (
-        "budget of candidate images the map search may try (default 10**6); "
-        "only candidates whose faces already match are counted"
+        "budget of candidates a search may try (default 10**6): images of "
+        "cells for mapspace, horn walls for qcat; only candidates whose faces "
+        "already match are counted"
     )
 
     sp = sub.add_parser("space", help="build and serialize a simplicial set")
@@ -411,7 +423,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("qcat", help="inner-horn filling verdict")
     sp.add_argument("space")
     sp.add_argument("-d", type=int, default=2)
-    sp.add_argument("--max-enum", type=int, default=None, help=max_enum_help)
+    sp.add_argument("--max-enum", type=_count, default=None, help=max_enum_help)
     common(sp)
     sp.set_defaults(fn=_cmd_qcat)
 
@@ -420,7 +432,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("source")
     sp.add_argument("target")
     sp.add_argument("-d", type=int, default=1)
-    sp.add_argument("--max-enum", type=int, default=None, help=max_enum_help)
+    sp.add_argument("--max-enum", type=_count, default=None, help=max_enum_help)
     common(sp, assertable=False)
     sp.set_defaults(fn=_cmd_mapspace)
 

@@ -15,7 +15,9 @@ found are built, at the end.  The maps are returned in the order of the
 plain search in ascending dimension, then name, which the eager search only
 reorders.  A global budget on the candidates tried guards against
 combinatorial blowups; it counts the candidates of the eager search, which
-tries fewer than the plain one.
+tries fewer than the plain one.  The inner-horn check lists no maps: it
+searches the walls of each horn on the same level tables
+(``quasicat.is_quasicategory_up_to``).
 
 Function complexes are genuine simplicial sets of maps: a k-simplex of
 hom(X, Y) is a map X x Delta^k -> Y.  They can be nonempty in every
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .build import DEFAULT_MAX_CANDIDATES, _extract, _point_simplex, product
+from .build import _budget, _extract, _point_simplex, product
 from .delta import MonotoneMap, epi_mono_factor
 from .errors import EnumerationLimit, ValidationError
 from .sset import (
@@ -47,7 +49,6 @@ from .sset import (
 )
 
 __all__ = [
-    "DEFAULT_MAX_CANDIDATES",
     "enumerate_maps",
     "standard_map",
     "internal_hom_truncated",
@@ -74,7 +75,7 @@ def enumerate_maps(
     only the maps extending it are listed, and its simplices are assigned
     before the search, so they try no candidate.
     """
-    guard = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
+    guard = _budget(max_candidates)
     fixed = fixed or {}
     if fixed:
         SSetMap(subcomplex(X, fixed), Y, fixed)  # raises unless a map

@@ -12,9 +12,11 @@ rewritten on the words alone (:func:`ssetkit.delta.face_of_word`,
 passes through it onto one stored face; ``face`` stores nothing.  Each
 level has one table, built once (``FiniteSSet.level``): its simplices, the
 position of each, and the faces of each as positions one level down, which
-the map search and the horn check read.  The map classifying a simplex reads
-its faces.  Only ``act``, the action of a general ``MonotoneMap``, factors
-the map, once, into a face word and a degeneracy word.
+the map search and the inner-horn check read; the table computes those
+positions from the words and the stored faces, without ``face``.  The map
+classifying a simplex reads its faces.  Only ``act``, the action of a
+general ``MonotoneMap``, factors the map, once, into a face word and a
+degeneracy word.
 
 Degeneracy words are strictly decreasing, so each simplex has exactly one
 normal form and equality of ``Simplex`` values is equality of simplices.
@@ -248,14 +250,48 @@ class FiniteSSet:
                 for name in self.cells[m]
                 for w in degeneracy_words(k, m)
             )
-            below = self.level(k - 1)[1] if k > 0 else {}
-            faces = tuple(
-                tuple(below[self.face(sx, i)] for i in range(k + 1)) if k > 0 else ()
-                for sx in simplices
-            )
+            faces = self._level_faces(k) if k > 0 else ((),) * len(simplices)
             position = {sx: pos for pos, sx in enumerate(simplices)}
             self._levels[k] = (simplices, position, faces)
         return self._levels[k]
+
+    def _level_faces(self, k: int) -> tuple[tuple[int, ...], ...]:
+        """The faces of every simplex of level ``k >= 1``, in listing order, as
+        positions in level ``k - 1``, computed from the words alone.
+
+        Level ``k - 1`` lists each name of dimension m as one block, under
+        the words of ``degeneracy_words(k - 1, m)`` in order, so s_w x sits
+        at the start of x's block plus the index of w among those words.  A
+        face of s_w x either dies in the word, s_w' x, or passes onto the
+        stored face s_u y of x, which it degenerates to s_(w' u) y.
+        """
+        start: dict[str, int] = {}
+        rank: list[dict[tuple[int, ...], int]] = []  # per m, word -> index
+        size = 0
+        for m in range(min(k - 1, self.top_dim) + 1):
+            words = degeneracy_words(k - 1, m)
+            rank.append({w: r for r, w in enumerate(words)})
+            for name in self.cells[m]:
+                start[name] = size
+                size += len(words)
+        out = []
+        for m in range(min(k, self.top_dim) + 1):
+            for name in self.cells[m]:
+                stored = [
+                    (start[f.base], rank[f.base_dim], f.degeneracies)
+                    for f in self.faces.get(name, ())
+                ]
+                for w in degeneracy_words(k, m):
+                    row = []
+                    for i in range(k + 1):
+                        word, j = face_of_word(w, k, i)
+                        if j is None:
+                            row.append(start[name] + rank[m][word])
+                        else:
+                            at, ranks, u = stored[j]
+                            row.append(at + ranks[compose_words(u, word, k - 1)])
+                    out.append(tuple(row))
+        return tuple(out)
 
     def all_simplices(self, k: int) -> tuple[Simplex, ...]:
         """Every simplex of dimension ``k``, degenerate ones included."""
@@ -292,14 +328,18 @@ class FiniteSSet:
 
     def _check_identities(self) -> None:
         # d_i d_j = d_{j-1} d_i for i < j, on every nondegenerate simplex.
+        # The faces of each face are read once: stored when it is
+        # nondegenerate, through ``face`` otherwise.
         for k in range(2, self.top_dim + 1):
             for name in self.cells[k]:
-                sx = self.simplex(name)
+                ff = [
+                    tuple(self.face(f, i) for i in range(k)) if f.degeneracies
+                    else self.faces[f.base]
+                    for f in self.faces[name]
+                ]
                 for j in range(1, k + 1):
                     for i in range(j):
-                        left = self.face(self.face(sx, j), i)
-                        right = self.face(self.face(sx, i), j - 1)
-                        if left != right:
+                        if ff[j][i] != ff[i][j - 1]:
                             raise ValidationError(
                                 f"simplicial identity fails on {name!r}: "
                                 f"d_{i} d_{j} != d_{j - 1} d_{i}"

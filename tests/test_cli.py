@@ -480,3 +480,24 @@ def test_manifest_square_names_its_corners_in_any_form(tmp_path, capsys, form):
     square = {**inline, **dict.fromkeys("wuvx", _boundary2_forms(tmp_path)[form])}
     got = _manifest_output(tmp_path, capsys, {"squares": {"q": square}, "tasks": tasks})
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["qcat", "simplex4", "-d", "4"], ["mapspace", "simplex3", "0", "3", "-d", "2"]],
+    ids=["qcat", "mapspace"],
+)
+def test_negative_max_enum_exits_two_naming_the_flag(tmp_path, capsys, argv):
+    message = "argument --max-enum: must be nonnegative, got -5"
+    assert cli.main([*argv, "--max-enum", "-5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"ssetkit {argv[0]}: error: {message}"
+    ]
+    f = tmp_path / "manifest.json"
+    f.write_text(json.dumps({"tasks": [[*argv, "--max-enum", "-5"]]}))
+    assert cli.main(["run", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: manifest task 0: {message}\n"

@@ -27,6 +27,7 @@ from ssetkit.nerve import (
 from ssetkit.quasicat import is_quasicategory_up_to
 from ssetkit.serialize import sset_to_record
 from ssetkit.sset import (
+    FiniteSSet,
     SSetMap,
     Simplex,
     are_isomorphic,
@@ -402,3 +403,20 @@ def test_negative_truncation_rejected():
         mapping_space(d1, "0", "1", -1)
     with pytest.raises(ValidationError, match="truncation dimension -1"):
         internal_hom_truncated(d1, d1, -1)
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda b: enumerate_maps(FiniteSSet([], {}), standard_simplex(0), max_candidates=b),
+        lambda b: enumerate_maps(standard_simplex(0), standard_simplex(0), max_candidates=b),
+        lambda b: is_quasicategory_up_to(standard_simplex(2), 2, max_candidates=b),
+        lambda b: mapping_space(standard_simplex(1), "0", "1", 1, max_candidates=b),
+        lambda b: internal_hom_truncated(standard_simplex(0), standard_simplex(0), 0, b),
+    ],
+    ids=["maps-from-empty", "maps-from-point", "qcat", "mapspace", "internal-hom"],
+)
+def test_negative_budget_is_refused(search):
+    # A search that tries no candidate must refuse -1 as well as one that does.
+    with pytest.raises(ValidationError, match="candidate budget -1 is negative"):
+        search(-1)

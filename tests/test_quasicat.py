@@ -2,14 +2,19 @@
 fillers of Λ²₁."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import all_posets, circle
-from ssetkit.errors import ValidationError
+from conftest import all_posets, circle, two_sphere
+from ssetkit import function_complex
+from ssetkit.build import product
+from ssetkit.errors import EnumerationLimit, ValidationError
+from ssetkit.excision import reduced_suspension
 from ssetkit.function_complex import enumerate_maps
-from ssetkit.nerve import nerve_category, nerve_preorder, square_category
+from ssetkit.nerve import Preorder, nerve_category, nerve_preorder, square_category
 from ssetkit.quasicat import (
     HornMap,
     QcatVerdict,
+    _horn_walls,
     _wall_index,
     horn_fillers,
     is_quasicategory_up_to,
@@ -197,7 +202,9 @@ def test_compositions_match_scan():
 
 
 def test_verdicts_and_witnesses_match_scan():
-    targets = _filler_targets() + [boundary(2), horn(2, 1), horn(3, 1)]
+    targets = _filler_targets() + [
+        boundary(2), horn(2, 1), horn(3, 1), two_sphere(), reduced_suspension(circle()),
+    ]
     for C in targets:
         got = is_quasicategory_up_to(C, 3)
         want = _scan_verdict(C, 3)
@@ -230,3 +237,91 @@ def test_wall_index_matches_a_scan_with_face():
                     for walls, fillers in _wall_index(C, n, i).items()
                 }
                 assert index == _scan_wall_index(C, n, i)
+
+
+def _diamond():
+    """The poset 0 < 1, 2 < 3 with 1 and 2 incomparable."""
+    less = {("0", "1"), ("0", "2"), ("1", "3"), ("2", "3"), ("0", "3")}
+    elements = ("0", "1", "2", "3")
+    return Preorder(elements, frozenset(less | {(a, a) for a in elements}))
+
+
+def _wall_targets():
+    """The fixed targets of the wall search oracle."""
+    torus = product(circle(), circle()).space
+    return {
+        "simplex4": standard_simplex(4),
+        "boundary3": boundary(3),
+        "S2": two_sphere(),
+        "T2": torus,
+        # T² × S¹, the space of the benchmark's ``torus3.json``
+        "T3": product(torus, circle()).space,
+        "cylinder": product(two_sphere(), standard_simplex(1)).space,
+    }
+
+
+WALL_TARGETS = _wall_targets()
+
+
+@st.composite
+def poset_nerves(draw):
+    """The nerve of a random partial order on at most five elements."""
+    size = draw(st.integers(0, 5))
+    pairs = [(a, b) for a in range(size) for b in range(a + 1, size)]
+    less = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    for c in range(size):  # transitive closure, through each middle in turn
+        less |= {(a, b) for a, m in less if m == c for n, b in less if n == c}
+    elements = tuple(str(v) for v in range(size))
+    relation = {(str(a), str(b)) for a, b in less} | {(e, e) for e in elements}
+    return nerve_preorder(Preorder(elements, frozenset(relation)))
+
+
+def _walls_of_horn_maps(C, n, i):
+    """The walls of every map Λⁿᵢ -> C the map search lists, as positions in
+    ``C.level(n - 1)`` in descending j (the walls' names in name order)."""
+    L = horn(n, i)
+    position = C.level(n - 1)[1]
+    return sorted(
+        tuple(position[f.images[w]] for w in L.nondeg(n - 1))
+        for f in enumerate_maps(L, C)
+    )
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(sorted(WALL_TARGETS)).map(WALL_TARGETS.get) | poset_nerves())
+def test_wall_search_lists_the_walls_of_every_horn_map(C):
+    for n in range(2, 5):
+        for i in range(1, n):
+            assert sorted(_horn_walls(C, n, i, 10**6)) == _walls_of_horn_maps(C, n, i)
+
+
+@pytest.mark.parametrize(
+    "C, d, least",
+    [
+        (standard_simplex(4), 4, 504),
+        (boundary(3), 3, 105),
+        (nerve_preorder(_diamond()), 3, 77),
+    ],
+    ids=["simplex4", "boundary3", "diamond-nerve"],
+)
+def test_least_budget_of_the_wall_search_is_pinned(C, d, least):
+    # the walls tried are a property of the search order, so the least
+    # budget that lets a check finish is pinned exactly; it is the most
+    # walls that one (n, i) tries
+    assert is_quasicategory_up_to(C, d, max_candidates=least).checked_dim == d
+    with pytest.raises(EnumerationLimit, match=f"exceeded {least - 1} candidate"):
+        is_quasicategory_up_to(C, d, max_candidates=least - 1)
+
+
+def test_verdicts_run_no_map_search(monkeypatch):
+    want = _scan_verdict(boundary(3), 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the inner-horn check ran the map search")
+
+    monkeypatch.setattr(function_complex, "enumerate_maps", refuse)
+    assert is_quasicategory_up_to(standard_simplex(4), 4).ok
+    got = is_quasicategory_up_to(boundary(3), 3)
+    assert not got.ok
+    assert (got.witness.n, got.witness.i) == (want.witness.n, want.witness.i) == (3, 1)
+    assert got.witness.assignment == want.witness.assignment

@@ -5,7 +5,13 @@ import pickle
 import pytest
 
 import delta_oracle
-from conftest import all_posets, check_simplicial_identities, circle, four_test_spaces
+from conftest import (
+    all_posets,
+    check_simplicial_identities,
+    circle,
+    four_test_spaces,
+    two_sphere,
+)
 from ssetkit.build import product
 from ssetkit.chain import single_complex
 from ssetkit.delta import MonotoneMap, degeneracy_words
@@ -113,10 +119,21 @@ def test_degenerate_face_recovers_base():
     assert X.face(s0e, 2) == Simplex((0,), "0", 1)
 
 
+def _degenerate_face_spaces():
+    """Spaces whose stored faces are degenerate: the cylinder S² × Δ¹ and
+    the reduced suspensions of S¹ and of S², the last with stored faces under
+    two degeneracies."""
+    return [
+        product(two_sphere(), standard_simplex(1)).space,
+        reduced_suspension(circle()),
+        reduced_suspension(two_sphere()),
+    ]
+
+
 def _level_spaces():
-    """The four test spaces and the nerves of the posets on at most four
-    elements."""
-    spaces = list(four_test_spaces().values())
+    """The four test spaces, the spaces with degenerate stored faces and the
+    nerves of the posets on at most four elements."""
+    spaces = list(four_test_spaces().values()) + _degenerate_face_spaces()
     return spaces + [nerve_preorder(P) for P in all_posets()]
 
 
@@ -130,6 +147,23 @@ def test_level_table_faces_name_the_simplices_face_returns():
             for pos, (sx, fs) in enumerate(zip(simplices, faces)):
                 assert position[sx] == pos
                 assert [below[p] for p in fs] == [X.face(sx, i) for i in range(k + 1)]
+
+
+def test_level_tables_are_built_without_face(monkeypatch):
+    # Fresh copies, so that no level was built before ``face`` is refused.
+    spaces = [
+        FiniteSSet(X.cells, X.faces, X.basepoint, check=False)
+        for X in _degenerate_face_spaces()
+    ]
+    assert max(len(f.degeneracies) for X in spaces for fs in X.faces.values() for f in fs) == 2
+
+    def refuse(self, sx, i):
+        raise AssertionError("a level table was built through face")
+
+    monkeypatch.setattr(FiniteSSet, "face", refuse)
+    for X in spaces:
+        for k in range(X.top_dim + 3):
+            assert len(X.level(k)[2]) == len(X.level(k)[0])
 
 
 def test_level_table_lists_every_name_under_every_degeneracy_word():
@@ -268,6 +302,46 @@ def test_validation_rejects_broken_faces():
     faces["012"] = (faces["012"][0], faces["012"][0], faces["012"][2])
     with pytest.raises(ValidationError):
         FiniteSSet(d2.cells, faces)
+
+
+def _first_identity_failure(X):
+    """Reference identity check, with four ``face`` calls per pair: the
+    message of the first pair where d_i d_j != d_{j-1} d_i, or None."""
+    for k in range(2, X.top_dim + 1):
+        for name in X.nondeg(k):
+            sx = X.simplex(name)
+            for j in range(1, k + 1):
+                for i in range(j):
+                    if X.face(X.face(sx, j), i) != X.face(X.face(sx, i), j - 1):
+                        return (
+                            f"simplicial identity fails on {name!r}: "
+                            f"d_{i} d_{j} != d_{j - 1} d_{i}"
+                        )
+    return None
+
+
+def test_identity_check_reports_the_pair_the_reference_reports():
+    # Swap two distinct faces of one cell: the check fails on the pair the
+    # reference names first, or passes where the reference passes.
+    failures = 0
+    for X in [standard_simplex(3), two_sphere()] + _degenerate_face_spaces():
+        for name, fs in X.faces.items():
+            for a in range(len(fs)):
+                for b in range(a + 1, len(fs)):
+                    if fs[a] == fs[b]:
+                        continue
+                    swapped = list(fs)
+                    swapped[a], swapped[b] = fs[b], fs[a]
+                    faces = {**X.faces, name: tuple(swapped)}
+                    want = _first_identity_failure(FiniteSSet(X.cells, faces, check=False))
+                    if want is None:
+                        FiniteSSet(X.cells, faces)
+                        continue
+                    failures += 1
+                    with pytest.raises(ValidationError) as exc:
+                        FiniteSSet(X.cells, faces)
+                    assert str(exc.value) == want
+    assert failures >= 30
 
 
 def test_subcomplex_and_closure():
