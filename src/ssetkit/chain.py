@@ -22,10 +22,10 @@ from .errors import StabilizationError, ValidationError
 from .groups import HomologyGroup, PresentedGroup
 from .intmat import (
     IntMat,
+    _rank_torsion_units,
     _solver,
     _unit_quotient,
     kernel_basis,
-    rank_and_torsion,
     solve,
 )
 
@@ -261,10 +261,25 @@ def homology_table(c: ChainComplex, low: int, high: int):
     """Homology in degrees ``low..high``, eliminating each of the boundaries
     out of degrees ``low..high + 1`` once: H_n has rank ``c_n`` less the
     ranks of the boundaries out of and into degree n, and the torsion of
-    the boundary into it."""
-    elim = {m: rank_and_torsion(c.boundary(m)) for m in range(low, high + 2)}
+    the boundary into it.
+
+    The boundaries are eliminated from degree ``high + 1`` down, and each
+    ∂_m leaves out the columns whose index is a unit-pivot row of the
+    elimination of ∂_{m+1} (clearing, as in Chen and Kerber's persistence
+    "twist").  Pivot column k of ∂_{m+1} is a combination of its columns,
+    so a boundary, so a cycle of ∂_m, since d∘d = 0 (checked where a
+    complex enters).  It is ±1 in its row r_k and 0 in the rows of earlier
+    pivots, so column r_k of ∂_m is an integer combination of the columns of
+    later pivots' rows and of non-pivot rows; from the last pivot down, every
+    column left out lies in the integer span of the columns kept.  The
+    image lattice of ∂_m, hence its rank and invariant factors, is
+    unchanged.  Only unit pivots clear; non-unit remainders clear nothing.
+    """
+    rank, torsion, skip = {}, {}, ()
+    for m in range(high + 1, low - 1, -1):
+        rank[m], torsion[m], skip = _rank_torsion_units(c.boundary(m), skip)
     return {
-        n: HomologyGroup(c.rank(n) - elim[n][0] - elim[n + 1][0], elim[n + 1][1])
+        n: HomologyGroup(c.rank(n) - rank[n] - rank[n + 1], torsion[n + 1])
         for n in range(low, high + 1)
     }
 

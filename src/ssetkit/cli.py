@@ -7,15 +7,30 @@ reads one grammar, in every form its syntax can carry: as one word, a
 manifest name, a compact built-in (``simplex3``, ``boundary3``,
 ``horn2_1``, ``s2``, ``point``, ``circle``) or a file; as a list of words, a
 spaced built-in (``simplex 3``) or a builder (``product A B``,
-``quotient A B``, ``suspension A``, ``nerve FILE``); as a JSON object, an
-interchange record.  Covers and squares (built-ins ``interval-collapse``,
-``corner-circle``, ``identity:X``) resolve the same way, and a manifest
-entry may name the entries before it.  Exit codes: 0 success, 1 a failed
-mathematical verdict requested with ``--assert``, 2 parse or validation
-errors (malformed interchange records and manifests included) and a
-standard output closed before everything was written; exit 2 prints an
-``error:`` line on stderr, never a traceback.  All output is
-deterministic; machine records go through the canonical serializer.
+``quotient A B``, ``suspension A``, ``nerve FILE``, truncated as
+``nerve FILE -d N``); as a JSON object, an interchange record.  Covers and
+squares (built-ins ``interval-collapse``, ``corner-circle``,
+``identity:X``) resolve the same way, and a manifest entry may name the
+entries before it.  Exit codes: 0 success, 1 a failed mathematical verdict
+requested with ``--assert``, 2 parse or validation errors (malformed
+interchange records and manifests included) and a standard output closed
+before everything was written; exit 2 prints an ``error:`` line on stderr,
+never a traceback.  All output is deterministic; machine records go
+through the canonical serializer.
+
+The paper's claims as one run: ``tests/data/paper_claims.json`` (run from
+``tests/data``) groups its tasks by the claim each checks, and
+``tests/data/paper_claims_output.txt`` is its recorded output.
+
+- ``excision`` on a strict pushout along an injective leg: a homology
+  pushout whose chain square is bicartesian (singular chains are
+  excisive); ``counterexample``: the identity functor is not.
+- ``mv`` on a cover of RP²: excision yields an exact Mayer-Vietoris
+  sequence, torsion included.
+- ``qcat`` on the nerve of a poset, and on ∂Δ³ for contrast: the
+  quasi-categories of the paper's language.
+- ``tower l1_mock``: the excisive approximation of ℓ¹-homology is trivial,
+  by fiat, since the stand-in is set to zero from its second stage on.
 """
 
 from __future__ import annotations
@@ -142,6 +157,12 @@ def _space_words(words, names: dict, d: int | None = None) -> FiniteSSet:
     if not words:
         raise ValidationError("empty space specification")
     head, rest = words[0], words[1:]
+    if head == "nerve" and rest[1:2] == ["-d"]:  # nerve FILE -d N
+        if d is not None or len(rest) != 3 or not re.fullmatch(r"-?[0-9]+", rest[2]):
+            raise ValidationError(
+                f"'nerve FILE -d N' needs one integer N, not {list(words)!r}"
+            )
+        rest, d = rest[:1], int(rest[2])
     if d is not None and (head != "nerve" or len(rest) != 1):
         raise ValidationError("-d truncates only the nerve of 'nerve FILE'")
     if not rest:

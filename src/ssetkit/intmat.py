@@ -15,6 +15,14 @@ run Euclid's algorithm on a pivot column and a column whose entry it does
 not divide, and record every column operation, so a saturated kernel basis
 and integer solutions come from the same pass; no U or V transform is ever
 built.
+
+Homology tables hand each boundary ∂_m to the elimination without the
+columns whose index is a unit-pivot row of ∂_{m+1}, eliminated first: since
+d∘d = 0, those columns are integer combinations of the kept ones, so the
+rank and invariant factors do not change, and on the chains of a simplicial
+set about half the columns are skipped ("clearing").  ``kernel_basis``,
+``solve`` and the homology presentations keep every column, because the
+generators they return would change.
 """
 
 from __future__ import annotations
@@ -323,6 +331,23 @@ def _invariant_factors(columns: list[dict[int, int]]) -> list[int]:
     return diag
 
 
+def _rank_torsion_units(M: IntMat, skip=()):
+    """Rank and invariant factors > 1 of ``M`` without its columns in
+    ``skip``, and the rows of the unit pivots of that elimination.
+
+    Leaving out a column is the caller's claim that it lies in the integer
+    span of the others; ``homology_table`` makes it for the unit-pivot rows
+    of the boundary one degree up.
+    """
+    if skip:
+        M = IntMat.of_columns(
+            M.rows, (col for j, col in enumerate(M.columns) if j not in skip)
+        )
+    pivots, unit_rows, rest = _eliminate(M, track=False)
+    diag = _invariant_factors(rest) if rest else []
+    return len(pivots) + len(diag), tuple(d for d in diag if d > 1), unit_rows
+
+
 def rank_and_torsion(M: IntMat) -> tuple[int, tuple[int, ...]]:
     """Rank of ``M`` and its invariant factors greater than 1.
 
@@ -331,11 +356,7 @@ def rank_and_torsion(M: IntMat) -> tuple[int, tuple[int, ...]]:
     Only the remainder of the set-aside columns goes through the dense
     invariant-factor routine.
     """
-    pivots, _, rest = _eliminate(M, track=False)
-    if not rest:
-        return len(pivots), ()
-    diag = _invariant_factors(rest)
-    return len(pivots) + len(diag), tuple(d for d in diag if d > 1)
+    return _rank_torsion_units(M)[:2]
 
 
 def kernel_basis(M: IntMat) -> IntMat:

@@ -39,6 +39,22 @@ class FiniteCategory:
     compose_table: dict  # (second name, first name) -> composite name
 
     def __post_init__(self):
+        self._check_names()
+        self._validate_table()
+
+    @classmethod
+    def _trusted(cls, objects, morphisms, identities, compose_table):
+        """A category whose table is a category's by construction: only
+        the names and endpoints are checked, not the composition laws."""
+        C = object.__new__(cls)
+        C.__dict__.update(
+            objects=objects, morphisms=morphisms, identities=identities,
+            compose_table=compose_table,
+        )
+        C._check_names()
+        return C
+
+    def _check_names(self):
         names = list(self.objects) + list(self.morphisms)
         if len(set(names)) != len(names):
             raise ValidationError("object and morphism names must be distinct")
@@ -53,7 +69,6 @@ class FiniteCategory:
         for obj, name in self.identities.items():
             if self.morphisms.get(name) != (obj, obj):
                 raise ValidationError(f"identity of {obj!r} is not an endomorphism")
-        self._validate_table()
 
     def _validate_table(self):
         for g, f in iproduct(self.morphisms, repeat=2):
@@ -139,7 +154,12 @@ def linear_preorder(n: int) -> Preorder:
 
 
 def preorder_category(P: Preorder) -> FiniteCategory:
-    """The category with one morphism for each related pair."""
+    """The category with one morphism for each related pair.
+
+    ``P`` is validated, reflexive and transitive, so the table below is
+    total on composable pairs, unital and associative (a composite is
+    named by its endpoints alone); the category skips the table checks.
+    """
     def mname(a, b):
         return f"{a}<={b}"
 
@@ -157,7 +177,7 @@ def preorder_category(P: Preorder) -> FiniteCategory:
         for f, (fs, ft) in morphisms.items():
             if ft == gs:
                 table[(g, f)] = mname(fs, gt)
-    return FiniteCategory(P.elements, morphisms, identities, table)
+    return FiniteCategory._trusted(P.elements, morphisms, identities, table)
 
 
 def _chain_name(C: FiniteCategory, start: str, arrows: tuple[str, ...]) -> str:
@@ -192,7 +212,8 @@ def nerve_category(C: FiniteCategory, d: int | None = None) -> FiniteSSet:
     has no non-identity endomorphism loops (posets in particular); with
     loops the nerve is infinite-dimensional, so the cap is essential.  Each
     level is listed under ``DEFAULT_MAX_CANDIDATES`` chains.  The category
-    is validated, associativity included, so its nerve satisfies the
+    is validated, associativity included, where it enters (a preorder's
+    category is valid by construction), so its nerve satisfies the
     simplicial identities and is built unchecked.
     """
     if d is None:

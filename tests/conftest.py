@@ -3,6 +3,7 @@
 from hypothesis import HealthCheck, settings
 
 from ssetkit.build import quotient
+from ssetkit.intmat import rank_and_torsion
 from ssetkit.nerve import Preorder
 from ssetkit.sset import FiniteSSet, boundary, pointed, standard_simplex
 
@@ -100,3 +101,15 @@ def four_test_spaces() -> dict[str, FiniteSSet]:
         "bd2": pointed(boundary(2), "0"),
         "S2": two_sphere(),
     }
+
+
+def two_elimination_table(c, low: int, high: int, factors=rank_and_torsion) -> dict:
+    """Homology degree by degree as ``(rank, torsion)``, from the rank and
+    invariant factors > 1 that ``factors`` gives for both neighbouring
+    boundaries, each eliminated in full."""
+    out = {}
+    for n in range(low, high + 1):
+        rank_out, _ = factors(c.boundary(n))
+        rank_in, torsion = factors(c.boundary(n + 1))
+        out[n] = (c.rank(n) - rank_out - rank_in, torsion)
+    return out

@@ -359,16 +359,28 @@ def test_homology_eliminates_each_boundary_once(monkeypatch, capsys):
     # degrees 0..4 once each: top + 2 = 5, where one homology call per
     # degree took 8.
     calls = []
-    rank_and_torsion = chain.rank_and_torsion
+    eliminate = chain._rank_torsion_units
 
-    def counting(M):
+    def counting(M, skip=()):
         calls.append((M.rows, M.cols))
-        return rank_and_torsion(M)
+        return eliminate(M, skip)
 
-    monkeypatch.setattr(chain, "rank_and_torsion", counting)
+    monkeypatch.setattr(chain, "_rank_torsion_units", counting)
     assert cli.main(["homology", "simplex3"]) == 0
     assert capsys.readouterr().out == "H_0 = Z\nH_1 = 0\nH_2 = 0\nH_3 = 0\n"
     assert len(calls) == 5
+
+
+def test_paper_claims_run_matches_its_golden(monkeypatch, capsys):
+    # ``paper_claims.json`` groups its tasks by the paper claim each checks
+    # (see the ``cli`` module docstring); its nerve file is named relative
+    # to tests/data.
+    manifest = json.loads((DATA / "paper_claims.json").read_text())
+    grouped = sorted(i for tasks in manifest["claims"].values() for i in tasks)
+    assert grouped == list(range(len(manifest["tasks"])))
+    monkeypatch.chdir(DATA)
+    assert cli.main(["run", "paper_claims.json"]) == 0
+    assert capsys.readouterr().out == (DATA / "paper_claims_output.txt").read_text()
 
 
 def test_manifest_cannot_run_a_manifest(tmp_path, capsys):

@@ -146,15 +146,16 @@ square_records = damaged(st.sampled_from(
     [_square_record(sq) for sq in _squares()]
     + [{**_square_record(identity_square(boundary(2))), **_TOKEN_CORNERS}]
 ))
-preorder_records = damaged(
-    st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True).flatmap(
-        lambda elements: st.fixed_dictionaries({
-            "elements": st.just(elements),
-            "pairs": st.lists(st.lists(st.sampled_from(elements), min_size=2,
-                                       max_size=2), max_size=4),
-        })
-    )
+plain_preorder_records = st.lists(
+    st.sampled_from("abcd"), min_size=1, max_size=4, unique=True
+).flatmap(
+    lambda elements: st.fixed_dictionaries({
+        "elements": st.just(elements),
+        "pairs": st.lists(st.lists(st.sampled_from(elements), min_size=2,
+                                   max_size=2), max_size=4),
+    })
 )
+preorder_records = damaged(plain_preorder_records)
 manifest_records = damaged(st.fixed_dictionaries({
     "spaces": st.dictionaries(st.sampled_from(["A", "B"]), st.one_of(
         st.sampled_from(["circle", "s2", "simplex2", "boundary2", "point"]),
@@ -247,3 +248,68 @@ def _space_json(words) -> str:
 def test_compact_and_spaced_tokens_build_equal_spaces(space):
     compact, spaced = space
     assert _space_json([compact]) == _space_json(spaced)
+
+
+def _run_captured(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# The N of a manifest's ``["nerve", FILE, "-d", N]``: integers of either
+# sign, words that are no integer, or no N at all.
+truncations = st.one_of(
+    st.integers(-3, 5).map(lambda n: [str(n)]),
+    st.sampled_from([["x"], ["1.5"], ["+1"], [" 2"], [""], [], ["1", "2"]]),
+)
+
+
+def test_manifest_nerves_truncate_or_exit_two(tmp_path_factory):
+    # A manifest nerve truncated at N >= 0 is the nerve that ``space nerve
+    # FILE -d N`` prints; any other N exits 2 with one error line and
+    # prints nothing.
+    work = tmp_path_factory.mktemp("nerve-d")
+    poset, manifest = work / "poset.json", work / "manifest.json"
+
+    @settings(max_examples=60)
+    @given(plain_preorder_records, truncations)
+    def check(record, n):
+        poset.write_text(json.dumps(record))
+        manifest.write_text(json.dumps({
+            "spaces": {"A": ["nerve", str(poset), "-d", *n]},
+            "tasks": [["space", "A", "--json"]],
+        }))
+        code, out, err = _run_captured(["run", str(manifest)])
+        if len(n) == 1 and n[0].lstrip("-").isdigit() and int(n[0]) >= 0:
+            assert (code, err) == (0, "")
+            direct = _run_captured(["space", "nerve", str(poset), "-d", n[0], "--json"])
+            assert out == "== task 0: space A --json\n" + direct[1]
+            assert len(json.loads(direct[1])["cells"]) <= int(n[0]) + 1
+        else:
+            assert (code, out) == (2, "")
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    check()
+
+
+@pytest.mark.parametrize("d, counts", [(0, [4]), (1, [4, 6]), (2, [4, 6, 4])])
+def test_manifest_nerve_of_a_chain_counts_its_subchains(tmp_path, d, counts):
+    # The nerve of 0 < 1 < 2 < 3 has C(4, k + 1) nondegenerate k-simplices,
+    # one per chain of k + 1 elements; -d d keeps the levels k <= d.
+    poset = tmp_path / "chain.json"
+    poset.write_text(json.dumps({
+        "elements": list("0123"), "pairs": [["0", "1"], ["1", "2"], ["2", "3"]],
+    }))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "spaces": {"A": ["nerve", str(poset), "-d", str(d)], "B": ["nerve", str(poset)]},
+        "tasks": [["space", "A", "--json"], ["space", "B", "--json"]],
+    }))
+    code, out, _ = _run_captured(["run", str(manifest)])
+    assert code == 0
+    _, a, b = out.split("== task ")
+    truncated = json.loads(a.partition("\n")[2])["cells"]
+    full = json.loads(b.partition("\n")[2])["cells"]
+    assert [len(level) for level in truncated] == counts
+    assert [len(level) for level in full] == [4, 6, 4, 1]

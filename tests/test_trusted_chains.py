@@ -18,7 +18,7 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import four_test_spaces
+from conftest import four_test_spaces, two_elimination_table
 from ssetkit import chain, cli
 from ssetkit.chain import (
     ChainComplex,
@@ -47,7 +47,7 @@ from ssetkit.excision import (
     pushout_square,
 )
 from ssetkit.function_complex import enumerate_maps
-from ssetkit.intmat import rank_and_torsion
+from ssetkit.intmat import _rank_torsion_units
 from ssetkit.simplicial_chains import (
     chain_map_of,
     normalized_chains,
@@ -171,16 +171,6 @@ def test_dold_kan_results_validate(c, cap):
     revalidate(truncate_nonneg(c))
 
 
-def two_elimination_table(c: ChainComplex, low: int, high: int) -> dict:
-    """Homology degree by degree, eliminating both neighbouring boundaries."""
-    out = {}
-    for n in range(low, high + 1):
-        rank_out, _ = rank_and_torsion(c.boundary(n))
-        rank_in, torsion = rank_and_torsion(c.boundary(n + 1))
-        out[n] = (c.rank(n) - rank_out - rank_in, torsion)
-    return out
-
-
 @given(st.data())
 def test_homology_table_matches_two_elimination_formula(data):
     X, Y = data.draw(spaces), data.draw(spaces)
@@ -216,9 +206,9 @@ def test_tower_pipeline_rechecks_nothing_and_eliminates_each_boundary_once(
         monkeypatch.setattr(cls, "__post_init__", counted_check)
     eliminations = []
 
-    def counted_elimination(M):
+    def counted_elimination(M, skip=()):
         eliminations.append((M.rows, M.cols))
-        return rank_and_torsion(M)
+        return _rank_torsion_units(M, skip)
 
     reads = []  # (boundaries a table reads, eliminations it ran)
 
@@ -228,7 +218,7 @@ def test_tower_pipeline_rechecks_nothing_and_eliminates_each_boundary_once(
         reads.append((max(high - low + 2, 0), len(eliminations) - before))
         return table
 
-    monkeypatch.setattr(chain, "rank_and_torsion", counted_elimination)
+    monkeypatch.setattr(chain, "_rank_torsion_units", counted_elimination)
     monkeypatch.setattr(chain, "homology_table", counted_table)
     monkeypatch.setattr(cli, "homology_table", counted_table)
     ChainComplex(0, 0, (1,), ())

@@ -4,16 +4,17 @@ Standard simplices, subcomplexes, products, pullbacks, pushouts, quotients,
 suspensions, cones, function complexes and the nerves of categories are
 valid by construction on valid inputs, so they build their spaces and maps
 with ``check=False``; identity and pushout squares commute by construction
-and skip the commutation check.  These properties rebuild every result
-with the checks on: its face tables must satisfy the simplicial
-identities, every returned leg or projection must commute with faces, and
-every square must commute.
+and skip the commutation check, and the category of a preorder skips the
+composition-law checks.  These properties rebuild every result with the
+checks on: its face tables must satisfy the simplicial identities, every
+returned leg or projection must commute with faces, every square must
+commute, and every derived category must obey the category laws.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import circle, four_test_spaces
+from conftest import all_posets, circle, four_test_spaces
 from ssetkit.build import product, pushout, quotient, sset_pullback
 from ssetkit.excision import (
     SSetSquare,
@@ -206,6 +207,10 @@ def test_nerves_of_the_nerve_tests_validate():
     revalidate(nerve_preorder(Preorder(("a", "b"), frozenset(loop)), 3))
 
 
+def revalidate_category(C: FiniteCategory) -> None:
+    assert FiniteCategory(C.objects, C.morphisms, C.identities, C.compose_table) == C
+
+
 @given(
     st.lists(st.lists(st.sampled_from("abc"), min_size=2, max_size=2)),
     st.integers(0, 4),
@@ -214,4 +219,11 @@ def test_nerves_of_preorders_validate(pairs, d):
     # The record's pairs are closed to a preorder; a pair and its reverse
     # make two elements isomorphic, as a <= b <= a does.
     P = preorder_from_record({"elements": list("abc"), "pairs": pairs})
+    revalidate_category(preorder_category(P))
     revalidate(nerve_preorder(P, d))
+
+
+def test_categories_of_preorders_validate():
+    # Every poset on up to three elements, and the total orders up to 5.
+    for P in all_posets(3) + [linear_preorder(n) for n in range(6)]:
+        revalidate_category(preorder_category(P))
