@@ -62,9 +62,9 @@ __all__ = [
 ]
 
 # The budget of the package's combinatorial listings: the nondegenerate
-# simplices a pullback lists, the candidate images a map search tries
-# (``function_complex.enumerate_maps``) and the candidate walls an inner-horn
-# check tries (``quasicat.is_quasicategory_up_to``).
+# simplices a pullback lists, and the candidate images of top cells the one
+# map search tries (``function_complex._search``), which are horn walls in an
+# inner-horn check (``quasicat.is_quasicategory_up_to``).
 DEFAULT_MAX_CANDIDATES = 10**6
 
 

@@ -18,9 +18,14 @@ before everything was written; exit 2 prints an ``error:`` line on stderr,
 never a traceback.  All output is deterministic; machine records go
 through the canonical serializer.
 
-The paper's claims as one run: ``tests/data/paper_claims.json`` (run from
-``tests/data``) groups its tasks by the claim each checks, and
-``tests/data/paper_claims_output.txt`` is its recorded output.
+A manifest's files (a space, cover or square file, a nerve's preorder) are
+read relative to the manifest's directory, in its sections and its tasks
+alike; its top-level keys are ``spaces``, ``covers``, ``squares``,
+``tasks`` and ``claims``, and any other exits 2.
+
+The paper's claims as one run: ``tests/data/paper_claims.json`` groups its
+tasks by the claim each checks, and ``tests/data/paper_claims_output.txt``
+is its recorded output.
 
 - ``excision`` on a strict pushout along an injective leg: a homology
   pushout whose chain square is bicartesian (singular chains are
@@ -126,7 +131,17 @@ _BUILDERS = {
 }
 
 
-def _builtin_space(word: str, names: dict) -> FiniteSSet | None:
+class _Names(dict):
+    """What a manifest defines: ``(kind, name)`` -> its space, cover or
+    square.  ``dir`` is the directory the manifest's file names are read
+    relative to; outside a manifest it is empty, the working directory."""
+
+    def __init__(self, directory: str = ""):
+        super().__init__()
+        self.dir = directory
+
+
+def _builtin_space(word: str, names: _Names) -> FiniteSSet | None:
     """The built-in a compact token (``s2``, ``horn2_1``) names, if any."""
     m = re.fullmatch(r"([a-z]+)(?:(\d+)(?:_(\d+))?)?", word)
     if m is None or m.group(1) not in _BUILTINS:
@@ -136,7 +151,7 @@ def _builtin_space(word: str, names: dict) -> FiniteSSet | None:
     return build(*numbers) if len(numbers) == arity else None
 
 
-def _builtin_square(word: str, names: dict) -> SSetSquare | None:
+def _builtin_square(word: str, names: _Names) -> SSetSquare | None:
     if word == "interval-collapse":
         return interval_collapse_square()
     if word == "corner-circle":
@@ -151,7 +166,12 @@ def _builtin_square(word: str, names: dict) -> SSetSquare | None:
     return None
 
 
-def _space_words(words, names: dict, d: int | None = None) -> FiniteSSet:
+def _path(name: str, names: _Names) -> str:
+    """A file name, read relative to the directory of the manifest naming it."""
+    return os.path.join(names.dir, name)
+
+
+def _space_words(words, names: _Names, d: int | None = None) -> FiniteSSet:
     """A space from a list of words (see the module docstring)."""
     words = _strings(words, "space specification must be a list of strings")
     if not words:
@@ -172,11 +192,11 @@ def _space_words(words, names: dict, d: int | None = None) -> FiniteSSet:
     if head in _BUILDERS and len(rest) == _BUILDERS[head][0]:
         return _BUILDERS[head][1](*(_resolve("space", w, names) for w in rest))
     if head == "nerve" and len(rest) == 1:
-        return nerve_preorder(preorder_from_record(_load_json(rest[0])), d)
+        return nerve_preorder(preorder_from_record(_load_json(_path(rest[0], names))), d)
     raise ValidationError(f"cannot parse space specification {list(words)!r}")
 
 
-def _square_from_record(data, names: dict) -> SSetSquare:
+def _square_from_record(data, names: _Names) -> SSetSquare:
     data = _record(data, "square record")
     try:
         corners = {key: _resolve("space", data[key], names) for key in "wuvx"}
@@ -189,7 +209,7 @@ def _square_from_record(data, names: dict) -> SSetSquare:
     return SSetSquare(*legs)
 
 
-def _cover_from_record(data, names: dict) -> CoverData:
+def _cover_from_record(data, names: _Names) -> CoverData:
     data = _record(data, "cover record")
     X = _resolve("space", data.get("space"), names)
     message = "cover pieces 'u' and 'v' must be lists of names"
@@ -204,10 +224,10 @@ _KINDS = {
 }
 
 
-def _resolve(kind: str, spec, names: dict, d: int | None = None):
+def _resolve(kind: str, spec, names: _Names, d: int | None = None):
     """The space, cover or square an argument or a JSON field gives.  One
-    word is a manifest name (``names`` maps ``(kind, name)`` to what the
-    manifest defines), then a built-in, then a file."""
+    word is a manifest name (see ``_Names``), then a built-in, then a file
+    relative to ``names.dir``."""
     builtin, read = _KINDS[kind]
     if not isinstance(spec, str):
         if kind == "space" and isinstance(spec, list):
@@ -218,8 +238,9 @@ def _resolve(kind: str, spec, names: dict, d: int | None = None):
     found = builtin(spec, names)
     if found is not None:
         return found
-    if os.path.exists(spec):
-        return read(_load_json(spec), names)
+    path = _path(spec, names)
+    if os.path.exists(path):
+        return read(_load_json(path), names)
     raise ValidationError(f"unknown {kind} {spec!r}")
 
 
@@ -352,7 +373,10 @@ def _cmd_counterexample(args) -> int:
 
 def _cmd_run(args) -> int:
     data = _record(_load_json(args.manifest), "manifest")
-    names: dict = {}
+    unknown = sorted(set(data) - {"spaces", "covers", "squares", "tasks", "claims"})
+    if unknown:
+        raise ValidationError(f"manifest has unknown key {unknown[0]!r}")
+    names = _Names(os.path.dirname(args.manifest))
     for kind in ("space", "cover", "square"):
         entries = _record(data.get(kind + "s", {}), f"manifest '{kind}s'")
         for name, spec in entries.items():
@@ -419,9 +443,10 @@ def _parser() -> argparse.ArgumentParser:
             sp.add_argument("--assert", dest="assert_", action="store_true")
 
     max_enum_help = (
-        "budget of candidates a search may try (default 10**6): images of "
-        "cells for mapspace, horn walls for qcat; only candidates whose faces "
-        "already match are counted"
+        "budget of candidate images of top cells the map search may try "
+        "(default 10**6): the walls of each inner horn for qcat, the top "
+        "simplices of each prism Delta^1 x Delta^k for mapspace; only "
+        "candidates whose faces already match are counted"
     )
 
     sp = sub.add_parser("space", help="build and serialize a simplicial set")
@@ -487,7 +512,7 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _execute(args, names: dict) -> int:
+def _execute(args, names: _Names) -> int:
     args.names = names
     try:
         return args.fn(args)
@@ -508,7 +533,7 @@ def _main(argv) -> int:
         parser.print_usage(sys.stderr)
         print(f"{parser.prog}: error: {message}", file=sys.stderr)
         return 2
-    return _execute(args, {})
+    return _execute(args, _Names())
 
 
 def main(argv=None) -> int:

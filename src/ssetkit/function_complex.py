@@ -1,22 +1,21 @@
 """Exhaustive map enumeration and truncated function complexes.
 
-Enumeration backtracks over the nondegenerate simplices in a face-closed
-eager order: the free vertices in name order, and every other simplex as
-soon as the last of its faces is assigned, so a vertex pair without an edge
-between its images is dropped before the next vertex fans out.  The search
-works on positions: an image is its position in the level table of ``Y``
-(``FiniteSSet.level``).  The candidate images of each dimension are keyed
-by the positions of their faces that table holds, so a slot reads in one
-lookup exactly the candidates whose faces agree with the images already
-assigned: every found assignment is a simplicial map by construction.  A
-slot's degenerate faces are read through one position table per dimension
-and degeneracy word, so the search builds no ``Simplex``; only the maps
-found are built, at the end.  The maps are returned in the order of the
-plain search in ascending dimension, then name, which the eager search only
-reorders.  A global budget on the candidates tried guards against
-combinatorial blowups; it counts the candidates of the eager search, which
-tries fewer than the plain one.  The inner-horn check lists no maps: it
-searches the walls of each horn on the same level tables
+The one map search of the package (:func:`_search`) places the top cells
+of the source X: its nondegenerate simplices outside ``fixed`` that are no
+face of another simplex, in decreasing dimension, then name.  Every other
+simplex's image is read off the image of a top cell containing it, through
+the face tables of ``Y`` (``FiniteSSet.level``): an image is its position
+in its level, and a face is read along the vertices it misses.  A top cell
+tries only the candidates of a bucket of its level keyed on its maximal
+faces already pinned, by ``fixed`` or by a top cell placed before it, so
+every map found is simplicial by construction.  A top cell with a singular
+closure (two of its faces on one simplex, or a degenerate face, as in S^2)
+keeps only the candidates that agree there; a degenerate face is compared
+through the table of s_word on positions.  Buckets are built once per top
+cell, so the search itself builds no ``Simplex``; a map found is a tuple of
+top-cell positions, and only the maps returned are built.  The budget
+counts the candidate images of top cells tried.  The inner-horn check runs
+the same search on each horn, whose top cells are its walls
 (``quasicat.is_quasicategory_up_to``).
 
 Function complexes are genuine simplicial sets of maps: a k-simplex of
@@ -32,8 +31,6 @@ of the prism: the search starts from those ends and extends them.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .build import _budget, _extract, _point_simplex, product
 from .delta import MonotoneMap, epi_mono_factor
@@ -67,124 +64,143 @@ def enumerate_maps(
     Basepoints are ignored; filter afterwards if pointed maps are wanted.
     The maps come in the order of a search over the nondegenerate simplices
     in ascending dimension, then name, each trying its images in the order
-    of ``Y.all_simplices``; the search itself runs in the face-closed eager
-    order of :func:`_eager_order`.  The budget counts the candidate images
-    tried, and a slot tries only the candidates whose faces already match
-    the images assigned before it.  ``fixed`` gives the images of the
-    nondegenerate simplices of a subcomplex of ``X`` under a map to ``Y``:
-    only the maps extending it are listed, and its simplices are assigned
-    before the search, so they try no candidate.
+    of ``Y.all_simplices``: :func:`_search` finds them top cell by top
+    cell, and they are sorted by the positions of their images.  The budget
+    counts the candidate images of top cells tried.  ``fixed`` gives the
+    images of the nondegenerate simplices of a subcomplex of ``X`` under a
+    map to ``Y``: only the maps extending it are listed.
     """
     guard = _budget(max_candidates)
     fixed = fixed or {}
     if fixed:
         SSetMap(subcomplex(X, fixed), Y, fixed)  # raises unless a map
-    # Slots in the output order; the search visits them in eager order.
-    slots = [
+    found, row, as_map = _search(X, Y, guard, fixed)
+    # Two maps first differ at a simplex whose earlier images agree, so both
+    # images there match the same faces, and the one listed first in
+    # all_simplices comes first in the output order.
+    return [as_map(r) for r in sorted(map(row, found))]
+
+
+def _search(X: FiniteSSet, Y: FiniteSSet, guard: int, fixed: dict[str, Simplex]):
+    """The maps ``X -> Y`` extending ``fixed``, found top cell by top cell.
+
+    Returns the maps found, each as the tuple of the positions of its top
+    cells' images; the function reading off such a tuple the row of its
+    map: the positions of the images of the nondegenerate simplices outside
+    ``fixed``, in ascending dimension, then name; and the function building
+    the map of a row.  Raises ``EnumerationLimit`` once more than ``guard``
+    candidate images of top cells were tried.
+    """
+    faces_of = {f.base for fs in X.faces.values() for f in fs}
+    tops = [
         (k, name)
-        for k in range(X.top_dim + 1)
-        for name in X.nondeg(k)
-        if name not in fixed
+        for k in range(X.top_dim, -1, -1)
+        for name in X.cells[k]
+        if name not in fixed and name not in faces_of
     ]
-    # An image is its position in ``Y.level`` of its dimension.
-    # ``positions`` holds the image of each slot, then of each fixed simplex.
-    where = {name: idx for idx, (_, name) in enumerate(slots)}
-    positions = [0] * len(slots)
-    for name, img in fixed.items():
-        where[name] = len(positions)
-        positions.append(Y.level(img.dim)[1][img])
-    # Each face of a slot is read off the image of its base: a position
-    # directly, or through the table of its degeneracy word, which sends
-    # the positions of dimension m to those of s_word of them.
-    tables: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-    slot_faces: list[list[tuple[int, list[int] | None]]] = []
-    for _, name in slots:
-        refs = []
-        for f in X.faces.get(name, ()):
-            m, word = f.base_dim, f.degeneracies
-            if word and (m, word) not in tables:
-                up = Y.level(f.dim)[1]
-                tables[m, word] = [up[sx.degenerate(word)] for sx in Y.all_simplices(m)]
-            refs.append((where[f.base], tables.get((m, word))))
-        slot_faces.append(refs)
-    # The candidates of each dimension, keyed by the positions of their
-    # faces in Y's level table (vertices under ()), in listing order.
-    cands: dict[int, dict[tuple[int, ...], list[int]]] = {}
-    for k in {k for k, _ in slots}:
-        by_faces = cands[k] = {}
-        for pos, key in enumerate(Y.level(k)[2]):
-            by_faces.setdefault(key, []).append(pos)
-    buckets = [cands[k] for k, _ in slots]
-    order = _eager_order(slot_faces)
-    found: list[list[int]] = []
+    tables: dict[tuple, list[int]] = {}
+
+    def table(k: int, route: tuple[int, ...], word: tuple[int, ...] = ()) -> list[int]:
+        """For each simplex of level k, the position of s_word of its face
+        along ``route``."""
+        if (k, route, word) not in tables:
+            tab = range(len(Y.level(k)[0]))
+            for m, v in enumerate(route):
+                faces = Y.level(k - m)[2]
+                tab = [faces[p][v] for p in tab]
+            if word:
+                m = k - len(route)
+                up, below = Y.level(m + len(word))[1], Y.level(m)[0]
+                tab = [up[below[p].degenerate(word)] for p in tab]
+            tables[k, route, word] = list(tab)
+        return tables[k, route, word]
+
+    home: dict[str, tuple[int, tuple[int, ...]]] = {}  # cell -> (top, route)
+    readers, buckets = [], []
+    for s, (k, top) in enumerate(tops):
+        keys, reads, fixes, repeats, own = [], [], [], [], {}
+        pinned: set[tuple[int, ...]] = set()
+        # The faces of the top cell, each reached along its route: the
+        # vertices it misses, the highest first, so that each keeps its
+        # index.  A face is pinned when its cell is fixed or placed.
+        walk = [((), X.simplex(top))]
+        for route, sx in walk:
+            if len(route) < k:
+                walk.extend(
+                    (route + (v,), X.face(sx, v)) for v in range(route[-1] if route else k + 1)
+                )
+            if not route:
+                continue
+            cell, word = sx.base, sx.degeneracies
+            if cell in fixed or cell in home:
+                pinned.add(route)
+                if any(route[:p] + route[p + 1:] in pinned for p in range(len(route))):
+                    continue  # it agrees when the pinned face above it does
+                if cell in fixed:
+                    want = fixed[cell].degenerate(word)
+                    fixes.append((table(k, route), Y.level(want.dim)[1][want]))
+                else:
+                    src, at = home[cell]
+                    keys.append(table(k, route))
+                    reads.append((src, table(tops[src][0], at, word)))
+            elif word or cell in own:
+                repeats.append((route, word, cell))
+            else:
+                own[cell] = route
+        size = len(Y.level(k)[0])
+        allowed = range(size)
+        for tab, want in fixes:
+            allowed = [y for y in allowed if tab[y] == want]
+        # A singular closure: a face on a cell met before, or degenerate,
+        # must be its image there, degenerated alike.
+        for route, word, cell in repeats:
+            tab, want = table(k, route), table(k, own[cell], word)
+            allowed = [y for y in allowed if tab[y] == want[y]]
+        columns = list(zip(*keys)) if keys else [()] * size
+        bucket: dict[tuple[int, ...], list[int]] = {}
+        for y in allowed:
+            bucket.setdefault(columns[y], []).append(y)
+        readers.append(reads)
+        buckets.append(bucket)
+        home.update((cell, (s, route)) for cell, route in own.items())
+        home[top] = (s, ())
+
+    placed = [0] * len(tops)
+    found: list[tuple[int, ...]] = []
     tried = 0
 
-    def backtrack(step: int):
+    def place(s: int) -> None:
         nonlocal tried
-        if step == len(order):
-            found.append(positions[: len(slots)])
+        if s == len(tops):
+            found.append(tuple(placed))
             return
-        idx = order[step]
-        want = tuple(
-            positions[src] if up is None else up[positions[src]]
-            for src, up in slot_faces[idx]
-        )
-        for pos in buckets[idx].get(want, ()):
+        for pos in buckets[s].get(tuple([tab[placed[src]] for src, tab in readers[s]]), ()):
             tried += 1
             if tried > guard:
-                raise EnumerationLimit(
-                    f"map search exceeded {guard} candidate assignments"
-                )
-            positions[idx] = pos
-            backtrack(step + 1)
+                raise EnumerationLimit(f"map search exceeded {guard} candidate assignments")
+            placed[s] = pos
+            place(s + 1)
 
-    backtrack(0)
-    # Two maps first differ at a slot whose earlier images agree, so both
-    # images there come from one face bucket, in all_simplices order: the
-    # positions read in slot order sort the maps into the output order.
-    found.sort()
-    pools = [(idx, slots[idx][1], Y.all_simplices(slots[idx][0])) for idx in order]
-    maps = []
-    for ps in found:
+    place(0)
+    free = [(k, name) for k in range(X.top_dim + 1) for name in X.cells[k] if name not in fixed]
+
+    def row(top_positions: tuple[int, ...]) -> tuple[int, ...]:
+        out = []
+        for _, name in free:
+            src, route = home[name]
+            pos, m = top_positions[src], tops[src][0]
+            for v in route:
+                pos = Y.level(m)[2][pos][v]
+                m -= 1
+            out.append(pos)
+        return tuple(out)
+
+    def as_map(positions: tuple[int, ...]) -> SSetMap:
         images = dict(fixed)
-        images.update((name, pool[ps[idx]]) for idx, name, pool in pools)
-        maps.append(SSetMap(X, Y, images, check=False))
-    return maps
+        images.update((name, Y.level(k)[0][p]) for (k, name), p in zip(free, positions))
+        return SSetMap(X, Y, images, check=False)
 
-
-def _eager_order(slot_faces: list[list[tuple[int, object]]]) -> list[int]:
-    """The indices of the slots in face-closed eager order.
-
-    ``slot_faces[idx]`` lists the faces of slot ``idx`` as pairs whose first
-    entry is the index of the face's base: a slot when below the number of
-    slots, a fixed simplex otherwise.
-    Free vertices come in name order, and every other slot comes as soon as
-    the last of its faces is placed, so each edge prunes right after its
-    second vertex instead of after every vertex.  A counter of unplaced
-    faces per slot, decremented as faces are placed, finds the ready slots
-    as in Kahn's topological sort.  Faces on fixed simplices count as
-    placed from the start.
-    """
-    count = len(slot_faces)
-    unplaced = [0] * count
-    cofaces: dict[int, list[int]] = {}
-    for idx, faces in enumerate(slot_faces):
-        for face in {src for src, _ in faces if src < count}:
-            unplaced[idx] += 1
-            cofaces.setdefault(face, []).append(idx)
-    vertices = deque(idx for idx, faces in enumerate(slot_faces) if not faces)
-    ready = deque(
-        idx for idx, faces in enumerate(slot_faces) if faces and not unplaced[idx]
-    )
-    order: list[int] = []
-    while ready or vertices:
-        idx = ready.popleft() if ready else vertices.popleft()
-        order.append(idx)
-        for up in cofaces.get(idx, ()):
-            unplaced[up] -= 1
-            if not unplaced[up]:
-                ready.append(up)
-    return order
+    return found, row, as_map
 
 
 def standard_map(alpha: MonotoneMap) -> SSetMap:

@@ -384,17 +384,14 @@ def standard_simplex(n: int) -> FiniteSSet:
         raise ValidationError("dimension must be nonnegative")
     if n > 9:
         raise ValidationError("vertex-string naming supports n <= 9 only")
-    cells = [
-        [_subset_name(c) for c in combinations(range(n + 1), k + 1)]
-        for k in range(n + 1)
-    ]
+    vertices = _subset_name(tuple(range(n + 1)))
+    cells = [["".join(c) for c in combinations(vertices, k + 1)] for k in range(n + 1)]
     faces = {}
     for k in range(1, n + 1):
-        for c in combinations(range(n + 1), k + 1):
-            faces[_subset_name(c)] = tuple(
-                Simplex((), _subset_name(c[:i] + c[i + 1 :]), k - 1)
-                for i in range(k + 1)
-            )
+        below = {name: Simplex((), name, k - 1) for name in cells[k - 1]}
+        for name in cells[k]:
+            # d_i drops the i-th vertex, one character of the name
+            faces[name] = tuple(below[name[:i] + name[i + 1:]] for i in range(k + 1))
     return FiniteSSet(cells, faces, check=False)
 
 
@@ -440,9 +437,7 @@ def boundary(n: int) -> FiniteSSet:
     is the empty simplicial set.
     """
     X = standard_simplex(n)
-    top = _subset_name(tuple(range(n + 1)))
-    gens = [sx.base for sx in X.faces[top]] if n >= 1 else []
-    return subcomplex(X, face_closure(X, gens), check_closed=False)
+    return subcomplex(X, [c for level in X.cells[:n] for c in level], check_closed=False)
 
 
 def horn(n: int, i: int) -> FiniteSSet:
@@ -451,10 +446,16 @@ def horn(n: int, i: int) -> FiniteSSet:
         raise ValidationError("horns need n >= 1")
     if not 0 <= i <= n:
         raise ValidationError(f"horn index {i} outside [0, {n}]")
-    X = standard_simplex(n)
-    top = _subset_name(tuple(range(n + 1)))
-    gens = [sx.base for j, sx in enumerate(X.faces[top]) if j != i]
-    return subcomplex(X, face_closure(X, gens), check_closed=False)
+    return _horn_in(standard_simplex(n), i)
+
+
+def _horn_in(X: FiniteSSet, i: int) -> FiniteSSet:
+    """The horn Λⁿᵢ as a subcomplex of ``X = standard_simplex(n)``: every
+    proper face but the wall d_i, which misses vertex i."""
+    n = X.top_dim
+    wall = X.faces[X.cells[n][0]][i].base
+    names = [c for level in X.cells[:n] for c in level if c != wall]
+    return subcomplex(X, names, check_closed=False)
 
 
 def is_name_subcomplex(X: FiniteSSet, A: FiniteSSet) -> bool:

@@ -1,11 +1,14 @@
 """Shared corpus builders and exhaustive oracles for the test suite."""
 
+from itertools import combinations
+
 from hypothesis import HealthCheck, settings
 
+from delta_oracle import epi_of_word
 from ssetkit.build import quotient
 from ssetkit.intmat import rank_and_torsion
 from ssetkit.nerve import Preorder
-from ssetkit.sset import FiniteSSet, boundary, pointed, standard_simplex
+from ssetkit.sset import FiniteSSet, SSetMap, Simplex, boundary, pointed, standard_simplex
 
 settings.register_profile(
     "suite",
@@ -55,6 +58,55 @@ def check_simplicial_identities(X: FiniteSSet, extra: int = 2) -> int:
     return checked
 
 
+def scan_maps(X: FiniteSSet, Y: FiniteSSet) -> list[SSetMap]:
+    """Reference enumerator, independent of ``function_complex``: every
+    nondegenerate simplex of ``X`` tries the candidate images of its
+    dimension whose faces (through ``Y.face`` and ``Y.act``) are the images
+    of its faces.  A simplex is tried as soon as its faces have images, the
+    highest dimension first, and the maps are listed as a scan over the
+    simplices in ascending dimension, then name, trying candidates in
+    ``Y.all_simplices`` order, would list them."""
+    slots = [(k, name) for k in range(X.top_dim + 1) for name in X.nondeg(k)]
+    order, done = [], set()
+    while len(order) < len(slots):
+        ready = [
+            (k, name) for k, name in slots if name not in done
+            and all(f.base in done for f in X.faces.get(name, ()))
+        ]
+        k, name = max(ready, key=lambda slot: slot[0])  # the first of the top dimension
+        order.append((k, name))
+        done.add(name)
+    cands = {k: {} for k, _ in slots}  # dimension -> faces -> simplices
+    rank = {}
+    for k, by_faces in cands.items():
+        for c in Y.all_simplices(k):
+            faces = tuple(Y.face(c, i) for i in range(k + 1)) if k else ()
+            by_faces.setdefault(faces, []).append(c)
+            rank[c] = len(rank)
+    found, images = [], {}
+
+    def image(sx):
+        img = images[sx.base]
+        return Y.act(img, epi_of_word(sx.degeneracies, sx.dim))
+
+    def backtrack(idx):
+        if idx == len(order):
+            found.append(dict(images))
+            return
+        k, name = order[idx]
+        want = tuple(
+            image(X.face(X.simplex(name), i)) for i in range(k + 1)
+        ) if k else ()
+        for cand in cands[k].get(want, ()):
+            images[name] = cand
+            backtrack(idx + 1)
+            del images[name]
+
+    backtrack(0)
+    found.sort(key=lambda m: [rank[m[name]] for _, name in slots])
+    return [SSetMap(X, Y, m, check=False) for m in found]
+
+
 def all_posets(max_elements: int = 4):
     """Every labeled poset on 0..max_elements elements, as Preorder values."""
     out = []
@@ -91,6 +143,21 @@ def circle() -> FiniteSSet:
 
 def two_sphere() -> FiniteSSet:
     return quotient(standard_simplex(2), boundary(2)).space
+
+
+# The 6-vertex RP²: the star of vertex 0 (a disk) and the rest (a Möbius
+# band), meeting in the pentagon 1-2-3-4-5.
+RP2_TOPS = "012 023 034 045 015 124 245 235 135 134".split()
+
+
+def projective_plane() -> FiniteSSet:
+    """The 6-vertex RP², the simplicial complex on the triangles ``RP2_TOPS``."""
+    names = {"".join(f) for t in RP2_TOPS for k in (1, 2, 3) for f in combinations(t, k)}
+    faces = {
+        n: tuple(Simplex((), n[:i] + n[i + 1:], len(n) - 2) for i in range(len(n)))
+        for n in names if len(n) > 1
+    }
+    return FiniteSSet([[n for n in names if len(n) == k] for k in (1, 2, 3)], faces)
 
 
 def four_test_spaces() -> dict[str, FiniteSSet]:

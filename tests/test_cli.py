@@ -317,6 +317,7 @@ _PREORDER = {"elements": ["a", "b"]}
         ("tower reduced_chains", {"cells": []}),
         ("space nerve", {"elements": ["x<=y", "z", "x", "y<=z"],
                          "pairs": [["x<=y", "z"], ["x", "y<=z"]]}),
+        ("run", {"space": {"a": "point"}}),
     ],
 )
 def test_malformed_records_exit_two(tmp_path, capsys, command, record):
@@ -374,13 +375,33 @@ def test_homology_eliminates_each_boundary_once(monkeypatch, capsys):
 def test_paper_claims_run_matches_its_golden(monkeypatch, capsys):
     # ``paper_claims.json`` groups its tasks by the paper claim each checks
     # (see the ``cli`` module docstring); its nerve file is named relative
-    # to tests/data.
+    # to the manifest, and the run starts from the repository root.
     manifest = json.loads((DATA / "paper_claims.json").read_text())
     grouped = sorted(i for tasks in manifest["claims"].values() for i in tasks)
     assert grouped == list(range(len(manifest["tasks"])))
-    monkeypatch.chdir(DATA)
-    assert cli.main(["run", "paper_claims.json"]) == 0
+    monkeypatch.chdir(DATA.parent.parent)
+    assert cli.main(["run", "tests/data/paper_claims.json"]) == 0
     assert capsys.readouterr().out == (DATA / "paper_claims_output.txt").read_text()
+
+
+def test_manifest_reads_its_files_relative_to_itself(tmp_path, monkeypatch, capsys):
+    # a file named in the spaces section or in a task is found next to the
+    # manifest, whatever the working directory (covers and squares: the
+    # "relative" form of the tests below)
+    path = pathlib.Path(_boundary2_forms(tmp_path)["path"])
+    tasks = [["homology", "B"], ["homology", path.name]]
+    want = _run_output(capsys, tasks, [["homology", str(path)]] * 2)
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path / "sub")
+    got = _manifest_output(tmp_path, capsys, {"spaces": {"B": path.name}, "tasks": tasks})
+    assert got == want
+
+
+def test_manifest_refuses_unknown_keys(tmp_path, capsys):
+    f = tmp_path / "manifest.json"
+    f.write_text(json.dumps({"tasks": [], "space": {"a": "point"}}))
+    assert cli.main(["run", str(f)]) == 2
+    assert capsys.readouterr().err == "error: manifest has unknown key 'space'\n"
 
 
 def test_manifest_cannot_run_a_manifest(tmp_path, capsys):
@@ -446,7 +467,7 @@ def _boundary2_forms(tmp_path) -> dict:
     path = tmp_path / "b2.json"
     path.write_text(json.dumps(record))
     return {"name": "B", "token": "boundary2", "words": ["boundary", "2"],
-            "record": record, "path": str(path)}
+            "record": record, "path": str(path), "relative": path.name}
 
 
 def _run_output(capsys, tasks, argvs) -> str:
@@ -465,7 +486,7 @@ def _manifest_output(tmp_path, capsys, manifest) -> str:
     return capsys.readouterr().out
 
 
-@pytest.mark.parametrize("form", ["name", "token", "words", "record", "path"])
+@pytest.mark.parametrize("form", ["name", "token", "words", "record", "path", "relative"])
 def test_manifest_cover_names_its_space_in_any_form(tmp_path, capsys, form):
     inline = {"space": sset_to_record(boundary(2)), "u": ["01", "12"], "v": ["02"]}
     f = tmp_path / "cover.json"
@@ -478,7 +499,7 @@ def test_manifest_cover_names_its_space_in_any_form(tmp_path, capsys, form):
     assert got == want
 
 
-@pytest.mark.parametrize("form", ["name", "token", "words", "record", "path"])
+@pytest.mark.parametrize("form", ["name", "token", "words", "record", "path", "relative"])
 def test_manifest_square_names_its_corners_in_any_form(tmp_path, capsys, form):
     sq = identity_square(boundary(2))
     inline = {key: sset_to_record(getattr(sq, key)) for key in "wuvx"}

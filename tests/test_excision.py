@@ -1,10 +1,14 @@
 """Suspensions, homotopy pushouts, cover sequences, Mayer-Vietoris."""
 
-from itertools import combinations
-
 import pytest
 
-from conftest import check_simplicial_identities, circle, four_test_spaces
+from conftest import (
+    RP2_TOPS,
+    check_simplicial_identities,
+    circle,
+    four_test_spaces,
+    projective_plane,
+)
 from ssetkit.chain import homology, homology_table
 from ssetkit.errors import ValidationError
 from ssetkit.excision import (
@@ -28,7 +32,6 @@ from ssetkit.excision import (
 )
 from ssetkit import simplicial_chains
 from ssetkit.groups import HomologyGroup
-from ssetkit.serialize import sset_from_record
 from ssetkit.simplicial_chains import (
     chain_map_of,
     normalized_chains,
@@ -327,18 +330,8 @@ def test_mv_maps_run_between_the_groups_generators():
 
 
 def test_mv_projective_plane_carries_torsion():
-    # The 6-vertex RP²: the star of vertex 0 (a disk) and the rest (a
-    # Möbius band), meeting in the pentagon 1-2-3-4-5.
-    tops = "012 023 034 045 015 124 245 235 135 134".split()
-    names = {"".join(f) for t in tops for k in (1, 2, 3) for f in combinations(t, k)}
-    X = sset_from_record({
-        "cells": [sorted(n for n in names if len(n) == k) for k in (1, 2, 3)],
-        "faces": {
-            n: [[[], n[:i] + n[i + 1:]] for i in range(len(n))]
-            for n in names if len(n) > 1
-        },
-    })
-    cd = cover_from_names(X, tops[:5], tops[5:])
+    X = projective_plane()
+    cd = cover_from_names(X, RP2_TOPS[:5], RP2_TOPS[5:])
     assert homology(normalized_chains(cd.W), 1).rank == 1  # the pentagon
     for reduced in (False, True):
         les = mayer_vietoris(cd, 2, reduced=reduced)

@@ -5,11 +5,12 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import all_posets, circle, two_sphere
-from delta_oracle import epi_of_word, monotone_maps
+from conftest import all_posets, circle, projective_plane, scan_maps, two_sphere
+from delta_oracle import monotone_maps
 from ssetkit.build import _extract, product, sset_pullback
 from ssetkit.delta import MonotoneMap
 from ssetkit.errors import EnumerationLimit, ValidationError
+from ssetkit.excision import reduced_suspension
 from ssetkit.function_complex import (
     _FiberSystem,
     _HomSystem,
@@ -37,39 +38,6 @@ from ssetkit.sset import (
     standard_simplex,
     subcomplex,
 )
-
-
-def _scan_maps(X, Y):
-    """Reference enumerator: every slot scans every candidate image of its
-    dimension and keeps those whose faces match the images assigned so far."""
-    slots = [(k, name) for k in range(X.top_dim + 1) for name in X.nondeg(k)]
-    cands = {
-        k: [(c, tuple(Y.face(c, i) for i in range(k + 1)) if k else ())
-            for c in Y.all_simplices(k)]
-        for k in {k for k, _ in slots}
-    }
-    results, images = [], {}
-
-    def image(sx):
-        img = images[sx.base]
-        return Y.act(img, epi_of_word(sx.degeneracies, sx.dim))
-
-    def backtrack(idx):
-        if idx == len(slots):
-            results.append(SSetMap(X, Y, dict(images), check=False))
-            return
-        k, name = slots[idx]
-        want = tuple(
-            image(X.face(X.simplex(name), i)) for i in range(k + 1)
-        ) if k else ()
-        for cand, cand_faces in cands[k]:
-            if cand_faces == want:
-                images[name] = cand
-                backtrack(idx + 1)
-                del images[name]
-
-    backtrack(0)
-    return results
 
 
 def _pullback_mapping_space(C, x, y, d):
@@ -220,7 +188,7 @@ def test_mapping_space_counts_parallel_edges():
 
 
 def _assert_matches_scan(X, Y):
-    scanned = _scan_maps(X, Y)
+    scanned = scan_maps(X, Y)
     assert [f.images for f in enumerate_maps(X, Y)] == [f.images for f in scanned]
     if not scanned or not X.cells:
         return
@@ -236,12 +204,26 @@ def _assert_matches_scan(X, Y):
 
 
 def test_enumeration_matches_candidate_scan():
+    # S^2 and Sigma S^1 have top cells with repeated and degenerate faces
     spaces = [standard_simplex(n) for n in range(3)] + [
         boundary(2), boundary(3), horn(2, 1), horn(3, 1), circle(), two_sphere(),
+        reduced_suspension(circle()),
     ] + [nerve_preorder(P) for P in all_posets(3)]
     for X in spaces:
         for Y in spaces:
             _assert_matches_scan(X, Y)
+    # RP^2: ten top cells, each vertex on five of them
+    for Y in (standard_simplex(2), boundary(3), two_sphere()):
+        _assert_matches_scan(projective_plane(), Y)
+    # S^2 with its vertex pinned: every face of its 2-cell is degenerate on it
+    S2 = two_sphere()
+    for Y in spaces:
+        scanned = scan_maps(S2, Y)
+        for v in Y.nondeg(0):
+            pinned = {"g0_0": Y.simplex(v)}
+            assert [f.images for f in enumerate_maps(S2, Y, fixed=pinned)] == [
+                f.images for f in scanned if f.images["g0_0"] == pinned["g0_0"]
+            ]
     # S^2 x Delta^1 has 3-cells with faces degenerate on an edge, which sit
     # at other positions than the edge itself
     cylinder = product(two_sphere(), standard_simplex(1)).space
@@ -260,20 +242,20 @@ _ORDER_SPACES = (
 @given(
     st.sampled_from(_ORDER_SPACES),
     # Half the draws target the circle: its loop and the degenerate edge on
-    # its vertex share their faces, so its face buckets hold two candidates
-    # and the eager search finds its maps out of the output order.
+    # its vertex share their faces, so a top cell's bucket holds two
+    # candidates for each face it pins.
     st.one_of(st.just(circle()), st.sampled_from(_ORDER_SPACES)),
     st.data(),
 )
-def test_eager_search_keeps_the_scan_order(X, Y, data):
-    # the eager search returns the maps in the order of the plain scan in
+def test_search_keeps_the_scan_order(X, Y, data):
+    # the top-cell search returns the maps in the order of the plain scan in
     # ascending dimension, also with a pinned subcomplex
-    scanned = _scan_maps(X, Y)
+    scanned = scan_maps(X, Y)
     assert [f.images for f in enumerate_maps(X, Y)] == [f.images for f in scanned]
     names = sorted(X.names)
     picked = data.draw(st.lists(st.sampled_from(names), max_size=3)) if names else []
     A = subcomplex(X, face_closure(X, picked))
-    on_A = _scan_maps(A, Y)
+    on_A = scan_maps(A, Y)
     if not on_A:
         return
     pinned = data.draw(st.sampled_from(on_A)).images
@@ -292,7 +274,7 @@ def _scan_qcat_witness(C, d):
                 j: "".join(str(v) for v in range(n + 1) if v != j)
                 for j in range(n + 1) if j != i
             }
-            for h in _scan_maps(horn(n, i), C):
+            for h in scan_maps(horn(n, i), C):
                 if not any(
                     all(C.face(sx, j) == h.images[w] for j, w in walls.items())
                     for sx in C.all_simplices(n)
@@ -314,19 +296,12 @@ def test_qcat_witness_matches_scanned_horns(C, d):
     assert (w.n, w.i, w.assignment.images) == expected
 
 
-def test_eager_search_prunes_each_edge():
-    # an edge is tried right after its second vertex: Lambda^4_2 -> Delta^4
-    # tries 3339 candidates, where the search in ascending dimension assigns
-    # all five vertices first and tries 12990
-    assert len(enumerate_maps(horn(4, 2), standard_simplex(4), max_candidates=4000)) == 126
-
-
 @pytest.mark.parametrize(
     "X, Y, least, count",
     [
-        (horn(3, 1), standard_simplex(3), 440, 35),
-        (horn(4, 2), standard_simplex(4), 3339, 126),
-        (boundary(3), boundary(3), 475, 35),
+        (horn(3, 1), standard_simplex(3), 105, 35),
+        (horn(4, 2), standard_simplex(4), 504, 126),
+        (boundary(3), boundary(3), 140, 35),
     ],
     ids=["horn31-simplex3", "horn42-simplex4", "boundary3-boundary3"],
 )
@@ -339,13 +314,12 @@ def test_least_budget_of_each_search_is_pinned(X, Y, least, count):
 
 
 def test_enumeration_budget_counts_matching_candidates_only():
-    # Delta^1 -> Delta^1: 2 images of the first vertex, 2 of the second for
-    # each, and an edge for 3 of the 4 vertex pairs: 9 candidates in all,
-    # where a scan of every candidate edge tries 2 + 4 + 4 * 3 = 18.
+    # Delta^1 -> Delta^1: the edge is the one top cell, and its 3 candidate
+    # images are the 3 edges of Delta^1; its vertices are read off it.
     d1 = standard_simplex(1)
-    assert len(enumerate_maps(d1, d1, max_candidates=9)) == 3
+    assert len(enumerate_maps(d1, d1, max_candidates=3)) == 3
     with pytest.raises(EnumerationLimit):
-        enumerate_maps(d1, d1, max_candidates=8)
+        enumerate_maps(d1, d1, max_candidates=2)
 
 
 @pytest.mark.parametrize(
@@ -374,11 +348,11 @@ def test_fixed_images_are_extended_and_cost_no_candidates():
     assert [f.images for f in got] == [
         f.images for f in enumerate_maps(d1, d1) if f.images["0"] == pinned["0"]
     ]
-    # two images of the free vertex and one edge over 1 -> 1 are tried,
-    # where the search without the pin tries 9
-    assert len(enumerate_maps(d1, d1, max_candidates=3, fixed=pinned)) == 1
+    # only the one edge out of 1 is tried, where the search without the pin
+    # tries all 3
+    assert len(enumerate_maps(d1, d1, max_candidates=1, fixed=pinned)) == 1
     with pytest.raises(EnumerationLimit):
-        enumerate_maps(d1, d1, max_candidates=2, fixed=pinned)
+        enumerate_maps(d1, d1, max_candidates=0, fixed=pinned)
 
 
 def test_fixed_images_must_form_a_map_on_a_subcomplex():

@@ -4,17 +4,15 @@ fillers of Λ²₁."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_posets, circle, two_sphere
-from ssetkit import function_complex
+from conftest import all_posets, circle, scan_maps, two_sphere
 from ssetkit.build import product
 from ssetkit.errors import EnumerationLimit, ValidationError
 from ssetkit.excision import reduced_suspension
-from ssetkit.function_complex import enumerate_maps
+from ssetkit.function_complex import _search, enumerate_maps
 from ssetkit.nerve import Preorder, nerve_category, nerve_preorder, square_category
 from ssetkit.quasicat import (
     HornMap,
     QcatVerdict,
-    _horn_walls,
     _wall_index,
     horn_fillers,
     is_quasicategory_up_to,
@@ -63,11 +61,11 @@ def _scan_compositions(C, f, g):
 
 
 def _scan_verdict(C, d):
-    """Reference verdict: the first horn map, in enumeration order, that the
-    reference filler search cannot fill."""
+    """Reference verdict: the first horn map, in the order of the reference
+    map scan, that the reference filler search cannot fill."""
     for n in range(2, d + 1):
         for i in range(1, n):
-            for assignment in enumerate_maps(horn(n, i), C):
+            for assignment in scan_maps(horn(n, i), C):
                 hm = HornMap(n, i, C, assignment)
                 if not _scan_fillers(hm):
                     return QcatVerdict(False, d, hm)
@@ -277,13 +275,13 @@ def poset_nerves(draw):
 
 
 def _walls_of_horn_maps(C, n, i):
-    """The walls of every map Λⁿᵢ -> C the map search lists, as positions in
-    ``C.level(n - 1)`` in descending j (the walls' names in name order)."""
+    """The walls of every map Λⁿᵢ -> C the reference scan lists, as positions
+    in ``C.level(n - 1)`` in descending j (the walls' names in name order)."""
     L = horn(n, i)
     position = C.level(n - 1)[1]
     return sorted(
         tuple(position[f.images[w]] for w in L.nondeg(n - 1))
-        for f in enumerate_maps(L, C)
+        for f in scan_maps(L, C)
     )
 
 
@@ -292,7 +290,8 @@ def _walls_of_horn_maps(C, n, i):
 def test_wall_search_lists_the_walls_of_every_horn_map(C):
     for n in range(2, 5):
         for i in range(1, n):
-            assert sorted(_horn_walls(C, n, i, 10**6)) == _walls_of_horn_maps(C, n, i)
+            found = _search(horn(n, i), C, 10**6, {})[0]
+            assert sorted(found) == _walls_of_horn_maps(C, n, i)
 
 
 @pytest.mark.parametrize(
@@ -313,15 +312,22 @@ def test_least_budget_of_the_wall_search_is_pinned(C, d, least):
         is_quasicategory_up_to(C, d, max_candidates=least - 1)
 
 
-def test_verdicts_run_no_map_search(monkeypatch):
+def test_verdicts_build_no_map_but_the_witness(monkeypatch):
+    # the search finds each horn map as its wall tuple; only the witness is
+    # built as an ``SSetMap``
     want = _scan_verdict(boundary(3), 3)
+    built = []
+    init = SSetMap.__init__
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the inner-horn check ran the map search")
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(function_complex, "enumerate_maps", refuse)
+    monkeypatch.setattr(SSetMap, "__init__", counting)
     assert is_quasicategory_up_to(standard_simplex(4), 4).ok
+    assert built == []
     got = is_quasicategory_up_to(boundary(3), 3)
     assert not got.ok
+    assert built == [horn(3, 1)]
     assert (got.witness.n, got.witness.i) == (want.witness.n, want.witness.i) == (3, 1)
     assert got.witness.assignment == want.witness.assignment
