@@ -1,5 +1,29 @@
 """Cylinders, suspensions, homotopy pushouts, and Mayer-Vietoris.
 
+The reduced suspension ΣX of a pointed X is the cylinder X × Δ¹ with both
+ends and the basepoint line collapsed to the basepoint, but it is written
+down straight from the cells of X: no cylinder, pullback, pushout or
+quotient is built.  By the Eilenberg-Zilber lemma the nondegenerate cells
+of the cylinder are the pairs ``(s_I x, s_J b)`` of nondegenerate x and b
+with disjoint degeneracy words, and those outside the collapsed part have
+b = ι, the edge of Δ¹.  So each nondegenerate m-simplex x other than the
+basepoint gives
+
+- m cells ``(x, s_J ι)`` of dimension m, J in ``degeneracy_words(m, 1)``;
+- m + 1 prism cells ``(s_i x, s_{J_i} ι)`` of dimension m + 1, for
+  i = 0..m, where J_i is {0..m} without i, in decreasing order.
+
+Level k lists its cells in the cylinder's pair order, sorted by (I, name
+of x, J), and names them ``g{k}_{idx}`` (``build._level_names``): the names
+the quotient of the cylinder gives them.  ``g0_0`` is the basepoint and the
+only vertex.  The face d_i of ``(s_I x, s_J ι)`` is d_i of each side, from
+the stored faces of X and ``delta.face_of_word`` on both words.  It is the
+basepoint, degenerated to dimension k - 1, when the Δ¹ side passes onto a
+vertex of ι or the X side lies on the basepoint; otherwise it is the pair
+of the two faces, normalised as in ``build._pair_simplex``: the positions
+both words share are stripped and the pair left is named.  The cone and
+the unreduced suspension still collapse the cylinder by ``quotient``.
+
 The homotopy pushout of a span ``U <- W -> V`` is modeled by the double
 mapping cylinder, built by two gluings along the ends of the cylinder
 ``W x Δ¹``: first ``U`` along the end ``W x 0``, then ``V`` along the end
@@ -23,12 +47,13 @@ from dataclasses import dataclass, field
 from .build import (
     PullbackResult,
     PushoutResult,
-    QuotientResult,
     product,
     pushout,
     quotient,
     sset_pullback,
+    _level_names,
     _point_simplex,
+    _strip,
 )
 from .chain import (
     ChainMap,
@@ -45,6 +70,7 @@ from .chain import (
     zero_complex,
     zero_map,
 )
+from .delta import degeneracy_words, face_of_word
 from .errors import ValidationError
 from .groups import HomologyGroup, PresentedGroup, exact_at
 from .intmat import IntMat, solve
@@ -151,59 +177,101 @@ def unreduced_suspension(X: FiniteSSet) -> FiniteSSet:
 
 @dataclass
 class SuspensionData:
-    """Reduced suspension together with its cylinder bookkeeping."""
+    """The reduced suspension of a pointed ``source``, with the positions of
+    the prism cells of each of its simplices (see ``comparison``)."""
 
     space: FiniteSSet  # pointed
-    cylinder: PullbackResult
-    collapse: QuotientResult
+    source: FiniteSSet  # pointed
+    _prism: dict = field(repr=False)  # name -> positions of its prism cells
 
     def comparison(self, k: int) -> IntMat:
         """The prism comparison Ñ_k(X) -> Ñ_{k+1}(ΣX) of the suspended X.
 
-        A k-simplex x sweeps out the (k+1)-chain sum of its degenerate lifts
-        s_i x paired with the staircase simplices of the interval, with
-        alternating signs and a degree twist that makes the assignment
-        commute with the boundaries once both cylinder ends die in the
-        suspension quotient.  Columns follow the reduced chain basis of X in
-        degree k, rows that of ΣX in degree k + 1.
+        A k-simplex x sweeps out the (k+1)-chain sum of its prism cells
+        ``(s_i x, s_{J_i} ι)``, i = 0..k, the staircases of x × Δ¹, with the
+        sign (-1)^(k+i): alternating signs and a degree twist that make the
+        assignment commute with the boundaries once both cylinder ends die
+        in the suspension.  The prism cells of a simplex other than the
+        basepoint are cells of ΣX, each of its own, so the comparison is a
+        signed selection: column x has the entry (-1)^(k+i) in the row of
+        its i-th prism cell and nothing else.  Columns follow the reduced
+        chain basis of X in degree k, rows that of ΣX in degree k + 1.
         """
-        X = self.cylinder.proj_left.target
-        rows = chain_basis(self.space, k + 1, reduced=True)
-        index = {name: r for r, name in enumerate(rows)}
-        columns = []
-        for name in chain_basis(X, k, reduced=True):
-            col: dict[int, int] = {}
-            for i in range(k + 1):
-                # The staircase sends 0..i to 0 and the rest to 1: the edge
-                # degenerated at every index but i.
-                word = tuple(j for j in range(k, -1, -1) if j != i)
-                lift = self.cylinder.pair_simplex(
-                    Simplex((i,), name, k + 1), Simplex(word, "01", k + 1)
-                )
-                img = self.collapse.projection.apply(lift)
-                if not img.is_degenerate:
-                    row = index[img.base]
-                    col[row] = col.get(row, 0) + (-1 if (k + i) % 2 else 1)
-            columns.append({r: x for r, x in col.items() if x})
-        return IntMat.of_columns(len(rows), columns)
+        rows = len(chain_basis(self.space, k + 1, reduced=True))
+        signs = [-1 if (k + i) % 2 else 1 for i in range(k + 1)]
+        columns = [
+            dict(zip(self._prism[name], signs))
+            for name in chain_basis(self.source, k, reduced=True)
+        ]
+        return IntMat.of_columns(rows, columns)
 
 
 def reduced_suspension_data(X: FiniteSSet) -> SuspensionData:
+    """ΣX written down cell by cell from the cells of X, with its prism cells.
+
+    Level k lists its cells in the cylinder's pair order (I, x, J), first
+    the cells (x, s_J ι) of the k-simplices, then the prism cells
+    (s_i x, s_{J_i} ι) of the (k-1)-simplices, i increasing.  A face is the
+    pair of the faces of both sides, normalised as in the cylinder, unless
+    it lies in the collapsed subcomplex: then it is the basepoint.
+    """
     if X.basepoint is None:
         raise ValidationError("reduced suspension needs a basepoint")
-    pr = cylinder(X)
-    collapse_names = _end_names(pr, "0") | _end_names(pr, "1")
-    collapse_names |= {
-        name for name in pr.space.names
-        if pr.components(name)[0].base == X.basepoint
-    }
-    A = subcomplex(pr.space, collapse_names)
-    q = quotient(pr.space, A)
-    return SuspensionData(q.space, pr, q)
+    point = _level_names("g", 0, 1)[0]
+    cells = [[point]]
+    faces: dict[str, tuple[Simplex, ...]] = {}
+    name_of: dict = {}  # (I, x, J) of a cell (s_I x, s_J ι) -> its name
+    prism: dict[str, list[int]] = {}  # x -> positions of its prism cells
+    for k in range(1, X.top_dim + 2):
+        words = sorted(degeneracy_words(k, 1))
+        pairs = [((), x, J) for x in X.nondeg(k) for J in words]
+        pairs += [
+            ((i,), x, tuple(j for j in range(k - 1, -1, -1) if j != i))
+            for i in range(k)
+            for x in X.nondeg(k - 1)
+            if x != X.basepoint
+        ]
+        names = _level_names("g", k, len(pairs))
+        cells.append(names)
+        collapsed = _point_simplex(point, k - 1)
+        memo: dict = {}  # (face of s_I x, word of the face of s_J ι) -> face
+        for pos, ((I, x, J), name) in enumerate(zip(pairs, names)):
+            name_of[I, x, J] = name
+            if I:
+                prism.setdefault(x, []).append(pos)
+                x_faces = [X.face(Simplex(I, x, k), i) for i in range(k + 1)]
+            else:
+                x_faces = X.faces[x]
+            out = []
+            for i, fx in enumerate(x_faces):
+                word, j = face_of_word(J, k, i)
+                # On a vertex of ι, or over the basepoint: collapsed.
+                if j is not None or fx.base == X.basepoint:
+                    out.append(collapsed)
+                    continue
+                face = memo.get((fx, word))
+                if face is None:
+                    # s_shared of the pair left once the collapse positions
+                    # both words share are undone
+                    shared = tuple(s for s in fx.degeneracies if s in word)
+                    core = (_strip(fx.degeneracies, shared), fx.base, _strip(word, shared))
+                    face = memo[fx, word] = Simplex(shared, name_of[core], k - 1)
+                out.append(face)
+            faces[name] = tuple(out)
+    space = FiniteSSet(cells, faces, basepoint=point, check=False)
+    return SuspensionData(space, X, prism)
 
 
 def reduced_suspension(X: FiniteSSet) -> FiniteSSet:
-    """Cylinder modulo both ends and the basepoint line, in one collapse."""
+    """The cylinder X × Δ¹ modulo both ends and the basepoint line.
+
+    Its cells are the pairs ``(x, s_J ι)`` and the prism cells
+    ``(s_i x, s_{J_i} ι)`` of the simplices x of X other than the
+    basepoint, named in the cylinder's pair order, with the basepoint
+    ``g0_0``; the faces come from those of X (see the module docstring).
+    Nothing is collapsed: the cells that the quotient would collapse are
+    never listed.
+    """
     return reduced_suspension_data(X).space
 
 

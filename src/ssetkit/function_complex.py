@@ -169,19 +169,30 @@ def _search(X: FiniteSSet, Y: FiniteSSet, guard: int, fixed: dict[str, Simplex])
     found: list[tuple[int, ...]] = []
     tried = 0
 
-    def place(s: int) -> None:
-        nonlocal tried
-        if s == len(tops):
-            found.append(tuple(placed))
-            return
-        for pos in buckets[s].get(tuple([tab[placed[src]] for src, tab in readers[s]]), ()):
+    def candidates(s: int):
+        """The images top cell s may take given those placed before it."""
+        return iter(buckets[s].get(tuple([tab[placed[src]] for src, tab in readers[s]]), ()))
+
+    # Depth first on an explicit stack of candidate iterators, one per top
+    # cell being placed, so that a source of any number of top cells is
+    # searched without recursion.  A source with no top cell to place has
+    # the one map that ``fixed`` gives.
+    stack = [candidates(0)] if tops else []
+    if not tops:
+        found.append(())
+    while stack:
+        s = len(stack) - 1
+        for pos in stack[-1]:
             tried += 1
             if tried > guard:
                 raise EnumerationLimit(f"map search exceeded {guard} candidate assignments")
             placed[s] = pos
-            place(s + 1)
-
-    place(0)
+            if s + 1 < len(tops):
+                stack.append(candidates(s + 1))
+                break
+            found.append(tuple(placed))
+        else:
+            stack.pop()
     free = [(k, name) for k in range(X.top_dim + 1) for name in X.cells[k] if name not in fixed]
 
     def row(top_positions: tuple[int, ...]) -> tuple[int, ...]:

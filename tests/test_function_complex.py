@@ -313,6 +313,18 @@ def test_least_budget_of_each_search_is_pinned(X, Y, least, count):
         enumerate_maps(X, Y, max_candidates=least - 1)
 
 
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # each vertex of a discrete space is a top cell of its own: 1,200 top
+    # cells, more than the default recursion limit, one map into the point
+    X = FiniteSSet([[f"v{i:04d}" for i in range(1200)]], {})
+    maps = enumerate_maps(X, standard_simplex(0))
+    assert len(maps) == 1
+    assert set(maps[0].images.values()) == {Simplex((), "0", 0)}
+    assert len(enumerate_maps(X, standard_simplex(0), max_candidates=1200)) == 1
+    with pytest.raises(EnumerationLimit):
+        enumerate_maps(X, standard_simplex(0), max_candidates=1199)
+
+
 def test_enumeration_budget_counts_matching_candidates_only():
     # Delta^1 -> Delta^1: the edge is the one top cell, and its 3 candidate
     # images are the 3 edges of Delta^1; its vertices are read off it.

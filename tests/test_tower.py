@@ -1,8 +1,11 @@
 """Stage evaluators, towers, stabilization, and the collapse computation."""
 
+import pathlib
+
 import pytest
 
 from conftest import four_test_spaces
+from ssetkit import build, cli, excision
 from ssetkit.chain import homology, homology_table, quasi_iso
 from ssetkit.errors import StabilizationError, ValidationError
 from ssetkit.simplicial_chains import normalized_chains
@@ -150,3 +153,37 @@ def test_mock_value_invariant_beyond_stabilization():
     X = four_test_spaces()["S1"]
     for N in (3, 4, 5):
         assert p1_approximation(F, X, N).is_zero_complex()
+
+
+GOLDEN = pathlib.Path(__file__).parent.parent / "perfbench" / "data" / "expected"
+
+
+class _Refused(Exception):
+    pass
+
+
+def _refuse(*args, **kwargs):
+    raise _Refused("a tower stage built a product, pullback, pushout or quotient")
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["tower", "reduced_chains", "circle", "-N", "4", "--json"], "tower-circle-4"),
+        (["tower", "reduced_chains", "s2", "-N", "3", "--json"], "tower-s2-3"),
+        (["tower", "l1_mock", "s2", "-N", "3", "--json", "--assert"], "tower-l1mock-s2-3"),
+    ],
+)
+def test_towers_suspend_without_products_or_quotients(monkeypatch, capsys, argv, golden):
+    # The base spaces are quotients, so they are built before the
+    # constructions are refused; every suspension of the tower is then
+    # written down from cells alone.
+    spheres = {1: cli._sphere(1), 2: cli._sphere(2)}
+    monkeypatch.setitem(cli._BUILTINS, "circle", (0, lambda: spheres[1]))
+    monkeypatch.setitem(cli._BUILTINS, "s", (1, spheres.__getitem__))
+    for name in ("_pullback", "pushout", "quotient"):
+        monkeypatch.setattr(build, name, _refuse)
+    for name in ("product", "pushout", "quotient", "sset_pullback"):
+        monkeypatch.setattr(excision, name, _refuse)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{golden}.json").read_text(encoding="utf-8")

