@@ -71,7 +71,6 @@ from .function_complex import (
     enumerate_maps,
     internal_hom_truncated,
     mapping_space,
-    standard_map,
 )
 from .groups import HomologyGroup, PresentedGroup
 from .intmat import IntMat

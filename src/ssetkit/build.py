@@ -10,11 +10,11 @@ result type; product cells keep their own ``p`` name prefix.
 
 A pullback works on positions.  Each level sorts the simplices ``s_I a``
 and ``s_J b`` of either side by word, then base, so a pair is a pair of
-positions, and the pairs are listed in the order of ``_canon_key`` without
-sorting them.  Each side computes the faces of each of its simplices once,
-as positions in a list of distinct faces, and each distinct pair of faces
-is normalised to a simplex of the pullback once, so a face is a lookup
-keyed on two ints.  The pairs are counted against
+positions, and the pairs are listed in the order of ``(I, a, J, b)``
+without sorting them.  Each side computes the faces of each of its
+simplices once, as positions in a list of distinct faces, and each
+distinct pair of faces is normalised to a simplex of the pullback once, so
+a face is a lookup keyed on two ints.  The pairs are counted against
 ``DEFAULT_MAX_CANDIDATES`` before any level is built.
 
 Pushouts are taken along an injective leg ``A -> Y``: the nondegenerate
@@ -22,10 +22,6 @@ simplices of ``X u_A Y`` are those of ``X`` plus those of ``Y`` outside
 ``A``.  Disjoint unions are pushouts over the empty set, and the quotient
 ``X/A`` is the pushout of ``X`` and the point along ``A``.  The gluing
 memoises the image of every face it renames, on both sides.
-
-Only the function complexes still materialize every simplex of a level,
-degenerate ones included, and strip the result back to a nondegenerate
-presentation through ``_extract``.
 
 Each construction is valid by construction on valid inputs, so its space
 and maps, and the maps a pushout or pullback induces from a commuting cone,
@@ -78,16 +74,6 @@ def _budget(max_candidates: int | None) -> int:
     return max_candidates
 
 
-def _canon_key(e):
-    if isinstance(e, Simplex):
-        return ("s", e.dim, e.degeneracies, e.base)
-    if isinstance(e, SSetMap):
-        return ("m",) + tuple((n, _canon_key(s)) for n, s in e.key())
-    if isinstance(e, tuple):
-        return ("t",) + tuple(_canon_key(x) for x in e)
-    return ("a", e)
-
-
 def _level_names(prefix: str, k: int, count: int) -> list[str]:
     """The names ``{prefix}{k}_{idx}`` of a level of ``count`` cells, the
     indices zero-padded to one width."""
@@ -98,50 +84,6 @@ def _level_names(prefix: str, k: int, count: int) -> list[str]:
 def _point_simplex(name: str, k: int) -> Simplex:
     """The k-fold degenerate vertex ``name``."""
     return Simplex(tuple(range(k - 1, -1, -1)), name, k)
-
-
-@dataclass
-class Extraction:
-    """A nondegenerate presentation of a levelwise system of simplices."""
-
-    space: FiniteSSet
-    to_simplex: dict  # (dim, element) -> Simplex
-    from_name: dict  # name -> element
-
-    def simplex_of(self, k: int, elem) -> Simplex:
-        return self.to_simplex[(k, elem)]
-
-
-def _extract(system, top: int, prefix: str = "c") -> Extraction:
-    to_simplex: dict = {}
-    cells: list[list[str]] = []
-    faces: dict[str, tuple[Simplex, ...]] = {}
-    from_name: dict = {}
-    for k in range(top + 1):
-        elems = sorted(system.elements(k), key=_canon_key)
-        nondeg = []
-        for e in elems:
-            witness = None
-            for i in range(k):
-                d = system.face(k, e, i)
-                if system.degeneracy(k - 1, d, i) == e:
-                    witness = (i, d)
-                    break
-            if witness is None:
-                nondeg.append(e)
-            else:
-                i, d = witness
-                to_simplex[(k, e)] = to_simplex[(k - 1, d)].degenerate((i,))
-        level = _level_names(prefix, k, len(nondeg))
-        for e, name in zip(nondeg, level):
-            to_simplex[(k, e)] = Simplex((), name, k)
-            from_name[name] = e
-            if k > 0:
-                faces[name] = tuple(
-                    to_simplex[(k - 1, system.face(k, e, i))] for i in range(k + 1)
-                )
-        cells.append(level)
-    return Extraction(FiniteSSet(cells, faces, check=False), to_simplex, from_name)
 
 
 # -- pushouts and quotients -----------------------------------------------
@@ -350,7 +292,7 @@ def _compatible(p: SSetMap, q: SSetMap, k: int):
     over the same image in the base whose words J are disjoint from I.  A
     bucket holds one word and the buckets come in increasing words, so
     reading them in turn lists the pairs of the level in the order of
-    ``(I, a, J, b)``, the order of ``_canon_key``.
+    ``(I, a, J, b)``.
     """
     A, B = p.source, q.source
     sas = _level_simplices(A, k, B.top_dim)

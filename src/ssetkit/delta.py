@@ -17,7 +17,7 @@ and the word operations on the words of each table entry they compute.
 
 ``MonotoneMap`` is the validated value of a general map ``[dom] -> [cod]``,
 given by its value table, and :func:`epi_mono_factor` is its one bridge
-into words: it is how ``FiniteSSet.act`` and ``standard_map`` read a map.
+into words: it is how ``FiniteSSet.act`` reads a map.
 """
 
 from __future__ import annotations

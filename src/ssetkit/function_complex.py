@@ -19,21 +19,26 @@ the same search on each horn, whose top cells are its walls
 (``quasicat.is_quasicategory_up_to``).
 
 Function complexes are genuine simplicial sets of maps: a k-simplex of
-hom(X, Y) is a map X x Delta^k -> Y.  They can be nonempty in every
-dimension, hence the mandatory truncation.  The face d_i and the degeneracy
-s_i of a k-simplex h precompose h with id_X x alpha, where alpha is the map
-of standard simplices classifying a simplex of Delta^k: the face missing
-vertex i for d_i, and s_i of the top simplex for s_i.  Such a map is read
-off the faces of the simplex it classifies, so no monotone map is built.
-The mapping space between two vertices is the simplicial subset of
-hom(Delta^1, C) whose maps are constant at those vertices on the two ends
-of the prism: the search starts from those ends and extends them.
+hom(X, Y) is a map P_k = X x Delta^k -> Y.  They can be nonempty in every
+dimension, hence the mandatory truncation.  Each level is the list of maps
+the search finds into ``Y``, under the same budget, each held as the tuple
+of its images in the name order of P_k.  The face d_i of a k-simplex is its
+restriction along id_X x delta_i, which sends every nondegenerate cell of
+P_(k-1) to a nondegenerate cell of P_k, so a face reindexes the tuple
+through a table; s_i restricts along id_X x sigma_i, whose table also
+carries a degeneracy word per cell.  Each table is read off the pair of
+each cell (``PullbackResult.pair_simplex``), once, when a level first needs
+it.  A k-simplex e is degenerate when s_i d_i e = e for some i < k, and is
+then s_i of its face d_i e; the others are named in the order of the
+(word, base) of their images.  The mapping space between two vertices is
+the simplicial subset of hom(Delta^1, C) whose maps are constant at those
+vertices on the two ends of the prism: the search starts from those ends
+and extends them.
 """
 
 from __future__ import annotations
 
-from .build import _budget, _extract, _point_simplex, product
-from .delta import MonotoneMap, epi_mono_factor
+from .build import _budget, _level_names, _point_simplex, product
 from .errors import EnumerationLimit, ValidationError
 from .sset import (
     FiniteSSet,
@@ -47,7 +52,6 @@ from .sset import (
 
 __all__ = [
     "enumerate_maps",
-    "standard_map",
     "internal_hom_truncated",
     "mapping_space",
 ]
@@ -214,88 +218,80 @@ def _search(X: FiniteSSet, Y: FiniteSSet, guard: int, fixed: dict[str, Simplex])
     return found, row, as_map
 
 
-def standard_map(alpha: MonotoneMap) -> SSetMap:
-    """The map of standard simplices induced by a monotone map.
+def _function_complex(
+    X: FiniteSSet,
+    Y: FiniteSSet,
+    d: int,
+    max_candidates: int | None,
+    prefix: str,
+    ends: dict[str, str] | None = None,
+) -> FiniteSSet:
+    """Levels 0 to ``d`` of ``Y^X``, as the module docstring describes,
+    named ``{prefix}{k}_{idx}``.  With ``ends``, from vertices of ``X`` to
+    vertices of ``Y``, only the maps constant on each of those ends."""
+    ends = ends or {}
+    prisms: list[tuple] = []  # per k: P_k, its names, the position of each
+    tables: dict = {}  # (sx, cod) -> per cell, (position, word) of its image
 
-    It classifies the simplex ``s_J v`` of ``Delta^cod``, for ``alpha``
-    factored as the degeneracy word ``J`` followed by the face ``v`` of
-    ``Delta^cod`` on the image of ``alpha``.
-    """
-    dword, fword = epi_mono_factor(alpha)
-    image = tuple(v for v in range(alpha.cod + 1) if v not in fword)
-    sx = Simplex(dword, _subset_name(image), alpha.dom)
-    return simplex_as_map(standard_simplex(alpha.cod), sx)
-
-
-class _HomSystem:
-    """Levelwise system whose k-elements are maps ``X x Delta^k -> Y``."""
-
-    def __init__(self, X: FiniteSSet, Y: FiniteSSet, max_candidates: int | None):
-        self.X = X
-        self.Y = Y
-        self.max_candidates = max_candidates
-        self._products: dict[int, object] = {}
-        self._cross: dict[tuple[Simplex, int], SSetMap] = {}
-
-    def prism(self, k: int):
-        if k not in self._products:
-            self._products[k] = product(self.X, standard_simplex(k))
-        return self._products[k]
-
-    def cross(self, sx: Simplex, cod: int) -> SSetMap:
-        """``id_X x alpha`` between the prism spaces, for the monotone map
+    def pull(e: tuple[Simplex, ...], sx: Simplex, cod: int) -> tuple[Simplex, ...]:
+        """``e`` restricted along ``id_X x alpha``, for the monotone map
         ``alpha`` into ``[cod]`` that classifies the simplex ``sx`` of
         ``Delta^cod``."""
-        key = (sx, cod)
-        if key not in self._cross:
-            src = self.prism(sx.dim)
-            dst = self.prism(cod)
+        if (sx, cod) not in tables:
+            src, names, _ = prisms[sx.dim]
+            dst, _, position = prisms[cod]
             alpha = simplex_as_map(standard_simplex(cod), sx)
-            self._cross[key] = dst.induced(
-                src.proj_left, alpha.compose(src.proj_right)
-            )
-        return self._cross[key]
+            table = []
+            for name in names:
+                a, b = src.components(name)
+                image = dst.pair_simplex(a, alpha.apply(b))
+                table.append((position[image.base], image.degeneracies))
+            tables[sx, cod] = table
+        return tuple(e[p].degenerate(w) for p, w in tables[sx, cod])
 
-    def elements(self, k: int):
-        return enumerate_maps(self.prism(k).space, self.Y, self.max_candidates)
-
-    def face(self, k: int, h: SSetMap, i: int) -> SSetMap:
-        # d_i classifies the (k-1)-face of Delta^k that misses vertex i.
-        wall = _subset_name(tuple(v for v in range(k + 1) if v != i))
-        return h.compose(self.cross(Simplex((), wall, k - 1), k))
-
-    def degeneracy(self, k: int, h: SSetMap, i: int) -> SSetMap:
-        # s_i classifies s_i of the top simplex of Delta^k.
-        top = _subset_name(tuple(range(k + 1)))
-        return h.compose(self.cross(Simplex((i,), top, k + 1), k))
-
-
-class _FiberSystem(_HomSystem):
-    """The maps ``Delta^1 x Delta^k -> C`` that are constant at ``x`` on
-    ``0 x Delta^k`` and at ``y`` on ``1 x Delta^k``.
-
-    Faces and degeneracies act on the ``Delta^k`` factor only, so they keep
-    both ends constant: these maps form a simplicial subset of
-    hom(Delta^1, C).
-    """
-
-    def __init__(self, C: FiniteSSet, x: str, y: str, max_candidates: int | None):
-        super().__init__(standard_simplex(1), C, max_candidates)
-        self.ends = {"0": x, "1": y}
-
-    def end_images(self, k: int) -> dict[str, Simplex]:
-        """The images of the cells on the two ends of the k-th prism."""
-        # The cells of an end are those projecting onto a vertex of Delta^1.
-        return {
-            name: _point_simplex(self.ends[sx.base], sx.dim)
-            for name, sx in self.prism(k).proj_left.images.items()
-            if sx.base in self.ends
+    cells: list[list[str]] = []
+    faces: dict[str, tuple[Simplex, ...]] = {}
+    below: dict[tuple[Simplex, ...], Simplex] = {}  # level k - 1
+    for k in range(d + 1):
+        P = product(X, standard_simplex(k))
+        names = sorted(P.space.names)
+        prisms.append((P, names, {name: p for p, name in enumerate(names)}))
+        fixed = {
+            name: _point_simplex(ends[a.base], a.dim)
+            for name, a in P.proj_left.images.items()
+            if a.base in ends
         }
-
-    def elements(self, k: int):
-        return enumerate_maps(
-            self.prism(k).space, self.Y, self.max_candidates, self.end_images(k)
-        )
+        found = [
+            tuple(h.images[name] for name in names)
+            for h in enumerate_maps(P.space, Y, max_candidates, fixed)
+        ]
+        found.sort(key=lambda e: [(sx.degeneracies, sx.base) for sx in e])
+        # d_i misses vertex i of Delta^k; s_i is s_i of the top simplex of
+        # Delta^(k-1).
+        walls = [
+            Simplex((), _subset_name(tuple(v for v in range(k + 1) if v != i)), k - 1)
+            for i in range(k + 1)
+        ]
+        top = _subset_name(tuple(range(k)))
+        degens = [Simplex((i,), top, k) for i in range(k)]
+        here: dict[tuple[Simplex, ...], Simplex] = {}
+        nondeg = []
+        for e in found:
+            for i in range(k):
+                face = pull(e, walls[i], k)
+                if pull(face, degens[i], k - 1) == e:
+                    here[e] = below[face].degenerate((i,))
+                    break
+            else:
+                nondeg.append(e)
+        level = _level_names(prefix, k, len(nondeg))
+        for e, name in zip(nondeg, level):
+            here[e] = Simplex((), name, k)
+            if k:
+                faces[name] = tuple(below[pull(e, wall, k)] for wall in walls)
+        cells.append(level)
+        below = here
+    return FiniteSSet(cells, faces, check=False)
 
 
 def internal_hom_truncated(
@@ -304,7 +300,7 @@ def internal_hom_truncated(
     """The function complex ``Y^X`` up to dimension ``d``."""
     if d < 0:
         raise ValidationError(f"truncation dimension {d} is negative")
-    return _extract(_HomSystem(X, Y, max_candidates), d, prefix="h").space
+    return _function_complex(X, Y, d, max_candidates, "h")
 
 
 def mapping_space(
@@ -322,4 +318,6 @@ def mapping_space(
             raise ValidationError(f"{v!r} is not a vertex of the target")
     if d < 0:
         raise ValidationError(f"truncation dimension {d} is negative")
-    return _extract(_FiberSystem(C, x, y, max_candidates), d, prefix="f").space
+    return _function_complex(
+        standard_simplex(1), C, d, max_candidates, "f", ends={"0": x, "1": y}
+    )

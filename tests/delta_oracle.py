@@ -3,8 +3,8 @@
 The package runs the simplex category on degeneracy and face words
 (``ssetkit.delta``).  These functions compose, factor and enumerate
 ``MonotoneMap`` values directly, so the tests can check every word rewrite,
-the operator action of a simplicial set and the Dold-Kan operators against
-plain composition of functions.
+the operator action of a simplicial set, the maps of standard simplices and
+the Dold-Kan operators against plain composition of functions.
 """
 
 from itertools import combinations, combinations_with_replacement
@@ -12,7 +12,7 @@ from itertools import combinations, combinations_with_replacement
 from ssetkit.delta import MonotoneMap, epi_mono_factor
 from ssetkit.errors import ValidationError
 from ssetkit.intmat import IntMat
-from ssetkit.sset import Simplex
+from ssetkit.sset import SSetMap, Simplex, _subset_name, simplex_as_map, standard_simplex
 
 
 def identity(n: int) -> MonotoneMap:
@@ -123,6 +123,19 @@ def act(X, sx: Simplex, alpha: MonotoneMap) -> Simplex:
     for i in reversed(fword):
         cur = X.face(cur, i)
     return cur.degenerate(dword)
+
+
+def standard_map(alpha: MonotoneMap) -> SSetMap:
+    """The map of standard simplices induced by a monotone map.
+
+    It classifies the simplex ``s_J v`` of ``Delta^cod``, for ``alpha``
+    factored as the degeneracy word ``J`` followed by the face ``v`` of
+    ``Delta^cod`` on the image of ``alpha``.
+    """
+    dword, fword = epi_mono_factor(alpha)
+    image = tuple(v for v in range(alpha.cod + 1) if v not in fword)
+    sx = Simplex(dword, _subset_name(image), alpha.dom)
+    return simplex_as_map(standard_simplex(alpha.cod), sx)
 
 
 # -- Dold-Kan --------------------------------------------------------------------

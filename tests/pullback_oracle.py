@@ -1,13 +1,14 @@
 """Reference pullback: pairs listed and faces computed one cell at a time.
 
 Each level lists the compatible pairs ``(s_I a, s_J b)`` of nondegenerate
-``a`` and ``b`` with disjoint words, sorts them by ``_canon_key`` and names
+``a`` and ``b`` with disjoint words, sorts them by ``canon_key`` and names
 them in that order; each face of a pair is the pair of the two faces,
 normalised on the spot.  ``ssetkit.build`` computes the same pullback with
 each face list built once per simplex and each face pair normalised once.
 """
 
-from ssetkit.build import PullbackResult, _canon_key
+from extraction_oracle import canon_key
+from ssetkit.build import PullbackResult
 from ssetkit.delta import degeneracy_words
 from ssetkit.sset import FiniteSSet, SSetMap, Simplex
 
@@ -51,7 +52,7 @@ def oracle_pullback(p: SSetMap, q: SSetMap, prefix: str) -> PullbackResult:
     A, B = p.source, q.source
     cells, faces, name_of = [], {}, {}
     for k in range(A.top_dim + B.top_dim + 1):
-        pairs = sorted(_pairs(p, q, k), key=_canon_key)
+        pairs = sorted(_pairs(p, q, k), key=canon_key)
         width = len(str(max(len(pairs) - 1, 0)))
         level = []
         for idx, (sa, sb) in enumerate(pairs):

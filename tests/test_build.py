@@ -3,11 +3,10 @@
 import pytest
 
 from conftest import check_simplicial_identities, circle, two_sphere
+from extraction_oracle import canon_key, extract
 from pullback_oracle import oracle_pullback
 from ssetkit import build
 from ssetkit.build import (
-    _canon_key,
-    _extract,
     disjoint_union,
     product,
     pushout,
@@ -246,7 +245,7 @@ class _PairSystem:
 def _assert_pullback_matches_extraction(pb, prefix):
     p, q = pb.leg_left, pb.leg_right
     top = max(p.source.top_dim + q.source.top_dim, -1)
-    ext = _extract(_PairSystem(p, q), top, prefix=prefix)
+    ext = extract(_PairSystem(p, q), top, prefix=prefix)
     assert pb.space.cells == ext.space.cells
     assert pb.space.faces == ext.space.faces
     assert {name: pb.components(name) for name in pb.space.names} == ext.from_name
@@ -317,7 +316,7 @@ class _PushoutSystem:
         ra, rb = self.canon(a), self.canon(b)
         if ra != rb:
             # Keep the canonically smaller element as representative.
-            if _canon_key(rb) < _canon_key(ra):
+            if canon_key(rb) < canon_key(ra):
                 ra, rb = rb, ra
             self.parent[rb] = ra
 
@@ -344,7 +343,7 @@ def _oracle_pushout(f, g):
     """The union-find pushout and the images of both targets in it."""
     top = max(f.target.top_dim, g.target.top_dim)
     system = _PushoutSystem(f, g, max(top, 0))
-    ext = _extract(system, top, prefix="g")
+    ext = extract(system, top, prefix="g")
 
     def leg(side, X):
         images = {

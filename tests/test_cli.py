@@ -534,3 +534,33 @@ def test_negative_max_enum_exits_two_naming_the_flag(tmp_path, capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: manifest task 0: {message}\n"
+
+
+ROOT = pathlib.Path(__file__).parent.parent
+GOLDEN = ROOT / "perfbench" / "data" / "expected"
+
+
+@pytest.mark.parametrize(
+    "golden, argv, code",
+    [
+        ("counterexample", ["counterexample", "--json", "--assert"], 0),
+        ("excision-interval", ["excision", "interval-collapse", "--json", "--assert"], 0),
+        (
+            "excision-torus3",
+            ["excision", "identity:perfbench/data/torus3.json", "--json", "--assert"],
+            0,
+        ),
+        ("mapspace-simplex3", ["mapspace", "simplex3", "0", "3", "-d", "2", "--json"], 0),
+        ("qcat-boundary3", ["qcat", "boundary3", "-d", "3", "--json", "--assert"], 1),
+        ("qcat-simplex4", ["qcat", "simplex4", "-d", "4", "--json", "--assert"], 0),
+        ("tower-circle-4", ["tower", "reduced_chains", "circle", "-N", "4", "--json"], 0),
+        ("tower-s2-3", ["tower", "reduced_chains", "s2", "-N", "3", "--json"], 0),
+        ("tower-l1mock-s2-3", ["tower", "l1_mock", "s2", "-N", "3", "--json", "--assert"], 0),
+    ],
+)
+def test_fixed_benchmark_tasks_match_their_goldens(monkeypatch, capsys, golden, argv, code):
+    # The benchmark's fixed command lines (perfbench/workloads.py), each
+    # checked against the output recorded under perfbench/data/expected.
+    monkeypatch.chdir(ROOT)
+    assert cli.main(argv) == code
+    assert capsys.readouterr().out == (GOLDEN / f"{golden}.json").read_text(encoding="utf-8")

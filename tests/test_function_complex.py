@@ -1,23 +1,29 @@
 """Map enumeration, truncated function complexes, mapping spaces."""
 
+import pathlib
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import all_posets, circle, projective_plane, scan_maps, two_sphere
-from delta_oracle import monotone_maps
-from ssetkit.build import _extract, product, sset_pullback
+from delta_oracle import monotone_maps, standard_map
+from extraction_oracle import (
+    FiberSystem,
+    HomSystem,
+    extract,
+    oracle_internal_hom,
+    oracle_mapping_space,
+)
+from ssetkit import cli
+from ssetkit.build import PullbackResult, product, sset_pullback
 from ssetkit.delta import MonotoneMap
 from ssetkit.errors import EnumerationLimit, ValidationError
 from ssetkit.excision import reduced_suspension
 from ssetkit.function_complex import (
-    _FiberSystem,
-    _HomSystem,
     enumerate_maps,
     internal_hom_truncated,
     mapping_space,
-    standard_map,
 )
 from ssetkit.nerve import (
     nerve_category,
@@ -26,7 +32,7 @@ from ssetkit.nerve import (
     Preorder,
 )
 from ssetkit.quasicat import is_quasicategory_up_to
-from ssetkit.serialize import sset_to_record
+from ssetkit.serialize import canonical_dumps, sset_to_record
 from ssetkit.sset import (
     FiniteSSet,
     SSetMap,
@@ -44,10 +50,10 @@ def _pullback_mapping_space(C, x, y, d):
     """Reference mapping space: the fiber of the restriction
     ``C^(Delta^1) -> C^(Delta^0) x C^(Delta^0)`` over ``(x, y)``, built as a
     pullback of extracted function complexes."""
-    edge_sys = _HomSystem(standard_simplex(1), C, None)
-    vert_sys = _HomSystem(standard_simplex(0), C, None)
-    edge_ext = _extract(edge_sys, d, prefix="h")
-    vert_ext = _extract(vert_sys, d, prefix="h")
+    edge_sys = HomSystem(standard_simplex(1), C, None)
+    vert_sys = HomSystem(standard_simplex(0), C, None)
+    edge_ext = extract(edge_sys, d, prefix="h")
+    vert_ext = extract(vert_sys, d, prefix="h")
 
     def restriction(endpoint):
         incl = standard_map(MonotoneMap(0, 1, (endpoint,)))
@@ -80,14 +86,14 @@ def _pullback_mapping_space(C, x, y, d):
     return sset_pullback(both, corner).space
 
 
-class _FilteredFiberSystem(_FiberSystem):
+class _FilteredFiberSystem(FiberSystem):
     """Reference fiber: every map of the prism, then only those constant at
     the two ends."""
 
     def elements(self, k):
         ends = self.end_images(k)
         return [
-            h for h in _HomSystem.elements(self, k)
+            h for h in HomSystem.elements(self, k)
             if all(h.images[name] == img for name, img in ends.items())
         ]
 
@@ -349,7 +355,7 @@ def test_enumeration_budget_counts_matching_candidates_only():
 def test_mapping_space_matches_pullback_fiber(space, x, y, d):
     M = sset_to_record(mapping_space(space, x, y, d))
     assert M == sset_to_record(_pullback_mapping_space(space, x, y, d))
-    filtered = _extract(_FilteredFiberSystem(space, x, y, None), d, prefix="f")
+    filtered = extract(_FilteredFiberSystem(space, x, y, None), d, prefix="f")
     assert M == sset_to_record(filtered.space)
 
 
@@ -406,3 +412,74 @@ def test_negative_budget_is_refused(search):
     # A search that tries no candidate must refuse -1 as well as one that does.
     with pytest.raises(ValidationError, match="candidate budget -1 is negative"):
         search(-1)
+
+
+_COMPLEX_SPACES = (
+    [standard_simplex(n) for n in range(3)]
+    + [boundary(2), boundary(3), horn(2, 1), circle(), two_sphere()]
+    + [nerve_preorder(P) for P in all_posets(3) if len(P.elements) == 3]
+)
+
+
+def _bytes(X):
+    return canonical_dumps(sset_to_record(X))
+
+
+@given(
+    st.sampled_from(_COMPLEX_SPACES),
+    st.sampled_from(_COMPLEX_SPACES),
+    st.integers(0, 2),
+    st.data(),
+)
+def test_function_complexes_match_the_extraction_oracle(X, Y, d, data):
+    # levels from the search with faces as restrictions give the bytes of
+    # materialize-and-strip over maps composed with id x alpha
+    assert _bytes(internal_hom_truncated(X, Y, d)) == _bytes(oracle_internal_hom(X, Y, d))
+    x = data.draw(st.sampled_from(Y.nondeg(0)))
+    y = data.draw(st.sampled_from(Y.nondeg(0)))
+    assert _bytes(mapping_space(Y, x, y, d)) == _bytes(oracle_mapping_space(Y, x, y, d))
+
+
+@pytest.mark.parametrize(
+    "build, least",
+    [
+        (lambda b: mapping_space(standard_simplex(3), "0", "3", 2, b), 3),
+        (lambda b: mapping_space(standard_simplex(3), "0", "3", 3, b), 4),
+        (lambda b: mapping_space(two_sphere(), "g0_0", "g0_0", 2, b), 18),
+        (lambda b: mapping_space(boundary(3), "0", "3", 3, b), 4),
+        (lambda b: internal_hom_truncated(standard_simplex(1), standard_simplex(2), 2, b), 92),
+        (lambda b: internal_hom_truncated(boundary(2), boundary(2), 1, b), 134),
+    ],
+    ids=["simplex3-d2", "simplex3-d3", "s2-d2", "boundary3-d3", "hom-d1-d2", "hom-bd2-bd2"],
+)
+def test_least_budget_of_each_function_complex_is_pinned(build, least):
+    # every level is one budgeted search of its prism, so the least budget
+    # is the most candidates one level tries
+    build(least)
+    with pytest.raises(EnumerationLimit):
+        build(least - 1)
+
+
+GOLDEN = pathlib.Path(__file__).parent.parent / "perfbench" / "data" / "expected"
+MAPSPACE = ["mapspace", "simplex3", "0", "3", "-d", "2", "--json"]
+
+
+def test_mapspace_budget_on_the_command_line(capsys):
+    assert cli.main([*MAPSPACE, "--max-enum", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: map search exceeded 2 candidate assignments\n")
+    assert cli.main([*MAPSPACE, "--max-enum", "3"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "mapspace-simplex3.json").read_text()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a function complex composed maps")
+
+
+def test_function_complexes_compose_no_maps(monkeypatch, capsys):
+    want = _bytes(oracle_mapping_space(two_sphere(), "g0_0", "g0_0", 2))
+    monkeypatch.setattr(SSetMap, "compose", _refuse)
+    monkeypatch.setattr(PullbackResult, "induced", _refuse)
+    assert cli.main(MAPSPACE) == 0
+    assert capsys.readouterr().out == (GOLDEN / "mapspace-simplex3.json").read_text()
+    assert _bytes(mapping_space(two_sphere(), "g0_0", "g0_0", 2)) == want
