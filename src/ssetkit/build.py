@@ -8,14 +8,20 @@ pairs level by level.  A product is the pullback of the two maps to the
 point, so products and fiber products share one construction and one
 result type; product cells keep their own ``p`` name prefix.
 
-A pullback works on positions.  Each level sorts the simplices ``s_I a``
-and ``s_J b`` of either side by word, then base, so a pair is a pair of
-positions, and the pairs are listed in the order of ``(I, a, J, b)``
-without sorting them.  Each side computes the faces of each of its
-simplices once, as positions in a list of distinct faces, and each
-distinct pair of faces is normalised to a simplex of the pullback once, so
-a face is a lookup keyed on two ints.  The pairs are counted against
-``DEFAULT_MAX_CANDIDATES`` before any level is built.
+A pullback works on positions and keys.  Each level sorts the simplices
+``s_I a`` and ``s_J b`` of either side by word, then base, so a pair is a
+pair of positions, and the pairs are listed in the order of ``(I, a, J, b)``
+without sorting them.  Faces are (word, base) keys, never ``Simplex``
+values: each side computes the faces of each of its simplices once, by the
+face rule ``FiniteSSet.face_key``, as positions in a list of distinct keys.
+Each distinct pair of faces becomes a simplex of the pullback once, by the
+one pair rule ``_pair_simplex``: the collapse positions both words share
+are stripped, the nondegenerate pair left is named by its key
+``(I, a, J, b)``, and the face is ``s_shared`` of that name.  So a level
+builds one ``Simplex`` per distinct face, and every other face is a lookup
+keyed on two ints.  ``PullbackResult.pair_simplex`` and the reduced
+suspension (``excision``) use the same pair rule.  The pairs are counted
+against ``DEFAULT_MAX_CANDIDATES`` before any level is built.
 
 Pushouts are taken along an injective leg ``A -> Y``: the nondegenerate
 simplices of ``X u_A Y`` are those of ``X`` plus those of ``Y`` outside
@@ -226,16 +232,14 @@ def _strip(word: tuple[int, ...], shared: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(i - sum(s < i for s in shared) for i in word if i not in shared)
 
 
-def _pair_simplex(name_of: dict, sa: Simplex, sb: Simplex) -> Simplex:
-    # A pair (s_I a, s_J b) is s_{I∩J} applied to the nondegenerate pair
-    # left by undoing the collapse positions the two words share.
-    dim = sa.dim
-    shared = tuple(i for i in sa.degeneracies if i in sb.degeneracies)
+def _pair_simplex(name_of: dict, wa: tuple, a: str, wb: tuple, b: str, k: int) -> Simplex:
+    """The k-simplex that the pair ``(s_wa a, s_wb b)`` is: ``s_shared`` of
+    the nondegenerate pair left once the collapse positions both words
+    share are undone, named by ``name_of`` on its key ``(wa', a, wb', b)``."""
+    shared = tuple(i for i in wa if i in wb)
     if shared:
-        core = dim - len(shared)
-        sa = Simplex(_strip(sa.degeneracies, shared), sa.base, core)
-        sb = Simplex(_strip(sb.degeneracies, shared), sb.base, core)
-    return Simplex(shared, name_of[(sa, sb)], dim)
+        wa, wb = _strip(wa, shared), _strip(wb, shared)
+    return Simplex(shared, name_of[wa, a, wb, b], k)
 
 
 @dataclass
@@ -246,12 +250,15 @@ class PullbackResult:
     leg_left: SSetMap  # p itself
     leg_right: SSetMap  # q itself
     _name_of: dict = field(repr=False)  # nondegenerate pair -> name
+    _keys: dict = field(repr=False)  # the same names, keyed on (I, a, J, b)
 
     def pair_simplex(self, sa: Simplex, sb: Simplex) -> Simplex:
         """The simplex of the pullback corresponding to a compatible pair."""
         if sa.dim != sb.dim:
             raise ValidationError("pair components live in different dimensions")
-        return _pair_simplex(self._name_of, sa, sb)
+        return _pair_simplex(
+            self._keys, sa.degeneracies, sa.base, sb.degeneracies, sb.base, sa.dim
+        )
 
     def components(self, name: str) -> tuple[Simplex, Simplex]:
         return self.proj_left.images[name], self.proj_right.images[name]
@@ -314,12 +321,16 @@ def _compatible(p: SSetMap, q: SSetMap, k: int):
     return sas, sbs, partners
 
 
-def _face_positions(X: FiniteSSet, level: list[Simplex], k: int):
-    """The distinct faces of the k-simplices in ``level``, and the faces of
-    each as positions in that list."""
+def _face_keys(X: FiniteSSet, level: list[Simplex], k: int):
+    """The distinct faces of the k-simplices in ``level`` as (word, base)
+    keys, and the faces of each as positions in that list."""
     index: dict = {}
+    face_key = X.face_key
     faces = [
-        tuple(index.setdefault(X.face(sx, i), len(index)) for i in range(k + 1))
+        tuple(
+            index.setdefault(face_key(sx.degeneracies, sx.base, k, i), len(index))
+            for i in range(k + 1)
+        )
         for sx in level
     ]
     return list(index), faces
@@ -346,6 +357,7 @@ def _pullback(p: SSetMap, q: SSetMap, prefix: str) -> PullbackResult:
     cells: list[list[str]] = []
     faces: dict[str, tuple[Simplex, ...]] = {}
     name_of: dict = {}
+    keys: dict = {}  # (I, a, J, b) of each nondegenerate pair -> its name
     for k in range(len(levels)):
         sas, sbs, partners = levels[k]
         levels[k] = None  # free each level once read: it would add to the peak
@@ -358,26 +370,27 @@ def _pullback(p: SSetMap, q: SSetMap, prefix: str) -> PullbackResult:
         names = _level_names(prefix, k, len(pairs))
         cells.append(names)
         for (ia, ib), name in zip(pairs, names):
-            name_of[(sas[ia], sbs[ib])] = name
+            sa, sb = sas[ia], sbs[ib]
+            name_of[sa, sb] = name
+            keys[sa.degeneracies, sa.base, sb.degeneracies, sb.base] = name
         if not k:
             continue
-        a_faces, a_of = _face_positions(A, sas, k)
-        b_faces, b_of = _face_positions(B, sbs, k)
+        a_faces, a_of = _face_keys(A, sas, k)
+        b_faces, b_of = _face_keys(B, sbs, k)
         memo: dict = {}  # (face position in A, in B) -> face in the pullback
         for (ia, ib), name in zip(pairs, names):
             out = []
             for pair in zip(a_of[ia], b_of[ib]):
                 face = memo.get(pair)
                 if face is None:
-                    face = memo[pair] = _pair_simplex(
-                        name_of, a_faces[pair[0]], b_faces[pair[1]]
-                    )
+                    (wa, a), (wb, b) = a_faces[pair[0]], b_faces[pair[1]]
+                    face = memo[pair] = _pair_simplex(keys, wa, a, wb, b, k - 1)
                 out.append(face)
             faces[name] = tuple(out)
     space = FiniteSSet(cells, faces, check=False)
     proj_l = SSetMap(space, A, {n: sa for (sa, _), n in name_of.items()}, check=False)
     proj_r = SSetMap(space, B, {n: sb for (_, sb), n in name_of.items()}, check=False)
-    return PullbackResult(space, proj_l, proj_r, p, q, name_of)
+    return PullbackResult(space, proj_l, proj_r, p, q, name_of, keys)
 
 
 def sset_pullback(p: SSetMap, q: SSetMap) -> PullbackResult:

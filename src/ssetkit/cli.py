@@ -8,8 +8,10 @@ manifest name, a compact built-in (``simplex3``, ``boundary3``,
 ``horn2_1``, ``s2``, ``point``, ``circle``) or a file; as a list of words, a
 spaced built-in (``simplex 3``) or a builder (``product A B``,
 ``quotient A B``, ``suspension A``, ``nerve FILE``, truncated as
-``nerve FILE -d N``); as a JSON object, an interchange record.  Covers and
-squares (built-ins ``interval-collapse``, ``corner-circle``,
+``nerve FILE -d N``); as a JSON object, an interchange record.  A two-space
+builder takes one word per space; ``suspension`` reads all the words after
+it as one space, so builders nest (``suspension suspension circle``).
+Covers and squares (built-ins ``interval-collapse``, ``corner-circle``,
 ``identity:X``) resolve the same way, and a manifest entry may name the
 entries before it.  Exit codes: 0 success, 1 a failed mathematical verdict
 requested with ``--assert``, 2 parse or validation errors (malformed
@@ -191,6 +193,17 @@ def _space_words(words, names: _Names, d: int | None = None) -> FiniteSSet:
         return _BUILTINS[head][1](*map(int, rest))
     if head in _BUILDERS and len(rest) == _BUILDERS[head][0]:
         return _BUILDERS[head][1](*(_resolve("space", w, names) for w in rest))
+    if head in _BUILDERS and _BUILDERS[head][0] == 1:
+        # The rest is one space, so one-space builders nest.  They are read
+        # in a loop, not one call deeper per word, and applied innermost first.
+        outer = [_BUILDERS[head][1]]
+        while len(rest) > 1 and rest[0] in _BUILDERS and _BUILDERS[rest[0]][0] == 1:
+            outer.append(_BUILDERS[rest[0]][1])
+            rest = rest[1:]
+        X = _space_words(rest, names)
+        for build in reversed(outer):
+            X = build(X)
+        return X
     if head == "nerve" and len(rest) == 1:
         return nerve_preorder(preorder_from_record(_load_json(_path(rest[0], names))), d)
     raise ValidationError(f"cannot parse space specification {list(words)!r}")

@@ -16,13 +16,19 @@ basepoint gives
 Level k lists its cells in the cylinder's pair order, sorted by (I, name
 of x, J), and names them ``g{k}_{idx}`` (``build._level_names``): the names
 the quotient of the cylinder gives them.  ``g0_0`` is the basepoint and the
-only vertex.  The face d_i of ``(s_I x, s_J ι)`` is d_i of each side, from
-the stored faces of X and ``delta.face_of_word`` on both words.  It is the
+only vertex.  The face d_i of ``(s_I x, s_J ι)`` is d_i of each side as a
+(word, base) key: ``FiniteSSet.face_key`` on the word I, which is empty or
+one index, over x, and ``delta.face_of_word`` on J over ι.  It is the
 basepoint, degenerated to dimension k - 1, when the Δ¹ side passes onto a
 vertex of ι or the X side lies on the basepoint; otherwise it is the pair
-of the two faces, normalised as in ``build._pair_simplex``: the positions
-both words share are stripped and the pair left is named.  The cone and
-the unreduced suspension still collapse the cylinder by ``quotient``.
+of the two keys, made a cell by the pair rule of the pullback,
+``build._pair_simplex``: the positions both words share are stripped and
+the pair left is named.  Each distinct face of a level becomes a
+``Simplex`` once.  ΣX has 1 + Σ (2 dim x + 1) cells, over the cells x of X
+other than the basepoint; that count is held to the budget of ``build``
+(``DEFAULT_MAX_CANDIDATES``) before any level is listed, and a larger ΣX
+raises ``EnumerationLimit``.  The cone and the unreduced suspension still
+collapse the cylinder by ``quotient``.
 
 The homotopy pushout of a span ``U <- W -> V`` is modeled by the double
 mapping cylinder, built by two gluings along the ends of the cylinder
@@ -51,9 +57,10 @@ from .build import (
     pushout,
     quotient,
     sset_pullback,
+    _budget,
     _level_names,
+    _pair_simplex,
     _point_simplex,
-    _strip,
 )
 from .chain import (
     ChainMap,
@@ -71,7 +78,7 @@ from .chain import (
     zero_map,
 )
 from .delta import degeneracy_words, face_of_word
-from .errors import ValidationError
+from .errors import EnumerationLimit, ValidationError
 from .groups import HomologyGroup, PresentedGroup, exact_at
 from .intmat import IntMat, solve
 from .simplicial_chains import (
@@ -212,16 +219,24 @@ def reduced_suspension_data(X: FiniteSSet) -> SuspensionData:
     Level k lists its cells in the cylinder's pair order (I, x, J), first
     the cells (x, s_J ι) of the k-simplices, then the prism cells
     (s_i x, s_{J_i} ι) of the (k-1)-simplices, i increasing.  A face is the
-    pair of the faces of both sides, normalised as in the cylinder, unless
-    it lies in the collapsed subcomplex: then it is the basepoint.
+    pair of the faces of both sides, as (word, base) keys, made a cell by
+    the pair rule, unless it lies in the collapsed subcomplex: then it is
+    the basepoint.  The cells are counted against the budget of ``build``
+    before any level is listed.
     """
     if X.basepoint is None:
         raise ValidationError("reduced suspension needs a basepoint")
+    size = 1 + sum(2 * X.dim_of(x) + 1 for x in X.names if x != X.basepoint)
+    budget = _budget(None)
+    if size > budget:
+        raise EnumerationLimit(f"reduced suspension exceeds {budget} nondegenerate simplices")
     point = _level_names("g", 0, 1)[0]
+    iota = "01"  # the edge of Δ¹, the base of every Δ¹ side
     cells = [[point]]
     faces: dict[str, tuple[Simplex, ...]] = {}
-    name_of: dict = {}  # (I, x, J) of a cell (s_I x, s_J ι) -> its name
+    name_of: dict = {}  # (I, x, J, ι) of a cell (s_I x, s_J ι) -> its name
     prism: dict[str, list[int]] = {}  # x -> positions of its prism cells
+    face_key = X.face_key
     for k in range(1, X.top_dim + 2):
         words = sorted(degeneracy_words(k, 1))
         pairs = [((), x, J) for x in X.nondeg(k) for J in words]
@@ -234,28 +249,27 @@ def reduced_suspension_data(X: FiniteSSet) -> SuspensionData:
         names = _level_names("g", k, len(pairs))
         cells.append(names)
         collapsed = _point_simplex(point, k - 1)
-        memo: dict = {}  # (face of s_I x, word of the face of s_J ι) -> face
+        memo: dict = {}  # (word, base) of the X side's face, word of ι's -> face
         for pos, ((I, x, J), name) in enumerate(zip(pairs, names)):
-            name_of[I, x, J] = name
+            name_of[I, x, J, iota] = name
             if I:
                 prism.setdefault(x, []).append(pos)
-                x_faces = [X.face(Simplex(I, x, k), i) for i in range(k + 1)]
-            else:
-                x_faces = X.faces[x]
             out = []
-            for i, fx in enumerate(x_faces):
-                word, j = face_of_word(J, k, i)
+            for i in range(k + 1):
                 # On a vertex of ι, or over the basepoint: collapsed.
-                if j is not None or fx.base == X.basepoint:
+                word, j = face_of_word(J, k, i)
+                if j is not None:
                     out.append(collapsed)
                     continue
-                face = memo.get((fx, word))
+                wx, fx = face_key(I, x, k, i)
+                if fx == X.basepoint:
+                    out.append(collapsed)
+                    continue
+                face = memo.get((wx, fx, word))
                 if face is None:
-                    # s_shared of the pair left once the collapse positions
-                    # both words share are undone
-                    shared = tuple(s for s in fx.degeneracies if s in word)
-                    core = (_strip(fx.degeneracies, shared), fx.base, _strip(word, shared))
-                    face = memo[fx, word] = Simplex(shared, name_of[core], k - 1)
+                    face = memo[wx, fx, word] = _pair_simplex(
+                        name_of, wx, fx, word, iota, k - 1
+                    )
                 out.append(face)
             faces[name] = tuple(out)
     space = FiniteSSet(cells, faces, basepoint=point, check=False)

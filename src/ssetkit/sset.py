@@ -9,11 +9,14 @@ lower level under every degeneracy word into it
 degenerate simplex, and the image of one under a simplicial map, are
 rewritten on the words alone (:func:`ssetkit.delta.face_of_word`,
 :func:`ssetkit.delta.compose_words`): a face either dies in the word or
-passes through it onto one stored face; ``face`` stores nothing.  Each
-level has one table, built once (``FiniteSSet.level``): its simplices, the
-position of each, and the faces of each as positions one level down, which
-the map search and the inner-horn check read; the table computes those
-positions from the words and the stored faces, without ``face``.  The map
+passes through it onto one stored face.  ``face_key`` is that rule on
+(word, base) keys and ``face`` returns the ``Simplex`` of its key, storing
+nothing; products, pullbacks and reduced suspensions read faces as keys
+and never call ``face``.  Each level has one table, built once
+(``FiniteSSet.level``): its simplices, the position of each, and the faces
+of each as positions one level down, which the map search and the
+inner-horn check read; the table computes those positions from the words
+and the stored faces, without ``face``.  The map
 classifying a simplex reads its faces.  Only ``act``, the action of a
 general ``MonotoneMap``, factors the map, once, into a face word and a
 degeneracy word.
@@ -213,11 +216,27 @@ class FiniteSSet:
             raise ValidationError(f"face index {i} outside [0, {sx.dim}]")
         if not sx.degeneracies:
             return self.faces[sx.base][i]
-        # The face either dies in the word or passes onto one stored face.
-        word, j = face_of_word(sx.degeneracies, sx.dim, i)
+        word, base = self.face_key(sx.degeneracies, sx.base, sx.dim, i)
+        return Simplex(word, base, sx.dim - 1)
+
+    def face_key(
+        self, word: tuple[int, ...], base: str, k: int, i: int
+    ) -> tuple[tuple[int, ...], str]:
+        """The i-th face of the k-simplex ``s_word base`` as the (word, base)
+        of its normal form, with no ``Simplex`` built; ``i`` must lie in
+        ``[0, k]``.
+
+        The face either dies in the word, ``s_w' base``, or passes onto the
+        stored face ``s_u y`` of ``base``, which it degenerates to
+        ``s_(w' u) y``."""
+        if not word:
+            f = self.faces[base][i]
+            return f.degeneracies, f.base
+        word, j = face_of_word(word, k, i)
         if j is None:
-            return Simplex(word, sx.base, sx.dim - 1)
-        return self.faces[sx.base][j].degenerate(word)
+            return word, base
+        f = self.faces[base][j]
+        return compose_words(f.degeneracies, word, k - 1), f.base
 
     def degeneracy(self, sx: Simplex, i: int) -> Simplex:
         """The i-th degeneracy of an arbitrary simplex."""

@@ -67,4 +67,8 @@ def oracle_pullback(p: SSetMap, q: SSetMap, prefix: str) -> PullbackResult:
     space = FiniteSSet(cells, faces, check=False)
     proj_l = SSetMap(space, A, {n: sa for (sa, _), n in name_of.items()}, check=False)
     proj_r = SSetMap(space, B, {n: sb for (_, sb), n in name_of.items()}, check=False)
-    return PullbackResult(space, proj_l, proj_r, p, q, name_of)
+    keys = {
+        (sa.degeneracies, sa.base, sb.degeneracies, sb.base): name
+        for (sa, sb), name in name_of.items()
+    }
+    return PullbackResult(space, proj_l, proj_r, p, q, name_of, keys)

@@ -1,6 +1,9 @@
 """Limits and colimits: products, pushouts, pullbacks, quotients."""
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import check_simplicial_identities, circle, two_sphere
 from extraction_oracle import canon_key, extract
@@ -465,6 +468,7 @@ def _assert_pullback_matches_oracle(pb, prefix):
     assert pb.proj_left.images == ref.proj_left.images
     assert pb.proj_right.images == ref.proj_right.images
     assert pb._name_of == ref._name_of
+    assert pb._keys == ref._keys
 
 
 _FACTORS = [standard_simplex(n) for n in range(4)] + [
@@ -499,22 +503,44 @@ def test_pullbacks_match_oracle():
     )
 
 
+_SPAN_SPACES = [standard_simplex(n) for n in range(3)] + [
+    boundary(2), horn(2, 1), circle(), two_sphere(),
+]
+
+
+@lru_cache(maxsize=None)
+def _maps(i: int, j: int) -> list[SSetMap]:
+    return enumerate_maps(_SPAN_SPACES[i], _SPAN_SPACES[j])
+
+
+@given(st.data())
+def test_pullbacks_along_drawn_maps_match_oracle(data):
+    # Spans A -> Z <- B of the small test spaces, along maps the map search
+    # finds: degenerate images and faces of s_I a over degenerate stored
+    # faces included.
+    spaces = st.integers(0, len(_SPAN_SPACES) - 1)
+    a, b, z = data.draw(spaces), data.draw(spaces), data.draw(spaces)
+    p = data.draw(st.sampled_from(_maps(a, z)))
+    q = data.draw(st.sampled_from(_maps(b, z)))
+    _assert_pullback_matches_oracle(sset_pullback(p, q), "f")
+
+
 def test_product_normalises_each_face_pair_once(monkeypatch):
-    # A work-count guard: the 1007 cells of Delta^3 x Delta^3 have 987
-    # distinct pairs of faces, each normalised once; normalising each face
-    # of each cell on its own takes 4112 calls.
+    # A work-count guard on the one pair rule: the 1007 cells of
+    # Delta^3 x Delta^3 have 987 distinct pairs of faces, each normalised
+    # once; normalising each face of each cell on its own takes 4112 calls.
     calls = []
     pair_simplex = build._pair_simplex
 
-    def counting(name_of, sa, sb):
-        calls.append((sa, sb))
-        return pair_simplex(name_of, sa, sb)
+    def counting(name_of, wa, a, wb, b, k):
+        calls.append((wa, a, wb, b, k))
+        return pair_simplex(name_of, wa, a, wb, b, k)
 
     monkeypatch.setattr(build, "_pair_simplex", counting)
     pr = product(standard_simplex(3), standard_simplex(3))
     assert sum(pr.space.counts()) == 1007
-    assert len(calls) <= 1007
-    assert len(calls) == len(set(calls))
+    assert len(calls) == 987
+    assert len(set(calls)) == 987
 
 
 def test_pullback_budget_counts_nondegenerate_simplices(monkeypatch):

@@ -8,8 +8,8 @@ import sys
 
 import pytest
 
-from ssetkit import chain, cli
-from ssetkit.excision import identity_square
+from ssetkit import build, chain, cli
+from ssetkit.excision import identity_square, reduced_suspension
 from ssetkit.nerve import nerve_preorder
 from ssetkit.serialize import (
     canonical_dumps,
@@ -17,7 +17,7 @@ from ssetkit.serialize import (
     preorder_from_record,
     sset_to_record,
 )
-from ssetkit.sset import boundary
+from ssetkit.sset import FiniteSSet, boundary
 
 DATA = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -195,6 +195,16 @@ def test_oversized_products_are_refused(n):
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr == "error: pullback exceeds 1000000 nondegenerate simplices\n"
+
+
+def test_oversized_suspensions_are_refused(monkeypatch, capsys):
+    # The tower of S¹ up to stage 4 builds Σ⁴S¹, 542 cells: with a budget
+    # of 541 it is refused with one error line and nothing on stdout.
+    monkeypatch.setattr(build, "DEFAULT_MAX_CANDIDATES", 541)
+    assert cli.main(["tower", "reduced_chains", "circle", "-N", "4"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: reduced suspension exceeds 541 nondegenerate simplices\n"
 
 
 def test_unknown_simplex_error_does_not_depend_on_hash_seed():
@@ -564,3 +574,44 @@ def test_fixed_benchmark_tasks_match_their_goldens(monkeypatch, capsys, golden, 
     monkeypatch.chdir(ROOT)
     assert cli.main(argv) == code
     assert capsys.readouterr().out == (GOLDEN / f"{golden}.json").read_text(encoding="utf-8")
+
+
+def test_products_and_suspensions_run_without_face(monkeypatch, capsys):
+    # Products and suspensions read faces as (word, base) keys: with
+    # ``FiniteSSet.face`` refused, every output keeps its bytes.
+    monkeypatch.chdir(ROOT)
+    product33 = ["space", "product", "simplex3", "simplex3", "--json"]
+    assert cli.main(product33) == 0
+    expected = {tuple(product33): capsys.readouterr().out}
+    for argv, golden in [
+        ("space product simplex1 simplex2", DATA / "product_simplex1_simplex2.json"),
+        ("space suspension s2", DATA / "suspension_s2.json"),
+        ("tower reduced_chains circle -N 4", GOLDEN / "tower-circle-4.json"),
+        ("tower reduced_chains s2 -N 3", GOLDEN / "tower-s2-3.json"),
+        ("tower l1_mock s2 -N 3 --assert", GOLDEN / "tower-l1mock-s2-3.json"),
+    ]:
+        expected[(*argv.split(), "--json")] = golden.read_text(encoding="utf-8")
+
+    def refuse(self, sx, i):
+        raise AssertionError("face was called")
+
+    monkeypatch.setattr(FiniteSSet, "face", refuse)
+    for argv, out in expected.items():
+        assert cli.main(list(argv)) == 0
+        assert capsys.readouterr().out == out
+
+
+def test_one_space_builders_nest(capsys):
+    # ``suspension`` reads the words after it as one space; a two-space
+    # builder still takes one word per space.
+    circle = cli._sphere(1)
+    assert cli.main(["space", "suspension", "suspension", "circle", "--json"]) == 0
+    twice = reduced_suspension(reduced_suspension(circle))
+    assert capsys.readouterr().out == canonical_dumps(sset_to_record(twice))
+    assert cli.main(["space", "suspension", "suspension", "suspension", "circle"]) == 0
+    assert capsys.readouterr().out.startswith("counts: (1, 1, 14, 36, 24)\n")
+    assert cli.main(["space", "product", "suspension", "circle", "circle"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot parse space specification "
+        "['product', 'suspension', 'circle', 'circle']\n"
+    )

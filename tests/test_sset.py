@@ -10,6 +10,7 @@ from conftest import (
     check_simplicial_identities,
     circle,
     four_test_spaces,
+    projective_plane,
     two_sphere,
 )
 from ssetkit.build import product
@@ -23,7 +24,7 @@ from ssetkit.function_complex import (
     internal_hom_truncated,
     mapping_space,
 )
-from ssetkit.nerve import nerve_preorder
+from ssetkit.nerve import Preorder, nerve_preorder
 from ssetkit.serialize import preorder_from_record
 from ssetkit.sset import (
     FiniteSSet,
@@ -164,6 +165,32 @@ def test_level_tables_are_built_without_face(monkeypatch):
     for X in spaces:
         for k in range(X.top_dim + 3):
             assert len(X.level(k)[2]) == len(X.level(k)[0])
+
+
+def _face_rule_spaces():
+    """The four test spaces, T², the 6-vertex RP² and the nerve of the
+    square poset 00 < 01, 10 < 11."""
+    square = {("00", "01"), ("00", "10"), ("00", "11"), ("01", "11"), ("10", "11")}
+    elements = ("00", "01", "10", "11")
+    P = Preorder(elements, frozenset(square | {(e, e) for e in elements}))
+    return list(four_test_spaces().values()) + [
+        product(circle(), circle()).space,
+        projective_plane(),
+        nerve_preorder(P, 3),
+    ]
+
+
+def test_face_key_is_the_face_rule():
+    # On every simplex of every level k <= 4 and every i, the (word, base)
+    # key is the face that ``face`` returns and the face the monotone-map
+    # oracle gets by composing and factoring maps.
+    for X in _face_rule_spaces():
+        for k in range(1, 5):
+            for sx in X.all_simplices(k):
+                for i in range(k + 1):
+                    word, base = X.face_key(sx.degeneracies, sx.base, k, i)
+                    oracle = delta_oracle.act(X, sx, delta_oracle.face_map(k, i))
+                    assert Simplex(word, base, k - 1) == X.face(sx, i) == oracle
 
 
 def test_level_table_lists_every_name_under_every_degeneracy_word():

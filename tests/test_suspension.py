@@ -11,8 +11,10 @@ from hypothesis import given, strategies as st
 
 from conftest import circle, four_test_spaces, projective_plane
 from suspension_oracle import oracle_suspension
+from ssetkit import build, excision
 from ssetkit.build import product
 from ssetkit.chain import chain_map_from_blocks, loop_shift, quasi_iso
+from ssetkit.errors import EnumerationLimit
 from ssetkit.excision import reduced_suspension_data
 from ssetkit.simplicial_chains import reduced_normalized_chains
 from ssetkit.sset import (
@@ -76,3 +78,46 @@ def test_suspensions_of_pointed_subcomplexes_validate(data):
     target = loop_shift(reduced_normalized_chains(sd.space), 1)
     blocks = {k: sd.comparison(k) for k in range(source.low, source.high + 1)}
     assert quasi_iso(chain_map_from_blocks(source, target, blocks))
+
+
+def _suspended(X: FiniteSSet, n: int) -> FiniteSSet:
+    for _ in range(n):
+        X = reduced_suspension_data(X).space
+    return X
+
+
+def test_suspension_step_normalises_each_face_pair_once(monkeypatch):
+    # A work-count guard on the pair rule: the 542 cells of Σ⁴S¹ have 1530
+    # faces off the basepoint and 421 distinct pairs of faces among them,
+    # each normalised once.
+    X = _suspended(circle(), 3)
+    calls = []
+    pair_simplex = excision._pair_simplex
+
+    def counting(name_of, wa, a, wb, b, k):
+        calls.append((wa, a, wb, b, k))
+        return pair_simplex(name_of, wa, a, wb, b, k)
+
+    monkeypatch.setattr(excision, "_pair_simplex", counting)
+    Y = reduced_suspension_data(X).space
+    assert sum(Y.counts()) == 542
+    assert sum(f.base != Y.basepoint for fs in Y.faces.values() for f in fs) == 1530
+    assert len(calls) == 421
+    assert len(set(calls)) == 421
+
+
+def test_suspension_budget_counts_nondegenerate_simplices(monkeypatch):
+    # ΣX has 1 + Σ (2 dim x + 1) cells, over the cells x of X other than the
+    # basepoint: 4684 for X = Σ⁴S¹.  A budget of 4684 builds it, and one cell
+    # less refuses it before any level is listed.
+    X = _suspended(circle(), 4)
+    monkeypatch.setattr(build, "DEFAULT_MAX_CANDIDATES", 4684)
+    assert sum(reduced_suspension_data(X).space.counts()) == 4684
+    monkeypatch.setattr(build, "DEFAULT_MAX_CANDIDATES", 4683)
+    names = []
+    monkeypatch.setattr(excision, "_level_names", lambda *args: names.append(args))
+    with pytest.raises(
+        EnumerationLimit, match="^reduced suspension exceeds 4683 nondegenerate simplices$"
+    ):
+        reduced_suspension_data(X)
+    assert names == []
