@@ -20,8 +20,10 @@ are stripped, the nondegenerate pair left is named by its key
 ``(I, a, J, b)``, and the face is ``s_shared`` of that name.  So a level
 builds one ``Simplex`` per distinct face, and every other face is a lookup
 keyed on two ints.  ``PullbackResult.pair_simplex`` and the reduced
-suspension (``excision``) use the same pair rule.  The pairs are counted
-against ``DEFAULT_MAX_CANDIDATES`` before any level is built.
+suspension (``excision``) use the same pair rule.  ``_keys`` is the one
+index of the cells, name by key; the projections are filled as the pairs
+are listed.  The pairs are counted against ``DEFAULT_MAX_CANDIDATES``
+before any level is built.
 
 Pushouts are taken along an injective leg ``A -> Y``: the nondegenerate
 simplices of ``X u_A Y`` are those of ``X`` plus those of ``Y`` outside
@@ -249,8 +251,7 @@ class PullbackResult:
     proj_right: SSetMap  # to the source of q
     leg_left: SSetMap  # p itself
     leg_right: SSetMap  # q itself
-    _name_of: dict = field(repr=False)  # nondegenerate pair -> name
-    _keys: dict = field(repr=False)  # the same names, keyed on (I, a, J, b)
+    _keys: dict = field(repr=False)  # (I, a, J, b) of a nondegenerate pair -> name
 
     def pair_simplex(self, sa: Simplex, sb: Simplex) -> Simplex:
         """The simplex of the pullback corresponding to a compatible pair."""
@@ -356,7 +357,8 @@ def _pullback(p: SSetMap, q: SSetMap, prefix: str) -> PullbackResult:
             )
     cells: list[list[str]] = []
     faces: dict[str, tuple[Simplex, ...]] = {}
-    name_of: dict = {}
+    left: dict[str, Simplex] = {}  # the images of the two projections
+    right: dict[str, Simplex] = {}
     keys: dict = {}  # (I, a, J, b) of each nondegenerate pair -> its name
     for k in range(len(levels)):
         sas, sbs, partners = levels[k]
@@ -371,7 +373,7 @@ def _pullback(p: SSetMap, q: SSetMap, prefix: str) -> PullbackResult:
         cells.append(names)
         for (ia, ib), name in zip(pairs, names):
             sa, sb = sas[ia], sbs[ib]
-            name_of[sa, sb] = name
+            left[name], right[name] = sa, sb
             keys[sa.degeneracies, sa.base, sb.degeneracies, sb.base] = name
         if not k:
             continue
@@ -388,9 +390,9 @@ def _pullback(p: SSetMap, q: SSetMap, prefix: str) -> PullbackResult:
                 out.append(face)
             faces[name] = tuple(out)
     space = FiniteSSet(cells, faces, check=False)
-    proj_l = SSetMap(space, A, {n: sa for (sa, _), n in name_of.items()}, check=False)
-    proj_r = SSetMap(space, B, {n: sb for (_, sb), n in name_of.items()}, check=False)
-    return PullbackResult(space, proj_l, proj_r, p, q, name_of, keys)
+    proj_l = SSetMap(space, A, left, check=False)
+    proj_r = SSetMap(space, B, right, check=False)
+    return PullbackResult(space, proj_l, proj_r, p, q, keys)
 
 
 def sset_pullback(p: SSetMap, q: SSetMap) -> PullbackResult:

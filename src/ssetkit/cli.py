@@ -475,7 +475,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("homology", help="integral homology table")
     sp.add_argument("space")
-    sp.add_argument("--top", type=int, default=None)
+    sp.add_argument("--top", type=_count, default=None)
     common(sp, assertable=False)
     sp.set_defaults(fn=_cmd_homology)
 
@@ -497,7 +497,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("mv", help="Mayer-Vietoris long exact sequence")
     sp.add_argument("cover", help="cover file or manifest cover name")
-    sp.add_argument("--top", type=int, default=None)
+    sp.add_argument("--top", type=_count, default=None)
     sp.add_argument("--reduced", action="store_true")
     common(sp)
     sp.set_defaults(fn=_cmd_mv)

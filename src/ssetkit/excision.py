@@ -609,6 +609,8 @@ def _connecting(
 def mayer_vietoris(
     cd: CoverData, top_degree: int, reduced: bool = False
 ) -> LongExactSequence:
+    if top_degree < 0:
+        raise ValidationError(f"top degree {top_degree} is negative")
     ses = cover_short_exact_sequence(cd, reduced=reduced)
     alpha, beta = ses.left, ses.right
     cW, cUV, cX = alpha.source, beta.source, beta.target

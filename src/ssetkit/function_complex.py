@@ -13,18 +13,21 @@ closure (two of its faces on one simplex, or a degenerate face, as in S^2)
 keeps only the candidates that agree there; a degenerate face is compared
 through the table of s_word on positions.  Buckets are built once per top
 cell, so the search itself builds no ``Simplex``; a map found is a tuple of
-top-cell positions, and only the maps returned are built.  The budget
-counts the candidate images of top cells tried.  The inner-horn check runs
-the same search on each horn, whose top cells are its walls
-(``quasicat.is_quasicategory_up_to``).
+top-cell positions, read out as a row: the positions of the images of all
+cells of X.  ``_as_map`` builds the ``SSetMap`` of a row, for the two
+callers that return one, ``enumerate_maps`` and the inner-horn check's
+witness.  The budget counts the candidate images of top cells tried.  The
+inner-horn check runs the same search on each horn, whose top cells are
+its walls (``quasicat.is_quasicategory_up_to``).
 
 Function complexes are genuine simplicial sets of maps: a k-simplex of
 hom(X, Y) is a map P_k = X x Delta^k -> Y.  They can be nonempty in every
 dimension, hence the mandatory truncation.  Each level is the list of maps
-the search finds into ``Y``, under the same budget, each held as the tuple
-of its images in the name order of P_k.  The face d_i of a k-simplex is its
-restriction along id_X x delta_i, which sends every nondegenerate cell of
-P_(k-1) to a nondegenerate cell of P_k, so a face reindexes the tuple
+the search finds into ``Y``, under the same budget, each row read straight
+into the tuple of its images in the name order of P_k, with no ``SSetMap``
+built.  The face d_i of a k-simplex is its restriction along
+id_X x delta_i, which sends every nondegenerate cell of P_(k-1) to a
+nondegenerate cell of P_k, so a face reindexes the tuple
 through a table; s_i restricts along id_X x sigma_i, whose table also
 carries a degeneracy word per cell.  Each table is read off the pair of
 each cell (``PullbackResult.pair_simplex``), once, when a level first needs
@@ -78,22 +81,29 @@ def enumerate_maps(
     fixed = fixed or {}
     if fixed:
         SSetMap(subcomplex(X, fixed), Y, fixed)  # raises unless a map
-    found, row, as_map = _search(X, Y, guard, fixed)
+    found, row = _search(X, Y, guard, fixed)
     # Two maps first differ at a simplex whose earlier images agree, so both
     # images there match the same faces, and the one listed first in
     # all_simplices comes first in the output order.
-    return [as_map(r) for r in sorted(map(row, found))]
+    return [_as_map(X, Y, r) for r in sorted(map(row, found))]
+
+
+def _as_map(X: FiniteSSet, Y: FiniteSSet, row: tuple[int, ...]) -> SSetMap:
+    """The map ``X -> Y`` of a row of :func:`_search`."""
+    cells = [name for level in X.cells for name in level]
+    images = {name: Y.level(X.dim_of(name))[0][p] for name, p in zip(cells, row)}
+    return SSetMap(X, Y, images, check=False)
 
 
 def _search(X: FiniteSSet, Y: FiniteSSet, guard: int, fixed: dict[str, Simplex]):
     """The maps ``X -> Y`` extending ``fixed``, found top cell by top cell.
 
     Returns the maps found, each as the tuple of the positions of its top
-    cells' images; the function reading off such a tuple the row of its
-    map: the positions of the images of the nondegenerate simplices outside
-    ``fixed``, in ascending dimension, then name; and the function building
-    the map of a row.  Raises ``EnumerationLimit`` once more than ``guard``
-    candidate images of top cells were tried.
+    cells' images, and the function reading off such a tuple the row of its
+    map: the positions of the images of every nondegenerate simplex,
+    ``fixed`` ones included, in ascending dimension, then name.  Raises
+    ``EnumerationLimit`` once more than ``guard`` candidate images of top
+    cells were tried.
     """
     faces_of = {f.base for fs in X.faces.values() for f in fs}
     tops = [
@@ -197,11 +207,15 @@ def _search(X: FiniteSSet, Y: FiniteSSet, guard: int, fixed: dict[str, Simplex])
             found.append(tuple(placed))
         else:
             stack.pop()
-    free = [(k, name) for k in range(X.top_dim + 1) for name in X.cells[k] if name not in fixed]
+    cells = [name for level in X.cells for name in level]
+    pinned = {name: Y.level(sx.dim)[1][sx] for name, sx in fixed.items()}
 
     def row(top_positions: tuple[int, ...]) -> tuple[int, ...]:
         out = []
-        for _, name in free:
+        for name in cells:
+            if name in pinned:
+                out.append(pinned[name])
+                continue
             src, route = home[name]
             pos, m = top_positions[src], tops[src][0]
             for v in route:
@@ -210,12 +224,7 @@ def _search(X: FiniteSSet, Y: FiniteSSet, guard: int, fixed: dict[str, Simplex])
             out.append(pos)
         return tuple(out)
 
-    def as_map(positions: tuple[int, ...]) -> SSetMap:
-        images = dict(fixed)
-        images.update((name, Y.level(k)[0][p]) for (k, name), p in zip(free, positions))
-        return SSetMap(X, Y, images, check=False)
-
-    return found, row, as_map
+    return found, row
 
 
 def _function_complex(
@@ -249,6 +258,7 @@ def _function_complex(
             tables[sx, cod] = table
         return tuple(e[p].degenerate(w) for p, w in tables[sx, cod])
 
+    guard = _budget(max_candidates)
     cells: list[list[str]] = []
     faces: dict[str, tuple[Simplex, ...]] = {}
     below: dict[tuple[Simplex, ...], Simplex] = {}  # level k - 1
@@ -261,10 +271,12 @@ def _function_complex(
             for name, a in P.proj_left.images.items()
             if a.base in ends
         }
-        found = [
-            tuple(h.images[name] for name in names)
-            for h in enumerate_maps(P.space, Y, max_candidates, fixed)
-        ]
+        # A row lists the cells by dimension, then name; a tuple by name.
+        listed = [name for level in P.space.cells for name in level]
+        at = {name: c for c, name in enumerate(listed)}
+        reads = [(Y.level(P.space.dim_of(name))[0], at[name]) for name in names]
+        maps, row = _search(P.space, Y, guard, fixed)
+        found = [tuple(level[r[c]] for level, c in reads) for r in map(row, maps)]
         found.sort(key=lambda e: [(sx.degeneracies, sx.base) for sx in e])
         # d_i misses vertex i of Delta^k; s_i is s_i of the top simplex of
         # Delta^(k-1).

@@ -17,7 +17,7 @@ placed before it.  The budget bounds the candidate walls tried for each
 (n, i).  A tuple the filler index does not hold fails the check.  The
 witness is the failing map that ``enumerate_maps`` would list first, the
 least by the positions of the images of the horn's cells; only the witness
-is built as an ``SSetMap``.
+is built as an ``SSetMap``, from its row (``function_complex._as_map``).
 
 A composite of edges f then g is read the same way: the fillers of the horn
 Λ²₁ on (f, g) are the 2-simplices witnessing a composite, which is their
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .build import _budget
 from .errors import ValidationError
-from .function_complex import _search
+from .function_complex import _as_map, _search
 from .sset import FiniteSSet, SSetMap, Simplex, _horn_in, horn, standard_simplex
 
 __all__ = [
@@ -101,10 +101,11 @@ def is_quasicategory_up_to(
     for n in range(2, d + 1):
         simplex = standard_simplex(n)  # the horns of one n are cut from one Δⁿ
         for i in range(1, n):
-            found, row, as_map = _search(_horn_in(simplex, i), C, guard, {})
+            L = _horn_in(simplex, i)
+            found, row = _search(L, C, guard, {})
             index = _wall_index(C, n, i)
             failing = [walls for walls in found if walls not in index]
             if failing:
-                witness = as_map(min(map(row, failing)))
+                witness = _as_map(L, C, min(map(row, failing)))
                 return QcatVerdict(False, d, HornMap(n, i, C, witness))
     return QcatVerdict(True, d)

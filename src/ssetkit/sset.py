@@ -15,11 +15,11 @@ nothing; products, pullbacks and reduced suspensions read faces as keys
 and never call ``face``.  Each level has one table, built once
 (``FiniteSSet.level``): its simplices, the position of each, and the faces
 of each as positions one level down, which the map search and the
-inner-horn check read; the table computes those positions from the words
-and the stored faces, without ``face``.  The map
-classifying a simplex reads its faces.  Only ``act``, the action of a
-general ``MonotoneMap``, factors the map, once, into a face word and a
-degeneracy word.
+inner-horn check read; the table reads each face as its ``face_key`` and
+places the key in its level.  The validation's simplicial identities
+compare ``face_key`` keys too.  The map classifying a simplex reads its
+faces.  Only ``act``, the action of a general ``MonotoneMap``, factors the
+map, once, into a face word and a degeneracy word.
 
 Degeneracy words are strictly decreasing, so each simplex has exactly one
 normal form and equality of ``Simplex`` values is equality of simplices.
@@ -276,13 +276,12 @@ class FiniteSSet:
 
     def _level_faces(self, k: int) -> tuple[tuple[int, ...], ...]:
         """The faces of every simplex of level ``k >= 1``, in listing order, as
-        positions in level ``k - 1``, computed from the words alone.
+        positions in level ``k - 1``, read through ``face_key``.
 
         Level ``k - 1`` lists each name of dimension m as one block, under
-        the words of ``degeneracy_words(k - 1, m)`` in order, so s_w x sits
-        at the start of x's block plus the index of w among those words.  A
-        face of s_w x either dies in the word, s_w' x, or passes onto the
-        stored face s_u y of x, which it degenerates to s_(w' u) y.
+        the words of ``degeneracy_words(k - 1, m)`` in order, so the face
+        key (w, y) sits at the start of y's block plus the index of w among
+        those words.
         """
         start: dict[str, int] = {}
         rank: list[dict[tuple[int, ...], int]] = []  # per m, word -> index
@@ -293,22 +292,15 @@ class FiniteSSet:
             for name in self.cells[m]:
                 start[name] = size
                 size += len(words)
+        face_key = self.face_key
         out = []
         for m in range(min(k, self.top_dim) + 1):
             for name in self.cells[m]:
-                stored = [
-                    (start[f.base], rank[f.base_dim], f.degeneracies)
-                    for f in self.faces.get(name, ())
-                ]
                 for w in degeneracy_words(k, m):
                     row = []
                     for i in range(k + 1):
-                        word, j = face_of_word(w, k, i)
-                        if j is None:
-                            row.append(start[name] + rank[m][word])
-                        else:
-                            at, ranks, u = stored[j]
-                            row.append(at + ranks[compose_words(u, word, k - 1)])
+                        word, base = face_key(w, name, k, i)
+                        row.append(start[base] + rank[k - 1 - len(word)][word])
                     out.append(tuple(row))
         return tuple(out)
 
@@ -346,23 +338,22 @@ class FiniteSSet:
         self._check_identities()
 
     def _check_identities(self) -> None:
-        # d_i d_j = d_{j-1} d_i for i < j, on every nondegenerate simplex.
-        # The faces of each face are read once: stored when it is
-        # nondegenerate, through ``face`` otherwise.
+        # d_i d_j = d_{j-1} d_i for i < j, on every nondegenerate simplex,
+        # both sides read as ``face_key`` keys.
+        face_key = self.face_key
         for k in range(2, self.top_dim + 1):
+            pairs = [(i, j) for j in range(1, k + 1) for i in range(j)]
             for name in self.cells[k]:
-                ff = [
-                    tuple(self.face(f, i) for i in range(k)) if f.degeneracies
-                    else self.faces[f.base]
-                    for f in self.faces[name]
-                ]
-                for j in range(1, k + 1):
-                    for i in range(j):
-                        if ff[j][i] != ff[i][j - 1]:
-                            raise ValidationError(
-                                f"simplicial identity fails on {name!r}: "
-                                f"d_{i} d_{j} != d_{j - 1} d_{i}"
-                            )
+                fs = self.faces[name]
+                for i, j in pairs:
+                    a, b = fs[j], fs[i]
+                    if face_key(a.degeneracies, a.base, k - 1, i) != face_key(
+                        b.degeneracies, b.base, k - 1, j - 1
+                    ):
+                        raise ValidationError(
+                            f"simplicial identity fails on {name!r}: "
+                            f"d_{i} d_{j} != d_{j - 1} d_{i}"
+                        )
 
     def _key(self):
         return (
@@ -635,27 +626,16 @@ def simplex_as_map(Y: FiniteSSet, sx: Simplex) -> SSetMap:
 def isomorphism(X: FiniteSSet, Y: FiniteSSet) -> SSetMap | None:
     """An isomorphism ``X -> Y`` if one exists, else ``None``.
 
-    A simplicial map that restricts to a dimensionwise bijection between
-    nondegenerate simplices is an isomorphism, so the search runs over
-    nondegenerate images only.
+    With equal counts, a dimensionwise injective map is a bijection on the
+    nondegenerate simplices of each dimension, hence an isomorphism: the
+    first such map ``enumerate_maps`` lists.
     """
     if X.counts() != Y.counts():
         return None
     from .function_complex import enumerate_maps
 
-    for f in enumerate_maps(X, Y):
-        hit: dict[int, set[str]] = {}
-        ok = True
-        for name, sx in f.images.items():
-            if sx.is_degenerate:
-                ok = False
-                break
-            hit.setdefault(X.dim_of(name), set()).add(sx.base)
-        if ok and all(
-            len(hit.get(k, ())) == len(X.cells[k]) for k in range(X.top_dim + 1)
-        ):
-            return f
-    return None
+    injective = (f for f in enumerate_maps(X, Y) if f.is_dimensionwise_injective())
+    return next(injective, None)
 
 
 def are_isomorphic(X: FiniteSSet, Y: FiniteSSet) -> bool:

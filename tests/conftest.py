@@ -62,10 +62,10 @@ def scan_maps(X: FiniteSSet, Y: FiniteSSet) -> list[SSetMap]:
     """Reference enumerator, independent of ``function_complex``: every
     nondegenerate simplex of ``X`` tries the candidate images of its
     dimension whose faces (through ``Y.face`` and ``Y.act``) are the images
-    of its faces.  A simplex is tried as soon as its faces have images, the
-    highest dimension first, and the maps are listed as a scan over the
-    simplices in ascending dimension, then name, trying candidates in
-    ``Y.all_simplices`` order, would list them."""
+    of its stored faces.  A simplex is tried as soon as its faces have
+    images, the highest dimension first, and the maps are listed as a scan
+    over the simplices in ascending dimension, then name, trying candidates
+    in ``Y.all_simplices`` order, would list them."""
     slots = [(k, name) for k in range(X.top_dim + 1) for name in X.nondeg(k)]
     order, done = [], set()
     while len(order) < len(slots):
@@ -84,19 +84,21 @@ def scan_maps(X: FiniteSSet, Y: FiniteSSet) -> list[SSetMap]:
             by_faces.setdefault(faces, []).append(c)
             rank[c] = len(rank)
     found, images = [], {}
+    stored = {name: X.faces.get(name, ()) for _, name in slots}  # read once
+    epis = {}  # (word, dim) -> the surjection collapsing at word
 
     def image(sx):
-        img = images[sx.base]
-        return Y.act(img, epi_of_word(sx.degeneracies, sx.dim))
+        key = (sx.degeneracies, sx.dim)
+        if key not in epis:
+            epis[key] = epi_of_word(*key)
+        return Y.act(images[sx.base], epis[key])
 
     def backtrack(idx):
         if idx == len(order):
             found.append(dict(images))
             return
         k, name = order[idx]
-        want = tuple(
-            image(X.face(X.simplex(name), i)) for i in range(k + 1)
-        ) if k else ()
+        want = tuple(image(f) for f in stored[name])
         for cand in cands[k].get(want, ()):
             images[name] = cand
             backtrack(idx + 1)

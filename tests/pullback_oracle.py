@@ -71,4 +71,4 @@ def oracle_pullback(p: SSetMap, q: SSetMap, prefix: str) -> PullbackResult:
         (sa.degeneracies, sa.base, sb.degeneracies, sb.base): name
         for (sa, sb), name in name_of.items()
     }
-    return PullbackResult(space, proj_l, proj_r, p, q, name_of, keys)
+    return PullbackResult(space, proj_l, proj_r, p, q, keys)

@@ -467,7 +467,6 @@ def _assert_pullback_matches_oracle(pb, prefix):
     assert pb.space.faces == ref.space.faces
     assert pb.proj_left.images == ref.proj_left.images
     assert pb.proj_right.images == ref.proj_right.images
-    assert pb._name_of == ref._name_of
     assert pb._keys == ref._keys
 
 

@@ -546,6 +546,27 @@ def test_negative_max_enum_exits_two_naming_the_flag(tmp_path, capsys, argv):
     assert err == f"error: manifest task 0: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["homology", "mv"])
+@pytest.mark.parametrize("top", ["-1", "-2"])
+def test_negative_top_exits_two_naming_the_flag(tmp_path, capsys, command, top):
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"space": "boundary2", "u": ["01", "12"], "v": ["02"]}))
+    argv = ["homology", "circle"] if command == "homology" else ["mv", str(cover)]
+    message = f"argument --top: must be nonnegative, got {top}"
+    assert cli.main([*argv, "--top", top]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"ssetkit {argv[0]}: error: {message}"
+    ]
+    f = tmp_path / "manifest.json"
+    f.write_text(json.dumps({"tasks": [[*argv, "--top", top]]}))
+    assert cli.main(["run", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: manifest task 0: {message}\n"
+
+
 ROOT = pathlib.Path(__file__).parent.parent
 GOLDEN = ROOT / "perfbench" / "data" / "expected"
 

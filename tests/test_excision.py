@@ -291,6 +291,11 @@ def test_mv_contractible_cover_reduced_vanishes():
             assert e.group.rank == 0 and e.group.torsion == ()
 
 
+def test_mv_refuses_a_negative_top_degree():
+    with pytest.raises(ValidationError, match="top degree -1 is negative"):
+        mayer_vietoris(_two_arc_cover(), -1)
+
+
 def test_mv_exactness_for_battery():
     for cd in _cover_battery():
         assert mayer_vietoris(cd, 2).all_exact

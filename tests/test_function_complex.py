@@ -483,3 +483,27 @@ def test_function_complexes_compose_no_maps(monkeypatch, capsys):
     assert cli.main(MAPSPACE) == 0
     assert capsys.readouterr().out == (GOLDEN / "mapspace-simplex3.json").read_text()
     assert _bytes(mapping_space(two_sphere(), "g0_0", "g0_0", 2)) == want
+
+
+def test_function_complexes_build_no_map_into_the_target(monkeypatch):
+    # every level reads the rows of the search straight into its tuples:
+    # the maps found are never built as ``SSetMap`` values into the target
+    want = (
+        _bytes(oracle_internal_hom(boundary(2), two_sphere(), 1)),
+        _bytes(oracle_mapping_space(two_sphere(), "g0_0", "g0_0", 2)),
+    )
+    Y = two_sphere()
+    targets = []
+    init = SSetMap.__init__
+
+    def recording(self, source, target, *args, **kwargs):
+        targets.append(target)
+        init(self, source, target, *args, **kwargs)
+
+    monkeypatch.setattr(SSetMap, "__init__", recording)
+    got = (
+        _bytes(internal_hom_truncated(boundary(2), Y, 1)),
+        _bytes(mapping_space(Y, "g0_0", "g0_0", 2)),
+    )
+    assert got == want
+    assert targets and not any(t is Y for t in targets)

@@ -65,3 +65,25 @@ def _unused_names() -> list[str]:
 
 def test_every_module_level_name_of_the_package_is_read():
     assert _unused_names() == []
+
+
+def _unread_private_fields() -> list[str]:
+    """The annotated fields of package classes whose names start with ``_``
+    and that no package module reads."""
+    read: set[str] = set()
+    fields: list[tuple[str, str]] = []
+    for path in sorted((ROOT / "src" / "ssetkit").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read |= _reads(tree)
+        fields += [
+            (f"{path.relative_to(ROOT)}: {cls.name}.{node.target.id}", node.target.id)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.AnnAssign) and node.target.id.startswith("_")
+        ]
+    return [where for where, name in fields if name not in read]
+
+
+def test_every_private_field_of_a_package_class_is_read():
+    assert _unread_private_fields() == []
