@@ -16,6 +16,13 @@ not divide, and record every column operation, so a saturated kernel basis
 and integer solutions come from the same pass; no U or V transform is ever
 built.
 
+A column is cleared with the pivots whose rows it has entries in, earliest
+pivot first.  They wait in a heap, not found by a rescan of the column
+after every step, and the order is the same: a pivot column is zero in the
+rows of all earlier pivots, so a step fills only rows of later pivots,
+which are pushed as they appear, and a Euclid swap, which replaces the
+column, rebuilds the heap from it.
+
 Homology tables hand each boundary ∂_m to the elimination without the
 columns whose index is a unit-pivot row of ∂_{m+1}, eliminated first: since
 d∘d = 0, those columns are integer combinations of the kept ones, so the
@@ -28,6 +35,7 @@ generators they return would change.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .errors import ValidationError
@@ -204,6 +212,31 @@ def _swap(u: dict[int, int], v: dict[int, int]) -> None:
     v.update(w)
 
 
+def _pending(col: dict[int, int], pivot_of_row: dict[int, int]) -> list[int]:
+    """A heap of the pivots whose rows ``col`` has an entry in."""
+    heap = [pivot_of_row[i] for i in col if i in pivot_of_row]
+    heapify(heap)
+    return heap
+
+
+def _sub_pending(
+    col: dict[int, int], c: int, other: dict[int, int], heap: list[int],
+    pivot_of_row: dict[int, int],
+) -> None:
+    """``_sub(col, c, other)``, pushing onto ``heap`` the pivot of each
+    pivot row that gains an entry in ``col``: homology's inner loop."""
+    for i, y in other.items():
+        v = col.get(i)
+        if v is None:
+            col[i] = -c * y
+            if i in pivot_of_row:
+                heappush(heap, pivot_of_row[i])
+        elif v := v - c * y:
+            col[i] = v
+        else:
+            del col[i]
+
+
 def _clear(col: dict[int, int], t, pivots, pivot_of_row: dict[int, int]) -> None:
     """Zero the pivot rows of ``col`` in place by column operations.
 
@@ -219,26 +252,30 @@ def _clear(col: dict[int, int], t, pivots, pivot_of_row: dict[int, int]) -> None
     division and is never swapped, and stays ±1.  Every step is unimodular.
     The transform ``t`` of ``col`` (``None`` when not kept) and the pivots'
     transforms undergo the same operations.
+
+    The pending pivots wait in a heap, so the earliest is found without a
+    scan of ``col``.  A step with pivot k fills only rows of later pivots,
+    whose indices are pushed as their rows first appear, and unless it
+    swaps it zeroes row k for good; an index whose row has been zeroed since
+    it was pushed is skipped.  A swap replaces ``col`` and rebuilds the heap
+    from it.  So the pivots act in the order a rescan of ``col`` after every
+    step would give.
     """
-    while True:
-        k = min((pivot_of_row[i] for i in col if i in pivot_of_row), default=None)
-        if k is None:
-            return
-        r, pc, pt, unit = pivots[k]
-        x = col[r]
+    heap = _pending(col, pivot_of_row)
+    while heap:
+        r, pc, pt, unit = pivots[heappop(heap)]
+        x = col.get(r)
+        if x is None:
+            continue
         if c := (x * unit if unit else x // pc[r]):
-            for i, y in pc.items():  # ``_sub`` written out: homology's inner loop
-                v = col.get(i, 0) - c * y
-                if v:
-                    col[i] = v
-                else:
-                    del col[i]
+            _sub_pending(col, c, pc, heap, pivot_of_row)
             if t is not None:
                 _sub(t, c, pt)
         if not unit and x % pc[r]:
             _swap(col, pc)
             if t is not None:
                 _swap(t, pt)
+            heap = _pending(col, pivot_of_row)
 
 
 def _eliminate(M: IntMat, track: bool):
@@ -373,7 +410,12 @@ def kernel_basis(M: IntMat) -> IntMat:
 
 def _solver(M: IntMat):
     """``solve`` with ``M`` fixed: the tracked elimination of ``M`` runs
-    once, here, and the function returned clears each ``B`` against it."""
+    once, here, and the function returned clears each ``B`` against it.
+
+    As in ``_clear``, the pending pivots of a column wait in a heap: a step
+    with pivot k zeroes row k and fills only rows of later pivots, which are
+    pushed as they appear, and no step swaps.  So the pivots act earliest
+    first, as a rescan of the column after every step would order them."""
     pivots, pivot_of_row, _ = _eliminate(M, track=True)
 
     def solve_for(B: IntMat) -> IntMat | None:
@@ -382,12 +424,15 @@ def _solver(M: IntMat):
         xs = []
         for stored in B.columns:
             col, x = dict(stored), {}
-            while rows := [pivot_of_row[i] for i in col if i in pivot_of_row]:
-                r, pc, pt, _ = pivots[min(rows)]
-                q, rem = divmod(col[r], pc[r])
+            heap = _pending(col, pivot_of_row)
+            while heap:
+                r, pc, pt, _ = pivots[heappop(heap)]
+                if (y := col.get(r)) is None:
+                    continue
+                q, rem = divmod(y, pc[r])
                 if rem:
                     return None
-                _sub(col, q, pc)
+                _sub_pending(col, q, pc, heap, pivot_of_row)
                 _sub(x, -q, pt)
             if col:
                 return None

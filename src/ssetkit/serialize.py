@@ -7,6 +7,14 @@ with the package's own error types rather than raw KeyErrors.  Every record
 reader, here and in ``cli``, checks shapes through the same three private
 helpers: ``_record`` (a JSON object), ``_strings`` (a list of strings) and
 ``_ints`` (a list of integers, refusing ``true`` and ``false``).
+
+Most face entries of a space record are ``[[], name]``, a nondegenerate
+face, and each such face recurs in the entries of several cells.
+``sset_from_record`` reads these entries as one ``Simplex`` per (name,
+dimension), built at the first entry and shared by the later ones, and
+skips the shape checks, which such an entry passes.  Every other entry goes
+through ``_simplex_from_pair``, so a malformed record fails with the same
+message; ``FiniteSSet`` validates the faces either way.
 """
 
 from __future__ import annotations
@@ -104,13 +112,23 @@ def sset_from_record(data) -> FiniteSSet:
     )
     dim_of = {name: k for k, level in enumerate(cells) for name in level}
     faces = {}
+    shared: dict[tuple[str, int], Simplex] = {}  # one Simplex per [[], name]
     for name, lst in _record(data.get("faces", {}), "face table record").items():
         if name not in dim_of:
             raise ValidationError(f"faces listed for unknown simplex {name!r}")
         if not isinstance(lst, (list, tuple)):
             raise ValidationError(f"faces of {name!r} must be a list")
-        k, what = dim_of[name], f"face of {name!r}"
-        faces[name] = tuple(_simplex_from_pair(p, k - 1, what) for p in lst)
+        k = dim_of[name] - 1
+        entries = []
+        for p in lst:
+            if type(p) is list and len(p) == 2 and p[0] == [] and type(p[1]) is str:
+                sx = shared.get((p[1], k))
+                if sx is None:
+                    sx = shared[p[1], k] = Simplex((), p[1], k)
+            else:
+                sx = _simplex_from_pair(p, k, f"face of {name!r}")
+            entries.append(sx)
+        faces[name] = tuple(entries)
     basepoint = data.get("basepoint")
     if basepoint is not None and not isinstance(basepoint, str):
         raise ValidationError("basepoint must be a simplex name")

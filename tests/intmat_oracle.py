@@ -6,11 +6,17 @@ builds no transform it does not need.  This is the textbook algorithm on
 dense rows, with the unimodular U and V it applies kept alongside, so the
 tests can check ranks, invariant factors, kernels and solves against an
 independent decomposition ``U @ M @ V == D``.
+
+It also keeps the elimination loops as they were before the pending pivots
+moved into a heap: ``_clear`` and ``solve_for`` rescan the whole column
+for its earliest pivot after every step.  The package must act with the
+same pivots in the same order, so the tests compare the two passes' pivots,
+transforms and remainders entry by entry, dict order included.
 """
 
 from dataclasses import dataclass
 
-from ssetkit.intmat import IntMat
+from ssetkit.intmat import IntMat, _sub, _swap
 
 
 @dataclass(frozen=True)
@@ -146,3 +152,94 @@ def smith_normal_form(M: IntMat) -> SmithDecomposition:
             i += 1
 
     return SmithDecomposition(IntMat(n, n, u), IntMat(n, m, a), IntMat(m, m, v))
+
+
+# -- the elimination order, by rescanning ------------------------------------
+
+
+def _clear(col: dict[int, int], t, pivots, pivot_of_row: dict[int, int]) -> None:
+    while True:
+        k = min((pivot_of_row[i] for i in col if i in pivot_of_row), default=None)
+        if k is None:
+            return
+        r, pc, pt, unit = pivots[k]
+        x = col[r]
+        if c := (x * unit if unit else x // pc[r]):
+            for i, y in pc.items():  # ``_sub`` written out: homology's inner loop
+                v = col.get(i, 0) - c * y
+                if v:
+                    col[i] = v
+                else:
+                    del col[i]
+            if t is not None:
+                _sub(t, c, pt)
+        if not unit and x % pc[r]:
+            _swap(col, pc)
+            if t is not None:
+                _swap(t, pt)
+
+
+def eliminate(M: IntMat, track: bool):
+    """``ssetkit.intmat._eliminate`` with the rescanning ``_clear``."""
+    pivots: list[tuple[int, dict[int, int], dict[int, int] | None, int]] = []
+    pivot_of_row: dict[int, int] = {}
+    rest = []
+    for j, stored in enumerate(M.columns):
+        col = dict(stored)  # cleared in place below
+        t = {j: 1} if track else None
+        _clear(col, t, pivots, pivot_of_row)
+        r = next((i for i, x in col.items() if x == 1 or x == -1), None)
+        unit = 0 if r is None else col[r]
+        if r is None and track and col:
+            r = min(col, key=lambda i: abs(col[i]))
+        if r is not None:
+            pivot_of_row[r] = len(pivots)
+            pivots.append((r, col, t, unit))
+        elif track or col:
+            rest.append(t if track else col)
+    if not track:
+        for col in rest:
+            _clear(col, None, pivots, pivot_of_row)
+        rest = [col for col in rest if col]
+    return pivots, pivot_of_row, rest
+
+
+def kernel_basis(M: IntMat) -> IntMat:
+    return IntMat.of_columns(M.cols, eliminate(M, track=True)[2])
+
+
+def solve(M: IntMat, B: IntMat) -> IntMat | None:
+    """``ssetkit.intmat.solve`` with the rescanning ``solve_for``."""
+    pivots, pivot_of_row, _ = eliminate(M, track=True)
+    xs = []
+    for stored in B.columns:
+        col, x = dict(stored), {}
+        while rows := [pivot_of_row[i] for i in col if i in pivot_of_row]:
+            r, pc, pt, _ = pivots[min(rows)]
+            q, rem = divmod(col[r], pc[r])
+            if rem:
+                return None
+            _sub(col, q, pc)
+            _sub(x, -q, pt)
+        if col:
+            return None
+        xs.append(x)
+    return IntMat.of_columns(M.cols, xs)
+
+
+def unit_quotient(W: IntMat, X: IntMat):
+    """``ssetkit.intmat._unit_quotient(W)`` with the rescanning ``_clear``,
+    its map applied to ``X``."""
+    pivots, pivot_of_row, rest = eliminate(W, track=False)
+    kept = [i for i in range(W.rows) if i not in pivot_of_row]
+    index = {i: k for k, i in enumerate(kept)}
+
+    def reduce(columns) -> IntMat:
+        columns = [dict(col) for col in columns]
+        for col in columns:
+            _clear(col, None, pivots, pivot_of_row)
+        return IntMat.of_columns(len(kept), (
+            {index[i]: x for i, x in col.items()} for col in columns
+        ))
+
+    return kept, reduce(rest), reduce(X.columns)

@@ -305,7 +305,21 @@ def test_product_cell_names_are_stable(capsys, argv, golden):
     assert capsys.readouterr().out == (DATA / golden).read_text()
 
 
-_EDGE = {"cells": [["a"], ["e"]]}
+def test_mv_record_of_the_disk_and_band_cover_is_stable(tmp_path, capsys):
+    # Recorded before the elimination kept its pending pivots in a heap.
+    # The maps are written on the homology generators, which any change
+    # of elimination order would move; H_1(RP²) = Z/2 puts a non-unit
+    # relation in them.
+    claims = json.loads((DATA / "paper_claims.json").read_text())
+    cover = dict(claims["covers"]["disk-and-band"])
+    cover["space"] = claims["spaces"][cover["space"]]
+    f = tmp_path / "cover.json"
+    f.write_text(json.dumps(cover))
+    assert cli.main(["mv", str(f), "--json"]) == 0
+    assert capsys.readouterr().out == (DATA / "mv_disk_and_band.json").read_text()
+
+
+_EDGE ={"cells": [["a"], ["e"]]}
 _PREORDER = {"elements": ["a", "b"]}
 
 
@@ -336,6 +350,34 @@ def test_malformed_records_exit_two(tmp_path, capsys, command, record):
     f.write_text(json.dumps(record))
     assert cli.main([*command.split(), str(f)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+_PAIR = "expected a [degeneracy-word, base] pair"
+
+
+@pytest.mark.parametrize(
+    "faces, line",
+    [
+        ([[[], 5], [[], "a"]], f"face of 'e': {_PAIR}"),
+        ([[[], "a", 0], [[], "a"]], f"face of 'e': {_PAIR}"),
+        ([[[]], [[], "a"]], f"face of 'e': {_PAIR}"),
+        ([[[], "nosuch"], [[], "a"]], "face of 'e' has unknown base"),
+        ([[[], "e"], [[], "a"]], "face of 'e' has inconsistent base dim"),
+        ([[[], "a"], [["x"], "a"]], "face of 'e': degeneracy word must be a list of integers"),
+        ([[[], "a"], [[], 5]], f"face of 'e': {_PAIR}"),
+    ],
+    ids=["base-int", "three-items", "one-item", "unknown-base", "wrong-dim",
+         "valid-then-word", "valid-then-base"],
+)
+def test_face_entries_near_the_nondegenerate_shape_fail_with_their_line(
+    tmp_path, capsys, faces, line
+):
+    # ``[[], name]`` entries skip the pair check; these must still fail with
+    # the messages of the checked reading.
+    f = tmp_path / "record.json"
+    f.write_text(json.dumps({**_EDGE, "faces": {"e": faces}}))
+    assert cli.main(["homology", str(f)]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
 
 
 @pytest.mark.parametrize(

@@ -5,8 +5,10 @@ import json
 import pytest
 
 from conftest import circle, two_sphere
+from ssetkit.build import product
 from ssetkit.chain import homology
 from ssetkit.errors import ValidationError
+from ssetkit.excision import reduced_suspension, unreduced_suspension
 from ssetkit.quasicat import is_quasicategory_up_to
 from ssetkit.serialize import (
     canonical_dumps,
@@ -21,7 +23,7 @@ from ssetkit.serialize import (
     verdict_to_record,
 )
 from ssetkit.simplicial_chains import normalized_chains
-from ssetkit.sset import SSetMap, boundary, standard_simplex
+from ssetkit.sset import SSetMap, boundary, horn, pointed, standard_simplex
 
 
 def test_sset_round_trip():
@@ -29,6 +31,38 @@ def test_sset_round_trip():
         back = sset_from_record(sset_to_record(X))
         assert back == X
         assert back.basepoint == X.basepoint
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: standard_simplex(3),
+        lambda: boundary(3),
+        lambda: horn(3, 1),
+        circle,
+        two_sphere,
+        lambda: product(standard_simplex(2), standard_simplex(2)).space,
+        lambda: product(circle(), boundary(2)).space,
+        lambda: reduced_suspension(two_sphere()),
+        lambda: reduced_suspension(pointed(boundary(2), "0")),
+        lambda: unreduced_suspension(boundary(2)),
+    ],
+    ids=["simplex3", "boundary3", "horn3_1", "circle", "s2", "product22",
+         "circle-x-boundary2", "suspension-s2", "suspension-boundary2",
+         "unreduced-suspension"],
+)
+def test_round_trip_shares_each_nondegenerate_face(build):
+    # ``[[], name]`` entries are read once per (name, dimension): equal
+    # nondegenerate faces come back as one object.
+    X = build()
+    back = sset_from_record(sset_to_record(X))
+    assert back == X
+    assert back.basepoint == X.basepoint
+    shared = {}
+    for faces in back.faces.values():
+        for sx in faces:
+            if not sx.is_degenerate:
+                assert shared.setdefault(sx, sx) is sx
 
 
 def test_canonical_bytes_are_stable():
