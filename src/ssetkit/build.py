@@ -8,41 +8,45 @@ pairs level by level.  A product is the pullback of the two maps to the
 point, so products and fiber products share one construction and one
 result type; product cells keep their own ``p`` name prefix.
 
-A pullback works on positions and keys.  Each level sorts the simplices
-``s_I a`` and ``s_J b`` of either side by word, then base, so a pair is a
-pair of positions, and the pairs are listed in the order of ``(I, a, J, b)``
-without sorting them.  Faces are (word, base) keys, never ``Simplex``
-values: each side computes the faces of each of its simplices once, by the
-face rule ``FiniteSSet.face_key``, as positions in a list of distinct keys.
-Each distinct pair of faces becomes a simplex of the pullback once, by the
-one pair rule ``_pair_simplex``: the collapse positions both words share
-are stripped, the nondegenerate pair left is named by its key
-``(I, a, J, b)``, and the face is ``s_shared`` of that name.  So a level
-builds one ``Simplex`` per distinct face, and every other face is a lookup
-keyed on two ints.  ``PullbackResult.pair_simplex`` and the reduced
+A pullback works on positions and keys.  Each side lists its simplices
+``s_I a`` that can pair, as keys (I, a), in the order of its face table
+``FiniteSSet.level_faces`` (by dimension of a, name, word), and sorts their
+positions by word, then base, so a pair is a pair of positions and the
+pairs are listed in the order of ``(I, a, J, b)`` without sorting them.
+The faces of a side's simplex are positions in the level below, read off
+that table, so no side builds a ``Simplex`` for a face.  Each distinct pair
+of face positions becomes a face of the pullback once, by the one pair rule
+``_pair_key``: the collapse positions both words share are stripped, the
+nondegenerate pair left is found by its key ``(I, a, J, b)``, and the face
+is the (word, position) key of ``s_shared`` of that cell, an entry of the
+pullback's face table.  ``PullbackResult.pair_simplex`` and the reduced
 suspension (``excision``) use the same pair rule.  ``_keys`` is the one
-index of the cells, name by key; the projections are filled as the pairs
-are listed.  The pairs are counted against ``DEFAULT_MAX_CANDIDATES``
-before any level is built.
+index of the cells, position by key; the projections are filled as the
+pairs are listed, with one ``Simplex`` per simplex of a side that pairs.
+The pairs are counted against ``DEFAULT_MAX_CANDIDATES`` before any level
+is built.
 
 Pushouts are taken along an injective leg ``A -> Y``: the nondegenerate
 simplices of ``X u_A Y`` are those of ``X`` plus those of ``Y`` outside
-``A``.  Disjoint unions are pushouts over the empty set, and the quotient
-``X/A`` is the pushout of ``X`` and the point along ``A``.  The gluing
-memoises the image of every face it renames, on both sides.
+``A``.  The cells of ``X`` keep their positions and their rows of the face
+table; a face of a cell of ``Y`` is renamed once, by its key.  Disjoint
+unions are pushouts over the empty set, and the quotient ``X/A`` is the
+pushout of ``X`` and the point along ``A``.
 
 Each construction is valid by construction on valid inputs, so its space
-and maps, and the maps a pushout or pullback induces from a commuting cone,
-are built with ``check=False``: spaces and maps are validated where they
-enter, not each time one is derived from another.  Only the cone itself is
-checked, since it comes from the caller.
+is handed to the trusted constructor ``FiniteSSet._trusted`` and its maps,
+and the maps a pushout or pullback induces from a commuting cone, are built
+with ``check=False``: spaces and maps are validated where they enter, not
+each time one is derived from another.  Only the cone itself is checked,
+since it comes from the caller.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .delta import degeneracy_words
+from .delta import compose_words, degeneracy_words
 from .errors import EnumerationLimit, ValidationError
 from .sset import (
     FiniteSSet,
@@ -101,48 +105,57 @@ def _glue(f: SSetMap, g: SSetMap):
     """Glue ``g.target`` onto ``f.target`` along the injective ``g``.
 
     Level k lists the cells of ``f.target``, then the cells of ``g.target``
-    outside the image of ``g``, named ``g{k}_{idx}``.  A simplex whose base
-    lies in that image becomes ``f`` of its preimage.  Returns the space,
-    the maps from both targets, and the origin ``(side, simplex)`` of each
-    cell, side 0 for ``f.target`` and 1 for ``g.target``.
+    outside the image of ``g``, named ``g{k}_{idx}``, so the cells of
+    ``f.target`` keep their positions and their rows.  A face of a cell of
+    ``g.target`` whose base lies in that image becomes ``f`` of its preimage.
+    Returns the space, the maps from both targets, and the origin ``(side,
+    simplex)`` of each cell, side 0 for ``f.target`` and 1 for ``g.target``.
     """
-    sides = (f.target, g.target)
+    X, Y = f.target, g.target
     # g is injective, so it sends nondegenerate cells to nondegenerate cells.
     preimage = {sx.base: name for name, sx in g.images.items()}
-    rename: tuple[dict, dict] = ({}, {})
     origin: dict = {}
     cells: list[list[str]] = []
-    for k in range(max(f.target.top_dim, g.target.top_dim) + 1):
-        level = [(0, n) for n in f.target.nondeg(k)]
-        level += [(1, n) for n in g.target.nondeg(k) if n not in preimage]
+    moved: list[list] = []  # per level of Y, the new position of each cell
+    for k in range(max(X.top_dim, Y.top_dim) + 1):
+        kept = [n for n in Y.nondeg(k) if n not in preimage]
+        level = [(0, n) for n in X.nondeg(k)] + [(1, n) for n in kept]
+        at = dict(zip(kept, range(len(X.nondeg(k)), len(level))))
+        moved.append([at.get(n) for n in Y.nondeg(k)])
         names = _level_names("g", k, len(level))
         for (side, old), new in zip(level, names):
-            rename[side][old] = new
-            origin[new] = (side, Simplex((), old, k))
+            origin[new] = (side, (X, Y)[side].simplex(old))
         cells.append(names)
-    memo: tuple[dict, dict] = ({}, {})  # per side: simplex -> its image
+    memo: dict = {}  # a key (word, position) in Y -> its key in the space
 
-    def image(side: int, sx: Simplex) -> Simplex:
-        out = memo[side].get(sx)
+    def image(word: tuple[int, ...], pos: int, k: int) -> tuple:
+        """The key in the space of the k-simplex (word, pos) of Y."""
+        out = memo.get((word, pos, k))
         if out is None:
-            if side == 1 and sx.base in preimage:
-                pre = Simplex(sx.degeneracies, preimage[sx.base], sx.dim)
-                out = image(0, f.apply(pre))
+            new = moved[k - len(word)][pos]
+            if new is None:
+                sx = f.images[preimage[Y.cells[k - len(word)][pos]]]
+                w = compose_words(sx.degeneracies, word, k) if word else sx.degeneracies
+                out = (w, X.position(sx.base))
             else:
-                out = Simplex(sx.degeneracies, rename[side][sx.base], sx.dim)
-            memo[side][sx] = out
+                out = (word, new)
+            memo[word, pos, k] = out
         return out
 
-    faces = {
-        name: tuple(image(side, d) for d in sides[side].faces[sx.base])
-        for name, (side, sx) in origin.items()
-        if sx.dim > 0
+    table = [list(X.table[k]) if k <= X.top_dim else [] for k in range(len(cells))]
+    for k in range(Y.top_dim + 1):
+        table[k] += [
+            tuple(image(w, q, k - 1) for w, q in row)
+            for row, new in zip(Y.table[k], moved[k])
+            if new is not None
+        ]
+    space = FiniteSSet._trusted(cells, table)
+    to_x = {n: space.simplex_at((), X.position(n), X.dim_of(n)) for n in X.names}
+    to_y = {
+        n: space.simplex_at(*image((), Y.position(n), Y.dim_of(n)), Y.dim_of(n))
+        for n in Y.names
     }
-    space = FiniteSSet(cells, faces, check=False)
-    legs = tuple(
-        SSetMap(X, space, {n: image(side, X.simplex(n)) for n in X.names}, check=False)
-        for side, X in enumerate(sides)
-    )
+    legs = (SSetMap(X, space, to_x, check=False), SSetMap(Y, space, to_y, check=False))
     return space, legs, origin
 
 
@@ -234,14 +247,15 @@ def _strip(word: tuple[int, ...], shared: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(i - sum(s < i for s in shared) for i in word if i not in shared)
 
 
-def _pair_simplex(name_of: dict, wa: tuple, a: str, wb: tuple, b: str, k: int) -> Simplex:
-    """The k-simplex that the pair ``(s_wa a, s_wb b)`` is: ``s_shared`` of
-    the nondegenerate pair left once the collapse positions both words
-    share are undone, named by ``name_of`` on its key ``(wa', a, wb', b)``."""
+def _pair_key(keys: dict, wa: tuple, a: str, wb: tuple, b: str) -> tuple[tuple[int, ...], int]:
+    """The key (shared, position) of the simplex that the pair
+    ``(s_wa a, s_wb b)`` is: ``s_shared`` of the nondegenerate pair left
+    once the collapse positions both words share are undone, at the
+    position ``keys`` gives its key ``(wa', a, wb', b)``."""
     shared = tuple(i for i in wa if i in wb)
     if shared:
         wa, wb = _strip(wa, shared), _strip(wb, shared)
-    return Simplex(shared, name_of[wa, a, wb, b], k)
+    return shared, keys[wa, a, wb, b]
 
 
 @dataclass
@@ -251,15 +265,16 @@ class PullbackResult:
     proj_right: SSetMap  # to the source of q
     leg_left: SSetMap  # p itself
     leg_right: SSetMap  # q itself
-    _keys: dict = field(repr=False)  # (I, a, J, b) of a nondegenerate pair -> name
+    _keys: dict = field(repr=False)  # (I, a, J, b) of a nondegenerate pair -> position
 
     def pair_simplex(self, sa: Simplex, sb: Simplex) -> Simplex:
         """The simplex of the pullback corresponding to a compatible pair."""
         if sa.dim != sb.dim:
             raise ValidationError("pair components live in different dimensions")
-        return _pair_simplex(
-            self._keys, sa.degeneracies, sa.base, sb.degeneracies, sb.base, sa.dim
+        word, pos = _pair_key(
+            self._keys, sa.degeneracies, sa.base, sb.degeneracies, sb.base
         )
+        return self.space.simplex_at(word, pos, sa.dim)
 
     def components(self, name: str) -> tuple[Simplex, Simplex]:
         return self.proj_left.images[name], self.proj_right.images[name]
@@ -277,64 +292,84 @@ class PullbackResult:
         return SSetMap(to_a.source, self.space, images, check=False)
 
 
-def _level_simplices(X: FiniteSSet, k: int, other_top: int) -> list[Simplex]:
-    """The k-simplices ``s_I x`` of nondegenerate ``x`` that can pair with a
-    k-simplex of a space of dimension ``other_top``, sorted by ``(I, x)``."""
-    return sorted(
-        (
-            Simplex(w, x, k)
-            for m in range(max(k - other_top, 0), min(k, X.top_dim) + 1)
-            for w in degeneracy_words(k, m)
-            for x in X.cells[m]
-        ),
-        key=lambda sx: (sx.degeneracies, sx.base),
-    )
+def _listing(X: FiniteSSet, k: int, low: int) -> list[tuple[tuple[int, ...], str]]:
+    """The keys (I, x) of the k-simplices ``s_I x`` of ``X`` with
+    ``dim x >= low``, in the order of ``X.level_faces(k, low)``: by
+    dimension, then name, then word."""
+    return [
+        (w, x)
+        for m in range(low, min(k, X.top_dim) + 1)
+        for x in X.cells[m]
+        for w in degeneracy_words(k, m)
+    ]
+
+
+def _decoder(X: FiniteSSet, k: int):
+    """The size of ``X.level(k)``, and the key (word, name) of a position in
+    it: the level lists the cells of each dimension m as blocks of
+    ``degeneracy_words(k, m)``, so the key is read off the block starts,
+    with no level built."""
+    starts, blocks = [], []
+    size = 0
+    for m in range(min(k, X.top_dim) + 1):
+        words = degeneracy_words(k, m)
+        starts.append(size)
+        blocks.append((X.cells[m], words))
+        size += len(words) * len(X.cells[m])
+
+    known: dict[int, tuple] = {}
+
+    def key(pos: int) -> tuple[tuple[int, ...], str]:
+        out = known.get(pos)
+        if out is None:
+            b = bisect_right(starts, pos) - 1
+            cells, words = blocks[b]
+            q, r = divmod(pos - starts[b], len(words))
+            out = known[pos] = (words[r], cells[q])
+        return out
+
+    return size, key
+
+
+def _image(f: SSetMap, word: tuple[int, ...], x: str, k: int) -> tuple:
+    """The (word, base) of ``f`` of the k-simplex ``s_word x``."""
+    sx = f.images[x]
+    return (compose_words(sx.degeneracies, word, k) if word else sx.degeneracies), sx.base
 
 
 def _compatible(p: SSetMap, q: SSetMap, k: int):
     """Level k of the pullback, by position.
 
-    Returns the k-simplices ``s_I a`` of the source of ``p`` and ``s_J b``
-    of the source of ``q``, each sorted by word, then base, and for each
-    ``s_I a`` the buckets of positions of the ``s_J b`` it pairs with: those
-    over the same image in the base whose words J are disjoint from I.  A
-    bucket holds one word and the buckets come in increasing words, so
-    reading them in turn lists the pairs of the level in the order of
-    ``(I, a, J, b)``.
+    Returns the listings (``_listing``) of the k-simplices ``s_I a`` of the
+    source of ``p`` and ``s_J b`` of the source of ``q`` that can pair, each
+    side's positions in it sorted by word, then base, and for each ``s_I a``
+    in that order the buckets of sorted positions of the ``s_J b`` it pairs
+    with: those over the same image in the base whose words J are disjoint
+    from I.  A bucket holds one word and the buckets come in increasing
+    words, so reading them in turn lists the pairs of the level in the
+    order of ``(I, a, J, b)``.
     """
     A, B = p.source, q.source
-    sas = _level_simplices(A, k, B.top_dim)
-    sbs = _level_simplices(B, k, A.top_dim)
-    over: dict = {}  # (J, image in the base) -> positions of the s_J b over it
-    for jb, sb in enumerate(sbs):
-        over.setdefault((sb.degeneracies, q.apply(sb)), []).append(jb)
+    la = _listing(A, k, max(k - B.top_dim, 0))
+    lb = _listing(B, k, max(k - A.top_dim, 0))
+    sas = sorted(range(len(la)), key=la.__getitem__)
+    sbs = sorted(range(len(lb)), key=lb.__getitem__)
+    over: dict = {}  # (J, image in the base) -> sorted positions of the s_J b over it
+    for jb, pb in enumerate(sbs):
+        wb, b = lb[pb]
+        over.setdefault((wb, _image(q, wb, b, k)), []).append(jb)
     b_words = sorted({wb for wb, _ in over})
     disjoint: dict = {}  # I -> the words J disjoint from it, increasing
     partners = []
-    for sa in sas:
-        wa = sa.degeneracies
+    for pa in sas:
+        wa, a = la[pa]
         if wa not in disjoint:
             disjoint[wa] = [wb for wb in b_words if not set(wa) & set(wb)]
-        image = p.apply(sa)
+        image = _image(p, wa, a, k)
         partners.append(
             [bucket for wb in disjoint[wa] if (bucket := over.get((wb, image)))]
         )
-    return sas, sbs, partners
-
-
-def _face_keys(X: FiniteSSet, level: list[Simplex], k: int):
-    """The distinct faces of the k-simplices in ``level`` as (word, base)
-    keys, and the faces of each as positions in that list."""
-    index: dict = {}
-    face_key = X.face_key
-    faces = [
-        tuple(
-            index.setdefault(face_key(sx.degeneracies, sx.base, k, i), len(index))
-            for i in range(k + 1)
-        )
-        for sx in level
-    ]
-    return list(index), faces
+    return la, lb, sas, sbs, partners
 
 
 def _pullback(p: SSetMap, q: SSetMap, prefix: str) -> PullbackResult:
@@ -342,54 +377,68 @@ def _pullback(p: SSetMap, q: SSetMap, prefix: str) -> PullbackResult:
 
     The pairs are counted against ``DEFAULT_MAX_CANDIDATES`` as the levels
     are listed, so an oversized pullback raises ``EnumerationLimit`` before
-    it builds anything.  Then each side's simplices get their faces once,
-    as positions, and each distinct pair of faces is normalised once.
+    it builds anything.  Then each side's simplices read their faces as
+    positions (``FiniteSSet.level_faces``), and each distinct pair of faces
+    is normalised once.
     """
     A, B = p.source, q.source
     levels = []
     listed = 0
     for k in range(A.top_dim + B.top_dim + 1):
         levels.append(_compatible(p, q, k))
-        listed += sum(len(bucket) for buckets in levels[-1][2] for bucket in buckets)
+        listed += sum(len(bucket) for buckets in levels[-1][4] for bucket in buckets)
         if listed > DEFAULT_MAX_CANDIDATES:
             raise EnumerationLimit(
                 f"pullback exceeds {DEFAULT_MAX_CANDIDATES} nondegenerate simplices"
             )
     cells: list[list[str]] = []
-    faces: dict[str, tuple[Simplex, ...]] = {}
+    table: list[list[tuple]] = []
     left: dict[str, Simplex] = {}  # the images of the two projections
     right: dict[str, Simplex] = {}
-    keys: dict = {}  # (I, a, J, b) of each nondegenerate pair -> its name
+    keys: dict = {}  # (I, a, J, b) of each nondegenerate pair -> its position
     for k in range(len(levels)):
-        sas, sbs, partners = levels[k]
+        la, lb, sas, sbs, partners = levels[k]
         levels[k] = None  # free each level once read: it would add to the peak
         pairs = [
-            (ia, ib)
+            (sas[ia], sbs[ib])
             for ia, buckets in enumerate(partners)
             for bucket in buckets
             for ib in bucket
         ]
         names = _level_names(prefix, k, len(pairs))
         cells.append(names)
-        for (ia, ib), name in zip(pairs, names):
-            sa, sb = sas[ia], sbs[ib]
+        a_sx: list = [None] * len(la)  # listing position -> its simplex, once
+        b_sx: list = [None] * len(lb)
+        for pos, ((pa, pb), name) in enumerate(zip(pairs, names)):
+            (wa, a), (wb, b) = la[pa], lb[pb]
+            sa, sb = a_sx[pa], b_sx[pb]
+            if sa is None:
+                sa = a_sx[pa] = Simplex(wa, a, k) if wa else A.simplex(a)
+            if sb is None:
+                sb = b_sx[pb] = Simplex(wb, b, k) if wb else B.simplex(b)
             left[name], right[name] = sa, sb
-            keys[sa.degeneracies, sa.base, sb.degeneracies, sb.base] = name
-        if not k:
-            continue
-        a_faces, a_of = _face_keys(A, sas, k)
-        b_faces, b_of = _face_keys(B, sbs, k)
-        memo: dict = {}  # (face position in A, in B) -> face in the pullback
-        for (ia, ib), name in zip(pairs, names):
-            out = []
-            for pair in zip(a_of[ia], b_of[ib]):
-                face = memo.get(pair)
-                if face is None:
-                    (wa, a), (wb, b) = a_faces[pair[0]], b_faces[pair[1]]
-                    face = memo[pair] = _pair_simplex(keys, wa, a, wb, b, k - 1)
-                out.append(face)
-            faces[name] = tuple(out)
-    space = FiniteSSet(cells, faces, check=False)
+            keys[wa, a, wb, b] = pos
+        if k:
+            a_rows = A.level_faces(k, max(k - B.top_dim, 0))
+            b_rows = B.level_faces(k, max(k - A.top_dim, 0))
+            (_, fa), (width, fb) = _decoder(A, k - 1), _decoder(B, k - 1)
+            # (face position in A) * width + (face position in B) -> the face
+            # in the pullback, normalised once
+            memo: dict[int, tuple] = {}
+            rows = []
+            for pa, pb in pairs:
+                row = []
+                for ia, ib in zip(a_rows[pa], b_rows[pb]):
+                    face = memo.get(ia * width + ib)
+                    if face is None:
+                        (wa, a), (wb, b) = fa(ia), fb(ib)
+                        face = memo[ia * width + ib] = _pair_key(keys, wa, a, wb, b)
+                    row.append(face)
+                rows.append(tuple(row))
+            table.append(rows)
+        else:
+            table.append([()] * len(pairs))
+    space = FiniteSSet._trusted(cells, table)
     proj_l = SSetMap(space, A, left, check=False)
     proj_r = SSetMap(space, B, right, check=False)
     return PullbackResult(space, proj_l, proj_r, p, q, keys)

@@ -17,14 +17,15 @@ Level k lists its cells in the cylinder's pair order, sorted by (I, name
 of x, J), and names them ``g{k}_{idx}`` (``build._level_names``): the names
 the quotient of the cylinder gives them.  ``g0_0`` is the basepoint and the
 only vertex.  The face d_i of ``(s_I x, s_J ι)`` is d_i of each side as a
-(word, base) key: ``FiniteSSet.face_key`` on the word I, which is empty or
-one index, over x, and ``delta.face_of_word`` on J over ι.  It is the
-basepoint, degenerated to dimension k - 1, when the Δ¹ side passes onto a
-vertex of ι or the X side lies on the basepoint; otherwise it is the pair
+(word, position) key: ``FiniteSSet.face_key`` on the word I, which is
+empty or one index, over x, and ``delta.face_of_word`` on J over ι.  It is
+the basepoint, degenerated to dimension k - 1, when the Δ¹ side passes onto
+a vertex of ι or the X side lies on the basepoint; otherwise it is the pair
 of the two keys, made a cell by the pair rule of the pullback,
-``build._pair_simplex``: the positions both words share are stripped and
-the pair left is named.  Each distinct face of a level becomes a
-``Simplex`` once.  ΣX has 1 + Σ (2 dim x + 1) cells, over the cells x of X
+``build._pair_key``: the positions both words share are stripped and the
+pair left is looked up.  Each distinct face of a level is found once, and
+ΣX is handed to ``FiniteSSet._trusted`` as its face table, with no
+``Simplex``.  ΣX has 1 + Σ (2 dim x + 1) cells, over the cells x of X
 other than the basepoint; that count is held to the budget of ``build``
 (``DEFAULT_MAX_CANDIDATES``) before any level is listed, and a larger ΣX
 raises ``EnumerationLimit``.  The cone and the unreduced suspension still
@@ -59,7 +60,7 @@ from .build import (
     sset_pullback,
     _budget,
     _level_names,
-    _pair_simplex,
+    _pair_key,
     _point_simplex,
 )
 from .chain import (
@@ -91,7 +92,6 @@ from .simplicial_chains import (
 from .sset import (
     FiniteSSet,
     SSetMap,
-    Simplex,
     boundary,
     constant_map,
     face_closure,
@@ -99,7 +99,7 @@ from .sset import (
     pointed,
     standard_simplex,
     subcomplex,
-    subset_intersection,
+    _inclusion,
 )
 
 __all__ = [
@@ -142,7 +142,7 @@ def _end_inclusion(pr: PullbackResult, j: str) -> SSetMap:
     X = pr.proj_left.target
     images = {
         name: pr.pair_simplex(
-            Simplex((), name, X.dim_of(name)), _point_simplex(j, X.dim_of(name))
+            X.simplex(name), _point_simplex(j, X.dim_of(name))
         )
         for name in X.names
     }
@@ -173,10 +173,7 @@ def unreduced_suspension(X: FiniteSSet) -> FiniteSSet:
     q1 = quotient(pr.space, bottom)
     top_images = set()
     for name in _end_names(pr, "1"):
-        img = q1.projection.apply(
-            Simplex((), name, pr.space.dim_of(name))
-        )
-        top_images.add(img.base)
+        top_images.add(q1.projection.apply(pr.space.simplex(name)).base)
     q2 = quotient(q1.space, subcomplex(q1.space, top_images))
     # q2 keeps the bottom cone point of q1; point it at the top one instead.
     return pointed(q2.space, q2.projection.images[min(top_images)].base)
@@ -219,7 +216,7 @@ def reduced_suspension_data(X: FiniteSSet) -> SuspensionData:
     Level k lists its cells in the cylinder's pair order (I, x, J), first
     the cells (x, s_J ι) of the k-simplices, then the prism cells
     (s_i x, s_{J_i} ι) of the (k-1)-simplices, i increasing.  A face is the
-    pair of the faces of both sides, as (word, base) keys, made a cell by
+    pair of the faces of both sides, as (word, position) keys, made a cell by
     the pair rule, unless it lies in the collapsed subcomplex: then it is
     the basepoint.  The cells are counted against the budget of ``build``
     before any level is listed.
@@ -231,48 +228,50 @@ def reduced_suspension_data(X: FiniteSSet) -> SuspensionData:
     if size > budget:
         raise EnumerationLimit(f"reduced suspension exceeds {budget} nondegenerate simplices")
     point = _level_names("g", 0, 1)[0]
+    base = X.position(X.basepoint)  # in level 0
     iota = "01"  # the edge of Δ¹, the base of every Δ¹ side
     cells = [[point]]
-    faces: dict[str, tuple[Simplex, ...]] = {}
-    name_of: dict = {}  # (I, x, J, ι) of a cell (s_I x, s_J ι) -> its name
+    table: list[list[tuple]] = [[()]]
+    # (I, x, J, ι) of a cell (s_I x, s_J ι), x a position in its level ->
+    # the position of the cell; J has length k - 1, so the key gives k.
+    keys: dict = {}
     prism: dict[str, list[int]] = {}  # x -> positions of its prism cells
     face_key = X.face_key
     for k in range(1, X.top_dim + 2):
         words = sorted(degeneracy_words(k, 1))
-        pairs = [((), x, J) for x in X.nondeg(k) for J in words]
+        pairs = [((), x, J) for x in range(len(X.nondeg(k))) for J in words]
         pairs += [
             ((i,), x, tuple(j for j in range(k - 1, -1, -1) if j != i))
             for i in range(k)
-            for x in X.nondeg(k - 1)
-            if x != X.basepoint
+            for x in range(len(X.nondeg(k - 1)))
+            if (k, x) != (1, base)
         ]
-        names = _level_names("g", k, len(pairs))
-        cells.append(names)
-        collapsed = _point_simplex(point, k - 1)
-        memo: dict = {}  # (word, base) of the X side's face, word of ι's -> face
-        for pos, ((I, x, J), name) in enumerate(zip(pairs, names)):
-            name_of[I, x, J, iota] = name
+        cells.append(_level_names("g", k, len(pairs)))
+        collapsed = (tuple(range(k - 2, -1, -1)), 0)  # the basepoint in dimension k - 1
+        memo: dict = {}  # key of the X side's face, word of ι's -> face
+        rows = []
+        for pos, (I, x, J) in enumerate(pairs):
+            keys[I, x, J, iota] = pos
             if I:
-                prism.setdefault(x, []).append(pos)
-            out = []
+                prism.setdefault(X.cells[k - 1][x], []).append(pos)
+            row = []
             for i in range(k + 1):
                 # On a vertex of ι, or over the basepoint: collapsed.
                 word, j = face_of_word(J, k, i)
                 if j is not None:
-                    out.append(collapsed)
+                    row.append(collapsed)
                     continue
                 wx, fx = face_key(I, x, k, i)
-                if fx == X.basepoint:
-                    out.append(collapsed)
+                if len(wx) == k - 1 and fx == base:
+                    row.append(collapsed)
                     continue
                 face = memo.get((wx, fx, word))
                 if face is None:
-                    face = memo[wx, fx, word] = _pair_simplex(
-                        name_of, wx, fx, word, iota, k - 1
-                    )
-                out.append(face)
-            faces[name] = tuple(out)
-    space = FiniteSSet(cells, faces, basepoint=point, check=False)
+                    face = memo[wx, fx, word] = _pair_key(keys, wx, fx, word, iota)
+                row.append(face)
+            rows.append(tuple(row))
+        table.append(rows)
+    space = FiniteSSet._trusted(cells, table, point)
     return SuspensionData(space, X, prism)
 
 
@@ -457,7 +456,8 @@ class CoverData:
         if covered != set(self.X.names):
             missing = sorted(set(self.X.names) - covered)
             raise ValidationError(f"cover misses simplices: {missing}")
-        self.W = subset_intersection(self.X, self.U, self.V)
+        # U and V were just checked, so their intersection needs no check.
+        self.W = subcomplex(self.X, set(self.U.names) & set(self.V.names), check_closed=False)
 
 
 def cover_from_names(X: FiniteSSet, u_names, v_names) -> CoverData:
@@ -516,8 +516,9 @@ def cover_short_exact_sequence(cd: CoverData, reduced: bool = False) -> CoverSES
         chains = normalized_chains
     cW, cU, cV, cX = chains(W), chains(U), chains(V), chains(X)
 
+    # W lies in U and V, and they in X, as CoverData checked.
     def inclusion(A, cA, B, cB) -> ChainMap:
-        return _map_of(SSetMap.inclusion(A, B), cA, cB, reduced)
+        return _map_of(_inclusion(A, B), cA, cB, reduced)
 
     # Inclusions commute, so the four of them form a square.
     alpha, beta = square_sequence(_unchecked(

@@ -42,6 +42,7 @@ and extends them.
 from __future__ import annotations
 
 from .build import _budget, _level_names, _point_simplex, product
+from .delta import compose_words
 from .errors import EnumerationLimit, ValidationError
 from .sset import (
     FiniteSSet,
@@ -105,7 +106,12 @@ def _search(X: FiniteSSet, Y: FiniteSSet, guard: int, fixed: dict[str, Simplex])
     ``EnumerationLimit`` once more than ``guard`` candidate images of top
     cells were tried.
     """
-    faces_of = {f.base for fs in X.faces.values() for f in fs}
+    faces_of = {
+        X.cells[k - 1 - len(w)][q]
+        for k, rows in enumerate(X.table)
+        for row in rows
+        for w, q in row
+    }
     tops = [
         (k, name)
         for k in range(X.top_dim, -1, -1)
@@ -137,15 +143,17 @@ def _search(X: FiniteSSet, Y: FiniteSSet, guard: int, fixed: dict[str, Simplex])
         # The faces of the top cell, each reached along its route: the
         # vertices it misses, the highest first, so that each keeps its
         # index.  A face is pinned when its cell is fixed or placed.
-        walk = [((), X.simplex(top))]
-        for route, sx in walk:
-            if len(route) < k:
+        walk = [((), (), X.position(top))]  # route, and the key of the face
+        for route, word, pos in walk:
+            m = k - len(route)  # the dimension of the face
+            if m:
                 walk.extend(
-                    (route + (v,), X.face(sx, v)) for v in range(route[-1] if route else k + 1)
+                    (route + (v,), *X.face_key(word, pos, m, v))
+                    for v in range(route[-1] if route else k + 1)
                 )
             if not route:
                 continue
-            cell, word = sx.base, sx.degeneracies
+            cell = X.cells[m - len(word)][pos]
             if cell in fixed or cell in home:
                 pinned.add(route)
                 if any(route[:p] + route[p + 1:] in pinned for p in range(len(route))):
@@ -260,8 +268,9 @@ def _function_complex(
 
     guard = _budget(max_candidates)
     cells: list[list[str]] = []
-    faces: dict[str, tuple[Simplex, ...]] = {}
-    below: dict[tuple[Simplex, ...], Simplex] = {}  # level k - 1
+    table: list[list[tuple]] = []
+    # Level k - 1: each element e -> its (word, position) key in the space.
+    below: dict[tuple[Simplex, ...], tuple] = {}
     for k in range(d + 1):
         P = product(X, standard_simplex(k))
         names = sorted(P.space.names)
@@ -286,24 +295,24 @@ def _function_complex(
         ]
         top = _subset_name(tuple(range(k)))
         degens = [Simplex((i,), top, k) for i in range(k)]
-        here: dict[tuple[Simplex, ...], Simplex] = {}
+        here: dict[tuple[Simplex, ...], tuple] = {}
         nondeg = []
         for e in found:
             for i in range(k):
                 face = pull(e, walls[i], k)
                 if pull(face, degens[i], k - 1) == e:
-                    here[e] = below[face].degenerate((i,))
+                    word, pos = below[face]
+                    here[e] = (compose_words(word, (i,), k), pos)
                     break
             else:
+                here[e] = ((), len(nondeg))
                 nondeg.append(e)
-        level = _level_names(prefix, k, len(nondeg))
-        for e, name in zip(nondeg, level):
-            here[e] = Simplex((), name, k)
-            if k:
-                faces[name] = tuple(below[pull(e, wall, k)] for wall in walls)
-        cells.append(level)
+        cells.append(_level_names(prefix, k, len(nondeg)))
+        table.append([
+            tuple(below[pull(e, wall, k)] for wall in walls) if k else () for e in nondeg
+        ])
         below = here
-    return FiniteSSet(cells, faces, check=False)
+    return FiniteSSet._trusted(cells, table)
 
 
 def internal_hom_truncated(

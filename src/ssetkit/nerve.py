@@ -14,7 +14,7 @@ from itertools import product as iproduct
 
 from .build import DEFAULT_MAX_CANDIDATES
 from .errors import EnumerationLimit, ValidationError
-from .sset import FiniteSSet, Simplex
+from .sset import FiniteSSet
 
 __all__ = [
     "FiniteCategory",
@@ -188,12 +188,12 @@ def _chain_end(C: FiniteCategory, start: str, arrows: tuple[str, ...]) -> str:
     return C.target(arrows[-1]) if arrows else start
 
 
-def _chain_simplex(C: FiniteCategory, start: str, arrows: tuple[str, ...]) -> Simplex:
-    """The chain with its identity arrows dropped, degenerated at their
-    positions (a strictly decreasing word)."""
+def _chain_key(C: FiniteCategory, start: str, arrows: tuple[str, ...]) -> tuple:
+    """The chain as the (word, name) of its normal form: its identity arrows
+    dropped, degenerated at their positions (a strictly decreasing word)."""
     ids = [j for j, m in enumerate(arrows) if C.is_identity(m)]
     core = tuple(m for m in arrows if not C.is_identity(m))
-    return Simplex(tuple(reversed(ids)), _chain_name(C, start, core), len(arrows))
+    return tuple(reversed(ids)), _chain_name(C, start, core)
 
 
 def _chain_face(C: FiniteCategory, start: str, arrows: tuple[str, ...], i: int):
@@ -236,15 +236,18 @@ def nerve_category(C: FiniteCategory, d: int | None = None) -> FiniteSSet:
                     f"nerve level {k} exceeds {DEFAULT_MAX_CANDIDATES} chains"
                 )
         levels.append(level)
-    cells = [[_chain_name(C, s, ms) for s, ms in lvl] for lvl in levels]
-    faces = {}
+    cells = [sorted(_chain_name(C, s, ms) for s, ms in lvl) for lvl in levels]
+    at = [{name: p for p, name in enumerate(level)} for level in cells]
+    table = [[()] * len(cells[0])]
     for k in range(1, d + 1):
+        rows: list = [None] * len(cells[k])
         for start, arrows in levels[k]:
-            faces[_chain_name(C, start, arrows)] = tuple(
-                _chain_simplex(C, *_chain_face(C, start, arrows, i))
-                for i in range(k + 1)
+            faces = (_chain_key(C, *_chain_face(C, start, arrows, i)) for i in range(k + 1))
+            rows[at[k][_chain_name(C, start, arrows)]] = tuple(
+                (word, at[k - 1 - len(word)][name]) for word, name in faces
             )
-    return FiniteSSet(cells, faces, check=False)
+        table.append(rows)
+    return FiniteSSet._trusted(cells, table)
 
 
 def nerve_preorder(P: Preorder, d: int | None = None) -> FiniteSSet:

@@ -8,13 +8,17 @@ reader, here and in ``cli``, checks shapes through the same three private
 helpers: ``_record`` (a JSON object), ``_strings`` (a list of strings) and
 ``_ints`` (a list of integers, refusing ``true`` and ``false``).
 
-Most face entries of a space record are ``[[], name]``, a nondegenerate
-face, and each such face recurs in the entries of several cells.
-``sset_from_record`` reads these entries as one ``Simplex`` per (name,
-dimension), built at the first entry and shared by the later ones, and
-skips the shape checks, which such an entry passes.  Every other entry goes
-through ``_simplex_from_pair``, so a malformed record fails with the same
-message; ``FiniteSSet`` validates the faces either way.
+A space record lists its cells by dimension and, per cell, its faces as
+``[word, base]`` pairs; ``FiniteSSet`` stores them as (word, position) pairs
+in its face table (see ``sset``).  ``sset_from_record`` checks the shape of
+each entry and reads it as a (word, base, dimension) triple, with no
+``Simplex``, and the validating constructor ``FiniteSSet._of_entries`` turns
+the triples into the table and checks them.  Most entries are ``[[], name]``,
+a nondegenerate face that recurs in the entries of several cells: these skip
+the shape checks, which such an entry passes, and share one triple per
+(name, dimension).  Every other entry goes through ``_pair_entry``, so a
+malformed record fails with the same message either way.
+``sset_to_record`` writes the table back, naming each position.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import json
 
 from .chain import ChainComplex
+from .delta import _check_word
 from .errors import ValidationError
 from .groups import HomologyGroup
 from .intmat import IntMat
@@ -67,11 +72,9 @@ def _ints(data, message: str) -> list:
     return data
 
 
-def _simplex_pair(sx: Simplex) -> list:
-    return [list(sx.degeneracies), sx.base]
-
-
-def _simplex_from_pair(pair, dim: int, what: str) -> Simplex:
+def _pair_entry(pair, dim: int, what: str) -> tuple[tuple[int, ...], str]:
+    """The (word, base) of a ``[degeneracy-word, base]`` pair whose simplex
+    has dimension ``dim``, the word checked."""
     if (
         not isinstance(pair, (list, tuple))
         or len(pair) != 2
@@ -79,22 +82,26 @@ def _simplex_from_pair(pair, dim: int, what: str) -> Simplex:
     ):
         raise ValidationError(f"{what}: expected a [degeneracy-word, base] pair")
     try:
-        word = _ints(pair[0], "degeneracy word must be a list of integers")
+        word = tuple(_ints(pair[0], "degeneracy word must be a list of integers"))
     except ValidationError as exc:
         raise ValidationError(f"{what}: {exc}") from None
-    return Simplex(tuple(word), pair[1], dim)
+    _check_word(word, dim)
+    return word, pair[1]
 
 
 # -- simplicial sets -------------------------------------------------------
 
 
 def sset_to_record(X: FiniteSSet) -> dict:
+    cells = X.cells
+    faces = {
+        name: [[list(w), cells[k - 1 - len(w)][q]] for w, q in row]
+        for k in range(1, len(cells))
+        for name, row in zip(cells[k], X.table[k])
+    }
     rec = {
-        "cells": [list(level) for level in X.cells],
-        "faces": {
-            name: [_simplex_pair(sx) for sx in X.faces[name]]
-            for name in sorted(X.faces)
-        },
+        "cells": [list(level) for level in cells],
+        "faces": {name: faces[name] for name in sorted(faces)},
     }
     if X.basepoint is not None:
         rec["basepoint"] = X.basepoint
@@ -112,7 +119,7 @@ def sset_from_record(data) -> FiniteSSet:
     )
     dim_of = {name: k for k, level in enumerate(cells) for name in level}
     faces = {}
-    shared: dict[tuple[str, int], Simplex] = {}  # one Simplex per [[], name]
+    shared: dict[tuple[str, int], tuple] = {}  # one triple per [[], name]
     for name, lst in _record(data.get("faces", {}), "face table record").items():
         if name not in dim_of:
             raise ValidationError(f"faces listed for unknown simplex {name!r}")
@@ -122,17 +129,17 @@ def sset_from_record(data) -> FiniteSSet:
         entries = []
         for p in lst:
             if type(p) is list and len(p) == 2 and p[0] == [] and type(p[1]) is str:
-                sx = shared.get((p[1], k))
-                if sx is None:
-                    sx = shared[p[1], k] = Simplex((), p[1], k)
+                entry = shared.get((p[1], k))
+                if entry is None:
+                    entry = shared[p[1], k] = ((), p[1], k)
             else:
-                sx = _simplex_from_pair(p, k, f"face of {name!r}")
-            entries.append(sx)
-        faces[name] = tuple(entries)
+                entry = (*_pair_entry(p, k, f"face of {name!r}"), k)
+            entries.append(entry)
+        faces[name] = entries
     basepoint = data.get("basepoint")
     if basepoint is not None and not isinstance(basepoint, str):
         raise ValidationError("basepoint must be a simplex name")
-    return FiniteSSet(cells, faces, basepoint)
+    return FiniteSSet._of_entries(cells, faces, basepoint)
 
 
 # -- simplicial maps -------------------------------------------------------
@@ -141,7 +148,8 @@ def sset_from_record(data) -> FiniteSSet:
 def map_to_record(f: SSetMap) -> dict:
     return {
         "images": {
-            name: _simplex_pair(f.images[name]) for name in sorted(f.images)
+            name: [list(sx.degeneracies), sx.base]
+            for name, sx in sorted(f.images.items())
         }
     }
 
@@ -152,9 +160,8 @@ def map_from_record(source: FiniteSSet, target: FiniteSSet, data) -> SSetMap:
     for name, pair in _record(data.get("images"), "map images record").items():
         if name not in source.names:
             raise ValidationError(f"image listed for unknown simplex {name!r}")
-        images[name] = _simplex_from_pair(
-            pair, source.dim_of(name), f"image of {name!r}"
-        )
+        dim = source.dim_of(name)
+        images[name] = Simplex(*_pair_entry(pair, dim, f"image of {name!r}"), dim)
     return SSetMap(source, target, images)
 
 

@@ -1,9 +1,12 @@
 """Normalized chains of finite simplicial sets.
 
-The degree-n basis is the sorted list of nondegenerate n-simplex names;
-the boundary is the alternating face sum with degenerate faces discarded.
-The reduced variant divides out the basepoint generator in degree 0, which
-keeps every level free and drops exactly one rank.
+The degree-n basis is the sorted list of nondegenerate n-simplex names, the
+cells of level n in order; the boundary is the alternating face sum with
+degenerate faces discarded, read straight off the face table of the space
+(``FiniteSSet.table``), where a nondegenerate face is its position in the
+basis one degree down.  The reduced variant divides out the basepoint
+generator in degree 0, which keeps every level free and drops exactly one
+rank.
 """
 
 from __future__ import annotations
@@ -34,17 +37,25 @@ def chain_basis(X: FiniteSSet, n: int, reduced: bool = False) -> tuple[str, ...]
 
 def _boundary_matrix(X: FiniteSSet, n: int, reduced: bool) -> IntMat:
     """One column per n-simplex: the alternating sum of its nondegenerate
-    faces (the basepoint generator drops out in the reduced case)."""
-    index = {name: i for i, name in enumerate(chain_basis(X, n - 1, reduced))}
+    faces, read off its row of the face table.  A basis of degree n - 1 is
+    the cells of level n - 1 in order, so a face's position is its row,
+    except in the reduced case with n = 1, where the basepoint generator
+    drops out and the vertices after it move up one."""
+    height = len(X.nondeg(n - 1))
+    cut = X.position(X.basepoint) if reduced and n == 1 else None
+    if cut is not None:
+        height -= 1
     columns = []
-    for name in chain_basis(X, n, reduced):
+    for row in X.table[n]:
         col: dict[int, int] = {}
-        for i, face in enumerate(X.faces[name]):
-            row = None if face.is_degenerate else index.get(face.base)
-            if row is not None:
-                col[row] = col.get(row, 0) + (-1 if i % 2 else 1)
+        sign = 1
+        for word, q in row:
+            if not word and q != cut:
+                r = q - 1 if cut is not None and q > cut else q
+                col[r] = col.get(r, 0) + sign
+            sign = -sign
         columns.append({r: x for r, x in col.items() if x})
-    return IntMat.of_columns(len(index), columns)
+    return IntMat.of_columns(height, columns)
 
 
 def _chains(X: FiniteSSet, reduced: bool) -> ChainComplex:

@@ -1,25 +1,38 @@
 """Finite simplicial sets presented by their nondegenerate simplices.
 
-A ``FiniteSSet`` stores, per dimension, the names of the nondegenerate
-simplices; the face of a nondegenerate simplex is a ``Simplex`` value, a
-degeneracy word applied to a named base.  Every simplex of the underlying
-presheaf is such a pair, so the simplices of a level are the names of each
-lower level under every degeneracy word into it
-(:func:`ssetkit.delta.degeneracy_words`).  Faces and degeneracies of a
-degenerate simplex, and the image of one under a simplicial map, are
-rewritten on the words alone (:func:`ssetkit.delta.face_of_word`,
-:func:`ssetkit.delta.compose_words`): a face either dies in the word or
-passes through it onto one stored face.  ``face_key`` is that rule on
-(word, base) keys and ``face`` returns the ``Simplex`` of its key, storing
-nothing; products, pullbacks and reduced suspensions read faces as keys
-and never call ``face``.  Each level has one table, built once
-(``FiniteSSet.level``): its simplices, the position of each, and the faces
-of each as positions one level down, which the map search and the
-inner-horn check read; the table reads each face as its ``face_key`` and
-places the key in its level.  The validation's simplicial identities
-compare ``face_key`` keys too.  The map classifying a simplex reads its
-faces.  Only ``act``, the action of a general ``MonotoneMap``, factors the
-map, once, into a face word and a degeneracy word.
+A ``FiniteSSet`` stores, per dimension k, the names of its nondegenerate
+k-simplices, sorted (``cells``), and one face table (``table``): for the
+cell at position p of level k, ``table[k][p]`` is the row of its k + 1
+faces, each a (word, position) pair.  The face ``s_word y`` is the
+degeneracy word applied to the cell y at that position of level
+``k - 1 - len(word)``; a vertex has the empty row.  Every simplex of the
+underlying presheaf is a degeneracy word on a cell, so the simplices of a
+level are the cells of each lower level under every degeneracy word into it
+(:func:`ssetkit.delta.degeneracy_words`).
+
+The table is the one representation of faces.  The constructions of the
+package (``build``, ``excision``, ``nerve``, ``function_complex``,
+``serialize`` and the standard spaces here) write it straight and hand it to
+the trusted constructor ``FiniteSSet._trusted``; the public constructor
+``FiniteSSet(cells, faces)`` takes faces as name-keyed ``Simplex`` values,
+validates them and converts them once.  ``FiniteSSet.faces`` gives them back
+in that form, a read-only view built only when first read.  Names are read
+by printing, by records and by error messages; the face rule, the identity
+check, level tables, chains, closures and subcomplex tests read positions.
+
+Faces and degeneracies of a degenerate simplex are rewritten on the words
+alone (:func:`ssetkit.delta.face_of_word`, :func:`ssetkit.delta.compose_words`):
+a face either dies in the word or passes through it onto one stored face.
+``face_key`` is that rule on (word, position) keys; ``face`` returns the
+``Simplex`` of its key.  Each level has one table of all its simplices, built
+once (``FiniteSSet.level``): the simplices, the position of each, and the
+faces of each as positions one level down, which the map search and the
+inner-horn check read.  The pullback reads the same face positions for the
+blocks of a level it pairs (``FiniteSSet.level_faces``).  Only ``act``, the
+action of a general ``MonotoneMap``, factors the map, once, into a face word
+and a degeneracy word.  Each nondegenerate cell has one ``Simplex`` per
+space (``FiniteSSet.simplex``), shared by ``face``, the level tables and
+the identity and inclusion maps.
 
 Degeneracy words are strictly decreasing, so each simplex has exactly one
 normal form and equality of ``Simplex`` values is equality of simplices.
@@ -31,6 +44,7 @@ inline and runs the check only on a pair it has not seen.
 from __future__ import annotations
 
 from itertools import combinations
+from types import MappingProxyType
 
 from .delta import (
     MonotoneMap,
@@ -139,17 +153,25 @@ class FiniteSSet:
         must be globally unique.  May be empty (the empty simplicial set).
     faces:
         For each name of dimension ``k >= 1``, the tuple of its ``k+1`` faces
-        as ``Simplex`` values.
+        as ``Simplex`` values, converted once into ``table``.
     basepoint:
         Optional distinguished vertex name.
+    check:
+        Check the basepoint and the simplicial identities.  The shape of the
+        faces (their count, dimensions and bases) is checked either way, as
+        converting them needs it.
     """
 
     __slots__ = (
         "cells",
-        "faces",
+        "table",
         "basepoint",
         "_dim_of",
+        "_pos",
+        "_simplices",
+        "_faces",
         "_levels",
+        "_face_positions",
         "_hash",
     )
 
@@ -160,22 +182,97 @@ class FiniteSSet:
         basepoint: str | None = None,
         check: bool = True,
     ) -> None:
-        cells = tuple(tuple(sorted(level)) for level in cells)
+        entries = {
+            name: [(sx.degeneracies, sx.base, sx.dim) for sx in fs]
+            for name, fs in dict(faces).items()
+        }
+        self._setup(cells, entries, basepoint, check)
+
+    @classmethod
+    def _of_entries(cls, cells, entries, basepoint: str | None = None) -> "FiniteSSet":
+        """The validating constructor on ``entries``, which give each name's
+        faces as (word, base name, dimension) triples, not ``Simplex``
+        values: how ``serialize`` hands over a record."""
+        X = cls.__new__(cls)
+        X._setup(cells, entries, basepoint, True)
+        return X
+
+    @classmethod
+    def _trusted(cls, cells, table, basepoint: str | None = None) -> "FiniteSSet":
+        """The space of sorted ``cells`` and their face ``table`` (see the
+        module docstring), level 0 included, built with no check: for the
+        constructions of the package, valid by construction."""
+        cells = tuple(map(tuple, cells))
+        table = tuple(map(tuple, table))
         while cells and not cells[-1]:
-            cells = cells[:-1]
+            cells, table = cells[:-1], table[:-1]
+        X = cls.__new__(cls)
+        X._fill(cells, table, basepoint)
+        return X
+
+    def _fill(self, cells, table, basepoint) -> None:
         self.cells: tuple[tuple[str, ...], ...] = cells
-        self.faces: dict[str, tuple[Simplex, ...]] = dict(faces)
+        self.table: tuple[tuple[tuple, ...], ...] = table
         self.basepoint = basepoint
         self._dim_of: dict[str, int] = {}
+        self._pos: dict[str, int] = {}
         for k, level in enumerate(cells):
-            for name in level:
+            for p, name in enumerate(level):
                 if name in self._dim_of:
                     raise ValidationError(f"duplicate simplex name {name!r}")
                 self._dim_of[name] = k
+                self._pos[name] = p
+        self._simplices: dict[str, Simplex] = {}
+        self._faces = None
         self._levels: dict[int, tuple] = {}
+        self._face_positions: dict[tuple[int, int], tuple] = {}
         self._hash: int | None = None
+
+    def _setup(self, cells, entries, basepoint, check: bool) -> None:
+        """Sort ``cells``, index them and convert ``entries`` (see
+        ``_of_entries``) into the table, checking in this order: duplicate
+        names, the shape of each face list, missing face lists, then with
+        ``check`` the basepoint and the simplicial identities."""
+        cells = tuple(tuple(sorted(level)) for level in cells)
+        while cells and not cells[-1]:
+            cells = cells[:-1]
+        self._fill(cells, (), basepoint)
+        dim_of, pos = self._dim_of, self._pos
+        rows: list[list] = [[None] * len(level) for level in cells]
+        made: dict[tuple, tuple] = {}  # an entry whose base was checked -> its pair
+        for name, fs in entries.items():
+            if name not in dim_of:
+                raise ValidationError(f"face table mentions unknown simplex {name!r}")
+            k = dim_of[name]
+            if k == 0:
+                raise ValidationError(f"vertex {name!r} cannot have faces")
+            if len(fs) != k + 1:
+                raise ValidationError(f"{name!r} needs {k + 1} faces, got {len(fs)}")
+            row = []
+            for entry in fs:
+                word, base, dim = entry
+                if dim != k - 1:
+                    raise ValidationError(f"face of {name!r} has wrong dimension")
+                pair = made.get(entry)
+                if pair is None:
+                    if base not in dim_of:
+                        raise ValidationError(f"face of {name!r} has unknown base")
+                    if dim_of[base] != dim - len(word):
+                        raise ValidationError(f"face of {name!r} has inconsistent base dim")
+                    pair = made[entry] = (word, pos[base])
+                row.append(pair)
+            rows[k][pos[name]] = tuple(row)
+        for k in range(1, len(cells)):
+            for name, row in zip(cells[k], rows[k]):
+                if row is None:
+                    raise ValidationError(f"missing face table for {name!r}")
+        if cells:
+            rows[0] = [()] * len(cells[0])
+        self.table = tuple(map(tuple, rows))
         if check:
-            self._validate()
+            if basepoint is not None and dim_of.get(basepoint) != 0:
+                raise ValidationError(f"basepoint {basepoint!r} is not a vertex")
+            self._check_identities()
 
     # -- basic structure ---------------------------------------------------
 
@@ -195,6 +292,10 @@ class FiniteSSet:
     def dim_of(self, name: str) -> int:
         return self._dim_of[name]
 
+    def position(self, name: str) -> int:
+        """The position of a nondegenerate simplex in its level of ``cells``."""
+        return self._pos[name]
+
     def __contains__(self, name: str) -> bool:
         return name in self._dim_of
 
@@ -203,8 +304,33 @@ class FiniteSSet:
         return self._dim_of.keys()
 
     def simplex(self, name: str) -> Simplex:
-        """The nondegenerate simplex with the given name."""
-        return Simplex((), name, self._dim_of[name])
+        """The nondegenerate simplex with the given name, one per space."""
+        sx = self._simplices.get(name)
+        if sx is None:
+            sx = self._simplices[name] = Simplex((), name, self._dim_of[name])
+        return sx
+
+    def simplex_at(self, word: tuple[int, ...], pos: int, k: int) -> Simplex:
+        """The k-simplex of the key (word, pos): ``s_word`` of the cell at
+        position ``pos`` of level ``k - len(word)``."""
+        name = self.cells[k - len(word)][pos]
+        return Simplex(word, name, k) if word else self.simplex(name)
+
+    @property
+    def faces(self):
+        """The faces of each cell of dimension >= 1 as ``Simplex`` values, by
+        name: a read-only view of ``table``, built when first read."""
+        return MappingProxyType(self._face_simplices())
+
+    def _face_simplices(self) -> dict[str, tuple[Simplex, ...]]:
+        if self._faces is None:
+            simplex_at = self.simplex_at
+            self._faces = {
+                name: tuple(simplex_at(w, q, k - 1) for w, q in row)
+                for k in range(1, len(self.cells))
+                for name, row in zip(self.cells[k], self.table[k])
+            }
+        return self._faces
 
     # -- operator action ---------------------------------------------------
 
@@ -215,28 +341,27 @@ class FiniteSSet:
         if not 0 <= i <= sx.dim:
             raise ValidationError(f"face index {i} outside [0, {sx.dim}]")
         if not sx.degeneracies:
-            return self.faces[sx.base][i]
-        word, base = self.face_key(sx.degeneracies, sx.base, sx.dim, i)
-        return Simplex(word, base, sx.dim - 1)
+            return self._face_simplices()[sx.base][i]
+        word, pos = self.face_key(sx.degeneracies, self._pos[sx.base], sx.dim, i)
+        return self.simplex_at(word, pos, sx.dim - 1)
 
     def face_key(
-        self, word: tuple[int, ...], base: str, k: int, i: int
-    ) -> tuple[tuple[int, ...], str]:
-        """The i-th face of the k-simplex ``s_word base`` as the (word, base)
-        of its normal form, with no ``Simplex`` built; ``i`` must lie in
-        ``[0, k]``.
+        self, word: tuple[int, ...], pos: int, k: int, i: int
+    ) -> tuple[tuple[int, ...], int]:
+        """The i-th face of the k-simplex ``s_word x``, x the cell at position
+        ``pos`` of level ``k - len(word)``, as the (word, position) key of its
+        normal form, with no ``Simplex`` built; ``i`` must lie in ``[0, k]``.
 
-        The face either dies in the word, ``s_w' base``, or passes onto the
-        stored face ``s_u y`` of ``base``, which it degenerates to
-        ``s_(w' u) y``."""
+        The face either dies in the word, ``s_w' x``, or passes onto the
+        stored face ``s_u y`` of x, which it degenerates to ``s_(w' u) y``."""
         if not word:
-            f = self.faces[base][i]
-            return f.degeneracies, f.base
+            return self.table[k][pos][i]
+        m = k - len(word)
         word, j = face_of_word(word, k, i)
         if j is None:
-            return word, base
-        f = self.faces[base][j]
-        return compose_words(f.degeneracies, word, k - 1), f.base
+            return word, pos
+        u, pos = self.table[m][pos][j]
+        return compose_words(u, word, k - 1), pos
 
     def degeneracy(self, sx: Simplex, i: int) -> Simplex:
         """The i-th degeneracy of an arbitrary simplex."""
@@ -258,51 +383,65 @@ class FiniteSSet:
         return _restrict(self, sx, fword).degenerate(dword)
 
     def level(self, k: int):
-        """The table of level ``k``, built once: its simplices, the names of
+        """The table of level ``k``, built once: its simplices, the cells of
         each level ``m <= k`` under every word of ``degeneracy_words(k, m)``;
         the position of each; and the faces of each as positions in level
         ``k - 1`` (``()`` for a vertex)."""
         if k not in self._levels:
+            simplex = self.simplex
             simplices = tuple(
-                Simplex(w, name, k)
+                Simplex(w, name, k) if w else simplex(name)
                 for m in range(min(k, self.top_dim) + 1)
                 for name in self.cells[m]
                 for w in degeneracy_words(k, m)
             )
-            faces = self._level_faces(k) if k > 0 else ((),) * len(simplices)
+            faces = self.level_faces(k) if k > 0 else ((),) * len(simplices)
             position = {sx: pos for pos, sx in enumerate(simplices)}
             self._levels[k] = (simplices, position, faces)
         return self._levels[k]
 
-    def _level_faces(self, k: int) -> tuple[tuple[int, ...], ...]:
-        """The faces of every simplex of level ``k >= 1``, in listing order, as
-        positions in level ``k - 1``, read through ``face_key``.
+    def level_faces(self, k: int, low: int = 0) -> tuple[tuple[int, ...], ...]:
+        """The faces of the simplices of level ``k >= 1`` on cells of
+        dimension ``>= low``, listed as ``level(k)`` lists them (by that
+        dimension, then name, then word), as positions in ``level(k - 1)``;
+        built once, and with no ``Simplex``.
 
-        Level ``k - 1`` lists each name of dimension m as one block, under
-        the words of ``degeneracy_words(k - 1, m)`` in order, so the face
-        key (w, y) sits at the start of y's block plus the index of w among
-        those words.
+        With ``low = 0`` this is the face column of ``level(k)``.  Level
+        ``k - 1`` lists each cell y of dimension m as one block, under the
+        words of ``degeneracy_words(k - 1, m)`` in order, so the face key
+        (w, q) sits at the start of the block of the cell at position q of
+        level m, plus the index of w among those words.
         """
-        start: dict[str, int] = {}
-        rank: list[dict[tuple[int, ...], int]] = []  # per m, word -> index
-        size = 0
-        for m in range(min(k - 1, self.top_dim) + 1):
-            words = degeneracy_words(k - 1, m)
-            rank.append({w: r for r, w in enumerate(words)})
-            for name in self.cells[m]:
-                start[name] = size
-                size += len(words)
-        face_key = self.face_key
-        out = []
-        for m in range(min(k, self.top_dim) + 1):
-            for name in self.cells[m]:
-                for w in degeneracy_words(k, m):
-                    row = []
-                    for i in range(k + 1):
-                        word, base = face_key(w, name, k, i)
-                        row.append(start[base] + rank[k - 1 - len(word)][word])
-                    out.append(tuple(row))
-        return tuple(out)
+        out = self._face_positions.get((k, low))
+        if out is None:
+            top = self.top_dim
+            # Each word of level k - 1 (its length gives its block): the
+            # start of the block, the number of words and the word's index.
+            spot: dict[tuple[int, ...], tuple[int, int, int]] = {}
+            size = 0
+            for m in range(min(k - 1, top) + 1):
+                words = degeneracy_words(k - 1, m)
+                for r, w in enumerate(words):
+                    spot[w] = (size, len(words), r)
+                size += len(words) * len(self.cells[m])
+            out = []
+            for m in range(low, min(k, top) + 1):
+                # The face rule of ``face_key``, each word's part read once.
+                words = degeneracy_words(k, m)
+                rules = [[face_of_word(w, k, i) for i in range(k + 1)] for w in words]
+                for q, row in enumerate(self.table[m]):
+                    for rule in rules:
+                        faces = []
+                        for word, j in rule:
+                            at = q  # the face dies in the word, or passes onto face j
+                            if j is not None:
+                                u, at = row[j]
+                                word = compose_words(u, word, k - 1) if u else word
+                            start, n, r = spot[word]
+                            faces.append(start + at * n + r)
+                        out.append(tuple(faces))
+            out = self._face_positions[k, low] = tuple(out)
+        return out
 
     def all_simplices(self, k: int) -> tuple[Simplex, ...]:
         """Every simplex of dimension ``k``, degenerate ones included."""
@@ -310,57 +449,27 @@ class FiniteSSet:
 
     # -- validation, equality ----------------------------------------------
 
-    def _validate(self) -> None:
-        for name, fs in self.faces.items():
-            if name not in self._dim_of:
-                raise ValidationError(f"face table mentions unknown simplex {name!r}")
-            k = self._dim_of[name]
-            if k == 0:
-                raise ValidationError(f"vertex {name!r} cannot have faces")
-            if len(fs) != k + 1:
-                raise ValidationError(f"{name!r} needs {k + 1} faces, got {len(fs)}")
-            for sx in fs:
-                if sx.dim != k - 1:
-                    raise ValidationError(f"face of {name!r} has wrong dimension")
-                if sx.base not in self._dim_of:
-                    raise ValidationError(f"face of {name!r} has unknown base")
-                if self._dim_of[sx.base] != sx.base_dim:
-                    raise ValidationError(f"face of {name!r} has inconsistent base dim")
-        for k, level in enumerate(self.cells):
-            if k == 0:
-                continue
-            for name in level:
-                if name not in self.faces:
-                    raise ValidationError(f"missing face table for {name!r}")
-        if self.basepoint is not None:
-            if self._dim_of.get(self.basepoint) != 0:
-                raise ValidationError(f"basepoint {self.basepoint!r} is not a vertex")
-        self._check_identities()
-
     def _check_identities(self) -> None:
         # d_i d_j = d_{j-1} d_i for i < j, on every nondegenerate simplex,
-        # both sides read as ``face_key`` keys.
+        # both sides read as (word, position) keys: a nondegenerate face's
+        # faces straight from its row, the others through ``face_key``.
         face_key = self.face_key
         for k in range(2, self.top_dim + 1):
             pairs = [(i, j) for j in range(1, k + 1) for i in range(j)]
-            for name in self.cells[k]:
-                fs = self.faces[name]
+            below = self.table[k - 1]
+            for p, row in enumerate(self.table[k]):
                 for i, j in pairs:
-                    a, b = fs[j], fs[i]
-                    if face_key(a.degeneracies, a.base, k - 1, i) != face_key(
-                        b.degeneracies, b.base, k - 1, j - 1
-                    ):
+                    (wa, qa), (wb, qb) = row[j], row[i]
+                    lhs = face_key(wa, qa, k - 1, i) if wa else below[qa][i]
+                    rhs = face_key(wb, qb, k - 1, j - 1) if wb else below[qb][j - 1]
+                    if lhs != rhs:
                         raise ValidationError(
-                            f"simplicial identity fails on {name!r}: "
+                            f"simplicial identity fails on {self.cells[k][p]!r}: "
                             f"d_{i} d_{j} != d_{j - 1} d_{i}"
                         )
 
     def _key(self):
-        return (
-            self.cells,
-            tuple(sorted(self.faces.items())),
-            self.basepoint,
-        )
+        return (self.cells, self.table, self.basepoint)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteSSet):
@@ -396,13 +505,32 @@ def standard_simplex(n: int) -> FiniteSSet:
         raise ValidationError("vertex-string naming supports n <= 9 only")
     vertices = _subset_name(tuple(range(n + 1)))
     cells = [["".join(c) for c in combinations(vertices, k + 1)] for k in range(n + 1)]
-    faces = {}
+    table = [[()] * (n + 1)]
     for k in range(1, n + 1):
-        below = {name: Simplex((), name, k - 1) for name in cells[k - 1]}
-        for name in cells[k]:
-            # d_i drops the i-th vertex, one character of the name
-            faces[name] = tuple(below[name[:i] + name[i + 1:]] for i in range(k + 1))
-    return FiniteSSet(cells, faces, check=False)
+        below = {name: p for p, name in enumerate(cells[k - 1])}
+        # d_i drops the i-th vertex, one character of the name
+        table.append([
+            tuple(((), below[name[:i] + name[i + 1:]]) for i in range(k + 1))
+            for name in cells[k]
+        ])
+    return FiniteSSet._trusted(cells, table)
+
+
+def _closure(X: FiniteSSet, names) -> list[set[int]]:
+    """Per level, the positions of the smallest face-closed set of cells
+    containing ``names``; the first unknown name in sorted order is the one
+    reported."""
+    marked: list[set[int]] = [set() for _ in X.cells]
+    for name in sorted(names):
+        if name not in X:
+            raise ValidationError(f"unknown simplex {name!r}")
+        marked[X.dim_of(name)].add(X.position(name))
+    for k in range(X.top_dim, 0, -1):
+        rows = X.table[k]
+        for p in marked[k]:
+            for w, q in rows[p]:
+                marked[k - 1 - len(w)].add(q)
+    return marked
 
 
 def face_closure(X: FiniteSSet, names) -> set[str]:
@@ -410,19 +538,7 @@ def face_closure(X: FiniteSSet, names) -> set[str]:
 
     The first unknown name in sorted order is the one reported.
     """
-    todo = sorted(names)
-    for name in todo:
-        if name not in X:
-            raise ValidationError(f"unknown simplex {name!r}")
-    seen = set()
-    while todo:
-        name = todo.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        for sx in X.faces.get(name, ()):
-            todo.append(sx.base)
-    return seen
+    return {X.cells[k][p] for k, ps in enumerate(_closure(X, names)) for p in ps}
 
 
 def subcomplex(X: FiniteSSet, names, check_closed: bool = True) -> FiniteSSet:
@@ -431,13 +547,16 @@ def subcomplex(X: FiniteSSet, names, check_closed: bool = True) -> FiniteSSet:
     if check_closed:
         if face_closure(X, names) != names:
             raise ValidationError("name set is not face-closed")
-    cells = [
-        [n for n in level if n in names] for level in X.cells
+    kept = [[p for p, name in enumerate(level) if name in names] for level in X.cells]
+    moved = [dict(zip(ps, range(len(ps)))) for ps in kept]  # old position -> new
+    cells = [[X.cells[k][p] for p in ps] for k, ps in enumerate(kept)]
+    table = [
+        [tuple((w, moved[k - 1 - len(w)][q]) for w, q in X.table[k][p]) for p in ps]
+        for k, ps in enumerate(kept)
     ]
-    faces = {n: X.faces[n] for n in names if X.dim_of(n) > 0}
     bp = X.basepoint if X.basepoint in names else None
     # A face-closed part of a valid space is valid.
-    return FiniteSSet(cells, faces, basepoint=bp, check=False)
+    return FiniteSSet._trusted(cells, table, bp)
 
 
 def boundary(n: int) -> FiniteSSet:
@@ -463,18 +582,23 @@ def _horn_in(X: FiniteSSet, i: int) -> FiniteSSet:
     """The horn Λⁿᵢ as a subcomplex of ``X = standard_simplex(n)``: every
     proper face but the wall d_i, which misses vertex i."""
     n = X.top_dim
-    wall = X.faces[X.cells[n][0]][i].base
+    wall = X.cells[n - 1][X.table[n][0][i][1]]
     names = [c for level in X.cells[:n] for c in level if c != wall]
     return subcomplex(X, names, check_closed=False)
 
 
 def is_name_subcomplex(X: FiniteSSet, A: FiniteSSet) -> bool:
     """True when ``A`` is a subcomplex of ``X`` sharing names and faces."""
-    for name in A.names:
-        if name not in X or X.dim_of(name) != A.dim_of(name):
+    into: list[list[int]] = []  # per level of A, the position of each cell in X
+    for k, level in enumerate(A.cells):
+        if any(X._dim_of.get(name) != k for name in level):
             return False
-        if A.dim_of(name) > 0 and X.faces[name] != A.faces[name]:
-            return False
+        into.append([X.position(name) for name in level])
+    for k in range(1, len(A.cells)):
+        rows = X.table[k]
+        for p, row in zip(into[k], A.table[k]):
+            if tuple((w, into[k - 1 - len(w)][q]) for w, q in row) != rows[p]:
+                return False
     return True
 
 
@@ -489,7 +613,7 @@ def pointed(X: FiniteSSet, vertex: str) -> FiniteSSet:
     """A copy of ``X`` with the given vertex as basepoint."""
     if vertex not in X or X.dim_of(vertex) != 0:
         raise ValidationError(f"basepoint {vertex!r} is not a vertex")
-    return FiniteSSet(X.cells, X.faces, basepoint=vertex, check=False)
+    return FiniteSSet._trusted(X.cells, X.table, vertex)
 
 
 # -- simplicial maps -------------------------------------------------------
@@ -557,7 +681,7 @@ class SSetMap:
     def inclusion(cls, A: FiniteSSet, X: FiniteSSet) -> "SSetMap":
         if not is_name_subcomplex(X, A):
             raise ValidationError("not a subcomplex inclusion")
-        return cls(A, X, {name: X.simplex(name) for name in A.names}, check=False)
+        return _inclusion(A, X)
 
     def is_dimensionwise_injective(self) -> bool:
         """Injective on the simplices of every dimension.
@@ -587,6 +711,12 @@ class SSetMap:
 
     def __repr__(self) -> str:
         return f"SSetMap({self.source!r} -> {self.target!r})"
+
+
+def _inclusion(A: FiniteSSet, X: FiniteSSet) -> SSetMap:
+    """The inclusion of ``A`` into ``X``, for a caller that knows ``A`` is a
+    subcomplex of ``X`` sharing its names and faces."""
+    return SSetMap(A, X, {name: X.simplex(name) for name in A.names}, check=False)
 
 
 def constant_map(X: FiniteSSet, Y: FiniteSSet, vertex: str) -> SSetMap:

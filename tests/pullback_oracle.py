@@ -68,7 +68,7 @@ def oracle_pullback(p: SSetMap, q: SSetMap, prefix: str) -> PullbackResult:
     proj_l = SSetMap(space, A, {n: sa for (sa, _), n in name_of.items()}, check=False)
     proj_r = SSetMap(space, B, {n: sb for (_, sb), n in name_of.items()}, check=False)
     keys = {
-        (sa.degeneracies, sa.base, sb.degeneracies, sb.base): name
+        (sa.degeneracies, sa.base, sb.degeneracies, sb.base): space.position(name)
         for (sa, sb), name in name_of.items()
     }
     return PullbackResult(space, proj_l, proj_r, p, q, keys)

@@ -529,13 +529,13 @@ def test_product_normalises_each_face_pair_once(monkeypatch):
     # Delta^3 x Delta^3 have 987 distinct pairs of faces, each normalised
     # once; normalising each face of each cell on its own takes 4112 calls.
     calls = []
-    pair_simplex = build._pair_simplex
+    pair_key = build._pair_key
 
-    def counting(name_of, wa, a, wb, b, k):
-        calls.append((wa, a, wb, b, k))
-        return pair_simplex(name_of, wa, a, wb, b, k)
+    def counting(keys, wa, a, wb, b):
+        calls.append((wa, a, wb, b))
+        return pair_key(keys, wa, a, wb, b)
 
-    monkeypatch.setattr(build, "_pair_simplex", counting)
+    monkeypatch.setattr(build, "_pair_key", counting)
     pr = product(standard_simplex(3), standard_simplex(3))
     assert sum(pr.space.counts()) == 1007
     assert len(calls) == 987

@@ -305,6 +305,25 @@ def test_product_cell_names_are_stable(capsys, argv, golden):
     assert capsys.readouterr().out == (DATA / golden).read_text()
 
 
+@pytest.mark.parametrize(
+    "cover, line",
+    [
+        ({"space": "boundary2", "u": ["01"], "v": ["02"]}, "cover misses simplices: ['12']"),
+        ({"space": "boundary2", "u": ["01", "zz"], "v": ["02", "12"]}, "unknown simplex 'zz'"),
+    ],
+    ids=["misses-a-cell", "unknown-cell"],
+)
+def test_bad_covers_exit_two_with_their_message(tmp_path, capsys, cover, line):
+    # The cover's pieces are checked where the cover is read; the sequence
+    # built from it checks no inclusion again.
+    f = tmp_path / "cover.json"
+    f.write_text(json.dumps(cover))
+    assert cli.main(["mv", str(f), "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {line}\n"
+
+
 def test_mv_record_of_the_disk_and_band_cover_is_stable(tmp_path, capsys):
     # Recorded before the elimination kept its pending pivots in a heap.
     # The maps are written on the homology generators, which any change
@@ -639,8 +658,27 @@ def test_fixed_benchmark_tasks_match_their_goldens(monkeypatch, capsys, golden, 
     assert capsys.readouterr().out == (GOLDEN / f"{golden}.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        ("space product simplex3 simplex3", "space_product_simplex3_simplex3.txt"),
+        ("space suspension suspension circle", "space_suspension_suspension_circle.txt"),
+        ("space nerve tests/data/claims_poset.json -d 3", "space_nerve_claims_poset_d3.txt"),
+        ("mapspace simplex3 0 3 -d 2 --json", "mapspace_simplex3_0_3_d2.json"),
+    ],
+    ids=["product33", "suspension2-circle", "nerve-claims-poset", "mapspace-simplex3"],
+)
+def test_space_outputs_match_the_goldens_recorded_before_face_tables(
+    monkeypatch, capsys, argv, golden
+):
+    # Recorded before a space kept its faces as (word, position) pairs.
+    monkeypatch.chdir(ROOT)
+    assert cli.main(argv.split()) == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")
+
+
 def test_products_and_suspensions_run_without_face(monkeypatch, capsys):
-    # Products and suspensions read faces as (word, base) keys: with
+    # Products and suspensions read faces as (word, position) keys: with
     # ``FiniteSSet.face`` refused, every output keeps its bytes.
     monkeypatch.chdir(ROOT)
     product33 = ["space", "product", "simplex3", "simplex3", "--json"]
@@ -662,6 +700,34 @@ def test_products_and_suspensions_run_without_face(monkeypatch, capsys):
     for argv, out in expected.items():
         assert cli.main(list(argv)) == 0
         assert capsys.readouterr().out == out
+
+
+def test_pipelines_read_faces_from_the_table(monkeypatch, tmp_path, capsys):
+    # Reading a record, products, suspensions, chains, covers and excision
+    # read faces as positions: with the name-keyed faces of
+    # ``FiniteSSet.faces`` and ``face`` refused, every command still exits 0.
+    monkeypatch.chdir(ROOT)
+    claims = json.loads((DATA / "paper_claims.json").read_text())
+    cover = {**claims["covers"]["disk-and-band"], "space": claims["spaces"]["RP2"]}
+    f = tmp_path / "cover.json"
+    f.write_text(json.dumps(cover))
+
+    def refuse(self):
+        raise AssertionError("the name-keyed faces were built")
+
+    monkeypatch.setattr(FiniteSSet, "_face_simplices", refuse)
+    for argv in [
+        "homology tests/data/suspension_s2.json",
+        "space product simplex3 simplex3",
+        f"mv {f} --json",
+        "excision identity:perfbench/data/torus3.json",
+        "excision interval-collapse",
+        "counterexample",
+        "tower reduced_chains s2 -N 3",
+        "qcat boundary3 -d 3",
+    ]:
+        assert cli.main(argv.split()) in (0, 1), argv
+    capsys.readouterr()
 
 
 def test_one_space_builders_nest(capsys):

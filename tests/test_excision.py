@@ -31,7 +31,7 @@ from ssetkit.excision import (
     reduced_suspension_data,
     unreduced_suspension,
 )
-from ssetkit import simplicial_chains
+from ssetkit import excision, simplicial_chains, sset
 from ssetkit.groups import HomologyGroup
 from ssetkit.simplicial_chains import (
     chain_map_of,
@@ -39,7 +39,9 @@ from ssetkit.simplicial_chains import (
     reduced_normalized_chains,
 )
 from ssetkit.sset import (
+    FiniteSSet,
     SSetMap,
+    Simplex,
     boundary,
     constant_map,
     face_closure,
@@ -72,8 +74,6 @@ def test_cone_is_contractible():
 
 
 def test_cone_of_empty_rejected():
-    from ssetkit.sset import FiniteSSet
-
     with pytest.raises(ValidationError):
         cone(FiniteSSet((), {}))
 
@@ -127,8 +127,6 @@ def test_reduced_suspension_needs_basepoint():
 
 
 def test_square_must_commute():
-    from ssetkit.sset import Simplex
-
     d1 = standard_simplex(1)
     pt = standard_simplex(0)
     b1 = boundary(1)
@@ -228,8 +226,37 @@ def test_cover_data_validation():
         cover_from_names(b2, ["01"], ["02"])  # does not cover 12
     d2 = standard_simplex(2)
     U = subcomplex(d2, face_closure(d2, ["01"]))
-    with pytest.raises(ValidationError):
-        CoverData(d2, U, boundary(2))  # V not a named subcomplex of X
+    with pytest.raises(ValidationError, match="^cover misses simplices: \\['012'\\]$"):
+        CoverData(d2, U, boundary(2))
+    # The edge 01 of Δ², its faces swapped: its names are those of a
+    # subcomplex, its faces are not.
+    reversed_edge = FiniteSSet(
+        [["0", "1"], ["01"]], {"01": (Simplex((), "0", 0), Simplex((), "1", 0))}
+    )
+    with pytest.raises(ValidationError, match="^first cover piece is not a subcomplex$"):
+        CoverData(d2, reversed_edge, d2)
+    with pytest.raises(ValidationError, match="^second cover piece is not a subcomplex$"):
+        CoverData(d2, d2, reversed_edge)
+
+
+def test_a_cover_is_checked_once_where_it_is_read(monkeypatch):
+    # A work-count guard: CoverData checks that each piece is a subcomplex;
+    # the intersection and the four inclusions of the cover sequence are
+    # built without checking again, reduced or not.
+    calls = []
+    check = sset.is_name_subcomplex
+
+    def counting(X, A):
+        calls.append(A.counts())
+        return check(X, A)
+
+    monkeypatch.setattr(sset, "is_name_subcomplex", counting)
+    monkeypatch.setattr(excision, "is_name_subcomplex", counting)
+    for reduced in (False, True):
+        calls.clear()
+        cd = cover_from_names(boundary(3), ["123", "023"], ["013", "012"])
+        assert mayer_vietoris(cd, 2, reduced=reduced).all_exact
+        assert len(calls) == 2
 
 
 def test_cover_ses_exact_for_battery():

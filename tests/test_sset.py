@@ -150,6 +150,26 @@ def test_level_table_faces_name_the_simplices_face_returns():
                 assert [below[p] for p in fs] == [X.face(sx, i) for i in range(k + 1)]
 
 
+def test_each_cell_has_one_simplex_per_space():
+    # ``simplex``, ``face``, the level tables and the identity and inclusion
+    # maps hand out one ``Simplex`` per nondegenerate cell of a space.
+    for X in _level_spaces():
+        cells = {name: X.simplex(name) for name in X.names}
+        assert all(X.simplex(name) is sx for name, sx in cells.items())
+        assert all(SSetMap.identity_map(X).images[n] is sx for n, sx in cells.items())
+        for k in range(X.top_dim + 1):
+            level = X.level(k)[0]
+            assert all(level[-len(X.nondeg(k)) + p] is cells[n] for p, n in enumerate(X.nondeg(k)))
+            for name in X.nondeg(k) if k else ():
+                for i in range(k + 1):
+                    face = X.face(cells[name], i)
+                    assert face.is_degenerate or face is cells[face.base]
+        A = subcomplex(X, face_closure(X, X.nondeg(X.top_dim)[:1]))
+        assert all(
+            sx is cells[name] for name, sx in SSetMap.inclusion(A, X).images.items()
+        )
+
+
 def test_level_tables_are_built_without_face(monkeypatch):
     # Fresh copies, so that no level was built before ``face`` is refused.
     spaces = [
@@ -181,14 +201,15 @@ def _face_rule_spaces():
 
 
 def test_face_key_is_the_face_rule():
-    # On every simplex of every level k <= 4 and every i, the (word, base)
-    # key is the face that ``face`` returns and the face the monotone-map
-    # oracle gets by composing and factoring maps.
+    # On every simplex of every level k <= 4 and every i, the (word,
+    # position) key is the face that ``face`` returns and the face the
+    # monotone-map oracle gets by composing and factoring maps.
     for X in _face_rule_spaces():
         for k in range(1, 5):
             for sx in X.all_simplices(k):
                 for i in range(k + 1):
-                    word, base = X.face_key(sx.degeneracies, sx.base, k, i)
+                    word, pos = X.face_key(sx.degeneracies, X.position(sx.base), k, i)
+                    base = X.nondeg(k - 1 - len(word))[pos]
                     oracle = delta_oracle.act(X, sx, delta_oracle.face_map(k, i))
                     assert Simplex(word, base, k - 1) == X.face(sx, i) == oracle
 
@@ -241,6 +262,13 @@ def test_simplex_value_contract():
         del sx.base
     assert repr(sx) == "Simplex(degeneracies=(1, 0), base='ab', dim=3)"
     assert pickle.loads(pickle.dumps(sx)) == sx
+
+
+def test_spaces_pickle_after_their_faces_are_read():
+    for X in [standard_simplex(3), two_sphere()]:
+        assert X.faces and X.level(2)
+        back = pickle.loads(pickle.dumps(X))
+        assert back == X and back.faces == X.faces
 
 
 MALFORMED_WORDS = pytest.mark.parametrize(

@@ -92,13 +92,13 @@ def test_suspension_step_normalises_each_face_pair_once(monkeypatch):
     # each normalised once.
     X = _suspended(circle(), 3)
     calls = []
-    pair_simplex = excision._pair_simplex
+    pair_key = excision._pair_key
 
-    def counting(name_of, wa, a, wb, b, k):
-        calls.append((wa, a, wb, b, k))
-        return pair_simplex(name_of, wa, a, wb, b, k)
+    def counting(keys, wa, a, wb, b):
+        calls.append((wa, a, wb, b))
+        return pair_key(keys, wa, a, wb, b)
 
-    monkeypatch.setattr(excision, "_pair_simplex", counting)
+    monkeypatch.setattr(excision, "_pair_key", counting)
     Y = reduced_suspension_data(X).space
     assert sum(Y.counts()) == 542
     assert sum(f.base != Y.basepoint for fs in Y.faces.values() for f in fs) == 1530
