@@ -9,9 +9,9 @@ point, so products and fiber products share one construction and one
 result type; product cells keep their own ``p`` name prefix.
 
 A pullback works on positions and keys.  Each side lists its simplices
-``s_I a`` that can pair, as keys (I, a), in the order of its face table
-``FiniteSSet.level_faces`` (by dimension of a, name, word), and sorts their
-positions by word, then base, so a pair is a pair of positions and the
+``s_I a`` that can pair, as keys (I, a) on positions, in the order of its
+face table ``FiniteSSet.level_faces`` (by dimension of a, name, word), and
+sorts them by word, then base, so a pair is a pair of positions and the
 pairs are listed in the order of ``(I, a, J, b)`` without sorting them.
 The faces of a side's simplex are positions in the level below, read off
 that table, so no side builds a ``Simplex`` for a face.  Each distinct pair
@@ -19,12 +19,11 @@ of face positions becomes a face of the pullback once, by the one pair rule
 ``_pair_key``: the collapse positions both words share are stripped, the
 nondegenerate pair left is found by its key ``(I, a, J, b)``, and the face
 is the (word, position) key of ``s_shared`` of that cell, an entry of the
-pullback's face table.  ``PullbackResult.pair_simplex`` and the reduced
-suspension (``excision``) use the same pair rule.  ``_keys`` is the one
-index of the cells, position by key; the projections are filled as the
-pairs are listed, with one ``Simplex`` per simplex of a side that pairs.
-The pairs are counted against ``DEFAULT_MAX_CANDIDATES`` before any level
-is built.
+pullback's face table.  Induced maps, ``pair_simplex`` and ``excision`` use
+the same pair rule.  ``_keys`` is the one index of the cells, position by
+key, per level (a key of two empty words fits every level); the rows of
+the projections are the pairs' listing keys.  The pairs are counted
+against ``DEFAULT_MAX_CANDIDATES`` before any level is built.
 
 Pushouts are taken along an injective leg ``A -> Y``: the nondegenerate
 simplices of ``X u_A Y`` are those of ``X`` plus those of ``Y`` outside
@@ -35,10 +34,10 @@ pushout of ``X`` and the point along ``A``.
 
 Each construction is valid by construction on valid inputs, so its space
 is handed to the trusted constructor ``FiniteSSet._trusted`` and its maps,
-and the maps a pushout or pullback induces from a commuting cone, are built
-with ``check=False``: spaces and maps are validated where they enter, not
-each time one is derived from another.  Only the cone itself is checked,
-since it comes from the caller.
+and the maps a pushout or pullback induces from a commuting cone, to
+``SSetMap._trusted`` as key tables: spaces and maps are validated where
+they enter, not each time one is derived from another.  Only the cone
+itself is checked, since it comes from the caller.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .delta import compose_words, degeneracy_words
+from .delta import degeneracy_words
 from .errors import EnumerationLimit, ValidationError
 from .sset import (
     FiniteSSet,
@@ -56,6 +55,7 @@ from .sset import (
     is_name_subcomplex,
     pointed,
     standard_simplex,
+    _inclusion,
 )
 
 __all__ = [
@@ -107,40 +107,29 @@ def _glue(f: SSetMap, g: SSetMap):
     Level k lists the cells of ``f.target``, then the cells of ``g.target``
     outside the image of ``g``, named ``g{k}_{idx}``, so the cells of
     ``f.target`` keep their positions and their rows.  A face of a cell of
-    ``g.target`` whose base lies in that image becomes ``f`` of its preimage.
-    Returns the space, the maps from both targets, and the origin ``(side,
-    simplex)`` of each cell, side 0 for ``f.target`` and 1 for ``g.target``.
+    ``g.target`` on a cell in that image becomes ``f`` of its preimage.
+    Returns the space, the maps from both targets, and per level the origin
+    (side, position) of each cell, side 0 for ``f.target``, 1 for ``g.target``.
     """
     X, Y = f.target, g.target
     # g is injective, so it sends nondegenerate cells to nondegenerate cells.
-    preimage = {sx.base: name for name, sx in g.images.items()}
-    origin: dict = {}
+    preimage = {(k, q): p for k, row in enumerate(g.table) for p, (_, q) in enumerate(row)}
+    origin: list[list[tuple[int, int]]] = []
     cells: list[list[str]] = []
     moved: list[list] = []  # per level of Y, the new position of each cell
     for k in range(max(X.top_dim, Y.top_dim) + 1):
-        kept = [n for n in Y.nondeg(k) if n not in preimage]
-        level = [(0, n) for n in X.nondeg(k)] + [(1, n) for n in kept]
-        at = dict(zip(kept, range(len(X.nondeg(k)), len(level))))
-        moved.append([at.get(n) for n in Y.nondeg(k)])
-        names = _level_names("g", k, len(level))
-        for (side, old), new in zip(level, names):
-            origin[new] = (side, (X, Y)[side].simplex(old))
-        cells.append(names)
-    memo: dict = {}  # a key (word, position) in Y -> its key in the space
+        width = len(X.nondeg(k))
+        kept = [q for q in range(len(Y.nondeg(k))) if (k, q) not in preimage]
+        at = dict(zip(kept, range(width, width + len(kept))))
+        moved.append([at.get(q) for q in range(len(Y.nondeg(k)))])
+        origin.append([(0, p) for p in range(width)] + [(1, q) for q in kept])
+        cells.append(_level_names("g", k, len(origin[k])))
 
     def image(word: tuple[int, ...], pos: int, k: int) -> tuple:
         """The key in the space of the k-simplex (word, pos) of Y."""
-        out = memo.get((word, pos, k))
-        if out is None:
-            new = moved[k - len(word)][pos]
-            if new is None:
-                sx = f.images[preimage[Y.cells[k - len(word)][pos]]]
-                w = compose_words(sx.degeneracies, word, k) if word else sx.degeneracies
-                out = (w, X.position(sx.base))
-            else:
-                out = (word, new)
-            memo[word, pos, k] = out
-        return out
+        m = k - len(word)
+        new = moved[m][pos]
+        return f.image_key(word, preimage[m, pos], k) if new is None else (word, new)
 
     table = [list(X.table[k]) if k <= X.top_dim else [] for k in range(len(cells))]
     for k in range(Y.top_dim + 1):
@@ -150,12 +139,9 @@ def _glue(f: SSetMap, g: SSetMap):
             if new is not None
         ]
     space = FiniteSSet._trusted(cells, table)
-    to_x = {n: space.simplex_at((), X.position(n), X.dim_of(n)) for n in X.names}
-    to_y = {
-        n: space.simplex_at(*image((), Y.position(n), Y.dim_of(n)), Y.dim_of(n))
-        for n in Y.names
-    }
-    legs = (SSetMap(X, space, to_x, check=False), SSetMap(Y, space, to_y, check=False))
+    to_y = [[image((), q, k) for q in range(len(level))] for k, level in enumerate(Y.cells)]
+    to_x = SSetMap.identity_map(X).table  # the cells of X keep their positions
+    legs = (SSetMap._trusted(X, space, to_x), SSetMap._trusted(Y, space, to_y))
     return space, legs, origin
 
 
@@ -166,7 +152,7 @@ class PushoutResult:
     from_right: SSetMap  # V -> P
     leg_left: SSetMap  # W -> U
     leg_right: SSetMap  # W -> V
-    _origin: dict = field(repr=False)  # name -> (0 for U or 1 for V, simplex)
+    _origin: list = field(repr=False)  # per level, (0 for U or 1 for V, position)
 
     def induced(self, from_u: SSetMap, from_v: SSetMap) -> SSetMap:
         """The map out of the pushout determined by a commuting cone."""
@@ -174,11 +160,9 @@ class PushoutResult:
             raise ValidationError("cone legs have different targets")
         if from_u.compose(self.leg_left) != from_v.compose(self.leg_right):
             raise ValidationError("cone does not commute over the gluing locus")
-        images = {
-            name: (from_u, from_v)[side].apply(sx)
-            for name, (side, sx) in self._origin.items()
-        }
-        return SSetMap(self.space, from_u.target, images, check=False)
+        legs = (from_u.table, from_v.table)
+        table = [[legs[s][k][p] for s, p in cells] for k, cells in enumerate(self._origin)]
+        return SSetMap._trusted(self.space, from_u.target, table)
 
 
 def pushout(f: SSetMap, g: SSetMap) -> PushoutResult:
@@ -196,7 +180,7 @@ def pushout(f: SSetMap, g: SSetMap) -> PushoutResult:
         space, (from_left, from_right), origin = _glue(f, g)
     elif f.is_dimensionwise_injective():
         space, (from_right, from_left), origin = _glue(g, f)
-        origin = {name: (1 - side, sx) for name, (side, sx) in origin.items()}
+        origin = [[(1 - side, p) for side, p in level] for level in origin]
     else:
         raise ValidationError("pushout needs an injective leg")
     return PushoutResult(space, from_left, from_right, f, g, origin)
@@ -205,9 +189,7 @@ def pushout(f: SSetMap, g: SSetMap) -> PushoutResult:
 def disjoint_union(X: FiniteSSet, Y: FiniteSSet) -> PushoutResult:
     """Coproduct, as the pushout over the empty simplicial set."""
     empty = FiniteSSet((), {})
-    f = SSetMap(empty, X, {}, check=False)
-    g = SSetMap(empty, Y, {}, check=False)
-    return pushout(f, g)
+    return pushout(SSetMap._trusted(empty, X, ()), SSetMap._trusted(empty, Y, ()))
 
 
 @dataclass
@@ -230,13 +212,11 @@ def quotient(X: FiniteSSet, A: FiniteSSet) -> QuotientResult:
         raise ValidationError("can only collapse a subcomplex")
     if A.top_dim < 0:
         raise ValidationError("cannot collapse the empty subcomplex")
-    po = pushout(constant_map(A, standard_simplex(0), "0"), SSetMap.inclusion(A, X))
-    if X.basepoint is None:
-        bp = po.from_left.images["0"].base
-    else:
-        bp = po.from_right.images[X.basepoint].base
-    space = pointed(po.space, bp)
-    return QuotientResult(space, SSetMap(X, space, po.from_right.images, check=False))
+    po = pushout(constant_map(A, standard_simplex(0), "0"), _inclusion(A, X))
+    # The collapsed class is the first vertex: the point keeps its position.
+    bp = 0 if X.basepoint is None else po.from_right.table[0][X.position(X.basepoint)][1]
+    space = pointed(po.space, po.space.cells[0][bp])
+    return QuotientResult(space, SSetMap._trusted(X, space, po.from_right.table))
 
 
 # -- pullbacks -------------------------------------------------------------
@@ -247,15 +227,18 @@ def _strip(word: tuple[int, ...], shared: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(i - sum(s < i for s in shared) for i in word if i not in shared)
 
 
-def _pair_key(keys: dict, wa: tuple, a: str, wb: tuple, b: str) -> tuple[tuple[int, ...], int]:
-    """The key (shared, position) of the simplex that the pair
-    ``(s_wa a, s_wb b)`` is: ``s_shared`` of the nondegenerate pair left
-    once the collapse positions both words share are undone, at the
-    position ``keys`` gives its key ``(wa', a, wb', b)``."""
+def _pair_key(
+    keys: list, k: int, wa: tuple, a: int, wb: tuple, b: int
+) -> tuple[tuple[int, ...], int]:
+    """The key (shared, position) of the k-simplex that the pair
+    ``(s_wa a, s_wb b)`` is, a and b cell positions: ``s_shared`` of the
+    nondegenerate pair left once the collapse positions both words share
+    are undone, at the position that ``keys``, per level, gives its key
+    ``(wa', a, wb', b)``."""
     shared = tuple(i for i in wa if i in wb)
     if shared:
         wa, wb = _strip(wa, shared), _strip(wb, shared)
-    return shared, keys[wa, a, wb, b]
+    return shared, keys[k - len(shared)][wa, a, wb, b]
 
 
 @dataclass
@@ -265,19 +248,20 @@ class PullbackResult:
     proj_right: SSetMap  # to the source of q
     leg_left: SSetMap  # p itself
     leg_right: SSetMap  # q itself
-    _keys: dict = field(repr=False)  # (I, a, J, b) of a nondegenerate pair -> position
+    _keys: list = field(repr=False)  # per level, (I, a, J, b) of a cell -> position
 
     def pair_simplex(self, sa: Simplex, sb: Simplex) -> Simplex:
         """The simplex of the pullback corresponding to a compatible pair."""
         if sa.dim != sb.dim:
             raise ValidationError("pair components live in different dimensions")
-        word, pos = _pair_key(
-            self._keys, sa.degeneracies, sa.base, sb.degeneracies, sb.base
-        )
+        A, B = self.proj_left.target, self.proj_right.target
+        a, b = A.position(sa.base), B.position(sb.base)
+        word, pos = _pair_key(self._keys, sa.dim, sa.degeneracies, a, sb.degeneracies, b)
         return self.space.simplex_at(word, pos, sa.dim)
 
     def components(self, name: str) -> tuple[Simplex, Simplex]:
-        return self.proj_left.images[name], self.proj_right.images[name]
+        sx = self.space.simplex(name)
+        return self.proj_left.apply(sx), self.proj_right.apply(sx)
 
     def induced(self, to_a: SSetMap, to_b: SSetMap) -> SSetMap:
         """The map into the pullback determined by a commuting cone."""
@@ -285,28 +269,28 @@ class PullbackResult:
             raise ValidationError("cone legs need a common source")
         if self.leg_left.compose(to_a) != self.leg_right.compose(to_b):
             raise ValidationError("cone does not commute over the base")
-        images = {
-            name: self.pair_simplex(to_a.images[name], to_b.images[name])
-            for name in to_a.source.names
-        }
-        return SSetMap(to_a.source, self.space, images, check=False)
+        table = [
+            [_pair_key(self._keys, k, *ka, *kb) for ka, kb in zip(ra, rb)]
+            for k, (ra, rb) in enumerate(zip(to_a.table, to_b.table))
+        ]
+        return SSetMap._trusted(to_a.source, self.space, table)
 
 
-def _listing(X: FiniteSSet, k: int, low: int) -> list[tuple[tuple[int, ...], str]]:
+def _listing(X: FiniteSSet, k: int, low: int) -> list[tuple[tuple[int, ...], int]]:
     """The keys (I, x) of the k-simplices ``s_I x`` of ``X`` with
-    ``dim x >= low``, in the order of ``X.level_faces(k, low)``: by
-    dimension, then name, then word."""
+    ``dim x >= low``, x a cell position, in the order of
+    ``X.level_faces(k, low)``: by dimension, then name, then word."""
     return [
         (w, x)
         for m in range(low, min(k, X.top_dim) + 1)
-        for x in X.cells[m]
+        for x in range(len(X.cells[m]))
         for w in degeneracy_words(k, m)
     ]
 
 
 def _decoder(X: FiniteSSet, k: int):
-    """The size of ``X.level(k)``, and the key (word, name) of a position in
-    it: the level lists the cells of each dimension m as blocks of
+    """The size of ``X.level(k)``, and the key (word, position) of a position
+    in it: the level lists the cells of each dimension m as blocks of
     ``degeneracy_words(k, m)``, so the key is read off the block starts,
     with no level built."""
     starts, blocks = [], []
@@ -314,27 +298,21 @@ def _decoder(X: FiniteSSet, k: int):
     for m in range(min(k, X.top_dim) + 1):
         words = degeneracy_words(k, m)
         starts.append(size)
-        blocks.append((X.cells[m], words))
+        blocks.append(words)
         size += len(words) * len(X.cells[m])
 
     known: dict[int, tuple] = {}
 
-    def key(pos: int) -> tuple[tuple[int, ...], str]:
+    def key(pos: int) -> tuple[tuple[int, ...], int]:
         out = known.get(pos)
         if out is None:
             b = bisect_right(starts, pos) - 1
-            cells, words = blocks[b]
+            words = blocks[b]
             q, r = divmod(pos - starts[b], len(words))
-            out = known[pos] = (words[r], cells[q])
+            out = known[pos] = (words[r], q)
         return out
 
     return size, key
-
-
-def _image(f: SSetMap, word: tuple[int, ...], x: str, k: int) -> tuple:
-    """The (word, base) of ``f`` of the k-simplex ``s_word x``."""
-    sx = f.images[x]
-    return (compose_words(sx.degeneracies, word, k) if word else sx.degeneracies), sx.base
 
 
 def _compatible(p: SSetMap, q: SSetMap, k: int):
@@ -347,7 +325,7 @@ def _compatible(p: SSetMap, q: SSetMap, k: int):
     with: those over the same image in the base whose words J are disjoint
     from I.  A bucket holds one word and the buckets come in increasing
     words, so reading them in turn lists the pairs of the level in the
-    order of ``(I, a, J, b)``.
+    order of ``(I, a, J, b)``; the bases of one word sort by position as by name.
     """
     A, B = p.source, q.source
     la = _listing(A, k, max(k - B.top_dim, 0))
@@ -357,7 +335,7 @@ def _compatible(p: SSetMap, q: SSetMap, k: int):
     over: dict = {}  # (J, image in the base) -> sorted positions of the s_J b over it
     for jb, pb in enumerate(sbs):
         wb, b = lb[pb]
-        over.setdefault((wb, _image(q, wb, b, k)), []).append(jb)
+        over.setdefault((wb, q.image_key(wb, b, k)), []).append(jb)
     b_words = sorted({wb for wb, _ in over})
     disjoint: dict = {}  # I -> the words J disjoint from it, increasing
     partners = []
@@ -365,7 +343,7 @@ def _compatible(p: SSetMap, q: SSetMap, k: int):
         wa, a = la[pa]
         if wa not in disjoint:
             disjoint[wa] = [wb for wb in b_words if not set(wa) & set(wb)]
-        image = _image(p, wa, a, k)
+        image = p.image_key(wa, a, k)
         partners.append(
             [bucket for wb in disjoint[wa] if (bucket := over.get((wb, image)))]
         )
@@ -393,9 +371,9 @@ def _pullback(p: SSetMap, q: SSetMap, prefix: str) -> PullbackResult:
             )
     cells: list[list[str]] = []
     table: list[list[tuple]] = []
-    left: dict[str, Simplex] = {}  # the images of the two projections
-    right: dict[str, Simplex] = {}
-    keys: dict = {}  # (I, a, J, b) of each nondegenerate pair -> its position
+    left: list[list[tuple]] = []  # the rows of the two projections
+    right: list[list[tuple]] = []
+    keys: list[dict] = []  # per level, (I, a, J, b) of each pair -> its position
     for k in range(len(levels)):
         la, lb, sas, sbs, partners = levels[k]
         levels[k] = None  # free each level once read: it would add to the peak
@@ -405,19 +383,10 @@ def _pullback(p: SSetMap, q: SSetMap, prefix: str) -> PullbackResult:
             for bucket in buckets
             for ib in bucket
         ]
-        names = _level_names(prefix, k, len(pairs))
-        cells.append(names)
-        a_sx: list = [None] * len(la)  # listing position -> its simplex, once
-        b_sx: list = [None] * len(lb)
-        for pos, ((pa, pb), name) in enumerate(zip(pairs, names)):
-            (wa, a), (wb, b) = la[pa], lb[pb]
-            sa, sb = a_sx[pa], b_sx[pb]
-            if sa is None:
-                sa = a_sx[pa] = Simplex(wa, a, k) if wa else A.simplex(a)
-            if sb is None:
-                sb = b_sx[pb] = Simplex(wb, b, k) if wb else B.simplex(b)
-            left[name], right[name] = sa, sb
-            keys[wa, a, wb, b] = pos
+        cells.append(_level_names(prefix, k, len(pairs)))
+        left.append([la[pa] for pa, _ in pairs])
+        right.append([lb[pb] for _, pb in pairs])
+        keys.append({ka + kb: pos for pos, (ka, kb) in enumerate(zip(left[k], right[k]))})
         if k:
             a_rows = A.level_faces(k, max(k - B.top_dim, 0))
             b_rows = B.level_faces(k, max(k - A.top_dim, 0))
@@ -431,16 +400,15 @@ def _pullback(p: SSetMap, q: SSetMap, prefix: str) -> PullbackResult:
                 for ia, ib in zip(a_rows[pa], b_rows[pb]):
                     face = memo.get(ia * width + ib)
                     if face is None:
-                        (wa, a), (wb, b) = fa(ia), fb(ib)
-                        face = memo[ia * width + ib] = _pair_key(keys, wa, a, wb, b)
+                        face = memo[ia * width + ib] = _pair_key(keys, k - 1, *fa(ia), *fb(ib))
                     row.append(face)
                 rows.append(tuple(row))
             table.append(rows)
         else:
             table.append([()] * len(pairs))
     space = FiniteSSet._trusted(cells, table)
-    proj_l = SSetMap(space, A, left, check=False)
-    proj_r = SSetMap(space, B, right, check=False)
+    proj_l = SSetMap._trusted(space, A, left)
+    proj_r = SSetMap._trusted(space, B, right)
     return PullbackResult(space, proj_l, proj_r, p, q, keys)
 
 

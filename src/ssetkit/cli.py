@@ -1,8 +1,8 @@
 """Batch command-line front door.
 
 One executable with one subcommand per pipeline.  Every field that names a
-space (an argument, the words of ``space``, a manifest's ``spaces``, a
-cover's ``space``, a square record's corners, the X of ``identity:X``)
+space (the words of a space argument of any subcommand, a manifest's
+``spaces``, a cover's ``space``, a square's corners, ``identity:X``)
 reads one grammar, in every form its syntax can carry: as one word, a
 manifest name, a compact built-in (``simplex3``, ``boundary3``,
 ``horn2_1``, ``s2``, ``point``, ``circle``) or a file; as a list of words, a
@@ -474,20 +474,20 @@ def _parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_space)
 
     sp = sub.add_parser("homology", help="integral homology table")
-    sp.add_argument("space")
+    sp.add_argument("space", nargs="+")
     sp.add_argument("--top", type=_count, default=None)
     common(sp, assertable=False)
     sp.set_defaults(fn=_cmd_homology)
 
     sp = sub.add_parser("qcat", help="inner-horn filling verdict")
-    sp.add_argument("space")
+    sp.add_argument("space", nargs="+")
     sp.add_argument("-d", type=int, default=2)
     sp.add_argument("--max-enum", type=_count, default=None, help=max_enum_help)
     common(sp)
     sp.set_defaults(fn=_cmd_qcat)
 
     sp = sub.add_parser("mapspace", help="vertex-to-vertex mapping space")
-    sp.add_argument("space")
+    sp.add_argument("space", nargs="+")
     sp.add_argument("source")
     sp.add_argument("target")
     sp.add_argument("-d", type=int, default=1)
@@ -509,7 +509,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("tower", help="excisive approximation stages")
     sp.add_argument("evaluator")
-    sp.add_argument("space")
+    sp.add_argument("space", nargs="+")
     sp.add_argument("-N", type=int, default=4)
     common(sp)
     sp.set_defaults(fn=_cmd_tower)

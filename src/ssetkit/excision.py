@@ -61,7 +61,6 @@ from .build import (
     _budget,
     _level_names,
     _pair_key,
-    _point_simplex,
 )
 from .chain import (
     ChainMap,
@@ -139,20 +138,18 @@ def cylinder(X: FiniteSSet) -> PullbackResult:
 
 
 def _end_inclusion(pr: PullbackResult, j: str) -> SSetMap:
-    X = pr.proj_left.target
-    images = {
-        name: pr.pair_simplex(
-            X.simplex(name), _point_simplex(j, X.dim_of(name))
-        )
-        for name in X.names
-    }
-    return SSetMap(X, pr.space, images, check=False)
+    """X as the end X x j of its cylinder: each cell x as the pair (x, s_J j)."""
+    X, at = pr.proj_left.target, pr.proj_right.target.position(j)
+    table = [
+        [_pair_key(pr._keys, k, (), p, tuple(range(k - 1, -1, -1)), at) for p in range(n)]
+        for k, n in enumerate(X.counts())
+    ]
+    return SSetMap._trusted(X, pr.space, table)
 
 
-def _end_names(pr: PullbackResult, j: str) -> set[str]:
-    return {
-        name for name in pr.space.names if pr.components(name)[1].base == j
-    }
+def _image_names(f: SSetMap) -> set[str]:
+    """The cells of ``f.target`` that the injective ``f`` hits."""
+    return {f.target.cells[k][q] for k, row in enumerate(f.table) for _, q in row}
 
 
 def cone(X: FiniteSSet) -> FiniteSSet:
@@ -160,7 +157,7 @@ def cone(X: FiniteSSet) -> FiniteSSet:
     if X.top_dim < 0:
         raise ValidationError("cone of the empty simplicial set is not supported")
     pr = cylinder(X)
-    far = subcomplex(pr.space, _end_names(pr, "1"))
+    far = subcomplex(pr.space, _image_names(_end_inclusion(pr, "1")))
     return quotient(pr.space, far).space
 
 
@@ -169,14 +166,11 @@ def unreduced_suspension(X: FiniteSSet) -> FiniteSSet:
     if X.top_dim < 0:
         raise ValidationError("suspension of the empty simplicial set is not supported")
     pr = cylinder(X)
-    bottom = subcomplex(pr.space, _end_names(pr, "0"))
-    q1 = quotient(pr.space, bottom)
-    top_images = set()
-    for name in _end_names(pr, "1"):
-        top_images.add(q1.projection.apply(pr.space.simplex(name)).base)
-    q2 = quotient(q1.space, subcomplex(q1.space, top_images))
-    # q2 keeps the bottom cone point of q1; point it at the top one instead.
-    return pointed(q2.space, q2.projection.images[min(top_images)].base)
+    q1 = quotient(pr.space, subcomplex(pr.space, _image_names(_end_inclusion(pr, "0"))))
+    top = q1.projection.compose(_end_inclusion(pr, "1"))  # misses the bottom end
+    q2 = quotient(q1.space, subcomplex(q1.space, _image_names(top)))
+    # q2 keeps the bottom cone point of q1; point it at the top one, g0_0.
+    return pointed(q2.space, q2.space.cells[0][0])
 
 
 @dataclass
@@ -229,12 +223,12 @@ def reduced_suspension_data(X: FiniteSSet) -> SuspensionData:
         raise EnumerationLimit(f"reduced suspension exceeds {budget} nondegenerate simplices")
     point = _level_names("g", 0, 1)[0]
     base = X.position(X.basepoint)  # in level 0
-    iota = "01"  # the edge of Δ¹, the base of every Δ¹ side
+    iota = 0  # the position of the edge of Δ¹, the base of every Δ¹ side
     cells = [[point]]
     table: list[list[tuple]] = [[()]]
-    # (I, x, J, ι) of a cell (s_I x, s_J ι), x a position in its level ->
-    # the position of the cell; J has length k - 1, so the key gives k.
-    keys: dict = {}
+    # Per level, (I, x, J, ι) of a cell (s_I x, s_J ι), x and ι positions in
+    # their levels -> the position of the cell; no pair lies in level 0.
+    keys: list[dict] = [{} for _ in range(X.top_dim + 2)]
     prism: dict[str, list[int]] = {}  # x -> positions of its prism cells
     face_key = X.face_key
     for k in range(1, X.top_dim + 2):
@@ -251,7 +245,7 @@ def reduced_suspension_data(X: FiniteSSet) -> SuspensionData:
         memo: dict = {}  # key of the X side's face, word of ι's -> face
         rows = []
         for pos, (I, x, J) in enumerate(pairs):
-            keys[I, x, J, iota] = pos
+            keys[k][I, x, J, iota] = pos
             if I:
                 prism.setdefault(X.cells[k - 1][x], []).append(pos)
             row = []
@@ -267,7 +261,7 @@ def reduced_suspension_data(X: FiniteSSet) -> SuspensionData:
                     continue
                 face = memo.get((wx, fx, word))
                 if face is None:
-                    face = memo[wx, fx, word] = _pair_key(keys, wx, fx, word, iota)
+                    face = memo[wx, fx, word] = _pair_key(keys, k - 1, wx, fx, word, iota)
                 row.append(face)
             rows.append(tuple(row))
         table.append(rows)

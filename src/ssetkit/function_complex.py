@@ -14,34 +14,34 @@ keeps only the candidates that agree there; a degenerate face is compared
 through the table of s_word on positions.  Buckets are built once per top
 cell, so the search itself builds no ``Simplex``; a map found is a tuple of
 top-cell positions, read out as a row: the positions of the images of all
-cells of X.  ``_as_map`` builds the ``SSetMap`` of a row, for the two
-callers that return one, ``enumerate_maps`` and the inner-horn check's
-witness.  The budget counts the candidate images of top cells tried.  The
-inner-horn check runs the same search on each horn, whose top cells are
-its walls (``quasicat.is_quasicategory_up_to``).
+cells of X.  ``_as_maps`` reads rows as the key tables of ``SSetMap``
+values, for the two callers that return maps, ``enumerate_maps`` and the
+inner-horn check's witness.  The budget counts the candidate images of top
+cells tried.  The inner-horn check runs the same search on each horn, whose
+top cells are its walls (``quasicat.is_quasicategory_up_to``).
 
 Function complexes are genuine simplicial sets of maps: a k-simplex of
 hom(X, Y) is a map P_k = X x Delta^k -> Y.  They can be nonempty in every
 dimension, hence the mandatory truncation.  Each level is the list of maps
 the search finds into ``Y``, under the same budget, each row read straight
 into the tuple of its images in the name order of P_k, with no ``SSetMap``
-built.  The face d_i of a k-simplex is its restriction along
-id_X x delta_i, which sends every nondegenerate cell of P_(k-1) to a
-nondegenerate cell of P_k, so a face reindexes the tuple
-through a table; s_i restricts along id_X x sigma_i, whose table also
-carries a degeneracy word per cell.  Each table is read off the pair of
-each cell (``PullbackResult.pair_simplex``), once, when a level first needs
-it.  A k-simplex e is degenerate when s_i d_i e = e for some i < k, and is
-then s_i of its face d_i e; the others are named in the order of the
-(word, base) of their images.  The mapping space between two vertices is
-the simplicial subset of hom(Delta^1, C) whose maps are constant at those
-vertices on the two ends of the prism: the search starts from those ends
-and extends them.
+built.  The face d_i of a k-simplex is its restriction along id_X x
+delta_i, which sends every nondegenerate cell of P_(k-1) to a
+nondegenerate cell of P_k, so a face reindexes the tuple through a table;
+s_i restricts along id_X x sigma_i, whose table also carries a degeneracy
+word per cell.  Each table is read off the keys of the projections of each
+cell (``simplex_as_map`` on the prism's own Delta^cod, then the pair rule
+``build._pair_key``), once, when a level first needs it.  A k-simplex e is
+degenerate when s_i d_i e = e for some i < k, and is then s_i of its face
+d_i e; the others are named in the order of the (word, base) of their
+images.  The mapping space between two vertices is the simplicial subset
+of hom(Delta^1, C) whose maps are constant at those vertices on the two
+ends of the prism: the search starts from those ends and extends them.
 """
 
 from __future__ import annotations
 
-from .build import _budget, _level_names, _point_simplex, product
+from .build import _budget, _decoder, _level_names, _pair_key, _point_simplex, product
 from .delta import compose_words
 from .errors import EnumerationLimit, ValidationError
 from .sset import (
@@ -86,14 +86,17 @@ def enumerate_maps(
     # Two maps first differ at a simplex whose earlier images agree, so both
     # images there match the same faces, and the one listed first in
     # all_simplices comes first in the output order.
-    return [_as_map(X, Y, r) for r in sorted(map(row, found))]
+    return _as_maps(X, Y, sorted(map(row, found)))
 
 
-def _as_map(X: FiniteSSet, Y: FiniteSSet, row: tuple[int, ...]) -> SSetMap:
-    """The map ``X -> Y`` of a row of :func:`_search`."""
-    cells = [name for level in X.cells for name in level]
-    images = {name: Y.level(X.dim_of(name))[0][p] for name, p in zip(cells, row)}
-    return SSetMap(X, Y, images, check=False)
+def _as_maps(X: FiniteSSet, Y: FiniteSSet, rows) -> list[SSetMap]:
+    """The maps ``X -> Y`` of rows of :func:`_search`, each position in a
+    level of ``Y`` read as its (word, position) key."""
+    keys = [(_decoder(Y, k)[1], n) for k, n in enumerate(X.counts())]
+    return [
+        SSetMap._trusted(X, Y, [[key(next(r)) for _ in range(n)] for key, n in keys])
+        for r in map(iter, rows)
+    ]
 
 
 def _search(X: FiniteSSet, Y: FiniteSSet, guard: int, fixed: dict[str, Simplex]):
@@ -257,12 +260,13 @@ def _function_complex(
         if (sx, cod) not in tables:
             src, names, _ = prisms[sx.dim]
             dst, _, position = prisms[cod]
-            alpha = simplex_as_map(standard_simplex(cod), sx)
+            alpha = simplex_as_map(dst.proj_right.target, sx)
             table = []
             for name in names:
-                a, b = src.components(name)
-                image = dst.pair_simplex(a, alpha.apply(b))
-                table.append((position[image.base], image.degeneracies))
+                k, p = src.space.dim_of(name), src.space.position(name)
+                wb, b = alpha.image_key(*src.proj_right.table[k][p], k)
+                w, q = _pair_key(dst._keys, k, *src.proj_left.table[k][p], wb, b)
+                table.append((position[dst.space.cells[k - len(w)][q]], w))
             tables[sx, cod] = table
         return tuple(e[p].degenerate(w) for p, w in tables[sx, cod])
 
@@ -275,10 +279,11 @@ def _function_complex(
         P = product(X, standard_simplex(k))
         names = sorted(P.space.names)
         prisms.append((P, names, {name: p for p, name in enumerate(names)}))
-        fixed = {
-            name: _point_simplex(ends[a.base], a.dim)
-            for name, a in P.proj_left.images.items()
-            if a.base in ends
+        fixed = {  # the cells on an end project onto that vertex of X
+            name: _point_simplex(ends[X.cells[0][q]], m)
+            for m, (level, row) in enumerate(zip(P.space.cells, P.proj_left.table))
+            for name, (w, q) in zip(level, row)
+            if len(w) == m and X.cells[0][q] in ends
         }
         # A row lists the cells by dimension, then name; a tuple by name.
         listed = [name for level in P.space.cells for name in level]

@@ -17,7 +17,7 @@ placed before it.  The budget bounds the candidate walls tried for each
 (n, i).  A tuple the filler index does not hold fails the check.  The
 witness is the failing map that ``enumerate_maps`` would list first, the
 least by the positions of the images of the horn's cells; only the witness
-is built as an ``SSetMap``, from its row (``function_complex._as_map``).
+is built as an ``SSetMap``, from its row (``function_complex._as_maps``).
 
 A composite of edges f then g is read the same way: the fillers of the horn
 Λ²₁ on (f, g) are the 2-simplices witnessing a composite, which is their
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .build import _budget
 from .errors import ValidationError
-from .function_complex import _as_map, _search
+from .function_complex import _as_maps, _search
 from .sset import FiniteSSet, SSetMap, Simplex, _horn_in, horn, standard_simplex
 
 __all__ = [
@@ -75,9 +75,8 @@ def _wall_index(C: FiniteSSet, n: int, i: int) -> dict[tuple, list[Simplex]]:
 
 def horn_fillers(h: HornMap) -> list[Simplex]:
     """All simplices of the target restricting to the given horn."""
-    position = h.target.level(h.n - 1)[1]
-    images = h.assignment.images
-    walls = tuple(position[images[w]] for w in h.assignment.source.nondeg(h.n - 1))
+    k, position, at = h.n - 1, h.target.level(h.n - 1)[1], h.target.simplex_at
+    walls = tuple(position[at(w, q, k)] for w, q in h.assignment.table[k])
     return list(_wall_index(h.target, h.n, h.i).get(walls, ()))
 
 
@@ -106,6 +105,6 @@ def is_quasicategory_up_to(
             index = _wall_index(C, n, i)
             failing = [walls for walls in found if walls not in index]
             if failing:
-                witness = _as_map(L, C, min(map(row, failing)))
+                witness = _as_maps(L, C, [min(map(row, failing))])[0]
                 return QcatVerdict(False, d, HornMap(n, i, C, witness))
     return QcatVerdict(True, d)

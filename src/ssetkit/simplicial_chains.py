@@ -14,7 +14,7 @@ from __future__ import annotations
 from .chain import ChainComplex, ChainMap, _padded_blocks, _unchecked, zero_complex
 from .errors import ValidationError
 from .intmat import IntMat
-from .sset import FiniteSSet, SSetMap, Simplex
+from .sset import FiniteSSet, SSetMap
 
 __all__ = [
     "chain_basis",
@@ -35,27 +35,32 @@ def chain_basis(X: FiniteSSet, n: int, reduced: bool = False) -> tuple[str, ...]
     return names
 
 
+def _basis_rows(X: FiniteSSet, n: int, reduced: bool):
+    """The row of each cell of level n in the basis of degree n: its
+    position, but with ``reduced`` and n = 0 the basepoint drops out (None)
+    and the vertices after it move up one."""
+    rows = range(len(X.nondeg(n)))
+    if reduced and n == 0:
+        cut = X.position(X.basepoint)
+        rows = [*rows[:cut], None, *rows[cut:-1]]
+    return rows
+
+
 def _boundary_matrix(X: FiniteSSet, n: int, reduced: bool) -> IntMat:
     """One column per n-simplex: the alternating sum of its nondegenerate
-    faces, read off its row of the face table.  A basis of degree n - 1 is
-    the cells of level n - 1 in order, so a face's position is its row,
-    except in the reduced case with n = 1, where the basepoint generator
-    drops out and the vertices after it move up one."""
-    height = len(X.nondeg(n - 1))
-    cut = X.position(X.basepoint) if reduced and n == 1 else None
-    if cut is not None:
-        height -= 1
+    faces, read off its row of the face table, each face at the row of its
+    cell in the basis of degree n - 1 (``_basis_rows``)."""
+    rows = _basis_rows(X, n - 1, reduced)
     columns = []
-    for row in X.table[n]:
+    for faces in X.table[n]:
         col: dict[int, int] = {}
         sign = 1
-        for word, q in row:
-            if not word and q != cut:
-                r = q - 1 if cut is not None and q > cut else q
+        for word, q in faces:
+            if not word and (r := rows[q]) is not None:
                 col[r] = col.get(r, 0) + sign
             sign = -sign
         columns.append({r: x for r, x in col.items() if x})
-    return IntMat.of_columns(height, columns)
+    return IntMat.of_columns(len(chain_basis(X, n - 1, reduced)), columns)
 
 
 def _chains(X: FiniteSSet, reduced: bool) -> ChainComplex:
@@ -79,15 +84,16 @@ def reduced_normalized_chains(X: FiniteSSet) -> ChainComplex:
 
 
 def _map_blocks(f: SSetMap, reduced: bool) -> dict[int, IntMat]:
+    """Per degree, the row of each basis cell's nondegenerate image (``_basis_rows``)."""
     blocks = {}
     for n in range(f.source.top_dim + 1):
-        index = {name: i for i, name in enumerate(chain_basis(f.target, n, reduced))}
-        columns = []
-        for name in chain_basis(f.source, n, reduced):
-            img = f.images[name]
-            row = None if img.is_degenerate else index.get(img.base)
-            columns.append({} if row is None else {row: 1})
-        blocks[n] = IntMat.of_columns(len(index), columns)
+        rows = _basis_rows(f.target, n, reduced)
+        columns = [
+            {} if w or rows[q] is None else {rows[q]: 1}
+            for (w, q), c in zip(f.table[n], _basis_rows(f.source, n, reduced))
+            if c is not None
+        ]
+        blocks[n] = IntMat.of_columns(len(chain_basis(f.target, n, reduced)), columns)
     return blocks
 
 
@@ -112,7 +118,8 @@ def reduced_chain_map_of(f: SSetMap) -> ChainMap:
     """The induced map on reduced chains of pointed simplicial sets."""
     if f.source.basepoint is None or f.target.basepoint is None:
         raise ValidationError("reduced chain maps need pointed source and target")
-    if f.images[f.source.basepoint] != Simplex((), f.target.basepoint, 0):
+    point = ((), f.target.position(f.target.basepoint))
+    if f.table[0][f.source.position(f.source.basepoint)] != point:
         raise ValidationError("map does not preserve the basepoint")
     return _map_of(
         f, reduced_normalized_chains(f.source), reduced_normalized_chains(f.target), True

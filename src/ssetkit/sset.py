@@ -10,15 +10,18 @@ underlying presheaf is a degeneracy word on a cell, so the simplices of a
 level are the cells of each lower level under every degeneracy word into it
 (:func:`ssetkit.delta.degeneracy_words`).
 
-The table is the one representation of faces.  The constructions of the
-package (``build``, ``excision``, ``nerve``, ``function_complex``,
-``serialize`` and the standard spaces here) write it straight and hand it to
-the trusted constructor ``FiniteSSet._trusted``; the public constructor
-``FiniteSSet(cells, faces)`` takes faces as name-keyed ``Simplex`` values,
-validates them and converts them once.  ``FiniteSSet.faces`` gives them back
-in that form, a read-only view built only when first read.  Names are read
-by printing, by records and by error messages; the face rule, the identity
-check, level tables, chains, closures and subcomplex tests read positions.
+The table is the one representation of faces, and a map ``SSetMap`` keeps
+its images in the same form: ``table[k][p]`` of a map is the (word,
+position) key of the image of cell p of level k of its source.  The
+constructions of the package (``build``, ``excision``, ``nerve``,
+``function_complex``, ``serialize`` and the standard spaces and maps here)
+write tables straight and hand them to the trusted constructors
+``FiniteSSet._trusted`` and ``SSetMap._trusted``; the public constructors
+take name-keyed ``Simplex`` faces and images, validate them and convert
+them once, and ``faces`` and ``images`` give them back in that form,
+read-only views built only when first read.  Names are read by printing,
+by records and by error messages; the face rule, the identity check, level
+tables, chains, closures, subcomplex tests and maps read positions.
 
 Faces and degeneracies of a degenerate simplex are rewritten on the words
 alone (:func:`ssetkit.delta.face_of_word`, :func:`ssetkit.delta.compose_words`):
@@ -380,7 +383,13 @@ class FiniteSSet:
                 f"map into [{alpha.cod}] cannot act on a {sx.dim}-simplex"
             )
         dword, fword = epi_mono_factor(alpha)
-        return _restrict(self, sx, fword).degenerate(dword)
+        if fword:  # largest index first, so the smaller ones keep their positions
+            word, pos, k = sx.degeneracies, self._pos[sx.base], sx.dim
+            for i in reversed(fword):
+                word, pos = self.face_key(word, pos, k, i)
+                k -= 1
+            sx = self.simplex_at(word, pos, k)
+        return sx.degenerate(dword)
 
     def level(self, k: int):
         """The table of level ``k``, built once: its simplices, the cells of
@@ -620,62 +629,90 @@ def pointed(X: FiniteSSet, vertex: str) -> FiniteSSet:
 
 
 class SSetMap:
-    """A simplicial map, stored by the images of nondegenerate simplices.
-
-    The image of a degenerate simplex is forced by naturality.  Validation
-    checks face compatibility in every dimension and basepoint preservation
-    when both endpoints are pointed.
+    """A simplicial map, stored by the keys of the images of nondegenerate
+    simplices (see the module docstring); the image of a degenerate simplex
+    is forced by naturality.  The public constructor checks the shape of
+    ``images`` either way, as converting needs it, and with ``check`` face
+    compatibility in every dimension and basepoint preservation when both
+    endpoints are pointed.
     """
 
-    __slots__ = ("source", "target", "images")
+    __slots__ = ("source", "target", "table", "_images")
 
     def __init__(self, source: FiniteSSet, target: FiniteSSet, images, check=True):
-        self.source = source
-        self.target = target
-        self.images: dict[str, Simplex] = dict(images)
+        images = dict(images)
+        if images.keys() != source.names:
+            raise ValidationError("images must be given for every nondegenerate simplex")
+        table: list[list] = [[None] * len(level) for level in source.cells]
+        for name, sx in images.items():
+            k = source.dim_of(name)
+            if sx.dim != k:
+                raise ValidationError(f"image of {name!r} has wrong dimension")
+            if target._dim_of.get(sx.base) != sx.base_dim:
+                raise ValidationError(f"image of {name!r} is not a simplex of the target")
+            table[k][source.position(name)] = (sx.degeneracies, target.position(sx.base))
+        self.source, self.target, self._images = source, target, images
+        self.table: tuple[tuple[tuple, ...], ...] = tuple(map(tuple, table))
         if check:
             self._validate()
 
+    @classmethod
+    def _trusted(cls, source: FiniteSSet, target: FiniteSSet, table) -> "SSetMap":
+        """The map of a key ``table``, built with no check: for the package's
+        constructions, valid by construction.  Rows past the levels of
+        ``source``, empty levels it dropped, are dropped too."""
+        f = cls.__new__(cls)
+        f.source, f.target, f._images = source, target, None
+        f.table = tuple(map(tuple, table[: len(source.cells)]))
+        return f
+
+    @property
+    def images(self):
+        """The image of each nondegenerate simplex as a ``Simplex``, by name:
+        a read-only view of ``table``, built when first read (the public
+        constructor keeps the images it converted)."""
+        if self._images is None:
+            at = self.target.simplex_at
+            self._images = {
+                name: at(w, q, k)
+                for k, (level, row) in enumerate(zip(self.source.cells, self.table))
+                for name, (w, q) in zip(level, row)
+            }
+        return MappingProxyType(self._images)
+
     def _validate(self) -> None:
-        src = self.source
-        tgt = self.target
-        if set(self.images) != set(src.names):
-            raise ValidationError("images must be given for every nondegenerate simplex")
-        for name, sx in self.images.items():
-            if sx.dim != src.dim_of(name):
-                raise ValidationError(f"image of {name!r} has wrong dimension")
-            if sx.base not in tgt or tgt.dim_of(sx.base) != sx.base_dim:
-                raise ValidationError(f"image of {name!r} is not a simplex of the target")
+        src, tgt = self.source, self.target
         for k in range(1, src.top_dim + 1):
-            for name in src.cells[k]:
-                img = self.images[name]
-                for i in range(k + 1):
-                    if tgt.face(img, i) != self.apply(src.face(src.simplex(name), i)):
+            for p, (row, (w, q)) in enumerate(zip(src.table[k], self.table[k])):
+                for i, (u, r) in enumerate(row):
+                    if tgt.face_key(w, q, k, i) != self.image_key(u, r, k - 1):
                         raise ValidationError(
-                            f"map does not commute with face {i} of {name!r}"
+                            f"map does not commute with face {i} of {src.cells[k][p]!r}"
                         )
         if src.basepoint is not None and tgt.basepoint is not None:
-            if self.images[src.basepoint] != tgt.simplex(tgt.basepoint):
+            if self.table[0][src.position(src.basepoint)] != ((), tgt._pos[tgt.basepoint]):
                 raise ValidationError("map does not preserve the basepoint")
 
-    def apply(self, sx: Simplex) -> Simplex:
-        return self.images[sx.base].degenerate(sx.degeneracies)
+    def image_key(self, word: tuple[int, ...], pos: int, k: int) -> tuple:
+        """The key of the image of the k-simplex (word, pos) of the source."""
+        w, q = self.table[k - len(word)][pos]
+        return (compose_words(w, word, k) if word else w), q
 
-    def __call__(self, sx: Simplex) -> Simplex:
-        return self.apply(sx)
+    def apply(self, sx: Simplex) -> Simplex:
+        key = self.image_key(sx.degeneracies, self.source.position(sx.base), sx.dim)
+        return self.target.simplex_at(*key, sx.dim)
 
     def compose(self, other: "SSetMap") -> "SSetMap":
         """``self of other`` (apply ``other`` first)."""
         if other.target != self.source:
             raise ValidationError("maps are not composable")
-        images = {
-            name: self.apply(sx) for name, sx in other.images.items()
-        }
-        return SSetMap(other.source, self.target, images, check=False)
+        key = self.image_key
+        table = [[key(w, q, k) for w, q in row] for k, row in enumerate(other.table)]
+        return SSetMap._trusted(other.source, self.target, table)
 
     @classmethod
     def identity_map(cls, X: FiniteSSet) -> "SSetMap":
-        return cls(X, X, {name: X.simplex(name) for name in X.names}, check=False)
+        return cls._trusted(X, X, [[((), p) for p in range(n)] for n in X.counts()])
 
     @classmethod
     def inclusion(cls, A: FiniteSSet, X: FiniteSSet) -> "SSetMap":
@@ -689,13 +726,9 @@ class SSetMap:
         By the Eilenberg-Zilber lemma this holds exactly when the images of
         the nondegenerate simplices are nondegenerate and pairwise distinct.
         """
-        images = set(self.images.values())
-        return len(images) == len(self.images) and not any(
-            sx.is_degenerate for sx in images
+        return all(
+            len(set(row)) == len(row) and not any(w for w, _ in row) for row in self.table
         )
-
-    def key(self):
-        return tuple(sorted(self.images.items()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SSetMap):
@@ -703,11 +736,11 @@ class SSetMap:
         return (
             self.source == other.source
             and self.target == other.target
-            and self.images == other.images
+            and self.table == other.table
         )
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return hash(self.table)
 
     def __repr__(self) -> str:
         return f"SSetMap({self.source!r} -> {self.target!r})"
@@ -716,24 +749,16 @@ class SSetMap:
 def _inclusion(A: FiniteSSet, X: FiniteSSet) -> SSetMap:
     """The inclusion of ``A`` into ``X``, for a caller that knows ``A`` is a
     subcomplex of ``X`` sharing its names and faces."""
-    return SSetMap(A, X, {name: X.simplex(name) for name in A.names}, check=False)
+    return SSetMap._trusted(A, X, [[((), X._pos[n]) for n in level] for level in A.cells])
 
 
 def constant_map(X: FiniteSSet, Y: FiniteSSet, vertex: str) -> SSetMap:
     """The map collapsing ``X`` to a vertex of ``Y``."""
-    images = {
-        name: Simplex(tuple(range(X.dim_of(name) - 1, -1, -1)), vertex, X.dim_of(name))
-        for name in X.names
-    }
-    return SSetMap(X, Y, images, check=False)
-
-
-def _restrict(X: FiniteSSet, sx: Simplex, missed: tuple[int, ...]) -> Simplex:
-    """The face of ``sx`` on the vertices outside ``missed`` (increasing)."""
-    # Largest index first, so the smaller ones keep their positions.
-    for i in reversed(missed):
-        sx = X.face(sx, i)
-    return sx
+    if vertex not in Y or Y.dim_of(vertex) != 0:
+        raise ValidationError(f"{vertex!r} is not a vertex of the target")
+    q = Y.position(vertex)
+    table = [[(tuple(range(k - 1, -1, -1)), q)] * n for k, n in enumerate(X.counts())]
+    return SSetMap._trusted(X, Y, table)
 
 
 def simplex_as_map(Y: FiniteSSet, sx: Simplex) -> SSetMap:
@@ -742,15 +767,16 @@ def simplex_as_map(Y: FiniteSSet, sx: Simplex) -> SSetMap:
     Sends the nondegenerate k-cell with vertex set ``S`` of the standard
     ``dim(sx)``-simplex to the face of ``sx`` on the vertices ``S``.
     """
-    n = sx.dim
-    images = {
-        _subset_name(verts): _restrict(
-            Y, sx, tuple(v for v in range(n + 1) if v not in verts)
-        )
-        for k in range(n + 1)
-        for verts in combinations(range(n + 1), k + 1)
-    }
-    return SSetMap(standard_simplex(n), Y, images, check=False)
+    if Y._dim_of.get(sx.base) != sx.base_dim:
+        raise ValidationError(f"base {sx.base!r} is not a {sx.base_dim}-simplex of the target")
+    D, n = standard_simplex(sx.dim), sx.dim
+    table = [[None] * len(cells) for cells in D.cells]
+    table[n] = [(sx.degeneracies, Y.position(sx.base))]
+    for k in range(n, 0, -1):  # the faces of each cell, read off the face table of D
+        for (w, q), faces in zip(table[k], D.table[k]):
+            for i, (_, r) in enumerate(faces):
+                table[k - 1][r] = Y.face_key(w, q, k, i)
+    return SSetMap._trusted(D, Y, table)
 
 
 def isomorphism(X: FiniteSSet, Y: FiniteSSet) -> SSetMap | None:

@@ -30,7 +30,7 @@ def canon_key(e):
     if isinstance(e, Simplex):
         return ("s", e.dim, e.degeneracies, e.base)
     if isinstance(e, SSetMap):
-        return ("m",) + tuple((n, canon_key(s)) for n, s in e.key())
+        return ("m",) + tuple((n, canon_key(s)) for n, s in sorted(e.images.items()))
     if isinstance(e, tuple):
         return ("t",) + tuple(canon_key(x) for x in e)
     return ("a", e)

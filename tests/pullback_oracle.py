@@ -67,8 +67,8 @@ def oracle_pullback(p: SSetMap, q: SSetMap, prefix: str) -> PullbackResult:
     space = FiniteSSet(cells, faces, check=False)
     proj_l = SSetMap(space, A, {n: sa for (sa, _), n in name_of.items()}, check=False)
     proj_r = SSetMap(space, B, {n: sb for (_, sb), n in name_of.items()}, check=False)
-    keys = {
-        (sa.degeneracies, sa.base, sb.degeneracies, sb.base): space.position(name)
-        for (sa, sb), name in name_of.items()
-    }
+    keys = [{} for _ in cells]
+    for (sa, sb), name in name_of.items():
+        key = (sa.degeneracies, A.position(sa.base), sb.degeneracies, B.position(sb.base))
+        keys[sa.dim][key] = space.position(name)
     return PullbackResult(space, proj_l, proj_r, p, q, keys)

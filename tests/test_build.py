@@ -531,9 +531,9 @@ def test_product_normalises_each_face_pair_once(monkeypatch):
     calls = []
     pair_key = build._pair_key
 
-    def counting(keys, wa, a, wb, b):
-        calls.append((wa, a, wb, b))
-        return pair_key(keys, wa, a, wb, b)
+    def counting(keys, k, wa, a, wb, b):
+        calls.append((k, wa, a, wb, b))
+        return pair_key(keys, k, wa, a, wb, b)
 
     monkeypatch.setattr(build, "_pair_key", counting)
     pr = product(standard_simplex(3), standard_simplex(3))

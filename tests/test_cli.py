@@ -17,7 +17,7 @@ from ssetkit.serialize import (
     preorder_from_record,
     sset_to_record,
 )
-from ssetkit.sset import FiniteSSet, boundary
+from ssetkit.sset import FiniteSSet, SSetMap, boundary
 
 DATA = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -702,21 +702,20 @@ def test_products_and_suspensions_run_without_face(monkeypatch, capsys):
         assert capsys.readouterr().out == out
 
 
-def test_pipelines_read_faces_from_the_table(monkeypatch, tmp_path, capsys):
-    # Reading a record, products, suspensions, chains, covers and excision
-    # read faces as positions: with the name-keyed faces of
-    # ``FiniteSSet.faces`` and ``face`` refused, every command still exits 0.
-    monkeypatch.chdir(ROOT)
+def _pipelines(tmp_path) -> list[str]:
+    """Command lines over every pipeline: a record, products, suspensions,
+    chains, covers, excision, towers, inner horns, mapping spaces and a
+    manifest of a nerve."""
     claims = json.loads((DATA / "paper_claims.json").read_text())
     cover = {**claims["covers"]["disk-and-band"], "space": claims["spaces"]["RP2"]}
     f = tmp_path / "cover.json"
     f.write_text(json.dumps(cover))
-
-    def refuse(self):
-        raise AssertionError("the name-keyed faces were built")
-
-    monkeypatch.setattr(FiniteSSet, "_face_simplices", refuse)
-    for argv in [
+    manifest = tmp_path / "nerve.json"
+    manifest.write_text(json.dumps({
+        "spaces": {"N": ["nerve", str(DATA / "claims_poset.json"), "-d", "3"]},
+        "tasks": [["homology", "N"], ["qcat", "N", "-d", "3", "--json"]],
+    }))
+    return [
         "homology tests/data/suspension_s2.json",
         "space product simplex3 simplex3",
         f"mv {f} --json",
@@ -724,10 +723,67 @@ def test_pipelines_read_faces_from_the_table(monkeypatch, tmp_path, capsys):
         "excision interval-collapse",
         "counterexample",
         "tower reduced_chains s2 -N 3",
-        "qcat boundary3 -d 3",
-    ]:
+        "qcat simplex4 -d 4",
+        "mapspace simplex3 0 3 -d 2 --json",
+        f"run {manifest}",
+    ]
+
+
+def test_pipelines_read_faces_from_the_table(monkeypatch, tmp_path, capsys):
+    # Every pipeline reads faces as positions: with the name-keyed faces of
+    # ``FiniteSSet.faces`` and ``face`` refused, every command still exits 0
+    # or 1.
+    monkeypatch.chdir(ROOT)
+
+    def refuse(self):
+        raise AssertionError("the name-keyed faces were built")
+
+    monkeypatch.setattr(FiniteSSet, "_face_simplices", refuse)
+    for argv in _pipelines(tmp_path) + ["qcat boundary3 -d 3"]:
         assert cli.main(argv.split()) in (0, 1), argv
     capsys.readouterr()
+
+
+def test_pipelines_read_maps_as_keys(monkeypatch, tmp_path, capsys):
+    # Maps are (word, position) keys: with the name-keyed view of
+    # ``SSetMap.images`` refused, every command that prints no map still
+    # exits 0 or 1; only a failing inner-horn check prints its witness.
+    monkeypatch.chdir(ROOT)
+
+    def refuse(self):
+        raise AssertionError("the name-keyed images were built")
+
+    monkeypatch.setattr(SSetMap, "images", property(refuse))
+    for argv in _pipelines(tmp_path) + ["excision corner-circle"]:
+        assert cli.main(argv.split()) in (0, 1), argv
+    capsys.readouterr()
+    with pytest.raises(AssertionError, match="images were built"):
+        cli.main("qcat boundary3 -d 3".split())
+
+
+def test_every_subcommand_reads_a_space_of_several_words(tmp_path, capsys):
+    # A space argument reads the same grammar as ``space``: the words of a
+    # builder give the stdout of a manifest naming that space.
+    manifest = tmp_path / "m.json"
+    commands = [
+        "qcat S -d 3",
+        "homology S",
+        "tower reduced_chains S -N 1",
+        "mapspace S g0_0 g0_0 -d 1",
+        "homology S --json",
+    ]
+    manifest.write_text(json.dumps({
+        "spaces": {"S": ["suspension", "circle"]},
+        "tasks": [c.split() for c in commands],
+    }))
+    assert cli.main(["run", str(manifest)]) == 0
+    chunks = capsys.readouterr().out.split("== task ")[1:]
+    for command, chunk in zip(commands, chunks):
+        assert cli.main(command.replace("S", "suspension circle").split()) == 0
+        assert capsys.readouterr().out == chunk.partition("\n")[2], command
+    # one word stays one word
+    assert cli.main(["homology", "circle"]) == 0
+    assert capsys.readouterr().out == "H_0 = Z\nH_1 = Z\n"
 
 
 def test_one_space_builders_nest(capsys):

@@ -494,13 +494,18 @@ def test_function_complexes_build_no_map_into_the_target(monkeypatch):
     )
     Y = two_sphere()
     targets = []
-    init = SSetMap.__init__
+    init, trusted = SSetMap.__init__, SSetMap._trusted.__func__
 
     def recording(self, source, target, *args, **kwargs):
         targets.append(target)
         init(self, source, target, *args, **kwargs)
 
+    def recording_trusted(cls, source, target, table):
+        targets.append(target)
+        return trusted(cls, source, target, table)
+
     monkeypatch.setattr(SSetMap, "__init__", recording)
+    monkeypatch.setattr(SSetMap, "_trusted", classmethod(recording_trusted))
     got = (
         _bytes(internal_hom_truncated(boundary(2), Y, 1)),
         _bytes(mapping_space(Y, "g0_0", "g0_0", 2)),

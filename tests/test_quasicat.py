@@ -314,16 +314,21 @@ def test_least_budget_of_the_wall_search_is_pinned(C, d, least):
 
 def test_verdicts_build_no_map_but_the_witness(monkeypatch):
     # the search finds each horn map as its wall tuple; only the witness is
-    # built as an ``SSetMap``
+    # built as an ``SSetMap``, by either constructor
     want = _scan_verdict(boundary(3), 3)
     built = []
-    init = SSetMap.__init__
+    init, trusted = SSetMap.__init__, SSetMap._trusted.__func__
 
     def counting(self, *args, **kwargs):
         built.append(args[0])
         init(self, *args, **kwargs)
 
+    def counting_trusted(cls, source, *args):
+        built.append(source)
+        return trusted(cls, source, *args)
+
     monkeypatch.setattr(SSetMap, "__init__", counting)
+    monkeypatch.setattr(SSetMap, "_trusted", classmethod(counting_trusted))
     assert is_quasicategory_up_to(standard_simplex(4), 4).ok
     assert built == []
     got = is_quasicategory_up_to(boundary(3), 3)

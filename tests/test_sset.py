@@ -446,6 +446,35 @@ def test_simplex_as_map_and_composition():
     assert ident.compose(incl) == incl
 
 
+@pytest.mark.parametrize("vertex", ["zz", "01", ""])
+def test_constant_map_refuses_what_is_not_a_vertex_of_the_target(vertex):
+    # a name outside the target, or an edge, would give a map whose chain
+    # map is silently zero
+    d1 = standard_simplex(1)
+    with pytest.raises(ValidationError, match=f"^{vertex!r} is not a vertex of the target$"):
+        constant_map(d1, d1, vertex)
+
+
+@pytest.mark.parametrize(
+    "sx, message",
+    [
+        (Simplex((), "01", 0), "base '01' is not a 0-simplex of the target"),
+        (Simplex((0,), "0", 2), "base '0' is not a 1-simplex of the target"),
+        (Simplex((), "zz", 1), "base 'zz' is not a 1-simplex of the target"),
+        (Simplex((1, 0), "0", 2), None),
+    ],
+)
+def test_simplex_as_map_refuses_what_is_not_a_simplex_of_the_target(sx, message):
+    d1 = standard_simplex(1)
+    if message is None:  # a degenerate simplex of the target classifies a map
+        f = simplex_as_map(d1, sx)
+        SSetMap(f.source, d1, f.images, check=True)
+        assert set(f.images.values()) == {Simplex((), "0", 0), Simplex((0,), "0", 1), sx}
+        return
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        simplex_as_map(d1, sx)
+
+
 def test_dimensionwise_injectivity():
     incl = SSetMap.inclusion(boundary(2), standard_simplex(2))
     assert incl.is_dimensionwise_injective()

@@ -94,9 +94,9 @@ def test_suspension_step_normalises_each_face_pair_once(monkeypatch):
     calls = []
     pair_key = excision._pair_key
 
-    def counting(keys, wa, a, wb, b):
-        calls.append((wa, a, wb, b))
-        return pair_key(keys, wa, a, wb, b)
+    def counting(keys, k, wa, a, wb, b):
+        calls.append((k, wa, a, wb, b))
+        return pair_key(keys, k, wa, a, wb, b)
 
     monkeypatch.setattr(excision, "_pair_key", counting)
     Y = reduced_suspension_data(X).space

@@ -2,13 +2,15 @@
 
 Standard simplices, subcomplexes, products, pullbacks, pushouts, quotients,
 suspensions, cones, function complexes and the nerves of categories are
-valid by construction on valid inputs, so they build their spaces and maps
-with ``check=False``; identity and pushout squares commute by construction
-and skip the commutation check, and the category of a preorder skips the
-composition-law checks.  These properties rebuild every result with the
-checks on: its face tables must satisfy the simplicial identities, every
-returned leg or projection must commute with faces, every square must
-commute, and every derived category must obey the category laws.
+valid by construction on valid inputs, so they build their spaces with
+``FiniteSSet._trusted`` and their maps with ``SSetMap._trusted``; identity
+and pushout squares commute by construction and skip the commutation
+check, and the category of a preorder skips the composition-law checks.
+These properties rebuild every result with the checks on: its face tables
+must satisfy the simplicial identities, every returned leg, projection or
+induced map must commute with faces and convert back to the same key
+table, every square must commute, and every derived category must obey the
+category laws.
 """
 
 import pytest
@@ -20,6 +22,7 @@ from ssetkit.build import product, pushout, quotient, sset_pullback
 from ssetkit.excision import (
     SSetSquare,
     cone,
+    double_mapping_cylinder,
     identity_square,
     interval_collapse_square,
     pushout_square,
@@ -49,6 +52,7 @@ from ssetkit.sset import (
     face_closure,
     horn,
     pointed,
+    simplex_as_map,
     standard_simplex,
     subcomplex,
 )
@@ -70,7 +74,9 @@ def revalidate(X: FiniteSSet) -> None:
 
 
 def revalidate_map(f: SSetMap) -> None:
-    SSetMap(f.source, f.target, f.images, check=True)
+    """The key table a construction wrote is the one the checked public
+    constructor converts from the name-keyed images."""
+    assert SSetMap(f.source, f.target, f.images, check=True).table == f.table
 
 
 def revalidate_square(sq: SSetSquare) -> None:
@@ -230,3 +236,31 @@ def test_categories_of_preorders_validate():
     # Every poset on up to three elements, and the total orders up to 5.
     for P in all_posets(3) + [linear_preorder(n) for n in range(6)]:
         revalidate_category(preorder_category(P))
+
+
+@settings(max_examples=25)
+@given(st.data())
+def test_maps_of_the_map_constructions_validate(data):
+    # identities, inclusions, constant maps, classifying maps, composites,
+    # the maps found by the search and the maps pushouts and pullbacks induce
+    # unpointed copies, since the search ignores basepoints
+    X, Y = (FiniteSSet(Z.cells, Z.faces) for Z in (data.draw(spaces), data.draw(spaces)))
+    A = draw_subcomplex(data, X)
+    maps = [SSetMap.identity_map(X), SSetMap.inclusion(A, X)]
+    maps.append(constant_map(X, Y, data.draw(st.sampled_from(Y.nondeg(0)))))
+    sx = data.draw(st.sampled_from(Y.all_simplices(data.draw(st.integers(0, 3)))))
+    maps.append(simplex_as_map(Y, sx))
+    f = data.draw(st.sampled_from(enumerate_maps(A, Y)))
+    g = SSetMap.inclusion(A, X)
+    maps += [f, maps[0].compose(g), f.compose(SSetMap.identity_map(A))]
+    po = pushout(f, g)
+    maps.append(po.induced(po.from_left, po.from_right))
+    point = standard_simplex(0)
+    pb = sset_pullback(constant_map(X, point, "0"), constant_map(Y, point, "0"))
+    maps.append(pb.induced(pb.proj_left, pb.proj_right))
+    maps.append(pb.induced(constant_map(A, X, X.nondeg(0)[0]), f))
+    dmc = double_mapping_cylinder(g, f)
+    maps += [dmc.gluing.from_left, dmc.second_gluing.from_right]
+    maps.append(dmc.corner_comparison(po.from_right, po.from_left, po.from_left.compose(f)))
+    for h in maps:
+        revalidate_map(h)
