@@ -10,20 +10,21 @@ result type; product cells keep their own ``p`` name prefix.
 
 A pullback works on positions and keys.  Each side lists its simplices
 ``s_I a`` that can pair, as keys (I, a) on positions, in the order of its
-face table ``FiniteSSet.level_faces`` (by dimension of a, name, word), and
+level (``FiniteSSet.level_keys``: by dimension of a, name, word), and
 sorts them by word, then base, so a pair is a pair of positions and the
 pairs are listed in the order of ``(I, a, J, b)`` without sorting them.
-The faces of a side's simplex are positions in the level below, read off
-that table, so no side builds a ``Simplex`` for a face.  Each distinct pair
+The faces of a side's simplex are positions in the level below
+(``FiniteSSet.level_faces``), each read back as a key from the keys of that
+level, so no side builds a ``Simplex`` for a face.  Each distinct pair
 of face positions becomes a face of the pullback once, by the one pair rule
 ``_pair_key``: the collapse positions both words share are stripped, the
 nondegenerate pair left is found by its key ``(I, a, J, b)``, and the face
 is the (word, position) key of ``s_shared`` of that cell, an entry of the
-pullback's face table.  Induced maps, ``pair_simplex`` and ``excision`` use
-the same pair rule.  ``_keys`` is the one index of the cells, position by
-key, per level (a key of two empty words fits every level); the rows of
-the projections are the pairs' listing keys.  The pairs are counted
-against ``DEFAULT_MAX_CANDIDATES`` before any level is built.
+pullback's face table.  Induced maps and ``excision`` use the same pair
+rule.  ``_keys`` is the one index of the cells, position by key, per level
+(a key of two empty words fits every level); the rows of the projections
+are the pairs' level keys.  The pairs are counted against
+``DEFAULT_MAX_CANDIDATES`` before any level is built.
 
 Pushouts are taken along an injective leg ``A -> Y``: the nondegenerate
 simplices of ``X u_A Y`` are those of ``X`` plus those of ``Y`` outside
@@ -42,15 +43,12 @@ itself is checked, since it comes from the caller.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .delta import degeneracy_words
 from .errors import EnumerationLimit, ValidationError
 from .sset import (
     FiniteSSet,
     SSetMap,
-    Simplex,
     constant_map,
     is_name_subcomplex,
     pointed,
@@ -91,11 +89,6 @@ def _level_names(prefix: str, k: int, count: int) -> list[str]:
     indices zero-padded to one width."""
     width = len(str(max(count - 1, 0)))
     return [f"{prefix}{k}_{idx:0{width}d}" for idx in range(count)]
-
-
-def _point_simplex(name: str, k: int) -> Simplex:
-    """The k-fold degenerate vertex ``name``."""
-    return Simplex(tuple(range(k - 1, -1, -1)), name, k)
 
 
 # -- pushouts and quotients -----------------------------------------------
@@ -250,19 +243,6 @@ class PullbackResult:
     leg_right: SSetMap  # q itself
     _keys: list = field(repr=False)  # per level, (I, a, J, b) of a cell -> position
 
-    def pair_simplex(self, sa: Simplex, sb: Simplex) -> Simplex:
-        """The simplex of the pullback corresponding to a compatible pair."""
-        if sa.dim != sb.dim:
-            raise ValidationError("pair components live in different dimensions")
-        A, B = self.proj_left.target, self.proj_right.target
-        a, b = A.position(sa.base), B.position(sb.base)
-        word, pos = _pair_key(self._keys, sa.dim, sa.degeneracies, a, sb.degeneracies, b)
-        return self.space.simplex_at(word, pos, sa.dim)
-
-    def components(self, name: str) -> tuple[Simplex, Simplex]:
-        sx = self.space.simplex(name)
-        return self.proj_left.apply(sx), self.proj_right.apply(sx)
-
     def induced(self, to_a: SSetMap, to_b: SSetMap) -> SSetMap:
         """The map into the pullback determined by a commuting cone."""
         if to_a.source != to_b.source:
@@ -276,51 +256,12 @@ class PullbackResult:
         return SSetMap._trusted(to_a.source, self.space, table)
 
 
-def _listing(X: FiniteSSet, k: int, low: int) -> list[tuple[tuple[int, ...], int]]:
-    """The keys (I, x) of the k-simplices ``s_I x`` of ``X`` with
-    ``dim x >= low``, x a cell position, in the order of
-    ``X.level_faces(k, low)``: by dimension, then name, then word."""
-    return [
-        (w, x)
-        for m in range(low, min(k, X.top_dim) + 1)
-        for x in range(len(X.cells[m]))
-        for w in degeneracy_words(k, m)
-    ]
-
-
-def _decoder(X: FiniteSSet, k: int):
-    """The size of ``X.level(k)``, and the key (word, position) of a position
-    in it: the level lists the cells of each dimension m as blocks of
-    ``degeneracy_words(k, m)``, so the key is read off the block starts,
-    with no level built."""
-    starts, blocks = [], []
-    size = 0
-    for m in range(min(k, X.top_dim) + 1):
-        words = degeneracy_words(k, m)
-        starts.append(size)
-        blocks.append(words)
-        size += len(words) * len(X.cells[m])
-
-    known: dict[int, tuple] = {}
-
-    def key(pos: int) -> tuple[tuple[int, ...], int]:
-        out = known.get(pos)
-        if out is None:
-            b = bisect_right(starts, pos) - 1
-            words = blocks[b]
-            q, r = divmod(pos - starts[b], len(words))
-            out = known[pos] = (words[r], q)
-        return out
-
-    return size, key
-
-
 def _compatible(p: SSetMap, q: SSetMap, k: int):
     """Level k of the pullback, by position.
 
-    Returns the listings (``_listing``) of the k-simplices ``s_I a`` of the
-    source of ``p`` and ``s_J b`` of the source of ``q`` that can pair, each
-    side's positions in it sorted by word, then base, and for each ``s_I a``
+    Returns the level keys of the k-simplices ``s_I a`` of the source of
+    ``p`` and ``s_J b`` of the source of ``q`` that can pair, each side's
+    positions in them sorted by word, then base, and for each ``s_I a``
     in that order the buckets of sorted positions of the ``s_J b`` it pairs
     with: those over the same image in the base whose words J are disjoint
     from I.  A bucket holds one word and the buckets come in increasing
@@ -328,8 +269,8 @@ def _compatible(p: SSetMap, q: SSetMap, k: int):
     order of ``(I, a, J, b)``; the bases of one word sort by position as by name.
     """
     A, B = p.source, q.source
-    la = _listing(A, k, max(k - B.top_dim, 0))
-    lb = _listing(B, k, max(k - A.top_dim, 0))
+    la = A.level_keys(k, max(k - B.top_dim, 0))
+    lb = B.level_keys(k, max(k - A.top_dim, 0))
     sas = sorted(range(len(la)), key=la.__getitem__)
     sbs = sorted(range(len(lb)), key=lb.__getitem__)
     over: dict = {}  # (J, image in the base) -> sorted positions of the s_J b over it
@@ -390,7 +331,8 @@ def _pullback(p: SSetMap, q: SSetMap, prefix: str) -> PullbackResult:
         if k:
             a_rows = A.level_faces(k, max(k - B.top_dim, 0))
             b_rows = B.level_faces(k, max(k - A.top_dim, 0))
-            (_, fa), (width, fb) = _decoder(A, k - 1), _decoder(B, k - 1)
+            fa, fb = A.level_keys(k - 1), B.level_keys(k - 1)
+            width = len(fb)
             # (face position in A) * width + (face position in B) -> the face
             # in the pullback, normalised once
             memo: dict[int, tuple] = {}
@@ -400,7 +342,7 @@ def _pullback(p: SSetMap, q: SSetMap, prefix: str) -> PullbackResult:
                 for ia, ib in zip(a_rows[pa], b_rows[pb]):
                     face = memo.get(ia * width + ib)
                     if face is None:
-                        face = memo[ia * width + ib] = _pair_key(keys, k - 1, *fa(ia), *fb(ib))
+                        face = memo[ia * width + ib] = _pair_key(keys, k - 1, *fa[ia], *fb[ib])
                     row.append(face)
                 rows.append(tuple(row))
             table.append(rows)

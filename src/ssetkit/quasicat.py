@@ -4,10 +4,12 @@ A map from the horn Λⁿᵢ to a simplicial set C is a tuple of walls: one
 (n-1)-simplex w_j of C for each face d_j of Δⁿ with j != i, such that walls
 agree where they meet, d_a w_b = d_{b-1} w_a for a < b.  A filler of the
 horn is an n-simplex of C whose faces d_j, j != i, are its walls.  Both are
-read in the level tables of C (``FiniteSSet.level``), a simplex by its
-position and its faces as positions one level down.  Filler searches index
-the n-simplices of C, degenerate ones included, once per (n, i) by the
-positions of their walls in descending j, and look a wall tuple up there.
+read in the levels of C, a simplex by its position and its faces as
+positions one level down (``FiniteSSet.level_faces``).  Filler searches
+index the positions of the n-simplices of C, degenerate ones included, once
+per (n, i) by the positions of their walls in descending j, and look a wall
+tuple up there; ``horn_fillers`` builds a ``Simplex`` only for each filler
+it returns.
 
 The quasi-category check lists the maps of each inner horn with the one map
 search of ``function_complex``.  The top cells of Λⁿᵢ are its walls, and
@@ -63,21 +65,20 @@ class HornMap:
         return 0 < self.i < self.n
 
 
-def _wall_index(C: FiniteSSet, n: int, i: int) -> dict[tuple, list[Simplex]]:
-    """Every n-simplex of ``C``, degenerate ones included, keyed by the
-    positions of its faces d_j, j != i, in descending j."""
-    simplices, _, faces = C.level(n)
-    index: dict[tuple, list[Simplex]] = {}
-    for sx, fs in zip(simplices, faces):
-        index.setdefault((fs[:i] + fs[i + 1:])[::-1], []).append(sx)
+def _wall_index(C: FiniteSSet, n: int, i: int) -> dict[tuple, list[int]]:
+    """The position of every n-simplex of ``C``, degenerate ones included,
+    keyed by the positions of its faces d_j, j != i, in descending j."""
+    index: dict[tuple, list[int]] = {}
+    for p, fs in enumerate(C.level_faces(n)):
+        index.setdefault((fs[:i] + fs[i + 1:])[::-1], []).append(p)
     return index
 
 
 def horn_fillers(h: HornMap) -> list[Simplex]:
     """All simplices of the target restricting to the given horn."""
-    k, position, at = h.n - 1, h.target.level(h.n - 1)[1], h.target.simplex_at
-    walls = tuple(position[at(w, q, k)] for w, q in h.assignment.table[k])
-    return list(_wall_index(h.target, h.n, h.i).get(walls, ()))
+    C, n = h.target, h.n
+    walls = tuple(C.level_position(w, q, n - 1) for w, q in h.assignment.table[n - 1])
+    return [C.simplex_at(*C.level_key(n, p), n) for p in _wall_index(C, n, h.i).get(walls, ())]
 
 
 @dataclass(frozen=True)

@@ -27,15 +27,18 @@ Faces and degeneracies of a degenerate simplex are rewritten on the words
 alone (:func:`ssetkit.delta.face_of_word`, :func:`ssetkit.delta.compose_words`):
 a face either dies in the word or passes through it onto one stored face.
 ``face_key`` is that rule on (word, position) keys; ``face`` returns the
-``Simplex`` of its key.  Each level has one table of all its simplices, built
-once (``FiniteSSet.level``): the simplices, the position of each, and the
-faces of each as positions one level down, which the map search and the
-inner-horn check read.  The pullback reads the same face positions for the
-blocks of a level it pairs (``FiniteSSet.level_faces``).  Only ``act``, the
-action of a general ``MonotoneMap``, factors the map, once, into a face word
-and a degeneracy word.  Each nondegenerate cell has one ``Simplex`` per
-space (``FiniteSSet.simplex``), shared by ``face``, the level tables and
-the identity and inclusion maps.
+``Simplex`` of its key.  Level k lists every k-simplex, degenerate ones
+included, in one layout: each cell dimension m <= k is one block, its cells
+by name, each under the words of ``degeneracy_words(k, m)`` in order.  The
+layout is stated once, as plain data (``FiniteSSet._layout``), and read by
+``level_size``, ``level_key`` and ``level_position`` (a position and its
+key), ``level_keys``, ``level_degeneracy`` (s_word on a position) and
+``level_faces``, the faces of each simplex as positions one level down,
+which the map search, the inner-horn check and the pullback read.  Only
+``act``, the action of a general ``MonotoneMap``, factors the map, once,
+into a face word and a degeneracy word.  Each nondegenerate cell has one
+``Simplex`` per space (``FiniteSSet.simplex``), shared by ``face``,
+``all_simplices`` and the ``faces`` and ``images`` views.
 
 Degeneracy words are strictly decreasing, so each simplex has exactly one
 normal form and equality of ``Simplex`` values is equality of simplices.
@@ -46,6 +49,7 @@ inline and runs the check only on a pair it has not seen.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import combinations
 from types import MappingProxyType
 
@@ -173,7 +177,7 @@ class FiniteSSet:
         "_pos",
         "_simplices",
         "_faces",
-        "_levels",
+        "_layouts",
         "_face_positions",
         "_hash",
     )
@@ -227,7 +231,7 @@ class FiniteSSet:
                 self._pos[name] = p
         self._simplices: dict[str, Simplex] = {}
         self._faces = None
-        self._levels: dict[int, tuple] = {}
+        self._layouts: dict[int, tuple] = {}
         self._face_positions: dict[tuple[int, int], tuple] = {}
         self._hash: int | None = None
 
@@ -391,50 +395,72 @@ class FiniteSSet:
             sx = self.simplex_at(word, pos, k)
         return sx.degenerate(dword)
 
-    def level(self, k: int):
-        """The table of level ``k``, built once: its simplices, the cells of
-        each level ``m <= k`` under every word of ``degeneracy_words(k, m)``;
-        the position of each; and the faces of each as positions in level
-        ``k - 1`` (``()`` for a vertex)."""
-        if k not in self._levels:
-            simplex = self.simplex
-            simplices = tuple(
-                Simplex(w, name, k) if w else simplex(name)
-                for m in range(min(k, self.top_dim) + 1)
-                for name in self.cells[m]
-                for w in degeneracy_words(k, m)
-            )
-            faces = self.level_faces(k) if k > 0 else ((),) * len(simplices)
-            position = {sx: pos for pos, sx in enumerate(simplices)}
-            self._levels[k] = (simplices, position, faces)
-        return self._levels[k]
-
-    def level_faces(self, k: int, low: int = 0) -> tuple[tuple[int, ...], ...]:
-        """The faces of the simplices of level ``k >= 1`` on cells of
-        dimension ``>= low``, listed as ``level(k)`` lists them (by that
-        dimension, then name, then word), as positions in ``level(k - 1)``;
-        built once, and with no ``Simplex``.
-
-        With ``low = 0`` this is the face column of ``level(k)``.  Level
-        ``k - 1`` lists each cell y of dimension m as one block, under the
-        words of ``degeneracy_words(k - 1, m)`` in order, so the face key
-        (w, q) sits at the start of the block of the cell at position q of
-        level m, plus the index of w among those words.
-        """
-        out = self._face_positions.get((k, low))
+    def _layout(self, k: int) -> tuple:
+        """The layout of level ``k``, built once as plain data: its size, the
+        start of the block of each cell dimension ``m <= k``, the words of
+        that block (``degeneracy_words(k, m)``), and per word its (block
+        start, word count, index).  A block lists its cells by name, each
+        under every word of the block in order."""
+        out = self._layouts.get(k)
         if out is None:
-            top = self.top_dim
-            # Each word of level k - 1 (its length gives its block): the
-            # start of the block, the number of words and the word's index.
-            spot: dict[tuple[int, ...], tuple[int, int, int]] = {}
+            starts, blocks, spot = [], [], {}
             size = 0
-            for m in range(min(k - 1, top) + 1):
-                words = degeneracy_words(k - 1, m)
+            for m in range(min(k, self.top_dim) + 1):
+                words = degeneracy_words(k, m)
                 for r, w in enumerate(words):
                     spot[w] = (size, len(words), r)
+                starts.append(size)
+                blocks.append(words)
                 size += len(words) * len(self.cells[m])
+            out = self._layouts[k] = (size, starts, blocks, spot)
+        return out
+
+    def level_size(self, k: int) -> int:
+        """The number of k-simplices, degenerate ones included."""
+        return self._layout(k)[0]
+
+    def level_position(self, word: tuple[int, ...], pos: int, k: int) -> int:
+        """The position in level ``k`` of the k-simplex of key (word, pos)."""
+        start, n, r = self._layout(k)[3][word]
+        return start + pos * n + r
+
+    def level_key(self, k: int, p: int) -> tuple[tuple[int, ...], int]:
+        """The (word, position) key of the simplex at position ``p`` of level
+        ``k``."""
+        _, starts, blocks, _ = self._layout(k)
+        m = bisect_right(starts, p) - 1
+        q, r = divmod(p - starts[m], len(blocks[m]))
+        return blocks[m][r], q
+
+    def level_keys(self, k: int, low: int = 0) -> list[tuple[tuple[int, ...], int]]:
+        """The keys of level ``k`` in order, from the block of dimension
+        ``low`` on: the tail of ``level_keys(k)`` on cells of dimension
+        ``>= low``."""
+        blocks = self._layout(k)[2]
+        return [
+            (w, q)
+            for m in range(low, len(blocks))
+            for q in range(len(self.cells[m]))
+            for w in blocks[m]
+        ]
+
+    def level_degeneracy(self, p: int, m: int, word: tuple[int, ...]) -> int:
+        """The position of ``s_word`` of the simplex at position ``p`` of
+        level ``m``; ``p`` itself for the empty word."""
+        if not word:
+            return p
+        w, q = self.level_key(m, p)
+        k = m + len(word)
+        return self.level_position(compose_words(w, word, k), q, k)
+
+    def level_faces(self, k: int, low: int = 0) -> tuple[tuple[int, ...], ...]:
+        """The faces of the simplices of ``level_keys(k, low)``, ``k >= 1``,
+        as positions in level ``k - 1``; built once, and with no ``Simplex``."""
+        out = self._face_positions.get((k, low))
+        if out is None:
+            spot = self._layout(k - 1)[3]
             out = []
-            for m in range(low, min(k, top) + 1):
+            for m in range(low, min(k, self.top_dim) + 1):
                 # The face rule of ``face_key``, each word's part read once.
                 words = degeneracy_words(k, m)
                 rules = [[face_of_word(w, k, i) for i in range(k + 1)] for w in words]
@@ -453,8 +479,10 @@ class FiniteSSet:
         return out
 
     def all_simplices(self, k: int) -> tuple[Simplex, ...]:
-        """Every simplex of dimension ``k``, degenerate ones included."""
-        return self.level(k)[0]
+        """Every simplex of dimension ``k``, degenerate ones included, in the
+        order of ``level_keys(k)``."""
+        at = self.simplex_at
+        return tuple(at(w, q, k) for w, q in self.level_keys(k))
 
     # -- validation, equality ----------------------------------------------
 
@@ -769,9 +797,14 @@ def simplex_as_map(Y: FiniteSSet, sx: Simplex) -> SSetMap:
     """
     if Y._dim_of.get(sx.base) != sx.base_dim:
         raise ValidationError(f"base {sx.base!r} is not a {sx.base_dim}-simplex of the target")
-    D, n = standard_simplex(sx.dim), sx.dim
+    return _key_as_map(Y, sx.degeneracies, Y.position(sx.base), sx.dim)
+
+
+def _key_as_map(Y: FiniteSSet, word: tuple[int, ...], pos: int, n: int) -> SSetMap:
+    """``simplex_as_map`` of the n-simplex of key (word, pos) of ``Y``."""
+    D = standard_simplex(n)
     table = [[None] * len(cells) for cells in D.cells]
-    table[n] = [(sx.degeneracies, Y.position(sx.base))]
+    table[n] = [(word, pos)]
     for k in range(n, 0, -1):  # the faces of each cell, read off the face table of D
         for (w, q), faces in zip(table[k], D.table[k]):
             for i, (_, r) in enumerate(faces):

@@ -14,7 +14,7 @@ product induces from its projections.
 
 from dataclasses import dataclass
 
-from ssetkit.build import _level_names, _point_simplex, product
+from ssetkit.build import _level_names, product
 from ssetkit.function_complex import enumerate_maps
 from ssetkit.sset import (
     FiniteSSet,
@@ -24,6 +24,11 @@ from ssetkit.sset import (
     simplex_as_map,
     standard_simplex,
 )
+
+
+def point_simplex(name: str, k: int) -> Simplex:
+    """The k-fold degenerate vertex ``name``."""
+    return Simplex(tuple(range(k - 1, -1, -1)), name, k)
 
 
 def canon_key(e):
@@ -140,7 +145,7 @@ class FiberSystem(HomSystem):
         """The images of the cells on the two ends of the k-th prism."""
         # The cells of an end are those projecting onto a vertex of Delta^1.
         return {
-            name: _point_simplex(self.ends[sx.base], sx.dim)
+            name: point_simplex(self.ends[sx.base], sx.dim)
             for name, sx in self.prism(k).proj_left.images.items()
             if sx.base in self.ends
         }

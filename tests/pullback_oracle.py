@@ -8,7 +8,7 @@ each face list built once per simplex and each face pair normalised once.
 """
 
 from extraction_oracle import canon_key
-from ssetkit.build import PullbackResult
+from ssetkit.build import PullbackResult, _pair_key
 from ssetkit.delta import degeneracy_words
 from ssetkit.sset import FiniteSSet, SSetMap, Simplex
 
@@ -72,3 +72,20 @@ def oracle_pullback(p: SSetMap, q: SSetMap, prefix: str) -> PullbackResult:
         key = (sa.degeneracies, A.position(sa.base), sb.degeneracies, B.position(sb.base))
         keys[sa.dim][key] = space.position(name)
     return PullbackResult(space, proj_l, proj_r, p, q, keys)
+
+
+def pair_simplex(pb: PullbackResult, sa: Simplex, sb: Simplex) -> Simplex:
+    """The simplex of the pullback ``pb`` corresponding to a compatible pair,
+    read through the pair rule of ``ssetkit.build``."""
+    assert sa.dim == sb.dim, "pair components live in different dimensions"
+    A, B = pb.proj_left.target, pb.proj_right.target
+    a, b = A.position(sa.base), B.position(sb.base)
+    word, pos = _pair_key(pb._keys, sa.dim, sa.degeneracies, a, sb.degeneracies, b)
+    return pb.space.simplex_at(word, pos, sa.dim)
+
+
+def components(pb: PullbackResult, name: str) -> tuple[Simplex, Simplex]:
+    """The images of the cell ``name`` of the pullback ``pb`` under its two
+    projections."""
+    sx = pb.space.simplex(name)
+    return pb.proj_left.apply(sx), pb.proj_right.apply(sx)

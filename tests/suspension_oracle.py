@@ -5,13 +5,14 @@ The cylinder is the product ``X x Δ¹``; its ends and the cells over the
 basepoint of ``X`` form a subcomplex, and ``quotient`` collapses it to the
 basepoint ``g0_0``.  The comparison sends a k-simplex x to the alternating
 sum of its prism simplices ``(s_i x, s_{J_i} ι)``, each lifted to the
-cylinder by ``pair_simplex`` and pushed through the collapse.
+cylinder by ``pullback_oracle.pair_simplex`` and pushed through the collapse.
 ``ssetkit.excision.reduced_suspension_data`` writes the same space and the
 same comparison straight from the cells of ``X``.
 """
 
 from dataclasses import dataclass
 
+from pullback_oracle import components, pair_simplex
 from ssetkit.build import PullbackResult, QuotientResult, product, quotient
 from ssetkit.intmat import IntMat
 from ssetkit.simplicial_chains import chain_basis
@@ -37,8 +38,8 @@ class OracleSuspension:
                 # The staircase sends 0..i to 0 and the rest to 1: the edge
                 # degenerated at every index but i.
                 word = tuple(j for j in range(k, -1, -1) if j != i)
-                lift = self.cylinder.pair_simplex(
-                    Simplex((i,), name, k + 1), Simplex(word, "01", k + 1)
+                lift = pair_simplex(
+                    self.cylinder, Simplex((i,), name, k + 1), Simplex(word, "01", k + 1)
                 )
                 img = self.collapse.projection.apply(lift)
                 if not img.is_degenerate:
@@ -54,8 +55,8 @@ def oracle_suspension(X: FiniteSSet) -> OracleSuspension:
     pr = product(X, standard_simplex(1))
     collapse_names = {
         name for name in pr.space.names
-        if pr.components(name)[1].base in ("0", "1")
-        or pr.components(name)[0].base == X.basepoint
+        if components(pr, name)[1].base in ("0", "1")
+        or components(pr, name)[0].base == X.basepoint
     }
     q = quotient(pr.space, subcomplex(pr.space, collapse_names))
     return OracleSuspension(q.space, pr, q)

@@ -17,7 +17,7 @@ from ssetkit.serialize import (
     preorder_from_record,
     sset_to_record,
 )
-from ssetkit.sset import FiniteSSet, SSetMap, boundary
+from ssetkit.sset import FiniteSSet, SSetMap, Simplex, boundary
 
 DATA = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -758,6 +758,24 @@ def test_pipelines_read_maps_as_keys(monkeypatch, tmp_path, capsys):
         assert cli.main(argv.split()) in (0, 1), argv
     capsys.readouterr()
     with pytest.raises(AssertionError, match="images were built"):
+        cli.main("qcat boundary3 -d 3".split())
+
+
+def test_pipelines_build_no_simplex(monkeypatch, tmp_path, capsys):
+    # Cells, faces, maps and levels are keys: with ``Simplex`` refused, every
+    # command that prints no simplex still exits 0 or 1, the map search, the
+    # function complexes and the inner-horn check included; only a failing
+    # inner-horn check prints its witness by name.
+    monkeypatch.chdir(ROOT)
+
+    def refuse(self, *args):
+        raise AssertionError("a Simplex was built")
+
+    monkeypatch.setattr(Simplex, "__init__", refuse)
+    for argv in _pipelines(tmp_path) + ["excision corner-circle"]:
+        assert cli.main(argv.split()) in (0, 1), argv
+    capsys.readouterr()
+    with pytest.raises(AssertionError, match="a Simplex was built"):
         cli.main("qcat boundary3 -d 3".split())
 
 

@@ -15,6 +15,7 @@ from extraction_oracle import (
     oracle_internal_hom,
     oracle_mapping_space,
 )
+from pullback_oracle import pair_simplex
 from ssetkit import cli
 from ssetkit.build import PullbackResult, product, sset_pullback
 from ssetkit.delta import MonotoneMap
@@ -81,7 +82,7 @@ def _pullback_mapping_space(C, x, y, d):
     corner = SSetMap(
         standard_simplex(0),
         ends.space,
-        {"0": ends.pair_simplex(constant_vertex(x), constant_vertex(y))},
+        {"0": pair_simplex(ends, constant_vertex(x), constant_vertex(y))},
     )
     return sset_pullback(both, corner).space
 

@@ -228,10 +228,10 @@ def test_wall_index_matches_a_scan_with_face():
     largest = max(all_posets(4), key=lambda P: nerve_preorder(P).counts())
     for C in (standard_simplex(4), nerve_preorder(largest)):
         for n in range(2, 5):
-            below = C.all_simplices(n - 1)
+            below, level = C.all_simplices(n - 1), C.all_simplices(n)
             for i in range(1, n):
                 index = {
-                    tuple(below[p] for p in walls): fillers
+                    tuple(below[p] for p in walls): [level[p] for p in fillers]
                     for walls, fillers in _wall_index(C, n, i).items()
                 }
                 assert index == _scan_wall_index(C, n, i)
@@ -276,11 +276,10 @@ def poset_nerves(draw):
 
 def _walls_of_horn_maps(C, n, i):
     """The walls of every map Λⁿᵢ -> C the reference scan lists, as positions
-    in ``C.level(n - 1)`` in descending j (the walls' names in name order)."""
+    in level n - 1 of C in descending j (the walls' names in name order)."""
     L = horn(n, i)
-    position = C.level(n - 1)[1]
     return sorted(
-        tuple(position[f.images[w]] for w in L.nondeg(n - 1))
+        tuple(C.level_position(w, q, n - 1) for w, q in f.table[n - 1])
         for f in scan_maps(L, C)
     )
 

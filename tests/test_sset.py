@@ -140,25 +140,48 @@ def _level_spaces():
 
 def test_level_table_faces_name_the_simplices_face_returns():
     for X in _level_spaces():
-        assert X.level(0)[2] == ((),) * len(X.nondeg(0))
+        assert X.level_size(0) == len(X.nondeg(0))
         for k in range(1, 6):
-            simplices, position, faces = X.level(k)
+            simplices, faces = X.all_simplices(k), X.level_faces(k)
             below = X.all_simplices(k - 1)
             assert len(faces) == len(simplices)
             for pos, (sx, fs) in enumerate(zip(simplices, faces)):
-                assert position[sx] == pos
+                assert X.level_position(sx.degeneracies, X.position(sx.base), k) == pos
                 assert [below[p] for p in fs] == [X.face(sx, i) for i in range(k + 1)]
 
 
+def test_level_keys_positions_and_faces_share_one_layout():
+    # A position and its key are inverse; the keys and the faces of the
+    # cells of dimension >= low are aligned tails of the whole level's, as
+    # the pullback reads them; s_word on a position is the degeneracy.
+    for X in _level_spaces():
+        for k in range(X.top_dim + 3):
+            keys, simplices = X.level_keys(k), X.all_simplices(k)
+            above = X.all_simplices(k + 1)
+            assert len(keys) == X.level_size(k)
+            for p in range(len(keys)):
+                assert X.level_key(k, p) == keys[p]
+                assert X.level_position(*X.level_key(k, p), k) == p
+                for i in range(k + 1):
+                    assert above[X.level_degeneracy(p, k, (i,))] == simplices[p].degenerate((i,))
+            for low in range(k + 2):
+                tail = X.level_keys(k, low)
+                assert tail == keys[len(keys) - len(tail):]
+                if k:
+                    faces = X.level_faces(k, low)
+                    assert len(faces) == len(tail)
+                    assert faces == X.level_faces(k)[len(keys) - len(tail):]
+
+
 def test_each_cell_has_one_simplex_per_space():
-    # ``simplex``, ``face``, the level tables and the identity and inclusion
+    # ``simplex``, ``face``, ``all_simplices`` and the identity and inclusion
     # maps hand out one ``Simplex`` per nondegenerate cell of a space.
     for X in _level_spaces():
         cells = {name: X.simplex(name) for name in X.names}
         assert all(X.simplex(name) is sx for name, sx in cells.items())
         assert all(SSetMap.identity_map(X).images[n] is sx for n, sx in cells.items())
         for k in range(X.top_dim + 1):
-            level = X.level(k)[0]
+            level = X.all_simplices(k)
             assert all(level[-len(X.nondeg(k)) + p] is cells[n] for p, n in enumerate(X.nondeg(k)))
             for name in X.nondeg(k) if k else ():
                 for i in range(k + 1):
@@ -183,8 +206,8 @@ def test_level_tables_are_built_without_face(monkeypatch):
 
     monkeypatch.setattr(FiniteSSet, "face", refuse)
     for X in spaces:
-        for k in range(X.top_dim + 3):
-            assert len(X.level(k)[2]) == len(X.level(k)[0])
+        for k in range(1, X.top_dim + 3):
+            assert len(X.level_faces(k)) == len(X.all_simplices(k)) == X.level_size(k)
 
 
 def _face_rule_spaces():
@@ -223,8 +246,9 @@ def test_level_table_lists_every_name_under_every_degeneracy_word():
                 for name in X.nondeg(m)
                 for word in degeneracy_words(k, m)
             )
-            assert X.level(k)[0] == listing == X.all_simplices(k)
-            assert len(X.level(k)[1]) == len(listing)
+            assert tuple(X.simplex_at(*key, k) for key in X.level_keys(k)) == listing
+            assert X.all_simplices(k) == listing
+            assert X.level_size(k) == len(listing)
 
 
 @pytest.mark.parametrize(
@@ -266,9 +290,11 @@ def test_simplex_value_contract():
 
 def test_spaces_pickle_after_their_faces_are_read():
     for X in [standard_simplex(3), two_sphere()]:
-        assert X.faces and X.level(2)
+        assert X.faces and X.level_faces(2) and X.level_key(2, 0)
         back = pickle.loads(pickle.dumps(X))
         assert back == X and back.faces == X.faces
+        assert back.level_faces(2) == X.level_faces(2)
+        assert back.level_keys(2) == X.level_keys(2)
 
 
 MALFORMED_WORDS = pytest.mark.parametrize(
