@@ -8,15 +8,28 @@ the chain-map law where a map enters.  Complexes and maps derived from
 checked data (shifts, sums, cones, composites, the chains of a simplicial
 set) are valid by construction and are built without re-checking.
 Homology is read off the ranks and the invariant factors of the boundaries,
-each boundary eliminated once, entirely over the integers.  Where
-Mayer-Vietoris needs generators, a homology presentation keeps the cycles
-that no unit relation removes, with the non-unit relations among them.
+each boundary eliminated once, entirely over the integers.
+
+Where Mayer-Vietoris needs generators, they are read off a reduction.
+``reduce_complex`` cancels pairs of cells joined by a ±1 incidence until
+none is left, and keeps the chain maps f: big -> small and g: small -> big
+of the chain equivalence it makes: f∘g = 1, and g∘f is homotopic to the
+identity.  The small complex has a cell or two per homology generator on
+the chains of a simplicial set.  A homology presentation keeps the cycles
+of the small complex that no unit relation removes, with the non-unit
+relations among them; g carries them to cycles of the big complex, and a
+big cycle is written on them by the coordinates of its image under f.
+Since f sends some chains that are not cycles to cycles (a cancelled upper
+cell goes to 0), the coordinates test a chain for being a cycle on the big
+complex, before f.  One reduction serves the presentations of every degree.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import StabilizationError, ValidationError
 from .groups import HomologyGroup, PresentedGroup
@@ -24,6 +37,7 @@ from .intmat import (
     IntMat,
     _rank_torsion_units,
     _solver,
+    _sub,
     _unit_quotient,
     kernel_basis,
     solve,
@@ -39,6 +53,8 @@ __all__ = [
     "single_complex",
     "homology",
     "homology_table",
+    "Reduction",
+    "reduce_complex",
     "homology_presentation",
     "induced_map",
     "is_acyclic",
@@ -108,6 +124,12 @@ class ChainComplex:
 
     def is_zero_complex(self) -> bool:
         return all(r == 0 for r in self.ranks)
+
+    @cached_property
+    def reduction(self) -> Reduction:
+        """``reduce_complex(self)``, built on first use and kept: one
+        reduction serves the homology presentations of every degree."""
+        return reduce_complex(self)
 
 
 def _unchecked(cls, *values):
@@ -217,6 +239,159 @@ def identity_chain_map(c: ChainComplex) -> ChainMap:
     return _unchecked(ChainMap, c, c, _padded_blocks(c, c, blocks))
 
 
+# -- reductions ------------------------------------------------------------
+
+
+class Reduction:
+    """A chain equivalence of a big complex with a small one.
+
+    ``f``: big -> small and ``g``: small -> big are chain maps with
+    ``f∘g = 1``, and ``g∘f`` is chain homotopic to the identity, so both are
+    quasi-isomorphisms.  ``reduce_complex`` builds them; each is applied
+    column by column, as a block times a matrix of chains.
+    """
+
+    __slots__ = ("f", "g")
+
+    def __init__(self, f: ChainMap, g: ChainMap) -> None:
+        self.f, self.g = f, g  # big -> small, small -> big
+
+    @property
+    def big(self) -> ChainComplex:
+        return self.f.source
+
+    @property
+    def small(self) -> ChainComplex:
+        return self.f.target
+
+
+def reduce_complex(c: ChainComplex) -> Reduction:
+    """Cancel basis pairs of ``c`` with a ±1 incidence until none is left.
+
+    Removing a pair (a, b), ``ε = <∂b, a> = ±1``, leaves a complex on the
+    other cells (Kaczyński, Mrozek and Ślusarek, 1998): each other coface
+    x of a, ``λ = <∂x, a>``, gets the boundary ``∂x - λε ∂b``, which misses
+    a, and b is struck from the boundaries it lies in.  Then ``g`` sends x
+    to ``x - λε b``, ``f`` sends a to ``-ε (∂b - ε a)`` and b to 0, and
+    both fix every other cell; they are chain maps with ``f∘g = 1``.  The
+    maps of the whole run are the composites of those of its steps.
+
+    Free faces go first, in the order they become free: a face with one
+    coface, on a ±1, needs no boundary corrected (a collapse).  When there
+    is none, the pair with the fewest corrected entries is taken.  ``f`` is
+    read off the steps backwards: f(a) is ``-ε`` times f of the rest of
+    ∂b, whose cells were all present at that step: each one removed was
+    removed by a later step, whose f is read first.  ``g`` keeps its
+    corrections as they are made.
+    """
+    top = c.high - c.low  # cells live in degree indices 0..top
+    # faces[d][j] and cofaces[d][j] of cell j in degree index d, as
+    # {cell: incidence}; None once the cell is removed.
+    faces = [[{} for _ in range(c.ranks[0])]]
+    faces += [[dict(col) for col in b.columns] for b in c.boundaries]
+    cofaces = [[{} for _ in range(r)] for r in c.ranks]
+    for d in range(1, top + 1):
+        up = cofaces[d - 1]
+        for j, col in enumerate(faces[d]):
+            for i, x in col.items():
+                up[i][j] = x
+    images = [{} for _ in c.ranks]  # g(x) where it is not x, in cells of c
+    steps = [[] for _ in c.ranks]  # (a, -ε times ∂b without a), in order
+    # Cells with one coface; each is checked for a ±1 when it is taken.
+    free = deque((d, a) for d in range(top) for a, up in enumerate(cofaces[d]) if len(up) == 1)
+
+    def cancel(d: int, a: int, b: int) -> None:
+        fb, up = faces[d + 1][b], cofaces[d]
+        e = fb[a]
+        if len(up[a]) > 1:
+            for x, lam in list(up[a].items()):
+                if x != b:
+                    m = lam * e
+                    fx = faces[d + 1][x]
+                    for i, y in fb.items():
+                        if v := fx.get(i, 0) - m * y:
+                            fx[i] = up[i][x] = v
+                        else:
+                            del fx[i], up[i][x]
+                    gx = images[d + 1].setdefault(x, {x: 1})
+                    _sub(gx, m, images[d + 1].get(b, {b: 1}))
+        rest = {}
+        for i, x in fb.items():
+            if i != a:
+                rest[i] = -e * x
+                u = up[i]
+                del u[b]
+                if len(u) == 1:
+                    free.append((d, i))
+        steps[d].append((a, rest))
+        for y in cofaces[d + 1][b]:
+            del faces[d + 2][y][b]
+        if d:
+            down = cofaces[d - 1]
+            for z in faces[d][a]:
+                u = down[z]
+                del u[a]
+                if len(u) == 1:
+                    free.append((d - 1, z))
+        faces[d][a] = faces[d + 1][b] = cofaces[d][a] = cofaces[d + 1][b] = None
+
+    def cheapest():
+        """The first ±1 pair that corrects the fewest entries, or None."""
+        best, least = None, None
+        for d in range(top):
+            for a, up in enumerate(cofaces[d]):
+                for b, e in (up or {}).items():
+                    if e == 1 or e == -1:
+                        cost = (len(up) - 1) * (len(faces[d + 1][b]) - 1)
+                        if not cost:
+                            return d, a, b
+                        if best is None or cost < least:
+                            best, least = (d, a, b), cost
+        return best
+
+    while True:
+        while free:
+            d, a = free.popleft()
+            up = cofaces[d][a]
+            if up is not None and len(up) == 1:
+                (b, e), = up.items()
+                if e == 1 or e == -1:
+                    cancel(d, a, b)
+        pair = cheapest()
+        if pair is None:
+            break
+        cancel(*pair)
+
+    keep = [[j for j, fj in enumerate(level) if fj is not None] for level in faces]
+    index = [{j: k for k, j in enumerate(js)} for js in keep]
+    small = _unchecked(ChainComplex, c.low, c.high, tuple(map(len, keep)), tuple(
+        IntMat.of_columns(len(keep[d - 1]), (
+            {index[d - 1][i]: x for i, x in faces[d][j].items()} for j in keep[d]
+        ))
+        for d in range(1, top + 1)
+    ))
+    f_blocks = []
+    for d, rank in enumerate(c.ranks):
+        image = [{} for _ in range(rank)]  # removed b-cells go to 0
+        for j, k in index[d].items():
+            image[j] = {k: 1}
+        for a, rest in reversed(steps[d]):
+            acc: dict[int, int] = {}
+            for i, x in rest.items():
+                for k, v in image[i].items():
+                    acc[k] = acc.get(k, 0) + x * v
+            image[a] = {k: v for k, v in acc.items() if v}
+        f_blocks.append(IntMat.of_columns(len(keep[d]), image))
+    g_blocks = tuple(
+        IntMat.of_columns(rank, (images[d].get(j, {j: 1}) for j in keep[d]))
+        for d, rank in enumerate(c.ranks)
+    )
+    return Reduction(
+        _unchecked(ChainMap, c, small, tuple(f_blocks)),
+        _unchecked(ChainMap, small, c, g_blocks),
+    )
+
+
 # -- homology --------------------------------------------------------------
 
 # ``(G, P, coordinates)``, as ``homology_presentation`` returns it.
@@ -226,29 +401,39 @@ HomologyPresentation = tuple[
 
 
 def homology_presentation(c: ChainComplex, n: int) -> HomologyPresentation:
-    """Generators, presentation and coordinates of the degree-n homology.
+    """Generators, presentation and coordinates of the degree-n homology of
+    ``c``, read off the small complex of its reduction ``r = c.reduction``,
+    which the first call on ``c`` builds and every degree shares.
 
-    Returns ``(G, P, coordinates)``.  With ``Z`` a saturated basis of the
-    cycles in degree ``n`` and ``W`` the boundaries from degree ``n + 1``
-    written on it, the unit elimination of ``rank_and_torsion`` runs on the
-    columns of ``W``.  Each unit pivot removes one cycle: the columns of
-    ``G`` are the cycles of ``Z`` in no unit-pivot row, and ``P`` presents
-    the homology on them by the non-unit remainder.  ``coordinates(V)``
-    writes cycles ``V`` on ``G`` modulo ``P``, or gives ``None`` when ``V``
-    is not made of cycles.
+    Returns ``(G, P, coordinates)``.  On the small complex, with ``Z`` a
+    saturated basis of its cycles in degree ``n`` and ``W`` its boundaries
+    from degree ``n + 1`` written on it, the unit elimination of
+    ``rank_and_torsion`` runs on the columns of ``W``.  Each unit pivot
+    removes one cycle; ``P`` presents the homology on the cycles left by
+    the non-unit remainder, and ``G`` is their image under ``g``, cycles of
+    the big complex.  ``g`` and ``f`` induce inverse isomorphisms on
+    homology, so ``coordinates(V)`` writes cycles ``V`` of the big complex
+    on ``G`` modulo ``P`` by the coordinates of ``f(V)``.  It gives ``None``
+    when ``V`` is not made of cycles, which it checks on the big complex
+    first: ``f`` is not injective (it sends every removed upper cell to 0),
+    so ``f(V)`` can be a cycle when ``V`` is not.
     """
-    Z = kernel_basis(c.boundary(n))
+    r = c.reduction
+    small = r.small
+    Z = kernel_basis(small.boundary(n))
     on_cycles = _solver(Z)  # eliminates Z once, for W and every coordinates
-    W = on_cycles(c.boundary(n + 1))
+    W = on_cycles(small.boundary(n + 1))
     if W is None:
         raise ValidationError("boundaries are not cycles; complex is corrupt")
     kept, relations, reduce = _unit_quotient(W)
+    d, f = c.boundary(n), r.f.block(n)
 
     def coordinates(V: IntMat) -> IntMat | None:
-        X = on_cycles(V)
-        return None if X is None else reduce(X)
+        if not (d @ V).is_zero():
+            return None
+        return reduce(on_cycles(f @ V))
 
-    G = IntMat.of_columns(Z.rows, (Z.columns[i] for i in kept))
+    G = r.g.block(n) @ IntMat.of_columns(Z.rows, (Z.columns[i] for i in kept))
     return G, PresentedGroup(len(kept), relations), coordinates
 
 

@@ -446,19 +446,25 @@ class CoverData:
             raise ValidationError("first cover piece is not a subcomplex")
         if not is_name_subcomplex(self.X, self.V):
             raise ValidationError("second cover piece is not a subcomplex")
-        covered = set(self.U.names) | set(self.V.names)
-        if covered != set(self.X.names):
-            missing = sorted(set(self.X.names) - covered)
-            raise ValidationError(f"cover misses simplices: {missing}")
-        # U and V were just checked, so their intersection needs no check.
-        self.W = subcomplex(self.X, set(self.U.names) & set(self.V.names), check_closed=False)
+        self.W = _overlap(self.X, self.U, self.V)
+
+
+def _overlap(X: FiniteSSet, U: FiniteSSet, V: FiniteSSet) -> FiniteSSet:
+    """The intersection of two subcomplexes of ``X`` that cover it."""
+    covered = set(U.names) | set(V.names)
+    if covered != set(X.names):
+        missing = sorted(set(X.names) - covered)
+        raise ValidationError(f"cover misses simplices: {missing}")
+    # U and V are subcomplexes, so their intersection needs no check.
+    return subcomplex(X, set(U.names) & set(V.names), check_closed=False)
 
 
 def cover_from_names(X: FiniteSSet, u_names, v_names) -> CoverData:
     """Build a cover from generator names, closing each piece under faces."""
     U = subcomplex(X, face_closure(X, u_names), check_closed=False)
     V = subcomplex(X, face_closure(X, v_names), check_closed=False)
-    return CoverData(X, U, V)
+    # Face-closed parts of X are subcomplexes of it by construction.
+    return _unchecked(CoverData, X, U, V, _overlap(X, U, V))
 
 
 @dataclass
@@ -609,6 +615,8 @@ def mayer_vietoris(
     ses = cover_short_exact_sequence(cd, reduced=reduced)
     alpha, beta = ses.left, ses.right
     cW, cUV, cX = alpha.source, beta.source, beta.target
+    # Each complex is reduced once (``ChainComplex.reduction``), on its first
+    # presentation, and every degree reads that reduction.
     pres_w = {n: homology_presentation(cW, n) for n in range(top_degree + 1)}
     pres_uv = {n: homology_presentation(cUV, n) for n in range(top_degree + 1)}
     pres_x = {n: homology_presentation(cX, n) for n in range(top_degree + 2)}

@@ -427,7 +427,9 @@ class FiniteSSet:
     def level_key(self, k: int, p: int) -> tuple[tuple[int, ...], int]:
         """The (word, position) key of the simplex at position ``p`` of level
         ``k``."""
-        _, starts, blocks, _ = self._layout(k)
+        size, starts, blocks, _ = self._layout(k)
+        if not 0 <= p < size:
+            raise ValidationError(f"level {k} has no position {p}; it has {size} simplices")
         m = bisect_right(starts, p) - 1
         q, r = divmod(p - starts[m], len(blocks[m]))
         return blocks[m][r], q
@@ -458,6 +460,8 @@ class FiniteSSet:
         as positions in level ``k - 1``; built once, and with no ``Simplex``."""
         out = self._face_positions.get((k, low))
         if out is None:
+            if k < 1:
+                raise ValidationError(f"level {k} has no faces; faces start at level 1")
             spot = self._layout(k - 1)[3]
             out = []
             for m in range(low, min(k, self.top_dim) + 1):

@@ -325,10 +325,12 @@ def test_bad_covers_exit_two_with_their_message(tmp_path, capsys, cover, line):
 
 
 def test_mv_record_of_the_disk_and_band_cover_is_stable(tmp_path, capsys):
-    # Recorded before the elimination kept its pending pivots in a heap.
-    # The maps are written on the homology generators, which any change
-    # of elimination order would move; H_1(RP²) = Z/2 puts a non-unit
-    # relation in them.
+    # Re-recorded when the presentations moved onto reductions, which
+    # flipped the generator of H_1(W): the map into H_1(U + V) went from
+    # [[2]] to [[-2]], and test_reduction checks that every map changed by
+    # the change of generators alone.  The maps are written on the homology
+    # generators, which any change of elimination order would move;
+    # H_1(RP²) = Z/2 puts a non-unit relation in them.
     claims = json.loads((DATA / "paper_claims.json").read_text())
     cover = dict(claims["covers"]["disk-and-band"])
     cover["space"] = claims["spaces"][cover["space"]]

@@ -10,7 +10,7 @@ from conftest import (
     projective_plane,
 )
 from suspension_oracle import oracle_suspension
-from ssetkit.chain import homology, homology_table
+from ssetkit.chain import homology, homology_presentation, homology_table
 from ssetkit.errors import ValidationError
 from ssetkit.excision import (
     CoverData,
@@ -33,6 +33,7 @@ from ssetkit.excision import (
 )
 from ssetkit import excision, simplicial_chains, sset
 from ssetkit.groups import HomologyGroup
+from ssetkit.intmat import IntMat
 from ssetkit.simplicial_chains import (
     chain_map_of,
     normalized_chains,
@@ -237,12 +238,20 @@ def test_cover_data_validation():
         CoverData(d2, reversed_edge, d2)
     with pytest.raises(ValidationError, match="^second cover piece is not a subcomplex$"):
         CoverData(d2, d2, reversed_edge)
+    # cover_from_names trusts its face closures, but not names that X lacks
+    # or pieces that miss a simplex.
+    with pytest.raises(ValidationError, match="^unknown simplex 'x'$"):
+        cover_from_names(d2, ["012"], ["x"])
+    with pytest.raises(ValidationError, match="^cover misses simplices: \\['012'\\]$"):
+        cover_from_names(d2, ["01"], ["12", "02"])
 
 
 def test_a_cover_is_checked_once_where_it_is_read(monkeypatch):
     # A work-count guard: CoverData checks that each piece is a subcomplex;
     # the intersection and the four inclusions of the cover sequence are
-    # built without checking again, reduced or not.
+    # built without checking again, reduced or not.  cover_from_names builds
+    # its pieces as face closures in X, subcomplexes by construction, and
+    # checks none of them.
     calls = []
     check = sset.is_name_subcomplex
 
@@ -252,10 +261,14 @@ def test_a_cover_is_checked_once_where_it_is_read(monkeypatch):
 
     monkeypatch.setattr(sset, "is_name_subcomplex", counting)
     monkeypatch.setattr(excision, "is_name_subcomplex", counting)
+    X = boundary(3)
     for reduced in (False, True):
         calls.clear()
-        cd = cover_from_names(boundary(3), ["123", "023"], ["013", "012"])
-        assert mayer_vietoris(cd, 2, reduced=reduced).all_exact
+        cd = cover_from_names(X, ["123", "023"], ["013", "012"])
+        assert calls == []
+        checked = CoverData(cd.X, cd.U, cd.V)
+        assert checked.W.names == cd.W.names
+        assert mayer_vietoris(checked, 2, reduced=reduced).all_exact
         assert len(calls) == 2
 
 
@@ -291,10 +304,17 @@ def test_mv_two_arcs_unreduced():
     assert les.group(0, "W").rank == 2
     assert les.group(0, "U_plus_V").rank == 2
     assert les.group(0, "X").rank == 1
-    # connecting map out of the circle class hits the vertex difference
+    # The connecting map sends the circle's class to ± the difference of
+    # the classes of the two overlap vertices, on whatever generators the
+    # presentation of H_0(W) keeps.
     idx = next(i for i, e in enumerate(les.entries)
                if (e.degree, e.tag) == (1, "X"))
-    assert les.maps[idx].to_lists() == [[-1], [1]]
+    cd = _two_arc_cover()
+    coordinates = homology_presentation(cover_short_exact_sequence(cd).left.source, 0)[2]
+    vertices = simplicial_chains.chain_basis(cd.W, 0)
+    difference = coordinates(IntMat.column([{"0": 1, "2": -1}[v] for v in vertices]))
+    assert les.maps[idx] in (difference, difference.scale(-1))
+    assert not difference.is_zero()
 
 
 def test_mv_two_arcs_reduced():

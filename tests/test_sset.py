@@ -173,6 +173,20 @@ def test_level_keys_positions_and_faces_share_one_layout():
                     assert faces == X.level_faces(k)[len(keys) - len(tail):]
 
 
+def test_level_readers_refuse_what_is_outside_the_level():
+    # The last position of level 2 of Δ² is 9; past it, or before 0, there
+    # is no key to read, and no level below 1 has faces.
+    X = standard_simplex(2)
+    assert X.level_size(2) == 10 and X.level_key(2, 9) == ((), 0)
+    for k, p in [(2, 10), (2, -1), (0, 3), (-1, 0)]:
+        with pytest.raises(ValidationError, match=f"^level {k} has no position {p};"):
+            X.level_key(k, p)
+    for k in (0, -1):
+        with pytest.raises(ValidationError, match=f"^level {k} has no faces;"):
+            X.level_faces(k)
+    assert len(X.level_faces(1)) == X.level_size(1)
+
+
 def test_each_cell_has_one_simplex_per_space():
     # ``simplex``, ``face``, ``all_simplices`` and the identity and inclusion
     # maps hand out one ``Simplex`` per nondegenerate cell of a space.
