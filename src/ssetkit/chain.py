@@ -10,6 +10,10 @@ set) are valid by construction and are built without re-checking.
 Homology is read off the ranks and the invariant factors of the boundaries,
 each boundary eliminated once, entirely over the integers.
 
+The package's one commuting square, ``ChainSquare``, lives here too.  A leg
+needs only ``source``, ``target``, ``compose`` and ``==``, so the legs are
+chain maps or maps of simplicial sets: ``excision.SSetSquare`` is this class.
+
 Where Mayer-Vietoris needs generators, they are read off a reduction.
 ``reduce_complex`` cancels pairs of cells joined by a ±1 incidence until
 none is left, and keeps the chain maps f: big -> small and g: small -> big
@@ -30,6 +34,7 @@ from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import StabilizationError, ValidationError
 from .groups import HomologyGroup, PresentedGroup
@@ -42,6 +47,9 @@ from .intmat import (
     kernel_basis,
     solve,
 )
+
+if TYPE_CHECKING:  # the legs of a square of simplicial sets
+    from .sset import FiniteSSet, SSetMap
 
 __all__ = [
     "ChainComplex",
@@ -570,45 +578,41 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
 
 @dataclass(frozen=True)
 class ChainSquare:
-    """A strictly commuting square of chain maps.
+    """A strictly commuting square: ``w_to_u``, ``w_to_v`` out of the
+    initial corner, ``u_to_x``, ``v_to_x`` into the final corner, of chain
+    maps or of maps of simplicial sets (see the module docstring)."""
 
-    ``w_to_u``, ``w_to_v`` out of the initial corner; ``u_to_x``, ``v_to_x``
-    into the final corner.
-    """
-
-    w_to_u: ChainMap
-    w_to_v: ChainMap
-    u_to_x: ChainMap
-    v_to_x: ChainMap
+    w_to_u: ChainMap | SSetMap
+    w_to_v: ChainMap | SSetMap
+    u_to_x: ChainMap | SSetMap
+    v_to_x: ChainMap | SSetMap
 
     def __post_init__(self) -> None:
         if self.w_to_u.source != self.w_to_v.source:
-            raise ValidationError("square legs start at different corners")
+            raise ValidationError("square legs must share their source corner")
+        if self.u_to_x.source != self.w_to_u.target:
+            raise ValidationError("upper-right corner mismatch")
+        if self.v_to_x.source != self.w_to_v.target:
+            raise ValidationError("lower-left corner mismatch")
         if self.u_to_x.target != self.v_to_x.target:
-            raise ValidationError("square legs end at different corners")
-        if self.w_to_u.target != self.u_to_x.source:
-            raise ValidationError("square does not paste along U")
-        if self.w_to_v.target != self.v_to_x.source:
-            raise ValidationError("square does not paste along V")
-        left = self.u_to_x.compose(self.w_to_u)
-        right = self.v_to_x.compose(self.w_to_v)
-        if left.blocks != right.blocks:
-            raise ValidationError("square does not commute strictly")
+            raise ValidationError("square has two different final corners")
+        if self.u_to_x.compose(self.w_to_u) != self.v_to_x.compose(self.w_to_v):
+            raise ValidationError("square does not commute")
 
     @property
-    def w(self) -> ChainComplex:
+    def w(self) -> ChainComplex | FiniteSSet:
         return self.w_to_u.source
 
     @property
-    def u(self) -> ChainComplex:
+    def u(self) -> ChainComplex | FiniteSSet:
         return self.w_to_u.target
 
     @property
-    def v(self) -> ChainComplex:
+    def v(self) -> ChainComplex | FiniteSSet:
         return self.w_to_v.target
 
     @property
-    def x(self) -> ChainComplex:
+    def x(self) -> ChainComplex | FiniteSSet:
         return self.u_to_x.target
 
 

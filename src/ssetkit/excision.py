@@ -28,8 +28,9 @@ pair left is looked up.  Each distinct face of a level is found once, and
 ``Simplex``.  ΣX has 1 + Σ (2 dim x + 1) cells, over the cells x of X
 other than the basepoint; that count is held to the budget of ``build``
 (``DEFAULT_MAX_CANDIDATES``) before any level is listed, and a larger ΣX
-raises ``EnumerationLimit``.  The cone and the unreduced suspension still
-collapse the cylinder by ``quotient``.
+raises ``EnumerationLimit``.  The cone and the unreduced suspension glue a
+point along an end of the cylinder: each is a ``pushout`` along the end's
+inclusion, the way the double mapping cylinder below glues its feet.
 
 The homotopy pushout of a span ``U <- W -> V`` is modeled by the double
 mapping cylinder, built by two gluings along the ends of the cylinder
@@ -40,11 +41,16 @@ here materializes the degenerate ones.  A square of simplicial sets is a
 homology pushout when the map from that cylinder to its corner, the two
 maps the gluings induce, is an isomorphism on integral homology.
 
+Squares are one type: ``SSetSquare`` is ``chain.ChainSquare``, whose legs
+may be maps of simplicial sets or chain maps, and ``chain_square_of`` is
+the one way from a square of spaces to its square of (reduced) chains.
+
 For covers by two subcomplexes, every simplex lies in one of the pieces,
 so the inclusion-induced short sequence of normalized chain complexes is
 exact on the nose and the long exact homology sequence comes out of the
 usual snake construction, with every slot re-verified independently.  The
-sequence is the ``square_sequence`` of the square of inclusions.
+sequence is the ``square_sequence`` of the chain square of the square of
+inclusions.
 """
 
 from __future__ import annotations
@@ -147,30 +153,29 @@ def _end_inclusion(pr: PullbackResult, j: str) -> SSetMap:
     return SSetMap._trusted(X, pr.space, table)
 
 
-def _image_names(f: SSetMap) -> set[str]:
-    """The cells of ``f.target`` that the injective ``f`` hits."""
-    return {f.target.cells[k][q] for k, row in enumerate(f.table) for _, q in row}
+def _glue_point(end: SSetMap) -> PushoutResult:
+    """The target of the injective ``end`` with a point glued along it; the
+    point is the first vertex, ``g0_0``."""
+    return pushout(constant_map(end.source, standard_simplex(0), "0"), end)
 
 
 def cone(X: FiniteSSet) -> FiniteSSet:
-    """The cone: the cylinder with its far end collapsed to the apex."""
+    """The cone: the apex glued along the far end of the cylinder."""
     if X.top_dim < 0:
         raise ValidationError("cone of the empty simplicial set is not supported")
-    pr = cylinder(X)
-    far = subcomplex(pr.space, _image_names(_end_inclusion(pr, "1")))
-    return quotient(pr.space, far).space
+    space = _glue_point(_end_inclusion(cylinder(X), "1")).space
+    return pointed(space, space.cells[0][0])
 
 
 def unreduced_suspension(X: FiniteSSet) -> FiniteSSet:
-    """Both cylinder ends collapsed, each to its own cone point."""
+    """A cone point glued along each cylinder end, end 0 first; pointed at
+    the cone point of end 1."""
     if X.top_dim < 0:
         raise ValidationError("suspension of the empty simplicial set is not supported")
     pr = cylinder(X)
-    q1 = quotient(pr.space, subcomplex(pr.space, _image_names(_end_inclusion(pr, "0"))))
-    top = q1.projection.compose(_end_inclusion(pr, "1"))  # misses the bottom end
-    q2 = quotient(q1.space, subcomplex(q1.space, _image_names(top)))
-    # q2 keeps the bottom cone point of q1; point it at the top one, g0_0.
-    return pointed(q2.space, q2.space.cells[0][0])
+    bottom = _glue_point(_end_inclusion(pr, "0"))
+    space = _glue_point(bottom.from_right.compose(_end_inclusion(pr, "1"))).space
+    return pointed(space, space.cells[0][0])
 
 
 @dataclass
@@ -285,42 +290,7 @@ def reduced_suspension(X: FiniteSSet) -> FiniteSSet:
 # -- squares of simplicial sets --------------------------------------------
 
 
-@dataclass(frozen=True)
-class SSetSquare:
-    """A strictly commuting square of simplicial sets."""
-
-    w_to_u: SSetMap
-    w_to_v: SSetMap
-    u_to_x: SSetMap
-    v_to_x: SSetMap
-
-    def __post_init__(self):
-        if self.w_to_u.source != self.w_to_v.source:
-            raise ValidationError("square legs must share their source corner")
-        if self.u_to_x.source != self.w_to_u.target:
-            raise ValidationError("upper-right corner mismatch")
-        if self.v_to_x.source != self.w_to_v.target:
-            raise ValidationError("lower-left corner mismatch")
-        if self.u_to_x.target != self.v_to_x.target:
-            raise ValidationError("square has two different final corners")
-        if self.u_to_x.compose(self.w_to_u) != self.v_to_x.compose(self.w_to_v):
-            raise ValidationError("square does not commute")
-
-    @property
-    def w(self) -> FiniteSSet:
-        return self.w_to_u.source
-
-    @property
-    def u(self) -> FiniteSSet:
-        return self.w_to_u.target
-
-    @property
-    def v(self) -> FiniteSSet:
-        return self.w_to_v.target
-
-    @property
-    def x(self) -> FiniteSSet:
-        return self.u_to_x.target
+SSetSquare = ChainSquare  # a strictly commuting square of simplicial sets
 
 
 # The squares built below commute by construction, so they skip the check.
@@ -349,16 +319,24 @@ def interval_collapse_square() -> SSetSquare:
     )
 
 
-def chain_square_of(sq: SSetSquare) -> ChainSquare:
-    """The square of normalized chains, each corner's complex built once."""
-    cw, cu, cv, cx = (normalized_chains(Y) for Y in (sq.w, sq.u, sq.v, sq.x))
+def chain_square_of(sq: SSetSquare, reduced: bool = False) -> ChainSquare:
+    """The square of (reduced) normalized chains, each distinct corner's
+    complex built once.  Corners are matched by identity, then by equality,
+    since a square can hold equal corners as distinct objects (a record that
+    names one space twice, say)."""
+    chains = reduced_normalized_chains if reduced else normalized_chains
+    corners = (sq.w, sq.u, sq.v, sq.x)
+    # The position of the first corner that each corner is, or equals.
+    first = [next(j for j, Z in enumerate(corners) if Z is Y or Z == Y) for Y in corners]
+    built = {j: chains(corners[j]) for j in dict.fromkeys(first)}
+    cw, cu, cv, cx = (built[j] for j in first)
     # Chains are a functor, so the square of chain maps commutes as sq does.
     return _unchecked(
         ChainSquare,
-        _map_of(sq.w_to_u, cw, cu, False),
-        _map_of(sq.w_to_v, cw, cv, False),
-        _map_of(sq.u_to_x, cu, cx, False),
-        _map_of(sq.v_to_x, cv, cx, False),
+        _map_of(sq.w_to_u, cw, cu, reduced),
+        _map_of(sq.w_to_v, cw, cv, reduced),
+        _map_of(sq.u_to_x, cu, cx, reduced),
+        _map_of(sq.v_to_x, cv, cx, reduced),
     )
 
 
@@ -505,37 +483,17 @@ def _pointed_copy(cd: CoverData) -> tuple[FiniteSSet, FiniteSSet, FiniteSSet, Fi
 
 
 def cover_short_exact_sequence(cd: CoverData, reduced: bool = False) -> CoverSES:
-    """The sequence of (reduced) chains, each piece's complex built once and
-    shared by the inclusions into and out of it."""
-    if reduced:
-        # The pointed copies share one basepoint, which the inclusions keep.
-        X, U, V, W = _pointed_copy(cd)
-        chains = reduced_normalized_chains
-    else:
-        X, U, V, W = cd.X, cd.U, cd.V, cd.W
-        chains = normalized_chains
-    cW, cU, cV, cX = chains(W), chains(U), chains(V), chains(X)
-
-    # W lies in U and V, and they in X, as CoverData checked.
-    def inclusion(A, cA, B, cB) -> ChainMap:
-        return _map_of(_inclusion(A, B), cA, cB, reduced)
-
-    # Inclusions commute, so the four of them form a square.
-    alpha, beta = square_sequence(_unchecked(
-        ChainSquare,
-        inclusion(W, cW, U, cU),
-        inclusion(W, cW, V, cV),
-        inclusion(U, cU, X, cX),
-        inclusion(V, cV, X, cX),
-    ))
-    return CoverSES(
-        cd,
-        reduced,
-        zero_map(zero_complex(), cW),
-        alpha,
-        beta,
-        zero_map(cX, zero_complex()),
+    """The ``square_sequence`` of the (reduced) chain square of the cover's
+    square of inclusions."""
+    # The pointed copies share one basepoint, which the inclusions keep.
+    X, U, V, W = _pointed_copy(cd) if reduced else (cd.X, cd.U, cd.V, cd.W)
+    # W lies in U and V, and they in X, as CoverData checked; inclusions commute.
+    sq = _unchecked(
+        SSetSquare, _inclusion(W, U), _inclusion(W, V), _inclusion(U, X), _inclusion(V, X)
     )
+    alpha, beta = square_sequence(chain_square_of(sq, reduced))
+    into, out = zero_map(zero_complex(), alpha.source), zero_map(beta.target, zero_complex())
+    return CoverSES(cd, reduced, into, alpha, beta, out)
 
 
 # -- Mayer-Vietoris --------------------------------------------------------

@@ -146,12 +146,13 @@ def sset_from_record(data) -> FiniteSSet:
 
 
 def map_to_record(f: SSetMap) -> dict:
-    return {
-        "images": {
-            name: [list(sx.degeneracies), sx.base]
-            for name, sx in sorted(f.images.items())
-        }
+    cells = f.target.cells
+    images = {
+        name: [list(w), cells[k - len(w)][q]]
+        for k, (level, row) in enumerate(zip(f.source.cells, f.table))
+        for name, (w, q) in zip(level, row)
     }
+    return {"images": {name: images[name] for name in sorted(images)}}
 
 
 def map_from_record(source: FiniteSSet, target: FiniteSSet, data) -> SSetMap:

@@ -347,8 +347,6 @@ class FiniteSSet:
             raise ValidationError("a vertex has no faces")
         if not 0 <= i <= sx.dim:
             raise ValidationError(f"face index {i} outside [0, {sx.dim}]")
-        if not sx.degeneracies:
-            return self._face_simplices()[sx.base][i]
         word, pos = self.face_key(sx.degeneracies, self._pos[sx.base], sx.dim, i)
         return self.simplex_at(word, pos, sx.dim - 1)
 

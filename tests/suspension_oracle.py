@@ -8,15 +8,20 @@ sum of its prism simplices ``(s_i x, s_{J_i} ι)``, each lifted to the
 cylinder by ``pullback_oracle.pair_simplex`` and pushed through the collapse.
 ``ssetkit.excision.reduced_suspension_data`` writes the same space and the
 same comparison straight from the cells of ``X``.
+
+The cone and the unreduced suspension are kept here as they were first
+written, by collapsing the subcomplex that each end of the cylinder spans
+with ``quotient``; ``ssetkit.excision`` glues a point along the end itself.
 """
 
 from dataclasses import dataclass
 
 from pullback_oracle import components, pair_simplex
 from ssetkit.build import PullbackResult, QuotientResult, product, quotient
+from ssetkit.excision import _end_inclusion, cylinder
 from ssetkit.intmat import IntMat
 from ssetkit.simplicial_chains import chain_basis
-from ssetkit.sset import FiniteSSet, Simplex, standard_simplex, subcomplex
+from ssetkit.sset import FiniteSSet, SSetMap, Simplex, pointed, standard_simplex, subcomplex
 
 
 @dataclass
@@ -60,3 +65,25 @@ def oracle_suspension(X: FiniteSSet) -> OracleSuspension:
     }
     q = quotient(pr.space, subcomplex(pr.space, collapse_names))
     return OracleSuspension(q.space, pr, q)
+
+
+def _image_names(f: SSetMap) -> set[str]:
+    """The cells of ``f.target`` that the injective ``f`` hits."""
+    return {f.target.cells[k][q] for k, row in enumerate(f.table) for _, q in row}
+
+
+def oracle_cone(X: FiniteSSet) -> FiniteSSet:
+    """The cylinder with the subcomplex of its far end collapsed."""
+    pr = cylinder(X)
+    far = subcomplex(pr.space, _image_names(_end_inclusion(pr, "1")))
+    return quotient(pr.space, far).space
+
+
+def oracle_unreduced_suspension(X: FiniteSSet) -> FiniteSSet:
+    """The subcomplexes of both cylinder ends collapsed, one after the other."""
+    pr = cylinder(X)
+    q1 = quotient(pr.space, subcomplex(pr.space, _image_names(_end_inclusion(pr, "0"))))
+    top = q1.projection.compose(_end_inclusion(pr, "1"))  # misses the bottom end
+    q2 = quotient(q1.space, subcomplex(q1.space, _image_names(top)))
+    # q2 keeps the bottom cone point of q1; point it at the top one, g0_0.
+    return pointed(q2.space, q2.space.cells[0][0])

@@ -9,8 +9,8 @@ from conftest import (
     four_test_spaces,
     projective_plane,
 )
-from suspension_oracle import oracle_suspension
-from ssetkit.chain import homology, homology_presentation, homology_table
+from suspension_oracle import oracle_cone, oracle_suspension, oracle_unreduced_suspension
+from ssetkit.chain import ChainSquare, homology, homology_presentation, homology_table
 from ssetkit.errors import ValidationError
 from ssetkit.excision import (
     CoverData,
@@ -24,6 +24,7 @@ from ssetkit.excision import (
     excision_check,
     identity_counterexample_report,
     identity_square,
+    interval_collapse_square,
     is_homology_pushout,
     mayer_vietoris,
     pushout_square,
@@ -92,6 +93,20 @@ def test_unreduced_suspension_of_two_points():
     assert (t[0].rank, t[1].rank) == (1, 1)
 
 
+def _cylinder_test_spaces():
+    return [boundary(1), boundary(2), standard_simplex(1), standard_simplex(2), circle(),
+            *four_test_spaces().values()]
+
+
+def test_cone_and_unreduced_suspension_glue_what_quotients_collapsed():
+    # Gluing a point along an end of the cylinder lists the cells that
+    # collapsing the end's subcomplex listed, in the same order, with the
+    # same faces and basepoint.
+    for X in _cylinder_test_spaces():
+        assert cone(X) == oracle_cone(X)
+        assert unreduced_suspension(X) == oracle_unreduced_suspension(X)
+
+
 def test_reduced_suspension_shifts_homology():
     for name, X in four_test_spaces().items():
         SX = reduced_suspension(X)
@@ -137,6 +152,51 @@ def test_square_must_commute():
     # one composite lands at the vertex, the other is the identity: rejected
     with pytest.raises(ValidationError):
         SSetSquare(to_pt, incl, at0, SSetMap.identity_map(d1))
+
+
+def test_squares_of_spaces_and_of_chains_are_one_class():
+    assert SSetSquare is ChainSquare
+
+
+def _identity(X: FiniteSSet) -> SSetMap:
+    return SSetMap.identity_map(X)
+
+
+# Per check of a square, in the order they run: the legs of the interval
+# collapse square (w_to_u, w_to_v, u_to_x, v_to_x) that break it, each as a
+# function of that square, and the message.  The first four also break the
+# check after theirs, so the message pins the order of the checks too.
+_BROKEN_SQUARES = {
+    "shared-source": ({1: lambda sq: _identity(sq.v), 2: lambda sq: sq.v_to_x},
+                      "square legs must share their source corner"),
+    "upper-right-corner": ({2: lambda sq: sq.v_to_x, 3: lambda sq: sq.u_to_x},
+                           "upper-right corner mismatch"),
+    "lower-left-corner": ({3: lambda sq: _identity(sq.u)}, "lower-left corner mismatch"),
+    "final-corner": ({2: lambda sq: _identity(sq.u)},
+                     "square has two different final corners"),
+    # Into the interval, the point goes to 0 but 1 goes to 1.
+    "commutation": ({2: lambda sq: constant_map(sq.u, sq.v, "0"),
+                     3: lambda sq: _identity(sq.v)}, "square does not commute"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BROKEN_SQUARES))
+def test_a_square_of_spaces_and_its_chains_fail_each_check_alike(case):
+    breaks, message = _BROKEN_SQUARES[case]
+    sq = interval_collapse_square()
+    csq = chain_square_of(sq)
+    legs = [sq.w_to_u, sq.w_to_v, sq.u_to_x, sq.v_to_x]
+    chain_legs = [csq.w_to_u, csq.w_to_v, csq.u_to_x, csq.v_to_x]
+    for i, leg in breaks.items():
+        legs[i] = leg(sq)
+        chain_legs[i] = chain_map_of(legs[i])
+    for square, broken in ((SSetSquare, legs), (ChainSquare, chain_legs)):
+        with pytest.raises(ValidationError) as exc:
+            square(*broken)
+        assert str(exc.value) == message
+    # Unbroken, both squares pass every check.
+    assert SSetSquare(sq.w_to_u, sq.w_to_v, sq.u_to_x, sq.v_to_x) == sq
+    assert ChainSquare(csq.w_to_u, csq.w_to_v, csq.u_to_x, csq.v_to_x) == csq
 
 
 def test_double_mapping_cylinder_of_circle_span():
@@ -440,6 +500,36 @@ def test_cover_sequence_builds_each_piece_once(chain_builds, reduced):
     les = mayer_vietoris(_sphere_cover(), 3, reduced=reduced)
     assert les.all_exact
     assert len(chain_builds) == 4
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["unreduced", "reduced"])
+def test_an_identity_square_builds_one_complex(chain_builds, reduced):
+    X = four_test_spaces()["S2"]
+    csq = chain_square_of(identity_square(X), reduced)
+    assert chain_builds == [X]
+    chains = reduced_normalized_chains(X) if reduced else normalized_chains(X)
+    assert csq.w == csq.u == csq.v == csq.x == chains
+
+
+def test_equal_corners_share_their_complex(chain_builds):
+    # The corners are equal but distinct objects: one complex serves both.
+    w, u, v = standard_simplex(0), standard_simplex(1), standard_simplex(1)
+    assert u is not v and u == v
+    at0 = constant_map(w, u, "0")
+    sq = SSetSquare(at0, constant_map(w, v, "0"), _identity(u), SSetMap.inclusion(v, u))
+    csq = chain_square_of(sq)
+    assert chain_builds == [w, u]
+    assert csq.u is csq.v is csq.x
+
+
+def test_excision_of_an_identity_square_builds_the_corner_twice(chain_builds):
+    # N(X) once for the chain square and once as the target of the
+    # comparison, and N of the cylinder model: 6 when each corner of the
+    # chain square was built on its own.
+    X = four_test_spaces()["S2"]
+    assert excision_check(identity_square(X)).consistent
+    assert len(chain_builds) == 3
+    assert [Y == X for Y in chain_builds].count(True) == 2
 
 
 def test_chain_square_builds_each_corner_once(chain_builds):

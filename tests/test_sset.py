@@ -237,6 +237,26 @@ def _face_rule_spaces():
     ]
 
 
+def test_face_reads_the_faces_of_a_cell_through_the_face_rule(monkeypatch):
+    # One face rule: the faces of a nondegenerate cell go through
+    # ``face_key`` and ``simplex_at`` like those of a degenerate simplex,
+    # not through the name-keyed view, and are the same shared ``Simplex``.
+    spaces = _face_rule_spaces() + _degenerate_face_spaces()
+    expected = [(X, dict(X.faces)) for X in spaces]
+
+    def refuse(self):
+        raise AssertionError("the name-keyed faces were read")
+
+    monkeypatch.setattr(FiniteSSet, "_face_simplices", refuse)
+    for X, faces in expected:
+        assert faces.keys() == {name for level in X.cells[1:] for name in level}
+        for name, stored in faces.items():
+            sx = X.simplex(name)
+            got = tuple(X.face(sx, i) for i in range(sx.dim + 1))
+            assert got == stored
+            assert all(f is g for f, g in zip(got, stored) if not g.is_degenerate)
+
+
 def test_face_key_is_the_face_rule():
     # On every simplex of every level k <= 4 and every i, the (word,
     # position) key is the face that ``face`` returns and the face the
